@@ -11,7 +11,10 @@ duplicates every internal proposition into an evidence copy (suffix ``__e``)
 and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
-the query is an ordinary conditional over the combined program.
+the query is a conditional over the combined program. The engine answers it
+by factors over the twin's heads (merged copies for nodes the intervention
+cannot reach, pair factors for the others) rather than by walking the shared
+noise, whichever enumerates fewer assignments.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .engine import QueryResult, conditional, probability
-from .errors import ExportError, InterventionError
+from .engine import QueryResult, probability, twin_conditional
+from .errors import InterventionError
 from .formula import Formula, check_atoms, conjunction_of
 from .model import (
     Clause,
@@ -98,12 +101,6 @@ class TwinProgram:
         probability-one clause, so any tool reading the plain format can
         replay counterfactual queries as conditionals."""
         dp = self.desugared
-        taken = set(dp.internal_propositions)
-        collisions = sorted(set(dp.noise_names) & taken)
-        if collisions:
-            raise ExportError(
-                f"noise names collide with program propositions: {collisions}"
-            )
         lines = []
         for u in dp.noise_names:
             lines.append(f"{float_text(dp.noise_probability(u))} :: {u}.")
@@ -155,7 +152,9 @@ def counterfactual_query(program: Program, phi: Formula,
     that the evidence was actually observed.
 
     The twin construction does the bookkeeping: ``phi`` is relabeled onto the
-    intervention copy and the evidence onto the evidence copy. With empty
+    intervention copy and the evidence onto the evidence copy. The answer is
+    the conditional over the twin, enumerated by whichever of its factored
+    form and its shared noise takes fewer assignments. With empty
     evidence this coincides with the interventional query. Evidence of
     probability zero in the untouched program raises ZeroEvidenceError."""
     check_atoms(phi, program)
@@ -165,4 +164,4 @@ def counterfactual_query(program: Program, phi: Formula,
     evidence_e = conjunction_of(
         {name + EVIDENCE_SUFFIX: value for name, value in observed.items()}
     )
-    return conditional(twin.desugared, phi_i, evidence_e, max_worlds)
+    return twin_conditional(twin, phi_i, evidence_e, max_worlds)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .causal import counterfactual_query, interventional_query, twin_program
 from .engine import conditional, probability
@@ -87,17 +87,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated evidence literals, e.g. '\\+treatment,recovery'")
     p.add_argument("--do", dest="do_", metavar="LITERALS",
                    help="comma-separated intervention literals")
-    p.add_argument("--precision", type=int, default=6, metavar="D",
-                   help="decimal places to print (default 6)")
-    p.add_argument("--max-worlds", type=int, default=None,
-                   help="override the enumeration cap for this query")
+    p.add_argument("--precision", type=_int_in(0, None, "a nonnegative integer"),
+                   default=6, metavar="D", help="decimal places to print (default 6)")
+    p.add_argument("--max-worlds", type=_int_in(1, None, "a positive integer"),
+                   default=None, help="override the enumeration cap for this query")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_query)
 
     p = sub.add_parser("sample", help="forward-sample a CSV dataset")
     p.add_argument("file", help="program file")
     p.add_argument("-n", "--rows", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, required=True, help="generator seed")
+    p.add_argument("--seed", type=_int_in(0, 1 << 128, "in [0, 2**128)"), required=True,
+                   help="generator seed, 0 <= seed < 2**128")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_sample)
@@ -132,6 +133,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_twin_export)
 
     return parser
+
+
+def _int_in(low: int, high: int | None, what: str) -> Callable[[str], int]:
+    """An argparse type accepting integers ``low <= value < high``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
 
 
 def _read(path: str) -> str:

@@ -64,7 +64,8 @@ class EnumerationCapError(CausalogError):
     def __init__(self, needed: int, cap: int):
         super().__init__(
             f"query needs {needed} assignments which exceeds the enumeration "
-            f"cap of {cap}; raise CAUSALOG_MAX_WORLDS or simplify the program"
+            f"cap of {cap}; raise it with --max-worlds or CAUSALOG_MAX_WORLDS, "
+            "or simplify the program"
         )
         self.needed = needed
         self.cap = cap
@@ -86,12 +87,6 @@ class InterventionError(CausalogError):
     """Bad intervention or evidence assignment (unknown proposition)."""
 
     code = "intervention"
-
-
-class ExportError(CausalogError):
-    """Name collision while exporting a derived program as text."""
-
-    code = "export"
 
 
 class OracleError(CausalogError):

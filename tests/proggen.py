@@ -32,6 +32,7 @@ from causalog import (
     Or,
     Program,
     conjunction_of,
+    parse_program,
     probability,
 )
 from causalog.graph import subsets_by_size
@@ -78,6 +79,32 @@ def random_program(rng, max_nodes=6, max_parents=3, lo=0.05, hi=0.95,
             clauses.append(Clause(name, frozenset(Literal(b) for b in body),
                                   prob))
     return Program(clauses)
+
+
+def with_negation_and_certainty(rng, program):
+    """Negate some body literals and pin some clauses to 0 or 1, so that
+    bodies test absence and some evidence has probability zero."""
+    clauses = []
+    for c in program.clauses:
+        causes = frozenset(Literal(lit.name, bool(rng.random() < 0.6))
+                           for lit in c.causes)
+        p = c.probability
+        if rng.random() < 0.1:
+            p = float(rng.choice([0.0, 1.0]))
+        clauses.append(Clause(c.effect, causes, p))
+    return Program(clauses)
+
+
+def layered_program(n):
+    """A fixed program on ``n0 .. n(n-1)``, each node on its two predecessors,
+    with negated bodies and three or four clauses per node."""
+    lines = ["0.3 :: n0.", "0.2 :: n1.", "0.6 :: n1 :- n0.", "0.25 :: n1 :- \\+ n0."]
+    for k in range(2, n):
+        a, b = f"n{k - 1}", f"n{k - 2}"
+        lines += [f"0.{k} :: n{k}.", f"0.5 :: n{k} :- {a}.",
+                  f"0.35 :: n{k} :- \\+ {b}."]
+    lines += [f"0.15 :: n{n - 1} :- n{n - 2}, n{n - 3}.", "0.45 :: n5 :- n4, \\+ n3."]
+    return parse_program("\n".join(lines) + "\n")
 
 
 def random_formula(rng, names, depth=2):

@@ -9,13 +9,21 @@ from causalog import (
     counterfactual_query,
     intervene,
     interventional_query,
+    parse_formula,
     parse_program,
     probability,
     twin_program,
 )
 
 from oracles import reference_conditional, reference_probability
-from proggen import numpy_rng, random_assignment, random_formula, random_program
+from proggen import (
+    layered_program,
+    numpy_rng,
+    random_assignment,
+    random_formula,
+    random_program,
+    with_negation_and_certainty,
+)
 
 EXACT = 1e-12
 
@@ -176,3 +184,60 @@ def test_counterfactual_checks_names(boost_program):
 def test_twin_reference_total_mass(boost_program):
     twin = twin_program(boost_program, {"treatment": True})
     assert reference_probability(twin.desugared, conjunction_of({})) == pytest.approx(1.0, abs=EXACT)
+
+
+def test_factored_counterfactual_differential():
+    rng = numpy_rng(1994)
+    seen = {"negated": 0, "do_false": 0, "evidence_off_query": 0,
+            "multi_atom": 0, "zero_evidence": 0}
+    for _ in range(120):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=4, max_parents=2, max_bodies=3))
+        names = list(program.propositions)
+        phi = random_formula(rng, names)
+        evidence = random_assignment(rng, names, int(rng.integers(0, 3)))
+        action = random_assignment(rng, names, int(rng.integers(1, 3)))
+        twin = twin_program(program, action)
+        phi_i = phi.map_atoms(lambda n: n + "__i")
+        evidence_e = conjunction_of({k + "__e": v for k, v in evidence.items()})
+        try:
+            want = reference_conditional(twin.desugared, phi_i, evidence_e)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroEvidenceError):
+                counterfactual_query(program, phi, evidence, action)
+            seen["zero_evidence"] += 1
+            continue
+        got = counterfactual_query(program, phi, evidence, action)
+        assert got.probability == pytest.approx(want, abs=EXACT)
+        # never more worlds than walking the twin's shared noise
+        noise = conditional(twin.desugared, phi_i, evidence_e)
+        assert got.worlds_evaluated <= noise.worlds_evaluated
+        seen["negated"] += any(not lit.positive
+                               for c in program.clauses for lit in c.causes)
+        seen["do_false"] += not all(action.values())
+        seen["evidence_off_query"] += bool(evidence) and not (evidence.keys() & phi.atoms())
+        seen["multi_atom"] += len(phi.atoms()) > 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_boost_counterfactual_worlds(boost_program):
+    # treatment__e plus both copies of recovery; treatment__i is pinned
+    r = counterfactual_query(
+        boost_program, Atom("recovery"),
+        {"treatment": False, "recovery": True}, {"treatment": True})
+    assert r.worlds_evaluated == 8
+
+
+def test_layered_counterfactual_under_default_cap():
+    program = layered_program(10)
+    assert len(program.clauses) == 30  # 2^30 shared-noise worlds
+    r = counterfactual_query(program, Atom("n9"), {"n0": False, "n9": True},
+                             {"n0": True})
+    assert 0.0 < r.probability < 1.0
+    assert r.worlds_evaluated <= 1 << 19
+    # evidence that agrees with the intervention reduces to a conditional
+    evidence = {"n0": True, "n9": True}
+    phi = parse_formula("n8 | !n5")
+    counter = counterfactual_query(program, phi, evidence, {"n0": True})
+    plain = conditional(program, phi, conjunction_of(evidence))
+    assert counter.probability == pytest.approx(plain.probability, abs=EXACT)

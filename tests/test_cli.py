@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from causalog import parse_program
+from causalog import cli, parse_program
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -277,6 +277,26 @@ def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("query", BOOST).returncode == 2  # --prob is required
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["query", BOOST, "--prob", "recovery", "--precision", "-1"], "--precision"),
+    (["sample", BOOST, "-n", "3", "--seed", "-1", "-o", "unused.csv"], "--seed"),
+    (["sample", BOOST, "-n", "3", "--seed", str(1 << 128), "-o", "unused.csv"],
+     "--seed"),
+    (["query", BOOST, "--prob", "recovery", "--max-worlds", "0"], "--max-worlds"),
+    (["query", BOOST, "--prob", "recovery", "--max-worlds", "-5"], "--max-worlds"),
+])
+def test_out_of_range_arguments_are_usage_errors(argv, flag, capsys, monkeypatch):
+    # in-process, so a traceback would surface as an uncaught exception here
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert not (ROOT / "unused.csv").exists()
 
 
 # --- README examples ------------------------------------------------------------

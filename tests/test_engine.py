@@ -4,12 +4,15 @@ import pytest
 
 from causalog import (
     Atom,
+    CausalogError,
     EnumerationCapError,
     Not,
     TableSizeError,
     WorldError,
     ZeroEvidenceError,
     conditional,
+    counterfactual_query,
+    engine,
     evaluate_world,
     joint_table,
     parse_formula,
@@ -19,7 +22,14 @@ from causalog import (
 
 from conftest import SHARED_JOINT
 from oracles import reference_conditional, reference_probability
-from proggen import numpy_rng, random_formula, random_program
+from proggen import (
+    layered_program,
+    numpy_rng,
+    random_assignment,
+    random_formula,
+    random_program,
+    with_negation_and_certainty,
+)
 
 EXACT = 1e-12
 
@@ -147,11 +157,15 @@ def test_enumeration_cap_refusal(boost_program):
 
 def test_cap_env_override(boost_program, monkeypatch):
     monkeypatch.setenv("CAUSALOG_MAX_WORLDS", "2")
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as err:
         probability(boost_program, Atom("recovery"))
-    monkeypatch.setenv("CAUSALOG_MAX_WORLDS", "banana")
-    with pytest.raises(Exception, match="CAUSALOG_MAX_WORLDS"):
-        probability(boost_program, Atom("recovery"))
+    assert "--max-worlds" in str(err.value)
+    assert "CAUSALOG_MAX_WORLDS" in str(err.value)
+    for bad in ("banana", "-5", "0"):
+        monkeypatch.setenv("CAUSALOG_MAX_WORLDS", bad)
+        with pytest.raises(CausalogError, match="CAUSALOG_MAX_WORLDS") as err:
+            probability(boost_program, Atom("recovery"))
+        assert not isinstance(err.value, EnumerationCapError)
 
 
 def test_zero_evidence_refused(boost_program):
@@ -174,6 +188,40 @@ def test_joint_table_uniform_product():
         for b in (False, True):
             assert table.probability_of({"a": a, "b": b}) == pytest.approx(0.25, abs=EXACT)
     assert math.isclose(table.total(), 1.0, abs_tol=EXACT)
+
+
+def test_tabulated_factors_match_clause_evaluation(monkeypatch):
+    # joint tables over 13-14 nodes and the 2^13-world counterfactual
+    # enumerate chunks large enough for their factors to be looked up in
+    # tables; evaluating the clauses on every world must give the very same
+    # numbers
+    rng = numpy_rng(1226)
+    cases = []
+    for _ in range(3):
+        program = with_negation_and_certainty(rng, random_program(
+            rng, min_nodes=13, max_nodes=14, max_parents=3, lo=0.2, hi=0.8))
+        names = list(program.propositions)
+        cases.append((program, random_formula(rng, names),
+                      random_assignment(rng, names, 2),
+                      random_assignment(rng, names, 1)))
+    # pair factors over both copies of n1 .. n6, 2^13 worlds
+    cases.append((layered_program(7), parse_formula("n6 | !n4"),
+                  {"n6": True, "n1": False}, {"n0": False}))
+
+    def answers():
+        out = []
+        for program, phi, evidence, action in cases:
+            out.append(probability(program, phi))
+            try:
+                out.append(counterfactual_query(program, phi, evidence, action))
+            except ZeroEvidenceError:
+                out.append(None)
+            out.append(joint_table(program).cells)
+        return out
+
+    tabulated = answers()
+    monkeypatch.setattr(engine, "_TABLE_MARGIN_BITS", 64)
+    assert answers() == tabulated
 
 
 def test_probability_clamped_to_unit_interval(boost_program):
