@@ -6,9 +6,11 @@ the product of its fact probabilities. Two exact evaluation strategies
 compute that sum:
 
 * noise enumeration walks the noise assignments directly, solving the Boolean
-  equation system for each one. It is always applicable, and it is the only
-  strategy for desugared programs whose noise facts feed several clauses,
-  such as a twin program built by hand.
+  equation system for a chunk of them at once. It is always applicable, and
+  it is the only strategy for desugared programs whose noise facts feed
+  several clauses, such as a twin program built by hand. The same ``solve``
+  answers ``evaluate_world`` on one assignment and forward sampling on a
+  column of draws per noise fact.
 
 * factor enumeration walks assignments of the internal propositions instead,
   weighing each by a product of per-head factors. When every noise fact feeds
@@ -50,7 +52,6 @@ import numpy as np
 
 from .errors import (
     CausalogError,
-    CyclicProgramError,
     EnumerationCapError,
     TableSizeError,
     WorldError,
@@ -125,15 +126,8 @@ def evaluate_world(program: Program | DesugaredProgram,
     if extra:
         raise WorldError(f"assignment names unknown noise propositions {', '.join(extra)}")
     values: dict[str, bool] = {u: bool(world[u]) for u in known}
-    by_head = dp.clauses_by_head
-    for name in dp.topological_order():
-        result = False
-        for clause in by_head.get(name, ()):
-            if all(values[lit.name] == lit.positive for lit in clause.literals) and \
-                    all(values[u] for u in clause.noise):
-                result = True
-                break
-        values[name] = result
+    for name, column in solve(dp, dp.topological_order(), values, 1).items():
+        values[name] = bool(column[0])
     return values
 
 
@@ -319,33 +313,47 @@ def _factor_worlds(plan: _FactorPlan) -> _Worlds:
         yield env, weight
 
 
+def solve(dp: DesugaredProgram, order: Sequence[str],
+          noise: Mapping[str, np.ndarray | bool], count: int) -> dict[str, np.ndarray]:
+    """Solve the Boolean equations for ``count`` noise assignments at once.
+
+    ``order`` lists every body atom before its head; ``noise`` maps each noise
+    fact the clauses of ``order`` read to a bool column of length ``count`` or
+    to a Python bool. A head is true where one of its clauses has every body
+    literal and every noise entry true; a head without clauses is false."""
+    by_head = dp.clauses_by_head
+    env: dict[str, np.ndarray] = {}
+    for name in order:
+        value = np.zeros(count, dtype=bool)
+        for clause in by_head.get(name, ()):
+            guards = [noise[u] for u in clause.noise]
+            # constants decide without touching the columns: an in-place
+            # AND with a scalar costs ~40x one with a column (2^16 rows,
+            # numpy 2.4)
+            if any(g is False for g in guards):
+                continue
+            sat = np.ones(count, dtype=bool)
+            for lit in clause.literals:
+                sat &= env[lit.name] == lit.positive
+            for g in guards:
+                if g is not True:
+                    sat &= g
+            value |= sat
+        env[name] = value
+    return env
+
+
 def _noise_worlds(dp: DesugaredProgram, order: list[str],
-                  clauses: list[LogicalClause], random_noise: list[str]) -> _Worlds:
-    by_head: dict[str, list[LogicalClause]] = {}
-    for c in clauses:
-        by_head.setdefault(c.head, []).append(c)
+                  random_noise: list[str]) -> _Worlds:
     probs = {u: dp.noise_probability(u) for u in random_noise}
+    certain = {u: p == 1.0 for u, p in dp.noise_probs.items() if p in (0.0, 1.0)}
     for start, count in _chunks(len(random_noise)):
         noise_env = _bit_columns(start, count, random_noise)
         weight = np.ones(count, dtype=np.float64)
         for u in random_noise:
             p = probs[u]
             weight *= np.where(noise_env[u], p, 1.0 - p)
-        env: dict[str, np.ndarray] = {}
-        for name in order:
-            value = np.zeros(count, dtype=bool)
-            for clause in by_head.get(name, ()):
-                sat = np.ones(count, dtype=bool)
-                for lit in clause.literals:
-                    sat &= env[lit.name] == lit.positive
-                for u in clause.noise:
-                    if u in noise_env:
-                        sat &= noise_env[u]
-                    elif dp.noise_probability(u) < 1.0:
-                        sat &= False
-                value |= sat
-            env[name] = value
-        yield env, weight
+        yield solve(dp, order, {**certain, **noise_env}, count), weight
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +366,7 @@ def _worlds(dp: DesugaredProgram, atoms: set[str] | frozenset[str],
     """Choose the cheaper valid enumeration of the ancestral closure of
     ``atoms`` and return its chunks with the number of assignments."""
     cap = resolved_max_worlds(max_worlds)
-    graph = dp.dependency_graph()
-    if not graph.is_acyclic():
-        cycle = graph.find_cycle()
-        raise CyclicProgramError(
-            "exact inference needs an acyclic program; cycle: "
-            + " -> ".join(cycle or ())
-        )
-    relevant = graph.ancestors(atoms)
+    relevant = dp.dependency_graph().ancestors(atoms)
     order = [n for n in dp.topological_order() if n in relevant]
     clauses = [c for c in dp.clauses if c.head in relevant]
 
@@ -390,7 +391,7 @@ def _worlds(dp: DesugaredProgram, atoms: set[str] | frozenset[str],
         raise EnumerationCapError(1 << bits, cap)
     if strategy == "factor":
         return _factor_worlds(plan), 1 << bits
-    return _noise_worlds(dp, order, clauses, random_noise), 1 << bits
+    return _noise_worlds(dp, order, random_noise), 1 << bits
 
 
 def _query_masses(dp: DesugaredProgram, formulas: Sequence[Formula],

@@ -12,11 +12,14 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CyclicProgramError, GraphFormatError
 
-_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
+# The proposition-name rule shared by programs and graphs.
+VALID_NAME = re.compile(r"[a-z][A-Za-z0-9_]*$")
+RESERVED_NAMES = frozenset({"true", "false"})
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,12 @@ class DependencyGraph:
 
         Raises CyclicProgramError when the graph has a cycle.
         """
-        order = self._kahn()
+        order = self._kahn
         if len(order) != len(self.nodes):
             cycle = self.find_cycle()
             path = " -> ".join(cycle) if cycle else "?"
             raise CyclicProgramError(f"dependency graph has a cycle: {path}")
-        return tuple(order)
+        return order
 
     def ordering_rank(self) -> dict[str, int]:
         """Deterministic rank usable even on cyclic graphs.
@@ -74,12 +77,13 @@ class DependencyGraph:
         position; any leftover (cyclic core) is appended in name order, so
         printing a cyclic program is still stable.
         """
-        order = self._kahn()
-        seen = set(order)
-        order.extend(sorted(self.nodes - seen))
+        order = [*self._kahn, *sorted(self.nodes.difference(self._kahn))]
         return {name: i for i, name in enumerate(order)}
 
-    def _kahn(self) -> list[str]:
+    @cached_property
+    def _kahn(self) -> tuple[str, ...]:
+        """Kahn's peeling with lexicographic tie break, computed once per
+        graph; it stops short of the nodes on or after a cycle."""
         indeg = {n: 0 for n in self.nodes}
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
         for a, b in self.edges:
@@ -95,10 +99,10 @@ class DependencyGraph:
                 indeg[m] -= 1
                 if indeg[m] == 0:
                     heapq.heappush(ready, m)
-        return order
+        return tuple(order)
 
     def is_acyclic(self) -> bool:
-        return len(self._kahn()) == len(self.nodes)
+        return len(self._kahn) == len(self.nodes)
 
     def find_cycle(self) -> list[str] | None:
         """Some cycle as a node path ``[a, b, ..., a]``, or None."""
@@ -216,9 +220,12 @@ class DependencyGraph:
 
 
 def _check_name(token: str, lineno: int) -> str:
-    if not _NAME_RE.match(token):
-        where = f"line {lineno}: " if lineno else ""
+    where = f"line {lineno}: " if lineno else ""
+    if not VALID_NAME.match(token):
         raise GraphFormatError(f"{where}bad proposition name {token!r}")
+    if token in RESERVED_NAMES:
+        raise GraphFormatError(
+            f"{where}{token!r} is a reserved word and cannot name a proposition")
     return token
 
 

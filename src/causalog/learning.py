@@ -1,10 +1,11 @@
 """Sampling programs and learning them back from samples.
 
 Forward sampling draws every noise fact independently and solves the Boolean
-equation system, row by row. Sampling is seeded and deterministic: the
-counter-based Philox generator is keyed with the seed and consumed as one
-uniform draw per (row, fact) cell in row-major order, so row ``i`` always
-consumes the ``i``-th block of draws no matter how rows are batched.
+equation system column-wise, all rows at once, with the engine's shared
+solve. Sampling is seeded and deterministic: the counter-based Philox
+generator is keyed with the seed and consumed as one uniform draw per (row,
+fact) cell in row-major order, so row ``i`` always consumes the ``i``-th
+block of draws no matter how rows are batched.
 
 A dataset records only the internal propositions (noise is latent), plus a
 provenance stamp: the fingerprint of the generating program, the seed and the
@@ -28,6 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .engine import solve
 from .errors import DatasetError, StarvedPatternError
 from .graph import DependencyGraph
 from .model import Program
@@ -148,9 +150,13 @@ class Dataset:
 
 
 def forward_sample(program: Program, n: int, seed: int) -> Dataset:
-    """Draw ``n`` independent samples of the internal propositions."""
+    """Draw ``n`` independent samples of the internal propositions.
+
+    ``seed`` must be an integer in [0, 2**128), the Philox key space."""
     if n < 0:
         raise DatasetError(f"sample count must be nonnegative, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 128:
+        raise DatasetError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     dp = program.desugar()
     noise = dp.noise_names
     columns = dp.internal_propositions
@@ -159,22 +165,11 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     noise_cols = {
         u: uniforms[:, j] < dp.noise_probability(u) for j, u in enumerate(noise)
     }
-    values: dict[str, np.ndarray] = {}
-    by_head = dp.clauses_by_head
-    for name in dp.topological_order():
-        col = np.zeros(n, dtype=bool)
-        for clause in by_head.get(name, ()):
-            sat = np.ones(n, dtype=bool)
-            for lit in clause.literals:
-                sat &= values[lit.name] == lit.positive
-            for u in clause.noise:
-                sat &= noise_cols[u]
-            col |= sat
-        values[name] = col
+    values = solve(dp, dp.topological_order(), noise_cols, n)
     rows = np.column_stack([values[c] for c in columns]) if columns else \
         np.zeros((n, 0), dtype=bool)
     return Dataset(columns, rows,
-                   Provenance(program_fingerprint(program), int(seed), int(n)))
+                   Provenance(program_fingerprint(program), seed, int(n)))
 
 
 class FrequencyOracle:

@@ -16,16 +16,12 @@ just tuple equality.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ProgramError
-from .graph import DependencyGraph
-
-VALID_NAME = re.compile(r"[a-z][A-Za-z0-9_]*$")
-RESERVED_NAMES = frozenset({"true", "false"})
+from .graph import RESERVED_NAMES, VALID_NAME, DependencyGraph
 
 
 def _check_proposition(name: str) -> str:
@@ -306,8 +302,3 @@ def desugar(program: Program) -> DesugaredProgram:
     prefixed with extra ``u`` letters if a user proposition already took the
     name."""
     return program.desugar()
-
-
-def dependency_graph(program: Program) -> DependencyGraph:
-    """Edge ``cause -> effect`` for every clause body mention, either sign."""
-    return program.dependency_graph()

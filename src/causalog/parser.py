@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .model import Clause, Literal, Program, RESERVED_NAMES
+from .graph import RESERVED_NAMES
+from .model import Clause, Literal, Program
 
 # token kinds
 _NUMBER = "number"

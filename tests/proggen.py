@@ -86,8 +86,9 @@ def with_negation_and_certainty(rng, program):
     bodies test absence and some evidence has probability zero."""
     clauses = []
     for c in program.clauses:
+        # sorted, so the draws do not follow the hash-seeded set order
         causes = frozenset(Literal(lit.name, bool(rng.random() < 0.6))
-                           for lit in c.causes)
+                           for lit in c.sorted_body())
         p = c.probability
         if rng.random() < 0.1:
             p = float(rng.choice([0.0, 1.0]))

@@ -211,6 +211,7 @@ def test_factored_counterfactual_differential():
         assert got.probability == pytest.approx(want, abs=EXACT)
         # never more worlds than walking the twin's shared noise
         noise = conditional(twin.desugared, phi_i, evidence_e)
+        assert noise.probability == pytest.approx(want, abs=EXACT)
         assert got.worlds_evaluated <= noise.worlds_evaluated
         seen["negated"] += any(not lit.positive
                                for c in program.clauses for lit in c.causes)

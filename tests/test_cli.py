@@ -299,6 +299,16 @@ def test_out_of_range_arguments_are_usage_errors(argv, flag, capsys, monkeypatch
     assert not (ROOT / "unused.csv").exists()
 
 
+def test_cyclic_program_is_an_error(tmp_path, capsys):
+    path = tmp_path / "cycle.pl"
+    path.write_text("0.5 :: a :- b.\n0.5 :: b :- a.\n")
+    assert cli.main(["query", str(path), "--prob", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[cycle]:")
+    assert "Traceback" not in captured.err
+
+
 # --- README examples ------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 from causalog import (
     Atom,
     CausalogError,
+    CyclicProgramError,
     EnumerationCapError,
     Not,
     TableSizeError,
@@ -14,6 +15,7 @@ from causalog import (
     counterfactual_query,
     engine,
     evaluate_world,
+    forward_sample,
     joint_table,
     parse_formula,
     parse_program,
@@ -21,7 +23,7 @@ from causalog import (
 )
 
 from conftest import SHARED_JOINT
-from oracles import reference_conditional, reference_probability
+from oracles import reference_conditional, reference_probability, reference_world
 from proggen import (
     layered_program,
     numpy_rng,
@@ -78,6 +80,14 @@ def test_evaluate_world_solves_equations(boost_program):
     assert world["treatment"] and world["recovery"]
     world = evaluate_world(boost_program, {"u1": False, "u2": False, "u3": True})
     assert not world["treatment"] and not world["recovery"]
+    # random programs with negated bodies and noise pinned to 0 or 1
+    rng = numpy_rng(2308)
+    for _ in range(12):
+        dp = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=5, max_parents=2)).desugar()
+        for _ in range(4):
+            noise = {u: bool(rng.random() < 0.5) for u in dp.noise_names}
+            assert evaluate_world(dp, noise) == reference_world(dp, noise)
 
 
 def test_evaluate_world_checks_keys(boost_program):
@@ -222,6 +232,19 @@ def test_tabulated_factors_match_clause_evaluation(monkeypatch):
     tabulated = answers()
     monkeypatch.setattr(engine, "_TABLE_MARGIN_BITS", 64)
     assert answers() == tabulated
+
+
+def test_cyclic_program_is_refused():
+    program = parse_program("0.5 :: a :- b.\n0.5 :: b :- a.\n")
+    queries = [
+        lambda: probability(program, Atom("a")),
+        lambda: conditional(program, Atom("a"), Atom("b")),
+        lambda: counterfactual_query(program, Atom("a"), {"b": True}, {"b": False}),
+        lambda: forward_sample(program, 4, seed=0),
+    ]
+    for query in queries:
+        with pytest.raises(CyclicProgramError, match="cycle: a"):
+            query()
 
 
 def test_probability_clamped_to_unit_interval(boost_program):

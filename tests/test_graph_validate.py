@@ -84,6 +84,18 @@ def test_bad_graph_text_rejected(bad):
         DependencyGraph.parse(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "true a\n",
+    "a false\n",
+    "digraph g { true -> a; }\n",
+    "digraph g { a; false; }\n",
+])
+def test_reserved_words_rejected_as_graph_nodes(text):
+    # graphs follow the program name rule, reserved words included
+    with pytest.raises(GraphFormatError, match="reserved"):
+        DependencyGraph.parse(text)
+
+
 def test_subsets_by_size_order():
     got = list(subsets_by_size(["b", "a"]))
     assert got == [frozenset(), frozenset({"a"}), frozenset({"b"}),

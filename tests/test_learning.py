@@ -20,6 +20,7 @@ from causalog import (
 
 from conftest import BOOST_TEXT
 from oracles import reference_world
+from proggen import numpy_rng, random_program, with_negation_and_certainty
 
 TR_GRAPH = DependencyGraph.build(
     ["treatment", "recovery"], [("treatment", "recovery")])
@@ -44,20 +45,37 @@ def test_sampling_prefix_is_stable_across_row_counts(boost_program):
     assert np.array_equal(short.rows, long.rows[:50])
 
 
-def test_sampling_matches_independent_rederivation(boost_program):
+def _negated_program():
+    rng = numpy_rng(1524)
+    program = with_negation_and_certainty(rng, random_program(
+        rng, min_nodes=5, max_nodes=5, max_parents=2, require_edge=True))
+    # the draw has negated bodies and clauses pinned to 0 or 1
+    assert any(not lit.positive for c in program.clauses for lit in c.causes)
+    assert any(c.probability in (0.0, 1.0) for c in program.clauses)
+    return program
+
+
+@pytest.mark.parametrize("make_program", [
+    lambda: parse_program(BOOST_TEXT),
+    _negated_program,
+], ids=["boost", "negated"])
+def test_sampling_matches_independent_rederivation(make_program):
     # the contract: Philox keyed with the seed, one uniform per (row, noise)
     # cell in row-major order, noise thresholds in noise-name order, then the
     # Boolean system is solved per row
     n, seed = 200, 42
-    dp = boost_program.desugar()
-    assert dp.noise_names == ("u1", "u2", "u3")
-    dataset = forward_sample(boost_program, n, seed=seed)
+    program = make_program()
+    dp = program.desugar()
+    names = tuple(f"u{k}" for k in range(1, len(program.clauses) + 1))
+    assert dp.noise_names == names
+    dataset = forward_sample(program, n, seed=seed)
 
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((n, 3))
-    thresholds = np.array([0.5, 0.5, 0.4])
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
+        (n, len(names)))
+    thresholds = [c.probability for c in program.clauses]
     for i in range(n):
         noise = {u: bool(uniforms[i, j] < thresholds[j])
-                 for j, u in enumerate(("u1", "u2", "u3"))}
+                 for j, u in enumerate(names)}
         world = reference_world(dp, noise)
         for j, name in enumerate(dataset.columns):
             assert bool(dataset.rows[i, j]) == world[name], (i, name)
@@ -90,6 +108,12 @@ def test_zero_rows(boost_program):
 def test_negative_rows_rejected(boost_program):
     with pytest.raises(DatasetError, match="nonnegative"):
         forward_sample(boost_program, -1, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 128, 1.5, "7", True])
+def test_out_of_range_seed_rejected(boost_program, seed):
+    with pytest.raises(DatasetError, match="seed"):
+        forward_sample(boost_program, 3, seed=seed)
 
 
 # --- dataset and CSV ------------------------------------------------------------
