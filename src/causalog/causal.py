@@ -120,7 +120,9 @@ def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProg
     Every logical clause of the desugared source appears once per copy with
     its body atoms renamed, guarded by the same shared noise fact. The
     intervention then erases the clauses of the forced propositions in the
-    intervention copy only."""
+    intervention copy only. A cyclic program is refused before the twin is
+    built, so the error names the program's own atoms."""
+    program.dependency_graph().topological_order()
     forced = _check_assignment(program, intervention, "intervention")
     dp = program.desugar()
     clauses: list[LogicalClause] = []

@@ -57,7 +57,7 @@ from .errors import (
     WorldError,
     ZeroEvidenceError,
 )
-from .formula import And, Formula, check_atoms
+from .formula import And, Formula, check_atoms, check_names, conjunction_of
 from .model import DesugaredProgram, Literal, LogicalClause, Program
 
 if TYPE_CHECKING:
@@ -450,10 +450,12 @@ def _conditional(dp: DesugaredProgram, phi: Formula, evidence: Formula,
                                    max_worlds, twin)
     joint, mass = masses
     if mass <= 0.0:
-        raise ZeroEvidenceError(
-            f"evidence '{evidence.to_text()}' has probability zero"
-        )
+        raise _zero_evidence(evidence)
     return QueryResult(_clamp_unit(joint / mass), worlds, _clamp_unit(mass))
+
+
+def _zero_evidence(evidence: Formula) -> ZeroEvidenceError:
+    return ZeroEvidenceError(f"evidence '{evidence.to_text()}' has probability zero")
 
 
 @dataclass(frozen=True)
@@ -483,16 +485,9 @@ def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
             f"joint table over {len(columns)} propositions exceeds the limit "
             f"of {max_propositions}"
         )
-    worlds, _ = _worlds(dp, columns, None)
-    size = 1 << len(columns)
-    masses = np.zeros(size, dtype=np.float64)
-    for env, weight in worlds:
-        # the first column is the most significant bit, the order in which
-        # itertools.product lists the cells
-        codes = np.zeros(weight.shape, dtype=np.int64)
-        for name in columns:
-            codes = (codes << 1) | env[name]
-        masses += np.bincount(codes, weights=weight, minlength=size)
+    # the first column is the most significant bit, the order in which
+    # itertools.product lists the cells
+    masses = marginal(dp, columns).masses
     cells = dict(zip(itertools.product((False, True), repeat=len(columns)),
                      masses.tolist()))
     return JointTable(columns, cells)
@@ -504,3 +499,47 @@ def _clamp_unit(x: float) -> float:
     if x > 1.0:
         return 1.0
     return float(x)
+
+
+@dataclass(frozen=True)
+class Marginal:
+    """The mass of every cell of the joint marginal over ``columns``.
+
+    ``masses[code]`` is the probability that the columns take the values
+    spelled by the bits of ``code``, the first column being the most
+    significant bit; ``worlds_evaluated`` counts the assignments walked."""
+
+    columns: tuple[str, ...]
+    masses: np.ndarray
+    worlds_evaluated: int
+
+    def given(self, pattern: Mapping[str, bool]) -> float:
+        """P(first column | the other columns as in ``pattern``), the value
+        ``conditional`` gives; a pattern of probability zero raises the same
+        ZeroEvidenceError."""
+        code = 0
+        for name in self.columns[1:]:
+            code = (code << 1) | bool(pattern[name])
+        # the first column is the most significant bit of a cell's code
+        miss, hit = self.masses.reshape(2, -1)[:, code].tolist()
+        if miss + hit <= 0.0:
+            raise _zero_evidence(conjunction_of(pattern))
+        return _clamp_unit(hit / (miss + hit))
+
+
+def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
+             max_worlds: int | None = None) -> Marginal:
+    """Exact marginal over ``atoms``: one enumeration of their ancestral
+    closure, each world's weight added to its cell by one ``np.bincount``."""
+    dp = _as_desugared(program)
+    columns = tuple(atoms)
+    check_names(columns, dp)
+    worlds, count = _worlds(dp, set(columns), max_worlds)
+    size = 1 << len(columns)
+    masses = np.zeros(size, dtype=np.float64)
+    for env, weight in worlds:
+        codes = np.zeros(weight.shape, dtype=np.int64)
+        for name in columns:
+            codes = (codes << 1) | env[name]
+        masses += np.bincount(codes, weights=weight, minlength=size)
+    return Marginal(columns, masses, count)

@@ -17,7 +17,7 @@ form, which are not observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -193,9 +193,15 @@ def parse_formula(text: str, program: Any = None) -> Formula:
 
 def check_atoms(formula: Formula, program: Any) -> None:
     """Reject atoms outside the program's internal alphabet."""
+    check_names(sorted(formula.atoms()), program)
+
+
+def check_names(names: Iterable[str], program: Any) -> None:
+    """Reject names outside the program's internal alphabet, naming the first
+    offender in the order given."""
     internal = set(_internal_names(program))
     noise = set(_noise_names(program))
-    for name in sorted(formula.atoms()):
+    for name in names:
         if name in internal:
             continue
         if name in noise:

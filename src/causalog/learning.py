@@ -10,14 +10,17 @@ block of draws no matter how rows are batched.
 A dataset records only the internal propositions (noise is latent), plus a
 provenance stamp: the fingerprint of the generating program, the seed and the
 row count. The CSV form is a header of proposition names, one 0/1 row per
-sample, and an optional leading ``# provenance:`` comment.
+sample, and an optional leading ``# provenance:`` comment. Writing lays out
+all rows as one byte image; reading parses a file in exactly that form as one
+byte matrix and falls back to a line-by-line reader for anything looser.
 
 Learning is reconstruction against the empirical frequency oracle: the
 success probability of a target under a parent pattern is estimated by the
 relative frequency among the rows matching the pattern, with a standard-error
 tolerance (z * sqrt(v / n), v estimated with add-one smoothing so it never
 degenerates to zero) and a minimum support below which the pattern is
-reported as starved instead of trusted.
+reported as starved instead of trusted. The row counts of every pattern of a
+table come from one bincount over the rows' pattern codes.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .reconstruction import (
     MAX_PARENTS,
     OracleAnswer,
     ReconstructionResult,
+    check_table_width,
     reconstruct,
 )
 
@@ -108,27 +112,40 @@ class Dataset:
     # -- CSV ----------------------------------------------------------------
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            if self.provenance is not None:
-                handle.write(f"# provenance: {self.provenance.to_json()}\n")
-            handle.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                handle.write(",".join("1" if v else "0" for v in row) + "\n")
+        """Write the optional provenance line, the header, then one row per
+        sample: ``0``/``1`` cells joined by ``,``, each row ended by ``\\n``.
+        The rows are laid out as one byte image and written at once."""
+        head = ""
+        if self.provenance is not None:
+            head = f"# provenance: {self.provenance.to_json()}\n"
+        head += ",".join(self.columns) + "\n"
+        n, width = self.rows.shape
+        if width:
+            image = np.full((n, 2 * width), ord(","), dtype=np.uint8)
+            image[:, 0::2] = self.rows
+            image[:, 0::2] += ord("0")
+            image[:, -1] = ord("\n")
+        else:
+            image = np.full(n, ord("\n"), dtype=np.uint8)
+        with open(path, "wb") as handle:
+            handle.write(head.encode("utf-8"))
+            handle.write(image.tobytes())
 
     @staticmethod
     def from_csv(path: str) -> "Dataset":
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        provenance = None
-        start = 0
-        while start < len(lines) and lines[start].startswith("#"):
-            stripped = lines[start][1:].strip()
-            if stripped.startswith("provenance:"):
-                provenance = Provenance.from_json(stripped[len("provenance:"):])
-            start += 1
-        if start >= len(lines) or not lines[start].strip():
-            raise DatasetError("missing header row")
-        columns = tuple(name.strip() for name in lines[start].split(","))
+        """Read a dataset written by ``to_csv``, or any CSV of the same
+        shape: blank lines, CRLF or CR line ends, spaces around cells and a
+        missing final newline are accepted as well. A file in exactly the
+        form ``to_csv`` writes is parsed as one byte matrix; anything else
+        goes through the line-by-line reader, which names the first bad
+        line."""
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        canonical = _canonical_csv(raw)
+        if canonical is not None:
+            return canonical
+        lines = raw.decode("utf-8").splitlines()
+        provenance, columns, start = _csv_header(lines)
         data = []
         for lineno, line in enumerate(lines[start + 1:], start=start + 2):
             if not line.strip():
@@ -147,6 +164,56 @@ class Dataset:
             data.append(row)
         rows = np.array(data, dtype=bool).reshape(len(data), len(columns))
         return Dataset(columns, rows, provenance)
+
+
+def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], int]:
+    """Provenance, column names and index of the header line: the first line
+    not starting with ``#``; a ``# provenance:`` comment before it is read."""
+    provenance = None
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        stripped = lines[start][1:].strip()
+        if stripped.startswith("provenance:"):
+            provenance = Provenance.from_json(stripped[len("provenance:"):])
+        start += 1
+    if start >= len(lines) or not lines[start].strip():
+        raise DatasetError("missing header row")
+    return provenance, tuple(name.strip() for name in lines[start].split(",")), start
+
+
+def _canonical_csv(raw: bytes) -> Dataset | None:
+    """The dataset when ``raw`` is in the exact form ``to_csv`` writes (comment
+    lines, a header, then rows of ``0``/``1`` joined by ``,`` and each ended
+    by ``\\n``), else None. Such a body is one byte matrix with a fixed width,
+    so one shape and alphabet check replaces the per-row parse."""
+    end = 0
+    while raw.startswith(b"#", end):
+        end = raw.find(b"\n", end) + 1
+        if end == 0:
+            return None
+    header = end
+    end = raw.find(b"\n", header) + 1
+    if end == 0:
+        return None
+    width = 2 * (raw.count(b",", header, end) + 1)
+    body = np.frombuffer(raw, dtype=np.uint8, offset=end)
+    if body.size % width:
+        return None
+    body = body.reshape(-1, width)
+    if not ((body[:, 0::2] | 1) == ord("1")).all() \
+            or not (body[:, 1:-1:2] == ord(",")).all() \
+            or not (body[:, -1] == ord("\n")).all():
+        return None
+    # the body is ASCII, so the head decides what the line reader would do;
+    # a head it would split into other lines is left to it
+    try:
+        lines = raw[:end].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+    if len(lines) != raw.count(b"\n", 0, end):
+        return None
+    provenance, columns, _ = _csv_header(lines)
+    return Dataset(columns, body[:, 0::2] == ord("1"), provenance)
 
 
 def forward_sample(program: Program, n: int, seed: int) -> Dataset:
@@ -185,6 +252,11 @@ class FrequencyOracle:
         self._data = dataset
         self.min_support = int(min_support)
         self.z = float(z)
+        # the latest table: the rows per parent pattern and, when the target
+        # is a column, the rows per pattern with the target true
+        self._key: tuple[str, tuple[str, ...]] | None = None
+        self._support = np.zeros(0, dtype=np.int64)
+        self._hits: np.ndarray | None = None
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -192,10 +264,13 @@ class FrequencyOracle:
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
-        mask = np.ones(len(self._data), dtype=bool)
-        for name, value in pattern.items():
-            mask &= self._data.column(name) == bool(value)
-        n = int(mask.sum())
+        parents = tuple(sorted(pattern))
+        if self._key != (target, parents):
+            self._tabulate(target, parents)
+        code = 0
+        for name in parents:
+            code = (code << 1) | bool(pattern[name])
+        n = int(self._support[code])
         subset = frozenset(name for name, value in pattern.items() if value)
         if n < self.min_support:
             names = ", ".join(sorted(subset))
@@ -204,11 +279,31 @@ class FrequencyOracle:
                 f"(minimum support {self.min_support})",
                 target=target, patterns=((subset, n),),
             )
-        s = int((mask & self._data.column(target)).sum())
+        if self._hits is None:  # the target is not a column: DatasetError
+            self._data.column(target)
+        s = int(self._hits[code])
         rate = s / n
         smoothed = (s + 1.0) / (n + 2.0)
         tolerance = self.z * float(np.sqrt(smoothed * (1.0 - smoothed) / n))
         return OracleAnswer(rate, tolerance, n)
+
+    def _tabulate(self, target: str, parents: tuple[str, ...]) -> None:
+        """Count the rows of every parent pattern, and those of them with the
+        target true, by one bincount over each row's code: the parent bits,
+        first parent most significant, then the target bit. A pattern over
+        more than MAX_TABLE_WIDTH propositions raises TableSizeError."""
+        check_table_width(len(parents))
+        names = parents + (target,) if target in self._data.columns else parents
+        codes = np.zeros(len(self._data), np.min_scalar_type((1 << len(names)) - 1))
+        for name in names:
+            codes <<= 1
+            codes |= self._data.column(name)
+        counts = np.bincount(codes, minlength=1 << len(names))
+        if len(names) > len(parents):
+            self._support, self._hits = counts[0::2] + counts[1::2], counts[1::2]
+        else:
+            self._support, self._hits = counts, None
+        self._key = (target, parents)
 
 
 def empirical_oracle(dataset: Dataset,

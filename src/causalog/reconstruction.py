@@ -21,16 +21,20 @@ clauses already predict the combined pattern exactly.
 Everything here works per node and never looks at another node's answers, so
 partial failures (starved patterns, non-monotone noise, unresolvable
 saturation) are collected per node and reconstruction still returns what it
-could recover.
+could recover. The oracle is asked one pattern at a time, but both oracles
+shipped here fill a node's whole table at its first pattern: the exact oracle
+with one enumeration of the node's marginal, the frequency oracle with one
+bincount over the rows' pattern codes.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Protocol
 
-from .engine import conditional
+from .engine import Marginal, marginal
 from .errors import (
     CausalogError,
     ImproperParameterError,
@@ -39,13 +43,27 @@ from .errors import (
     ReconstructionError,
     SaturationError,
     StarvedPatternError,
+    TableSizeError,
 )
-from .formula import Atom, conjunction_of
 from .graph import DependencyGraph, subsets_by_size
 from .model import Clause, Literal, Program
 
 EXACT_TOLERANCE = 1e-9
 MAX_PARENTS = 12
+# the widest pattern an oracle tabulates: the table holds 2^width patterns,
+# and success_table asks each of them, so this only bounds an explicit
+# max_parents well above MAX_PARENTS (the same 20 as engine.joint_table)
+MAX_TABLE_WIDTH = 20
+
+
+def check_table_width(width: int) -> None:
+    """Refuse a pattern over more than MAX_TABLE_WIDTH propositions with
+    TableSizeError, before an oracle allocates its table."""
+    if width > MAX_TABLE_WIDTH:
+        raise TableSizeError(
+            f"pattern over {width} propositions exceeds the table limit of "
+            f"{MAX_TABLE_WIDTH}"
+        )
 
 
 class OracleAnswer(NamedTuple):
@@ -72,6 +90,16 @@ class Oracle(Protocol):
 class ExactOracle:
     """Exact answers computed from a known program by conditioning.
 
+    The whole success table of a target and its parent set comes from one
+    enumeration: the exact marginal over the target and the parents, whose
+    cells hold P(target, pattern) for every pattern at once. The latest table
+    is kept, so the other patterns of the same parent set are lookups; the
+    answer at a pattern is P(target, pattern) / P(pattern), as a conditional
+    would give, and a pattern of probability zero raises ZeroEvidenceError.
+    The enumeration cap applies to the ancestral closure of the target and
+    its parents, and a pattern over more than MAX_TABLE_WIDTH propositions
+    raises TableSizeError.
+
     Useful for round-trip testing and for re-expressing a program in positive
     normal form: reconstruction against this oracle returns a noisy-OR
     program with the same distribution whenever one exists."""
@@ -81,6 +109,7 @@ class ExactOracle:
         self._program = program
         self._tolerance = float(tolerance)
         self._max_worlds = max_worlds
+        self._table: Marginal | None = None
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -88,9 +117,11 @@ class ExactOracle:
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
-        result = conditional(self._program, Atom(target), conjunction_of(pattern),
-                             self._max_worlds)
-        return OracleAnswer(result.probability, self._tolerance, None)
+        atoms = (target, *sorted(pattern))
+        if self._table is None or self._table.columns != atoms:
+            check_table_width(len(pattern))
+            self._table = marginal(self._program, atoms, self._max_worlds)
+        return OracleAnswer(self._table.given(pattern), self._tolerance, None)
 
 
 @dataclass(frozen=True)
@@ -263,7 +294,8 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
 
 @dataclass(frozen=True)
 class NodeReport:
-    """Reconstruction outcome for one node."""
+    """Reconstruction outcome for one node, with the number of patterns the
+    oracle was asked and the seconds spent on the node."""
 
     target: str
     parents: tuple[str, ...]
@@ -271,6 +303,8 @@ class NodeReport:
     clauses: tuple[tuple[frozenset[str], float], ...]
     records: tuple[SubsetRecord, ...]
     error: CausalogError | None = None
+    oracle_calls: int = 0
+    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -295,6 +329,7 @@ class NodeReport:
                 }
                 for r in self.records
             ],
+            "stats": {"oracle_calls": self.oracle_calls, "seconds": self.seconds},
         }
         if self.table is not None:
             out["table"] = {
@@ -334,12 +369,30 @@ class ReconstructionResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+class _CountingOracle:
+    """Forwards to an oracle and counts the patterns asked."""
+
+    def __init__(self, oracle: Oracle):
+        self._oracle = oracle
+        self.calls = 0
+
+    @property
+    def nodes(self) -> frozenset[str]:
+        return self._oracle.nodes
+
+    def success_given_parents(self, target: str,
+                              pattern: Mapping[str, bool]) -> OracleAnswer:
+        self.calls += 1
+        return self._oracle.success_given_parents(target, pattern)
+
+
 def reconstruct(oracle: Oracle, graph: DependencyGraph,
                 max_parents: int = MAX_PARENTS) -> ReconstructionResult:
     """Recover a program over the graph's nodes from the oracle.
 
     Each node is processed independently: its parents are read off the graph,
-    its success table is filled by the oracle and peeled into clauses. The
+    its success table is filled by the oracle and peeled into clauses. Each
+    node's report counts the patterns asked and the seconds spent. The
     result's own dependency graph is always a subgraph of the input graph."""
     if not graph.is_acyclic():
         cycle = graph.find_cycle() or []
@@ -354,17 +407,21 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph,
     clauses: list[Clause] = []
     reports: dict[str, NodeReport] = {}
     failures: dict[str, CausalogError] = {}
+    counted = _CountingOracle(oracle)
     for target in sorted(graph.nodes):
         parents = tuple(sorted(graph.parents(target)))
+        counted.calls = 0
+        start = time.perf_counter()
+        error = None
         try:
-            table = success_table(oracle, target, parents, max_parents)
+            table = success_table(counted, target, parents, max_parents)
             solved, records = _detect(table)
         except CausalogError as err:
+            table, solved, records, error = None, [], [], err
             failures[target] = err
-            reports[target] = NodeReport(target, parents, None, (), (), err)
-            continue
-        reports[target] = NodeReport(target, parents, table,
-                                     tuple(solved), tuple(records))
+        reports[target] = NodeReport(target, parents, table, tuple(solved),
+                                     tuple(records), error, counted.calls,
+                                     time.perf_counter() - start)
         for body, prob in solved:
             clauses.append(Clause(target, frozenset(Literal(b) for b in body), prob))
     program = Program(clauses, declared=sorted(graph.nodes))

@@ -309,6 +309,32 @@ def test_cyclic_program_is_an_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cyclic_twin_export_is_an_error(tmp_path, capsys):
+    path = tmp_path / "cycle.pl"
+    path.write_text("0.5 :: a :- b.\n0.5 :: b :- a.\n")
+    out = tmp_path / "twin.pl"
+    assert cli.main(["twin-export", str(path), "--do", "a", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[cycle]: dependency graph has a cycle: a -> b -> a\n"
+    assert not out.exists()
+
+
+def test_recovery_json_carries_node_stats(tmp_path, capsys):
+    csv = tmp_path / "samples.csv"
+    fixtures = ROOT / "fixtures"
+    assert cli.main(["sample", str(fixtures / "recovery_boost.pl"), "-n", "3000",
+                     "--seed", "5", "-o", str(csv)]) == 0
+    for argv in (["learn", "--data", str(csv)],
+                 ["reconstruct", "--hidden", str(fixtures / "recovery_boost.pl")]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--graph", str(fixtures / "recovery.edges"), "--json"]) == 0
+        nodes = json.loads(capsys.readouterr().out)["result"]["nodes"]
+        assert nodes["recovery"]["stats"]["oracle_calls"] == 2
+        assert nodes["treatment"]["stats"]["oracle_calls"] == 1
+        assert all(node["stats"]["seconds"] >= 0.0 for node in nodes.values())
+
+
 # --- README examples ------------------------------------------------------------
 
 

@@ -145,6 +145,7 @@ def test_csv_without_provenance(tmp_path):
     ("a,b\n1\n", "line 2: expected 2 cells"),
     ("a,b\n1,2\n", "line 2: cell '2'"),
     ("a,b\n1,0\nx,0\n", "line 3: cell 'x'"),
+    ("a,b\n1,0\n0;1\n", "line 3: expected 2 cells, got 1"),
     ("# provenance: not json\na\n1\n", "provenance"),
 ])
 def test_csv_errors(tmp_path, text, fragment):
@@ -153,6 +154,76 @@ def test_csv_errors(tmp_path, text, fragment):
         handle.write(text)
     with pytest.raises(DatasetError, match=fragment):
         Dataset.from_csv(path)
+
+
+def _row_loop_csv(dataset):
+    """The CSV bytes written one row at a time, the reference for ``to_csv``."""
+    lines = []
+    if dataset.provenance is not None:
+        lines.append(f"# provenance: {dataset.provenance.to_json()}\n")
+    lines.append(",".join(dataset.columns) + "\n")
+    for row in dataset.rows:
+        lines.append(",".join("1" if v else "0" for v in row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("make", [
+    lambda program: forward_sample(program, 500, seed=31),
+    lambda program: Dataset(("a", "b", "c"),
+                            forward_sample(program, 77, seed=4).rows[:, [0, 1, 0]]),
+    lambda program: forward_sample(program, 0, seed=1),
+    lambda program: Dataset(("x",), forward_sample(program, 9, seed=2).rows[:, :1]),
+    lambda program: Dataset(("x",), np.zeros((0, 1), dtype=bool)),
+    lambda program: Dataset((), np.zeros((3, 0), dtype=bool)),
+], ids=["provenance", "plain", "zero-rows", "one-column", "one-column-empty",
+        "no-columns"])
+def test_to_csv_matches_row_loop(tmp_path, boost_program, make):
+    dataset = make(boost_program)
+    path = tmp_path / "out.csv"
+    dataset.to_csv(str(path))
+    assert path.read_bytes() == _row_loop_csv(dataset)
+    if dataset.columns:
+        assert Dataset.from_csv(str(path)) == dataset
+
+
+@pytest.mark.parametrize("text", [
+    "# provenance: {PROV}\r\na,b\r\n1,0\r\n0,1\r\n",
+    "# provenance: {PROV}\ra,b\r1,0\r0,1\r",
+    "# provenance: {PROV}\na,b\n\n1,0\n \n0,1\n\n",
+    "# provenance: {PROV}\n a , b \n 1 ,0\n0, 1 \n",
+    "# provenance: {PROV}\na,b\n1,0\n0,1",
+    "# a comment\n# provenance: {PROV}\na,b\n1,0\n0,1\n",
+    "# provenance: {PROV}\n# a comment\ra,b\n1,0\n0,1\n",
+    "# provenance: {PROV}\n# a comment\x0ba,b\n1,0\n0,1\n",
+], ids=["crlf", "cr", "blank-lines", "spaces", "no-final-newline", "comment",
+        "cr-ends-comment", "vt-ends-comment"])
+def test_from_csv_accepts_loose_forms(tmp_path, text):
+    provenance = Provenance("ab" * 32, 3, 2)
+    path = tmp_path / "loose.csv"
+    path.write_bytes(text.replace("{PROV}", provenance.to_json()).encode())
+    want = Dataset(("a", "b"), np.array([[True, False], [False, True]]), provenance)
+    assert Dataset.from_csv(str(path)) == want
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("", "missing header row"),
+    ("\na,b\n1,0\n", "missing header row"),
+    ("a,b\n1\n", "line 4: expected 2 cells"),
+    ("a,b\n1,2\n", "line 4: cell '2'"),
+    ("a,b\n1,0\nx,0\n", "line 5: cell 'x'"),
+    ("a,b\n1,0\n1,0,1\n", "line 5: expected 2 cells, got 3"),
+    ("a,b\n1,0\r\n1,\r\n", "line 5: cell '' is not 0 or 1"),
+    ("a,b\n\n\n1,0\n10,0\n", "line 7: cell '10'"),
+    ("# provenance: not json\na\n1\n", "provenance"),
+])
+def test_csv_error_lines_behind_provenance_and_blank_line(tmp_path, text, fragment):
+    # a provenance line in front, a blank line after the header
+    provenance = Provenance("cd" * 32, 1, 2).to_json()
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# provenance: {provenance}\n" + text.replace("a,b\n", "a,b\n\n", 1),
+                    newline="")
+    with pytest.raises(DatasetError, match=fragment):
+        Dataset.from_csv(str(path))
 
 
 def test_dataset_shape_checks():

@@ -1,22 +1,39 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from causalog import (
+    Atom,
+    Dataset,
+    DatasetError,
     DependencyGraph,
+    EnumerationCapError,
     ExactOracle,
+    FrequencyOracle,
     NonMonotoneTableError,
+    Not,
     OracleAnswer,
     OracleError,
     ReconstructionError,
     StarvedPatternError,
     SuccessTable,
+    TableSizeError,
+    ZeroEvidenceError,
+    conditional,
+    conjunction_of,
     detect_and_solve,
+    forward_sample,
     joint_table,
     parse_program,
     reconstruct,
     success_table,
 )
+from causalog.graph import subsets_by_size
+from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS, MAX_TABLE_WIDTH
+
+from proggen import numpy_rng, random_program, with_negation_and_certainty
 
 TR_GRAPH = DependencyGraph.build(
     ["treatment", "recovery"], [("treatment", "recovery")])
@@ -229,3 +246,237 @@ def test_reconstructed_program_matches_oracle_program_distribution(boost_program
             key = {"treatment": t, "recovery": r}
             assert ours.probability_of(key) == pytest.approx(
                 theirs.probability_of(key), abs=1e-12)
+
+
+# --- exact oracle: one enumeration per success table -----------------------------
+
+
+def _pattern_sets(rng, program):
+    """Each node's graph parents, and for each node a random set of up to
+    three other propositions, so tables also cover non-parent patterns."""
+    graph = program.dependency_graph()
+    names = list(program.propositions)
+    sets = []
+    for target in names:
+        sets.append((target, sorted(graph.parents(target))))
+        others = [n for n in names if n != target]
+        size = int(rng.integers(0, min(3, len(others)) + 1))
+        picks = rng.choice(len(others), size=size, replace=False)
+        sets.append((target, sorted(others[int(i)] for i in picks)))
+    return sets
+
+
+def _queries(rng, program):
+    """Every (target, pattern) of the tables of ``_pattern_sets``, in table
+    order, as a reconstruction would ask them."""
+    queries = []
+    for target, parents in _pattern_sets(rng, program):
+        for subset in subsets_by_size(parents):
+            queries.append((target, {p: p in subset for p in parents}))
+    return queries
+
+
+def test_exact_oracle_matches_per_pattern_conditional():
+    rng = numpy_rng(4711)
+    zero = negated = 0
+    for _ in range(40):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=6, max_parents=3))
+        negated += any(not lit.positive for c in program.clauses for lit in c.causes)
+        queries = _queries(rng, program)
+        oracle = ExactOracle(program)
+        answers = []
+        for target, pattern in queries:
+            try:
+                want = conditional(program, Atom(target), conjunction_of(pattern))
+            except ZeroEvidenceError as err:
+                with pytest.raises(ZeroEvidenceError) as got:
+                    oracle.success_given_parents(target, pattern)
+                assert str(got.value) == str(err)
+                answers.append(None)
+                zero += 1
+                continue
+            answer = oracle.success_given_parents(target, pattern)
+            assert answer.probability == pytest.approx(want.probability, abs=1e-12)
+            assert answer.tolerance == EXACT_TOLERANCE and answer.support is None
+            answers.append(answer)
+        # the same patterns in shuffled order rebuild the tables in between
+        # and give the same answers, bit for bit
+        shuffled = ExactOracle(program)
+        for i in rng.permutation(len(queries)):
+            target, pattern = queries[int(i)]
+            if answers[i] is None:
+                with pytest.raises(ZeroEvidenceError):
+                    shuffled.success_given_parents(target, pattern)
+            else:
+                assert shuffled.success_given_parents(target, pattern) == answers[i]
+    assert zero > 0 and negated > 0
+
+
+def test_exact_oracle_cap_fails_only_nodes_above_it():
+    # on a chain, node k with parent k-1 has the ancestral closure n0..nk:
+    # k + 1 factor bits; a cap of 2^4 admits n0..n3 and refuses the rest
+    lines = ["0.3 :: n0."]
+    for k in range(1, 7):
+        lines += [f"0.2 :: n{k}.", f"0.5 :: n{k} :- n{k - 1}."]
+    program = parse_program("\n".join(lines) + "\n")
+    result = reconstruct(ExactOracle(program, max_worlds=16),
+                         program.dependency_graph())
+    assert set(result.failures) == {"n4", "n5", "n6"}
+    for name, err in result.failures.items():
+        assert isinstance(err, OracleError)
+        assert isinstance(err.__cause__, EnumerationCapError)
+        assert err.target == name and err.subset == frozenset()
+        assert f"oracle failed for {name} at pattern {{}}" in str(err)
+        assert result.nodes[name].oracle_calls == 1
+        # the same closure as a per-pattern conditional
+        with pytest.raises(EnumerationCapError):
+            conditional(program, Atom(name), Not(Atom(f"n{int(name[1:]) - 1}")),
+                        max_worlds=16)
+    assert {c.effect for c in result.program.clauses} == {"n0", "n1", "n2", "n3"}
+
+
+# --- frequency oracle: one bincount per success table -----------------------------
+
+
+class MaskOracle:
+    """The per-pattern reference: one row mask per pattern."""
+
+    def __init__(self, dataset, min_support=30, z=3.0):
+        self._data = dataset
+        self.min_support = min_support
+        self.z = z
+
+    @property
+    def nodes(self):
+        return frozenset(self._data.columns)
+
+    def success_given_parents(self, target, pattern):
+        mask = np.ones(len(self._data), dtype=bool)
+        for name, value in pattern.items():
+            mask &= self._data.column(name) == bool(value)
+        n = int(mask.sum())
+        subset = frozenset(name for name, value in pattern.items() if value)
+        if n < self.min_support:
+            raise StarvedPatternError(
+                f"pattern {{{', '.join(sorted(subset))}}} matches only {n} rows "
+                f"(minimum support {self.min_support})",
+                target=target, patterns=((subset, n),))
+        s = int((mask & self._data.column(target)).sum())
+        smoothed = (s + 1.0) / (n + 2.0)
+        return OracleAnswer(s / n, self.z * float(np.sqrt(smoothed * (1.0 - smoothed) / n)), n)
+
+
+def test_frequency_oracle_matches_per_pattern_masks():
+    rng = numpy_rng(90210)
+    seen = {"starved": 0, "complete": 0}
+    for k in range(20):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=6, max_parents=3))
+        rows = int(rng.choice([40, 300, 3000]))
+        dataset = forward_sample(program, rows, seed=k)
+        fast, slow = FrequencyOracle(dataset), MaskOracle(dataset)
+        for target, parents in _pattern_sets(rng, program):
+            try:
+                want = success_table(slow, target, parents)
+            except StarvedPatternError as err:
+                with pytest.raises(StarvedPatternError) as got:
+                    success_table(fast, target, parents)
+                assert str(got.value) == str(err)
+                assert got.value.patterns == err.patterns
+                seen["starved"] += 1
+                continue
+            assert success_table(fast, target, parents) == want
+            seen["complete"] += 1
+        queries = _queries(rng, program)
+        for i in rng.permutation(len(queries)):
+            target, pattern = queries[int(i)]
+            try:
+                want = slow.success_given_parents(target, pattern)
+            except StarvedPatternError as err:
+                with pytest.raises(StarvedPatternError) as got:
+                    fast.success_given_parents(target, pattern)
+                assert str(got.value) == str(err)
+                assert got.value.patterns == err.patterns
+                continue
+            assert fast.success_given_parents(target, pattern) == want
+    assert seen["starved"] > 0 and seen["complete"] > 0
+
+
+# --- per-node stats ----------------------------------------------------------------
+
+
+def test_node_stats_count_oracle_calls(boost_program):
+    result = reconstruct(ExactOracle(boost_program), TR_GRAPH)
+    nodes = json.loads(result.to_json())["nodes"]
+    assert nodes["recovery"]["stats"]["oracle_calls"] == 2
+    assert nodes["treatment"]["stats"]["oracle_calls"] == 1
+    for node in nodes.values():
+        assert set(node["stats"]) == {"oracle_calls", "seconds"}
+        assert 0.0 <= node["stats"]["seconds"] < 60.0
+    # a failed node reports the patterns asked up to the failure: c's first
+    # pattern {} pins b false, which has probability zero
+    program = parse_program("1 :: b.\n0.5 :: a.\n0.3 :: c :- b.\n0.2 :: c :- a.\n")
+    failed = reconstruct(ExactOracle(program), program.dependency_graph())
+    assert failed.nodes["c"].oracle_calls == 1
+    assert failed.nodes["c"].to_json_dict()["stats"]["oracle_calls"] == 1
+
+
+def test_frequency_oracle_unknown_target_matches_masks():
+    # a starved pattern is reported before the target is looked up
+    rows = np.zeros((50, 2), dtype=bool)
+    rows[:3, 0] = True
+    dataset = Dataset(("a", "b"), rows)
+    for oracle in (FrequencyOracle(dataset), MaskOracle(dataset)):
+        with pytest.raises(StarvedPatternError):
+            oracle.success_given_parents("zz", {"a": True})
+        with pytest.raises(DatasetError, match="no column named 'zz'"):
+            oracle.success_given_parents("zz", {"a": False})
+
+
+def test_oracles_refuse_patterns_wider_than_a_table():
+    # a table holds 2^|pattern| patterns; both oracles tabulate at most
+    # 2^MAX_TABLE_WIDTH of them. Certain facts make one world, so the widest
+    # exact table costs one enumeration step.
+    names = [f"x{i}" for i in range(MAX_TABLE_WIDTH + 2)]
+    program = parse_program("".join(f"1 :: {n}.\n" for n in names))
+    dataset = Dataset(tuple(names), np.ones((40, len(names)), dtype=bool))
+    exact, frequency = ExactOracle(program), FrequencyOracle(dataset)
+    wide = {n: True for n in names[1:]}
+    for oracle in (exact, frequency):
+        with pytest.raises(TableSizeError,
+                           match=f"pattern over {MAX_TABLE_WIDTH + 1} "):
+            oracle.success_given_parents(names[0], wide)
+    widest = {n: True for n in names[1:MAX_TABLE_WIDTH + 1]}
+    assert exact.success_given_parents(names[0], widest).probability == 1.0
+    assert frequency.success_given_parents(names[0], widest).support == 40
+
+
+def test_explicit_max_parents_above_the_default():
+    # t has MAX_PARENTS + 1 parents: refused at the default max_parents,
+    # recovered through both oracles when max_parents admits it
+    parents = [f"p{i:02d}" for i in range(MAX_PARENTS + 1)]
+    program = parse_program(
+        "".join(f"0.5 :: {p}.\n" for p in parents)
+        + "0.7 :: t :- p00, p01.\n0.4 :: t :- p05.\n"
+    )
+    graph = DependencyGraph.build(parents + ["t"], [(p, "t") for p in parents])
+    expected = {frozenset({"p00", "p01"}): 0.7, frozenset({"p05"}): 0.4}
+    # 50 rows per parent pattern, the target true in exactly its share of
+    # them, so the sample rates are the exact ones
+    patterns = np.array(list(itertools.product((False, True), repeat=len(parents))))
+    rates = 1.0 - ((1.0 - 0.7 * (patterns[:, 0] & patterns[:, 1]))
+                   * (1.0 - 0.4 * patterns[:, 5]))
+    rows = np.repeat(patterns, 50, axis=0)
+    target = (np.arange(len(rows)) % 50) < np.repeat(np.rint(rates * 50), 50)
+    dataset = Dataset(tuple(parents) + ("t",), np.column_stack([rows, target]))
+    for oracle in (ExactOracle(program), FrequencyOracle(dataset)):
+        default = reconstruct(oracle, graph)
+        assert isinstance(default.failures["t"], ReconstructionError)
+        assert default.nodes["t"].oracle_calls == 0
+        result = reconstruct(oracle, graph, max_parents=MAX_PARENTS + 1)
+        report = result.nodes["t"]
+        assert result.ok and report.oracle_calls == 1 << len(parents)
+        assert {body for body, _ in report.clauses} == set(expected)
+        for body, prob in report.clauses:
+            assert prob == pytest.approx(expected[body], abs=1e-9)
