@@ -11,16 +11,17 @@ duplicates every internal proposition into an evidence copy (suffix ``__e``)
 and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
-the query is a conditional over the combined program. The engine answers it
-by factors over the twin's heads (merged copies for nodes the intervention
-cannot reach, pair factors for the others) rather than by walking the shared
-noise, whichever enumerates fewer assignments.
+the query is a conditional over the combined program. The engine's one
+kernel answers it per node of the source program: a node the intervention
+cannot reach has equal copies, one column under its ordinary factor; an
+intervened node's intervention copy is solved; any other node is weighed by
+a pair factor over its two copies or, when it has fewer random clauses than
+relevant copies, solved from its shared noise facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from .engine import QueryResult, probability, twin_conditional
@@ -89,10 +90,6 @@ class TwinProgram:
     def intervention_atom(self, name: str) -> str:
         return name + INTERVENTION_SUFFIX
 
-    @cached_property
-    def source_propositions(self) -> tuple[str, ...]:
-        return self.source.propositions
-
     def to_program_text(self) -> str:
         """Render the twin in the ordinary clause format.
 
@@ -155,10 +152,10 @@ def counterfactual_query(program: Program, phi: Formula,
 
     The twin construction does the bookkeeping: ``phi`` is relabeled onto the
     intervention copy and the evidence onto the evidence copy. The answer is
-    the conditional over the twin, enumerated by whichever of its factored
-    form and its shared noise takes fewer assignments. With empty
-    evidence this coincides with the interventional query. Evidence of
-    probability zero in the untouched program raises ZeroEvidenceError."""
+    the conditional over the twin, which ``twin_conditional`` plans per node
+    of the program. With empty evidence this coincides with the
+    interventional query. Evidence of probability zero in the untouched
+    program raises ZeroEvidenceError."""
     check_atoms(phi, program)
     observed = _check_assignment(program, evidence, "evidence")
     twin = twin_program(program, intervention)

@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from .causal import counterfactual_query, interventional_query, twin_program
 from .engine import conditional, probability
-from .errors import CausalogError
+from .errors import CausalogError, GraphFormatError, ProgramError
 from .formula import conjunction_of, parse_formula
 from .graph import DependencyGraph
 from .learning import DEFAULT_MIN_SUPPORT, Dataset, forward_sample, learn
@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, metavar="CSV", help="sample file")
     p.add_argument("--graph", required=True, metavar="FILE",
                    help="dependency graph file (DOT or edge list)")
-    p.add_argument("--min-support", type=int, default=DEFAULT_MIN_SUPPORT,
+    p.add_argument("--min-support", type=_int_in(1, None, "a positive integer"),
+                   default=DEFAULT_MIN_SUPPORT,
                    help=f"fewest samples a parent pattern may have (default {DEFAULT_MIN_SUPPORT})")
     p.add_argument("-o", "--output", help="write the program to a file")
     p.add_argument("--json", action="store_true")
@@ -150,9 +151,13 @@ def _int_in(low: int, high: int | None, what: str) -> Callable[[str], int]:
     return parse
 
 
-def _read(path: str) -> str:
+def _read(path: str, error: type[CausalogError]) -> str:
+    """The text of ``path``; a file that is not UTF-8 raises ``error``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise error(f"{path} is not UTF-8 text: {err.reason}") from None
 
 
 def _write_or_return(text: str, output: str | None) -> str:
@@ -164,7 +169,7 @@ def _write_or_return(text: str, output: str | None) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> dict[str, Any]:
-    program = parse_program(_read(args.file))
+    program = parse_program(_read(args.file, ProgramError))
     report = validate(program, strict=args.strict)
     return {
         "command": "validate",
@@ -176,7 +181,7 @@ def _cmd_validate(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_graph(args: argparse.Namespace) -> dict[str, Any]:
-    program = parse_program(_read(args.file))
+    program = parse_program(_read(args.file, ProgramError))
     graph = program.dependency_graph()
     text = graph.to_dot() if args.format == "dot" else graph.to_edge_list()
     return {
@@ -189,7 +194,7 @@ def _cmd_graph(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_query(args: argparse.Namespace) -> dict[str, Any]:
-    program = parse_program(_read(args.file))
+    program = parse_program(_read(args.file, ProgramError))
     phi = parse_formula(args.prob, program)
     given = parse_assignment(args.given) if args.given else None
     doing = parse_assignment(args.do_) if args.do_ else None
@@ -225,7 +230,7 @@ def _cmd_query(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
-    program = parse_program(_read(args.file))
+    program = parse_program(_read(args.file, ProgramError))
     dataset = forward_sample(program, args.rows, args.seed)
     dataset.to_csv(args.output)
     return {
@@ -267,8 +272,8 @@ def _recovery_payload(command: str, inputs: dict[str, Any], result,
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> dict[str, Any]:
-    hidden = parse_program(_read(args.hidden))
-    graph = DependencyGraph.parse(_read(args.graph))
+    hidden = parse_program(_read(args.hidden, ProgramError))
+    graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = reconstruct(ExactOracle(hidden), graph)
     return _recovery_payload(
         "reconstruct", {"hidden": args.hidden, "graph": args.graph},
@@ -278,7 +283,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_learn(args: argparse.Namespace) -> dict[str, Any]:
     dataset = Dataset.from_csv(args.data)
-    graph = DependencyGraph.parse(_read(args.graph))
+    graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = learn(dataset, graph, min_support=args.min_support)
     return _recovery_payload(
         "learn",
@@ -288,7 +293,7 @@ def _cmd_learn(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_twin_export(args: argparse.Namespace) -> dict[str, Any]:
-    program = parse_program(_read(args.file))
+    program = parse_program(_read(args.file, ProgramError))
     doing = parse_assignment(args.do_)
     twin = twin_program(program, doing)
     text = twin.to_program_text()

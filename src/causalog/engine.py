@@ -2,42 +2,41 @@
 
 The probability of a formula is, by definition, the total weight of the noise
 assignments whose induced structure satisfies it, each assignment weighed by
-the product of its fact probabilities. Two exact evaluation strategies
-compute that sum:
+the product of its fact probabilities. One kernel computes that sum over the
+ancestral closure of the atoms a query mentions; everything else
+marginalizes out exactly.
 
-* noise enumeration walks the noise assignments directly, solving the Boolean
-  equation system for a chunk of them at once. It is always applicable, and
-  it is the only strategy for desugared programs whose noise facts feed
-  several clauses, such as a twin program built by hand. The same ``solve``
-  answers ``evaluate_world`` on one assignment and forward sampling on a
-  column of draws per noise fact.
-
-* factor enumeration walks assignments of the internal propositions instead,
-  weighing each by a product of per-head factors. When every noise fact feeds
-  at most one clause, distinct heads have disjoint noise, so the joint
-  distribution factorizes per head given its parents, with P(head true |
-  parents) = 1 - prod(1 - fire(c)) over the clauses whose body the parent
-  assignment satisfies (the noisy-OR miss). Programs written in the surface
-  syntax always qualify. This is usually exponentially cheaper because only
-  ancestors of the queried atoms need enumerating.
+The kernel walks every assignment of a plan's columns, one bit each, in
+fixed-size chunks so memory stays flat. A column is a random noise fact,
+weighed by p and 1 - p (the factor of one unconditional clause), or a head
+weighed by its noisy-OR factor, P(head true | parents) = 1 - prod(1 -
+fire(c)) over the clauses whose body the parents satisfy. That factor is
+exact when no other relevant clause reads the head's noise facts, which
+always holds in the surface syntax. Every other relevant head is computed
+per chunk from the columns by ``solve``, the Boolean-equation solve that
+also answers ``evaluate_world`` on one assignment and forward sampling on a
+column of draws per noise fact. The plan chooses per head: a head with no
+random noise (intervened, or probabilities 0 and 1 only) is solved and
+costs no bit; a head with noise of its own costs one bit, its factor; a
+head reading a noise fact that another relevant clause reads, as in a
+desugared program built by hand, is solved from its noise facts as columns.
 
 Counterfactuals run on the twin of a surface program (``twin_conditional``),
-whose two copies share each clause's noise fact. The twin still factorizes
-per source head: a node with no intervened ancestor-or-self has identical
-copies and gets one column with the ordinary factor; an intervened node's
-intervention copy is a constant; every other node gets a pair factor over
-its two copies, P(0, 0) being the miss over the clauses whose body holds in
-either copy and P(1, 1) = 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0).
+whose two copies share each clause's noise fact, and the plan goes per
+source node: a node with no intervened ancestor-or-self has equal copies,
+one column under the ordinary factor; an intervened node's intervention
+copy is solved; every other node costs the fewer of its relevant copies,
+under a pair factor, and its random noise facts, ties to the factor. The
+pair factor's P(0, 0) is the miss over the clauses whose body holds in
+either copy, and P(1, 1) = 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0).
 
-All strategies restrict enumeration to the ancestral closure of the atoms
-mentioned by the query; everything else marginalizes out exactly. Whichever
-is valid and cheaper runs, factor winning ties, in fixed-size chunks so
-memory stays flat, and the number of enumerated assignments is reported
-back. On large chunks a factor is first tabulated over the few columns it
-reads and then looked up per assignment, which gives the same numbers as
-evaluating its clauses per assignment. A query that would need more
-assignments than the cap (``--max-worlds`` or ``CAUSALOG_MAX_WORLDS``,
-default 2**26) is refused rather than silently truncated.
+No node costs more bits than under its factor or its noise alone. The
+number of enumerated assignments is reported back. On large chunks a factor
+is first tabulated over the few columns it reads and then looked up per
+assignment, which gives the same numbers as evaluating its clauses per
+assignment. A query that would need more assignments than the cap
+(``--max-worlds`` or ``CAUSALOG_MAX_WORLDS``, default 2**26) is refused
+rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -57,8 +57,8 @@ from .errors import (
     WorldError,
     ZeroEvidenceError,
 )
-from .formula import And, Formula, check_atoms, check_names, conjunction_of
-from .model import DesugaredProgram, Literal, LogicalClause, Program
+from .formula import Atom, Formula, check_atoms, check_names, conjunction_of
+from .model import DesugaredProgram, Literal, Program
 
 if TYPE_CHECKING:
     from .causal import TwinProgram
@@ -78,7 +78,7 @@ _TABLE_MARGIN_BITS = 4
 class QueryResult:
     """An exact probability plus how it was obtained.
 
-    ``worlds_evaluated`` counts the assignments the chosen strategy walked;
+    ``worlds_evaluated`` counts the assignments of the plan's columns;
     ``conditioning_mass`` is the probability of the evidence (1.0 when the
     query was unconditional)."""
 
@@ -126,39 +126,40 @@ def evaluate_world(program: Program | DesugaredProgram,
     if extra:
         raise WorldError(f"assignment names unknown noise propositions {', '.join(extra)}")
     values: dict[str, bool] = {u: bool(world[u]) for u in known}
-    for name, column in solve(dp, dp.topological_order(), values, 1).items():
-        values[name] = bool(column[0])
+    order = dp.topological_order()
+    env = solve(dp, order, values, 1)
+    values.update((name, bool(env[name][0])) for name in order)
     return values
 
 
 # ---------------------------------------------------------------------------
-# factor plans
+# the plan
 
 
-# P(heads | parents) for one head, or for both copies of a twin node: the
-# heads, then per clause its body once per head (aligned with the heads) and
-# its miss probability 1 - fire.
+# P(heads | parents) for one head, for both copies of a twin node, or for a
+# random noise fact (one unconditional clause): the heads, then per clause
+# its body once per head (aligned with the heads) and its miss probability
+# 1 - fire.
 _Factor = tuple[tuple[str, ...], list[tuple[tuple[frozenset[Literal], ...], float]]]
 
 
 class _FactorPlan:
-    """What factor enumeration walks: one bit per column, the factors that
-    weigh each assignment, twin copies merged onto another copy's column and
-    intervened twin copies pinned to a constant."""
+    """What the kernel walks: one bit per column, each column a head or a
+    random noise fact weighed by a factor; twin copies merged onto another
+    copy's column; the noise facts of probability 0 or 1 as constants; and
+    every other relevant head, body atoms first, for ``solve`` to compute
+    from the columns."""
 
-    def __init__(self, columns: list[str] | None = None,
-                 factors: list[_Factor] | None = None):
-        self.columns = columns if columns is not None else []
-        self.factors = factors if factors is not None else []
+    def __init__(self) -> None:
+        self.columns: list[str] = []
+        self.factors: list[_Factor] = []
         self.aliases: dict[str, str] = {}
-        self.constants: dict[str, bool] = {}
+        self.known: dict[str, bool] = {}
+        self.solved: list[str] = []
 
-
-def _clause_fire_probability(dp: DesugaredProgram, clause: LogicalClause) -> float:
-    fire = 1.0
-    for u in clause.noise:
-        fire *= dp.noise_probability(u)
-    return fire
+    def weigh(self, factor: _Factor) -> None:
+        self.columns.extend(factor[0])
+        self.factors.append(factor)
 
 
 def _factor(dp: DesugaredProgram, heads: tuple[str, ...]) -> _Factor:
@@ -168,63 +169,101 @@ def _factor(dp: DesugaredProgram, heads: tuple[str, ...]) -> _Factor:
     copies = [{c.noise: c.literals for c in by_head.get(h, ())} for h in heads[1:]]
     terms = []
     for c in by_head.get(heads[0], ()):
-        fire = _clause_fire_probability(dp, c)
+        fire = math.prod(map(dp.noise_probability, c.noise))
         if fire != 0.0:
             bodies = (c.literals, *(copy[c.noise] for copy in copies))
             terms.append((bodies, 1.0 - fire))
     return heads, terms
 
 
-def _twin_plan(twin: "TwinProgram", relevant: frozenset[str]) -> _FactorPlan:
-    """Merged, forced and pair factors over the relevant copies of the twin.
-
-    A copy outside the ancestral closure sums out of its node's pair factor,
-    leaving the ordinary factor of the other copy."""
-    dp = twin.desugared
-    forced = dict(twin.intervention)
+def _plan(dp: DesugaredProgram, relevant: frozenset[str],
+          twin: "TwinProgram | None") -> _FactorPlan:
+    """Choose per node how the kernel walks the ancestral closure
+    ``relevant``. A node with no random noise is solved. A node whose
+    factor has at most as many heads as it has random noise facts is
+    weighed by that factor; any other node is solved from its random noise
+    facts as columns."""
+    prob = dp.noise_probability
+    by_head = dp.clauses_by_head
     plan = _FactorPlan()
-    touched: set[str] = set()  # evidence copies of intervened nodes and their descendants
-    for node in twin.source.dependency_graph().topological_order():
-        e, i = twin.evidence_atom(node), twin.intervention_atom(node)
-        if node in forced:
-            touched.add(e)
-            if i in relevant:
-                plan.constants[i] = forced[node]
-            heads = (e,) if e in relevant else ()
-        elif any(lit.name in touched
-                 for c in dp.clauses_by_head.get(e, ()) for lit in c.literals):
-            touched.add(e)
-            heads = tuple(h for h in (e, i) if h in relevant)
-        elif e in relevant or i in relevant:
-            plan.aliases[i] = e
-            heads = (e,)
-        else:
-            heads = ()
-        if heads:
-            plan.columns.extend(heads)
-            plan.factors.append(_factor(dp, heads))
+    order = [n for n in dp.topological_order() if n in relevant]
+    random_noise: dict[str, list[str]] = {}
+    for h in order:
+        random_noise[h] = []
+        for c in by_head.get(h, ()):
+            for u in c.noise:
+                if 0.0 < prob(u) < 1.0:
+                    random_noise[h].append(u)
+                else:
+                    plan.known[u] = prob(u) == 1.0
+    if twin is None:
+        # a noisy-OR factor needs each of its head's noise facts to itself
+        use = [u for noise in random_noise.values() for u in noise]
+        shared = set()
+        if len(set(use)) < len(use):
+            shared = {u for u, n in Counter(use).items() if n > 1}
+        nodes = [((h,), (h,) if shared.isdisjoint(random_noise[h]) else ()) for h in order]
+    else:
+        nodes = _twin_nodes(twin, relevant)
+    for heads, factor_heads in nodes:
+        noise = {u for h in heads for u in random_noise[h]}
+        if not noise:
+            continue
+        if factor_heads and len(factor_heads) <= len(noise):
+            plan.weigh(_factor(dp, factor_heads))
+            for h in heads[len(factor_heads):]:  # merged twin copies
+                plan.aliases[h] = factor_heads[0]
+            continue
+        for u in sorted(noise.difference(plan.columns)):
+            plan.weigh(((u,), [((frozenset(),), 1.0 - prob(u))]))
+    walked = set(plan.columns) | plan.aliases.keys()
+    plan.solved = [h for h in order if h not in walked]
     return plan
 
 
+def _twin_nodes(twin: "TwinProgram", relevant: frozenset[str]
+                ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The relevant copies of each twin node and the heads of their factor.
+
+    A node no intervention reaches has equal copies, merged onto the first
+    one's column; an intervened node's copies are separate nodes, the
+    intervention copy without noise; every other node has a pair factor,
+    which a copy outside the closure leaves as the other copy's factor."""
+    dp = twin.desugared
+    forced = dict(twin.intervention)
+    touched: set[str] = set()  # evidence copies of intervened nodes and their descendants
+    for node in twin.source.dependency_graph().topological_order():
+        e, i = twin.evidence_atom(node), twin.intervention_atom(node)
+        heads = tuple(h for h in (e, i) if h in relevant)
+        if node in forced:
+            touched.add(e)
+            yield from (((h,), (h,)) for h in heads)
+        elif any(lit.name in touched
+                 for c in dp.clauses_by_head.get(e, ()) for lit in c.literals):
+            touched.add(e)
+            yield heads, heads
+        elif heads:
+            yield heads, heads[:1]
+
+
 # ---------------------------------------------------------------------------
-# the enumeration kernels
-
-_Worlds = Iterator[tuple[dict[str, np.ndarray], np.ndarray]]
+# the enumeration kernel
 
 
-def _chunks(bits: int) -> Iterator[tuple[int, int]]:
-    total = 1 << bits
-    chunk = 1 << min(bits, _CHUNK_BITS)
-    for start in range(0, total, chunk):
-        yield start, min(chunk, total - start)
-
-
-def _bit_columns(start: int, count: int, names: Sequence[str]) -> dict[str, np.ndarray]:
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    return {
-        name: ((idx >> np.uint64(j)) & np.uint64(1)).astype(bool)
-        for j, name in enumerate(names)
-    }
+def _columns(names: Sequence[str]) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """Every assignment of ``names`` in chunks: per chunk its size and one
+    bool column per name, bit j of the assignment's index for the j-th name.
+    The low bits repeat in every chunk and the high bits are constant in one,
+    so the low columns are built once."""
+    low = min(len(names), _CHUNK_BITS)
+    count = 1 << low
+    idx = np.arange(count)
+    base = {name: (idx >> j & 1).astype(bool) for j, name in enumerate(names[:low])}
+    for high in range(1 << (len(names) - low)):
+        env = dict(base)
+        for j, name in enumerate(names[low:]):
+            env[name] = np.full(count, bool(high >> j & 1))
+        yield count, env
 
 
 def _holds(env: Mapping[str, np.ndarray], body: frozenset[Literal],
@@ -263,22 +302,19 @@ def _factor_weight(env: Mapping[str, np.ndarray], factor: _Factor,
                     np.where(h_i, miss_e - both, both))
 
 
-def _with_copies(plan: _FactorPlan, env: dict[str, np.ndarray],
-                 count: int) -> dict[str, np.ndarray]:
-    """Add the merged and the pinned twin copies to ``env``."""
+def _with_aliases(plan: _FactorPlan, env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Add the twin copies merged onto a column of ``env``."""
     for name, column in plan.aliases.items():
         if column in env:
             env[name] = env[column]
-    for name, value in plan.constants.items():
-        env[name] = np.full(count, value)
     return env
 
 
 def _table(plan: _FactorPlan, factor: _Factor,
            count: int) -> tuple[list[str], np.ndarray] | None:
-    """The factor tabulated over the columns it reads, or None when chunks of
-    ``count`` worlds are too small, or the table too large, for a lookup per
-    world to beat evaluating the clauses per world."""
+    """The factor tabulated over the heads and columns it reads, or None when
+    chunks of ``count`` worlds are too small, or the table too large, for a
+    lookup per world to beat evaluating the clauses per world."""
     if count < 1 << _TABLE_MIN_BITS:
         return None
     heads, clauses = factor
@@ -286,26 +322,32 @@ def _table(plan: _FactorPlan, factor: _Factor,
     for bodies, _ in clauses:
         for body in bodies:
             names.update(lit.name for lit in body)
-    scope = sorted({plan.aliases.get(n, n) for n in names} - plan.constants.keys())
+    scope = sorted({plan.aliases.get(n, n) for n in names})
     size = 1 << len(scope)
     if size << _TABLE_MARGIN_BITS > count:
         return None
-    env = _with_copies(plan, _bit_columns(0, size, scope), size)
-    return scope, _factor_weight(env, factor, size)
+    _, env = next(_columns(scope))
+    return scope, _factor_weight(_with_aliases(plan, env), factor, size)
 
 
-def _factor_worlds(plan: _FactorPlan) -> _Worlds:
+def _enumerate(dp: DesugaredProgram,
+               plan: _FactorPlan) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
+    """Every assignment of the plan's columns, in chunks: the solved
+    environment and the product of the factors."""
     bits = len(plan.columns)
     tables = [_table(plan, factor, 1 << min(bits, _CHUNK_BITS))
               for factor in plan.factors]
-    for start, count in _chunks(bits):
-        env = _with_copies(plan, _bit_columns(start, count, plan.columns), count)
+    for count, env in _columns(plan.columns):
+        env = solve(dp, plan.solved, {**plan.known, **_with_aliases(plan, env)}, count)
         weight = np.ones(count, dtype=np.float64)
         for factor, table in zip(plan.factors, tables):
             if table is None:
                 weight *= _factor_weight(env, factor, count)
                 continue
             scope, values = table
+            if len(scope) == 1:
+                weight *= np.where(env[scope[0]], values[1], values[0])
+                continue
             code = np.zeros(count, dtype=np.uint16)
             for k, name in enumerate(scope):
                 code += env[name] * np.uint16(1 << k)
@@ -314,19 +356,21 @@ def _factor_worlds(plan: _FactorPlan) -> _Worlds:
 
 
 def solve(dp: DesugaredProgram, order: Sequence[str],
-          noise: Mapping[str, np.ndarray | bool], count: int) -> dict[str, np.ndarray]:
+          known: Mapping[str, np.ndarray | bool], count: int) -> dict[str, np.ndarray]:
     """Solve the Boolean equations for ``count`` noise assignments at once.
 
-    ``order`` lists every body atom before its head; ``noise`` maps each noise
-    fact the clauses of ``order`` read to a bool column of length ``count`` or
-    to a Python bool. A head is true where one of its clauses has every body
-    literal and every noise entry true; a head without clauses is false."""
+    ``order`` lists the heads to compute, each after the body atoms it
+    computes; ``known`` maps every other body atom and every noise fact
+    their clauses read to a bool column of length ``count`` or to a Python
+    bool. Returns ``known`` plus the heads of ``order``: true where one of
+    its clauses has every body literal and every noise entry true, false
+    where it has no clause."""
     by_head = dp.clauses_by_head
-    env: dict[str, np.ndarray] = {}
+    env = dict(known)
     for name in order:
         value = np.zeros(count, dtype=bool)
         for clause in by_head.get(name, ()):
-            guards = [noise[u] for u in clause.noise]
+            guards = [env[u] for u in clause.noise]
             # constants decide without touching the columns: an in-place
             # AND with a scalar costs ~40x one with a column (2^16 rows,
             # numpy 2.4)
@@ -343,71 +387,27 @@ def solve(dp: DesugaredProgram, order: Sequence[str],
     return env
 
 
-def _noise_worlds(dp: DesugaredProgram, order: list[str],
-                  random_noise: list[str]) -> _Worlds:
-    probs = {u: dp.noise_probability(u) for u in random_noise}
-    certain = {u: p == 1.0 for u, p in dp.noise_probs.items() if p in (0.0, 1.0)}
-    for start, count in _chunks(len(random_noise)):
-        noise_env = _bit_columns(start, count, random_noise)
-        weight = np.ones(count, dtype=np.float64)
-        for u in random_noise:
-            p = probs[u]
-            weight *= np.where(noise_env[u], p, 1.0 - p)
-        yield solve(dp, order, {**certain, **noise_env}, count), weight
-
-
-# ---------------------------------------------------------------------------
-# strategy selection
-
-
-def _worlds(dp: DesugaredProgram, atoms: set[str] | frozenset[str],
-            max_worlds: int | None,
-            twin: "TwinProgram | None" = None) -> tuple[_Worlds, int]:
-    """Choose the cheaper valid enumeration of the ancestral closure of
-    ``atoms`` and return its chunks with the number of assignments."""
-    cap = resolved_max_worlds(max_worlds)
-    relevant = dp.dependency_graph().ancestors(atoms)
-    order = [n for n in dp.topological_order() if n in relevant]
-    clauses = [c for c in dp.clauses if c.head in relevant]
-
-    noise_use: dict[str, int] = {}
-    for c in clauses:
-        for u in c.noise:
-            noise_use[u] = noise_use.get(u, 0) + 1
-    random_noise = [u for u in dp.noise_names
-                    if u in noise_use and 0.0 < dp.noise_probability(u) < 1.0]
-
-    plan = None
-    if twin is not None:
-        plan = _twin_plan(twin, relevant)
-    elif all(count == 1 for count in noise_use.values()):
-        plan = _FactorPlan(order, [_factor(dp, (name,)) for name in order])
-
-    candidates: list[tuple[int, str]] = [(len(random_noise), "noise")]
-    if plan is not None:
-        candidates.append((len(plan.columns), "factor"))
-    bits, strategy = min(candidates, key=lambda c: (c[0], c[1] != "factor"))
-    if (1 << bits) > cap:
-        raise EnumerationCapError(1 << bits, cap)
-    if strategy == "factor":
-        return _factor_worlds(plan), 1 << bits
-    return _noise_worlds(dp, order, random_noise), 1 << bits
-
-
 def _query_masses(dp: DesugaredProgram, formulas: Sequence[Formula],
                   max_worlds: int | None,
-                  twin: "TwinProgram | None" = None) -> tuple[list[float], int]:
-    """Exact mass of each formula, computed in one shared enumeration."""
-    atoms: set[str] = set()
-    for f in formulas:
-        atoms |= f.atoms()
-    worlds, count = _worlds(dp, atoms, max_worlds, twin)
-    masses = [0.0] * len(formulas)
-    for env, weight in worlds:
-        for i, f in enumerate(formulas):
-            mask = np.broadcast_to(np.asarray(f.evaluate(env), dtype=bool), weight.shape)
-            masses[i] += float(weight[mask].sum())
-    return masses, count
+                  twin: "TwinProgram | None" = None) -> tuple[np.ndarray, int]:
+    """The mass of every cell of the formulas' joint truth values and the
+    number of assignments walked: one enumeration of the ancestral closure
+    of their atoms and one ``np.bincount`` per chunk. The first formula is
+    the most significant bit of a cell's code."""
+    cap = resolved_max_worlds(max_worlds)
+    atoms = frozenset().union(*(f.atoms() for f in formulas))
+    plan = _plan(dp, dp.dependency_graph().ancestors(atoms), twin)
+    worlds = 1 << len(plan.columns)
+    if worlds > cap:
+        raise EnumerationCapError(worlds, cap)
+    size = 1 << len(formulas)
+    masses = np.zeros(size, dtype=np.float64)
+    for env, weight in _enumerate(dp, plan):
+        codes = np.zeros(weight.shape, dtype=np.int64)
+        for f in formulas:
+            codes = (codes << 1) | f.evaluate(env)
+        masses += np.bincount(codes, weights=weight, minlength=size)
+    return masses, worlds
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,7 @@ def probability(program: Program | DesugaredProgram, phi: Formula,
     dp = _as_desugared(program)
     check_atoms(phi, dp)
     masses, worlds = _query_masses(dp, [phi], max_worlds)
-    return QueryResult(_clamp_unit(masses[0]), worlds)
+    return QueryResult(_clamp_unit(masses[1]), worlds)
 
 
 def conditional(program: Program | DesugaredProgram, phi: Formula,
@@ -435,9 +435,11 @@ def conditional(program: Program | DesugaredProgram, phi: Formula,
 def twin_conditional(twin: "TwinProgram", phi: Formula, evidence: Formula,
                      max_worlds: int | None = None) -> QueryResult:
     """``conditional`` on ``twin.desugared``, with phi and evidence over the
-    twin's alphabet, but weighing the twin by merged, forced and pair factors
-    of its source program whenever that enumerates no more assignments than
-    the shared noise does."""
+    twin's alphabet, planned per node of the source program: a node the
+    intervention cannot reach is one column under its ordinary factor, an
+    intervened node's intervention copy is solved, and any other node costs
+    the fewer of its relevant copies, under a pair factor, and its random
+    noise facts, solved from them as columns (ties to the factor)."""
     return _conditional(twin.desugared, phi, evidence, max_worlds, twin)
 
 
@@ -446,12 +448,12 @@ def _conditional(dp: DesugaredProgram, phi: Formula, evidence: Formula,
                  twin: "TwinProgram | None" = None) -> QueryResult:
     check_atoms(phi, dp)
     check_atoms(evidence, dp)
-    masses, worlds = _query_masses(dp, [And(phi, evidence), evidence],
-                                   max_worlds, twin)
-    joint, mass = masses
+    masses, worlds = _query_masses(dp, [phi, evidence], max_worlds, twin)
+    # phi is the high bit of a cell's code, the evidence the low bit
+    mass = masses[1] + masses[3]
     if mass <= 0.0:
         raise _zero_evidence(evidence)
-    return QueryResult(_clamp_unit(joint / mass), worlds, _clamp_unit(mass))
+    return QueryResult(_clamp_unit(masses[3] / mass), worlds, _clamp_unit(mass))
 
 
 def _zero_evidence(evidence: Formula) -> ZeroEvidenceError:
@@ -534,12 +536,5 @@ def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
     dp = _as_desugared(program)
     columns = tuple(atoms)
     check_names(columns, dp)
-    worlds, count = _worlds(dp, set(columns), max_worlds)
-    size = 1 << len(columns)
-    masses = np.zeros(size, dtype=np.float64)
-    for env, weight in worlds:
-        codes = np.zeros(weight.shape, dtype=np.int64)
-        for name in columns:
-            codes = (codes << 1) | env[name]
-        masses += np.bincount(codes, weights=weight, minlength=size)
+    masses, count = _query_masses(dp, [Atom(name) for name in columns], max_worlds)
     return Marginal(columns, masses, count)

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .engine import solve
-from .errors import DatasetError, StarvedPatternError
+from .errors import DatasetError, OracleError, StarvedPatternError
 from .graph import DependencyGraph
 from .model import Program
 from .reconstruction import (
@@ -138,13 +138,16 @@ class Dataset:
         missing final newline are accepted as well. A file in exactly the
         form ``to_csv`` writes is parsed as one byte matrix; anything else
         goes through the line-by-line reader, which names the first bad
-        line."""
+        line. A file that is not UTF-8 raises DatasetError."""
         with open(path, "rb") as handle:
             raw = handle.read()
         canonical = _canonical_csv(raw)
         if canonical is not None:
             return canonical
-        lines = raw.decode("utf-8").splitlines()
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as err:
+            raise DatasetError(f"{path} is not UTF-8 text: {err.reason}") from None
         provenance, columns, start = _csv_header(lines)
         data = []
         for lineno, line in enumerate(lines[start + 1:], start=start + 2):
@@ -245,12 +248,15 @@ class FrequencyOracle:
     For a pattern with ``n_T`` matching rows of which ``s`` have the target
     true, the answer is ``s / n_T`` with tolerance ``z * sqrt(v / n_T)`` where
     ``v`` uses the add-one-smoothed rate ``(s + 1) / (n_T + 2)``. Patterns
-    with fewer than ``min_support`` rows raise StarvedPatternError."""
+    with fewer than ``min_support`` rows, which must be at least 1, raise
+    StarvedPatternError."""
 
     def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT,
                  z: float = DEFAULT_Z):
         self._data = dataset
         self.min_support = int(min_support)
+        if self.min_support < 1:
+            raise OracleError(f"min_support must be at least 1, got {min_support}")
         self.z = float(z)
         # the latest table: the rows per parent pattern and, when the target
         # is a column, the rows per pattern with the target true

@@ -229,6 +229,13 @@ def test_boost_counterfactual_worlds(boost_program):
     assert r.worlds_evaluated == 8
 
 
+def test_interventional_worlds(boost_program):
+    # the forced treatment is solved, not enumerated: one bit for recovery
+    r = interventional_query(boost_program, Atom("recovery"), {"treatment": True})
+    assert r.probability == pytest.approx(0.7, abs=EXACT)
+    assert r.worlds_evaluated == 2
+
+
 def test_layered_counterfactual_under_default_cap():
     program = layered_program(10)
     assert len(program.clauses) == 30  # 2^30 shared-noise worlds

@@ -286,6 +286,10 @@ def test_usage_errors():
      "--seed"),
     (["query", BOOST, "--prob", "recovery", "--max-worlds", "0"], "--max-worlds"),
     (["query", BOOST, "--prob", "recovery", "--max-worlds", "-5"], "--max-worlds"),
+    (["learn", "--data", "unused.csv", "--graph", EDGES, "--min-support", "0"],
+     "--min-support"),
+    (["learn", "--data", "unused.csv", "--graph", EDGES, "--min-support", "-3"],
+     "--min-support"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, flag, capsys, monkeypatch):
     # in-process, so a traceback would surface as an uncaught exception here
@@ -297,6 +301,35 @@ def test_out_of_range_arguments_are_usage_errors(argv, flag, capsys, monkeypatch
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
     assert not (ROOT / "unused.csv").exists()
+
+
+def test_invalid_utf8_input_is_an_error(tmp_path, capsys):
+    # byte 0xff never occurs in UTF-8; each file kind names its own error code
+    fixtures = ROOT / "fixtures"
+    rows = tmp_path / "rows.csv"
+    assert cli.main(["sample", str(fixtures / "recovery_boost.pl"), "-n", "50",
+                     "--seed", "1", "-o", str(rows)]) == 0
+    bad = {}
+    for name, source in (("program", fixtures / "recovery_boost.pl"),
+                         ("graph", fixtures / "recovery.edges"), ("csv", rows)):
+        bad[name] = str(tmp_path / f"bad-{source.name}")
+        Path(bad[name]).write_bytes(source.read_bytes() + b"\xff\n")
+    edges = str(fixtures / "recovery.edges")
+    cases = [
+        (["query", bad["program"], "--prob", "recovery"], "program"),
+        (["validate", bad["program"]], "program"),
+        (["reconstruct", "--hidden", bad["program"], "--graph", edges], "program"),
+        (["learn", "--data", bad["csv"], "--graph", edges], "dataset"),
+        (["learn", "--data", str(rows), "--graph", bad["graph"]], "graph"),
+    ]
+    capsys.readouterr()
+    for argv, code in cases:
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[{code}]: "), captured.err
+        assert "is not UTF-8 text" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_cyclic_program_is_an_error(tmp_path, capsys):

@@ -12,14 +12,18 @@ from causalog import (
     WorldError,
     ZeroEvidenceError,
     conditional,
+    conjunction_of,
     counterfactual_query,
     engine,
     evaluate_world,
     forward_sample,
+    intervene,
+    interventional_query,
     joint_table,
     parse_formula,
     parse_program,
     probability,
+    twin_program,
 )
 
 from conftest import SHARED_JOINT
@@ -158,6 +162,61 @@ def test_worlds_evaluated_restricts_to_ancestors():
     assert probability(program, Atom("c")).worlds_evaluated == 8
 
 
+def _world_bound(dp, atoms, surface):
+    """2 to the random noise facts of the clauses in the ancestral closure of
+    ``atoms``, or to the size of that closure when it is smaller and the
+    program is written in the surface syntax."""
+    relevant = set(atoms)
+    while True:
+        grown = relevant | {lit.name for c in dp.clauses if c.head in relevant
+                            for lit in c.literals}
+        if grown == relevant:
+            break
+        relevant = grown
+    noise = {u for c in dp.clauses if c.head in relevant for u in c.noise
+             if 0.0 < dp.noise_probability(u) < 1.0}
+    return 1 << (min(len(noise), len(relevant)) if surface else len(noise))
+
+
+def test_world_count_bounds():
+    rng = numpy_rng(5)
+    seen = {"negated": 0, "certain": 0, "below_noise_walk": 0}
+    for _ in range(60):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=5, max_parents=2, max_bodies=3))
+        names = list(program.propositions)
+        phi = random_formula(rng, names)
+        observed = random_assignment(rng, names, 1)
+        evidence = conjunction_of(observed)
+        action = random_assignment(rng, names, int(rng.integers(1, 3)))
+        forced = intervene(program, action)
+        twin = twin_program(program, action)
+        phi_i = phi.map_atoms(lambda n: n + "__i")
+        evidence_e = evidence.map_atoms(lambda n: n + "__e")
+        both = phi.atoms() | evidence.atoms()
+        queries = [
+            (lambda: probability(program, phi), program.desugar(), phi.atoms(), True),
+            (lambda: conditional(program, phi, evidence), program.desugar(), both, True),
+            (lambda: interventional_query(program, phi, action), forced.desugar(),
+             phi.atoms(), True),
+            (lambda: counterfactual_query(program, phi, observed, action),
+             twin.desugared, phi_i.atoms() | evidence_e.atoms(), True),
+            (lambda: conditional(twin.desugared, phi_i, evidence_e), twin.desugared,
+             phi_i.atoms() | evidence_e.atoms(), False),
+        ]
+        for query, dp, atoms, surface in queries:
+            try:
+                worlds = query().worlds_evaluated
+            except ZeroEvidenceError:
+                continue
+            assert worlds <= _world_bound(dp, atoms, surface)
+            seen["below_noise_walk"] += not surface and worlds < _world_bound(
+                dp, atoms, False)
+        seen["negated"] += any(not lit.positive for c in program.clauses for lit in c.causes)
+        seen["certain"] += any(c.probability in (0.0, 1.0) for c in program.clauses)
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_enumeration_cap_refusal(boost_program):
     with pytest.raises(EnumerationCapError) as err:
         probability(boost_program, Atom("recovery"), max_worlds=2)
@@ -217,6 +276,12 @@ def test_tabulated_factors_match_clause_evaluation(monkeypatch):
     # pair factors over both copies of n1 .. n6, 2^13 worlds
     cases.append((layered_program(7), parse_formula("n6 | !n4"),
                   {"n6": True, "n1": False}, {"n0": False}))
+    # the twin read as a plain desugared program, 2^15 worlds: the copies of
+    # n0, n1, n3, n4 and n5 share noise, so they are solved from 14 noise
+    # columns, n2__i is forced and solved, and n2__e is a factor column
+    twin = twin_program(layered_program(7), {"n2": False})
+    desugared = [(twin.desugared, parse_formula("n5__i | !n3__i"),
+                  parse_formula("n4__e & !n5__e"))]
 
     def answers():
         out = []
@@ -227,9 +292,12 @@ def test_tabulated_factors_match_clause_evaluation(monkeypatch):
             except ZeroEvidenceError:
                 out.append(None)
             out.append(joint_table(program).cells)
+        for dp, phi, evidence in desugared:
+            out.append(conditional(dp, phi, evidence))
         return out
 
     tabulated = answers()
+    assert tabulated[-1].worlds_evaluated == 1 << 15
     monkeypatch.setattr(engine, "_TABLE_MARGIN_BITS", 64)
     assert answers() == tabulated
 

@@ -9,6 +9,7 @@ from causalog import (
     DatasetError,
     DependencyGraph,
     FrequencyOracle,
+    OracleError,
     Provenance,
     StarvedPatternError,
     forward_sample,
@@ -156,6 +157,14 @@ def test_csv_errors(tmp_path, text, fragment):
         Dataset.from_csv(path)
 
 
+def test_csv_that_is_not_utf8(tmp_path, boost_program):
+    path = tmp_path / "bad.csv"
+    forward_sample(boost_program, 20, seed=3).to_csv(str(path))
+    path.write_bytes(path.read_bytes() + b"1,\xff\n")
+    with pytest.raises(DatasetError, match="bad.csv is not UTF-8 text"):
+        Dataset.from_csv(str(path))
+
+
 def _row_loop_csv(dataset):
     """The CSV bytes written one row at a time, the reference for ``to_csv``."""
     lines = []
@@ -283,6 +292,16 @@ def test_min_support_is_honored():
     oracle = FrequencyOracle(Dataset(("a", "b"), rows), min_support=2)
     answer = oracle.success_given_parents("b", {"a": True})
     assert answer.support == 3
+
+
+@pytest.mark.parametrize("min_support", [0, -1])
+def test_min_support_below_one_rejected(min_support):
+    # a pattern with no rows would otherwise divide by zero
+    with pytest.raises(OracleError, match="min_support must be at least 1"):
+        FrequencyOracle(grid_dataset(), min_support=min_support)
+    with pytest.raises(OracleError, match="min_support must be at least 1"):
+        learn(grid_dataset(), DependencyGraph.build(["a", "b"], [("a", "b")]),
+              min_support=min_support)
 
 
 # --- fingerprints ---------------------------------------------------------------
