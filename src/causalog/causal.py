@@ -11,20 +11,17 @@ duplicates every internal proposition into an evidence copy (suffix ``__e``)
 and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
-the query is a conditional over the combined program. The engine's one
-kernel answers it per node of the source program: a node the intervention
-cannot reach has equal copies, one column under its ordinary factor; an
-intervened node's intervention copy is solved; any other node is weighed by
-a pair factor over its two copies or, when it has fewer random clauses than
-relevant copies, solved from its shared noise facts.
+the query is a conditional over the combined program. The query takes the
+twin's factors straight from the program (``_twin_factors``); only
+``twin-export`` builds the combined program itself (``twin_program``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
-from .engine import QueryResult, probability, twin_conditional
+from .engine import Body, Factor, QueryResult, factor_conditional, probability
 from .errors import InterventionError
 from .formula import Formula, check_atoms, conjunction_of
 from .model import (
@@ -84,12 +81,6 @@ class TwinProgram:
     intervention: tuple[tuple[str, bool], ...]
     desugared: DesugaredProgram
 
-    def evidence_atom(self, name: str) -> str:
-        return name + EVIDENCE_SUFFIX
-
-    def intervention_atom(self, name: str) -> str:
-        return name + INTERVENTION_SUFFIX
-
     def to_program_text(self) -> str:
         """Render the twin in the ordinary clause format.
 
@@ -148,19 +139,65 @@ def counterfactual_query(program: Program, phi: Formula,
                          intervention: Mapping[str, bool],
                          max_worlds: int | None = None) -> QueryResult:
     """Probability that ``phi`` would have held under the intervention, given
-    that the evidence was actually observed.
-
-    The twin construction does the bookkeeping: ``phi`` is relabeled onto the
-    intervention copy and the evidence onto the evidence copy. The answer is
-    the conditional over the twin, which ``twin_conditional`` plans per node
-    of the program. With empty evidence this coincides with the
-    interventional query. Evidence of probability zero in the untouched
-    program raises ZeroEvidenceError."""
+    that the evidence was actually observed: the conditional of ``phi`` on
+    the intervention copy given the evidence on the evidence copy. With
+    empty evidence this coincides with the interventional query. Evidence of
+    probability zero in the untouched program raises ZeroEvidenceError."""
     check_atoms(phi, program)
     observed = _check_assignment(program, evidence, "evidence")
-    twin = twin_program(program, intervention)
-    phi_i = phi.map_atoms(lambda n: n + INTERVENTION_SUFFIX)
+    forced = _check_assignment(program, intervention, "intervention")
+    factors, copy = _twin_factors(program, forced, phi.atoms(), observed)
+    phi_i = phi.map_atoms(lambda name: copy(name, INTERVENTION_SUFFIX))
     evidence_e = conjunction_of(
         {name + EVIDENCE_SUFFIX: value for name, value in observed.items()}
     )
-    return twin_conditional(twin, phi_i, evidence_e, max_worlds)
+    return factor_conditional(factors, phi_i, evidence_e, max_worlds)
+
+
+def _twin_factors(program: Program, forced: Mapping[str, bool],
+                  queried: Iterable[str], observed: Iterable[str]
+                  ) -> tuple[list[Factor], Callable[[str, str], str]]:
+    """The factors of the twin's ancestral closure of the intervention
+    copies of ``queried`` and the evidence copies of ``observed``, built
+    from the program's clauses child before parent, and the function that
+    names a node's copy.
+
+    A node the intervention cannot reach has equal copies, one variable
+    under its ordinary factor. A forced intervention copy is a constant in
+    its children's bodies, and a variable of its own only when queried. Any
+    other node's two copies share a pair factor, or one of them has its own
+    factor when the other is not needed."""
+    by_effect = program.clauses_by_effect
+    order = program.dependency_graph().topological_order()
+    touched = set(forced)  # the nodes whose two copies can differ
+    for node in order:
+        if any(lit.name in touched for c in by_effect.get(node, ()) for lit in c.causes):
+            touched.add(node)
+
+    def copy(name: str, suffix: str) -> str:
+        return name + (suffix if name in touched else EVIDENCE_SUFFIX)
+
+    def body(clause: Clause, suffix: str) -> Body:
+        lits = []
+        for lit in clause.sorted_body():
+            if suffix == EVIDENCE_SUFFIX or lit.name not in forced:
+                lits.append((copy(lit.name, suffix), lit.positive))
+            elif forced[lit.name] != lit.positive:
+                return None
+        return tuple(lits)
+
+    needed = {copy(name, INTERVENTION_SUFFIX) for name in queried}
+    needed.update(name + EVIDENCE_SUFFIX for name in observed)
+    factors = []
+    for node in reversed(order):
+        suffixes = [s for s in (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX) if node + s in needed]
+        if node in forced and INTERVENTION_SUFFIX in suffixes:
+            suffixes.pop()
+            pinned = ((((),), 0.0),) if forced[node] else ()
+            factors.append(Factor((node + INTERVENTION_SUFFIX,), pinned))
+        if suffixes:
+            terms = tuple((tuple(body(c, s) for s in suffixes), 1.0 - c.probability)
+                          for c in by_effect.get(node, ()) if c.probability > 0.0)
+            factors.append(Factor(tuple(node + s for s in suffixes), terms))
+            needed.update(factors[-1].scope)
+    return factors[::-1], copy

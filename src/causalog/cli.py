@@ -87,10 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated evidence literals, e.g. '\\+treatment,recovery'")
     p.add_argument("--do", dest="do_", metavar="LITERALS",
                    help="comma-separated intervention literals")
-    p.add_argument("--precision", type=_int_in(0, None, "a nonnegative integer"),
-                   default=6, metavar="D", help="decimal places to print (default 6)")
+    # a double's decimal expansion ends within 1074 places
+    p.add_argument("--precision", type=_int_in(0, 1075, "in [0, 1074]"), default=6,
+                   metavar="D", help="decimal places to print (default 6, at most 1074)")
     p.add_argument("--max-worlds", type=_int_in(1, None, "a positive integer"),
-                   default=None, help="override the enumeration cap for this query")
+                   default=None, help="override for this query the cap on the cells of "
+                   "the largest table the elimination builds")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_query)
 

@@ -1,52 +1,43 @@
 """Exact inference over acyclic programs.
 
 The probability of a formula is, by definition, the total weight of the noise
-assignments whose induced structure satisfies it, each assignment weighed by
-the product of its fact probabilities. One kernel computes that sum over the
-ancestral closure of the atoms a query mentions; everything else
-marginalizes out exactly.
+assignments whose induced structure satisfies it. One kernel computes that
+sum over the ancestral closure of the atoms a query mentions by variable
+elimination (Zhang & Poole, 1994; Dechter, 1999): every variable outside the
+queried atoms is summed out with ``np.einsum``, in min-degree order kept in
+incremental adjacency sets, so the cost follows the width of that order
+rather than the number of ancestors, and one ``np.bincount`` sorts the final
+table over the atoms into the formulas' cells.
 
-The kernel walks every assignment of a plan's columns, one bit each, in
-fixed-size chunks so memory stays flat. A column is a random noise fact,
-weighed by p and 1 - p (the factor of one unconditional clause), or a head
-weighed by its noisy-OR factor, P(head true | parents) = 1 - prod(1 -
-fire(c)) over the clauses whose body the parents satisfy. That factor is
-exact when no other relevant clause reads the head's noise facts, which
-always holds in the surface syntax. Every other relevant head is computed
-per chunk from the columns by ``solve``, the Boolean-equation solve that
-also answers ``evaluate_world`` on one assignment and forward sampling on a
-column of draws per noise fact. The plan chooses per head: a head with no
-random noise (intervened, or probabilities 0 and 1 only) is solved and
-costs no bit; a head with noise of its own costs one bit, its factor; a
-head reading a noise fact that another relevant clause reads, as in a
-desugared program built by hand, is solved from its noise facts as columns.
+A factor is tabulated once over its own scope. A head's factor is its
+noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
+body holds; clauses of probability 0 or 1 make it deterministic. A random
+noise fact that several clauses read, as in a desugared program built by
+hand, is a variable of its own under the prior (1 - p, p), read by those
+clauses as a body atom. Counterfactuals add pair factors over a node's two
+copies (``causal``).
 
-Counterfactuals run on the twin of a surface program (``twin_conditional``),
-whose two copies share each clause's noise fact, and the plan goes per
-source node: a node with no intervened ancestor-or-self has equal copies,
-one column under the ordinary factor; an intervened node's intervention
-copy is solved; every other node costs the fewer of its relevant copies,
-under a pair factor, and its random noise facts, ties to the factor. The
-pair factor's P(0, 0) is the miss over the clauses whose body holds in
-either copy, and P(1, 1) = 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0).
-
-No node costs more bits than under its factor or its noise alone. The
-number of enumerated assignments is reported back. On large chunks a factor
-is first tabulated over the few columns it reads and then looked up per
-assignment, which gives the same numbers as evaluating its clauses per
-assignment. A query that would need more assignments than the cap
-(``--max-worlds`` or ``CAUSALOG_MAX_WORLDS``, default 2**26) is refused
-rather than silently truncated.
+The elimination is planned before it builds a table, and a query whose
+largest table (a factor, or the product one step sums over) would have more
+cells than the cap (``--max-worlds`` or ``CAUSALOG_MAX_WORLDS``, default
+2**26) is refused rather than truncated. ``worlds_evaluated`` reports the
+total cells of the query's tables, its factors and each step's product; a
+program's factors are tabulated once and kept for its later queries.
+``solve``, the Boolean-equation solve, answers ``evaluate_world`` and
+forward sampling.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
+import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,27 +49,18 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .formula import Atom, Formula, check_atoms, check_names, conjunction_of
-from .model import DesugaredProgram, Literal, Program
-
-if TYPE_CHECKING:
-    from .causal import TwinProgram
+from .model import DesugaredProgram, Program
 
 DEFAULT_MAX_WORLDS = 1 << 26
 MAX_WORLDS_ENV = "CAUSALOG_MAX_WORLDS"
-_CHUNK_BITS = 16
-# A factor is looked up in a table over the columns it reads when chunks have
-# at least 2**13 worlds and the table is at most 1/16 of a chunk. On smaller
-# chunks, evaluating the clauses costs less than tabulating and indexing
-# (break-even near 2**13 worlds on layered programs, 2 CPUs, numpy 2.4).
-_TABLE_MIN_BITS = 13
-_TABLE_MARGIN_BITS = 4
 
 
 @dataclass(frozen=True)
 class QueryResult:
     """An exact probability plus how it was obtained.
 
-    ``worlds_evaluated`` counts the assignments of the plan's columns;
+    ``worlds_evaluated`` counts the cells of the query's tables, its
+    factors and each elimination step's product;
     ``conditioning_mass`` is the probability of the evidence (1.0 when the
     query was unconditional)."""
 
@@ -126,288 +108,220 @@ def evaluate_world(program: Program | DesugaredProgram,
     if extra:
         raise WorldError(f"assignment names unknown noise propositions {', '.join(extra)}")
     values: dict[str, bool] = {u: bool(world[u]) for u in known}
-    order = dp.topological_order()
-    env = solve(dp, order, values, 1)
-    values.update((name, bool(env[name][0])) for name in order)
+    env = solve(dp, values, 1)
+    values.update((name, bool(env[name][0])) for name in dp.topological_order())
     return values
 
 
-# ---------------------------------------------------------------------------
-# the plan
-
-
-# P(heads | parents) for one head, for both copies of a twin node, or for a
-# random noise fact (one unconditional clause): the heads, then per clause
-# its body once per head (aligned with the heads) and its miss probability
-# 1 - fire.
-_Factor = tuple[tuple[str, ...], list[tuple[tuple[frozenset[Literal], ...], float]]]
-
-
-class _FactorPlan:
-    """What the kernel walks: one bit per column, each column a head or a
-    random noise fact weighed by a factor; twin copies merged onto another
-    copy's column; the noise facts of probability 0 or 1 as constants; and
-    every other relevant head, body atoms first, for ``solve`` to compute
-    from the columns."""
-
-    def __init__(self) -> None:
-        self.columns: list[str] = []
-        self.factors: list[_Factor] = []
-        self.aliases: dict[str, str] = {}
-        self.known: dict[str, bool] = {}
-        self.solved: list[str] = []
-
-    def weigh(self, factor: _Factor) -> None:
-        self.columns.extend(factor[0])
-        self.factors.append(factor)
-
-
-def _factor(dp: DesugaredProgram, heads: tuple[str, ...]) -> _Factor:
-    """The factor of one head, or of the two copies of a twin node, whose
-    clauses correspond one to one through the noise fact they share."""
-    by_head = dp.clauses_by_head
-    copies = [{c.noise: c.literals for c in by_head.get(h, ())} for h in heads[1:]]
-    terms = []
-    for c in by_head.get(heads[0], ()):
-        fire = math.prod(map(dp.noise_probability, c.noise))
-        if fire != 0.0:
-            bodies = (c.literals, *(copy[c.noise] for copy in copies))
-            terms.append((bodies, 1.0 - fire))
-    return heads, terms
-
-
-def _plan(dp: DesugaredProgram, relevant: frozenset[str],
-          twin: "TwinProgram | None") -> _FactorPlan:
-    """Choose per node how the kernel walks the ancestral closure
-    ``relevant``. A node with no random noise is solved. A node whose
-    factor has at most as many heads as it has random noise facts is
-    weighed by that factor; any other node is solved from its random noise
-    facts as columns."""
-    prob = dp.noise_probability
-    by_head = dp.clauses_by_head
-    plan = _FactorPlan()
-    order = [n for n in dp.topological_order() if n in relevant]
-    random_noise: dict[str, list[str]] = {}
-    for h in order:
-        random_noise[h] = []
-        for c in by_head.get(h, ()):
-            for u in c.noise:
-                if 0.0 < prob(u) < 1.0:
-                    random_noise[h].append(u)
-                else:
-                    plan.known[u] = prob(u) == 1.0
-    if twin is None:
-        # a noisy-OR factor needs each of its head's noise facts to itself
-        use = [u for noise in random_noise.values() for u in noise]
-        shared = set()
-        if len(set(use)) < len(use):
-            shared = {u for u, n in Counter(use).items() if n > 1}
-        nodes = [((h,), (h,) if shared.isdisjoint(random_noise[h]) else ()) for h in order]
-    else:
-        nodes = _twin_nodes(twin, relevant)
-    for heads, factor_heads in nodes:
-        noise = {u for h in heads for u in random_noise[h]}
-        if not noise:
-            continue
-        if factor_heads and len(factor_heads) <= len(noise):
-            plan.weigh(_factor(dp, factor_heads))
-            for h in heads[len(factor_heads):]:  # merged twin copies
-                plan.aliases[h] = factor_heads[0]
-            continue
-        for u in sorted(noise.difference(plan.columns)):
-            plan.weigh(((u,), [((frozenset(),), 1.0 - prob(u))]))
-    walked = set(plan.columns) | plan.aliases.keys()
-    plan.solved = [h for h in order if h not in walked]
-    return plan
-
-
-def _twin_nodes(twin: "TwinProgram", relevant: frozenset[str]
-                ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The relevant copies of each twin node and the heads of their factor.
-
-    A node no intervention reaches has equal copies, merged onto the first
-    one's column; an intervened node's copies are separate nodes, the
-    intervention copy without noise; every other node has a pair factor,
-    which a copy outside the closure leaves as the other copy's factor."""
-    dp = twin.desugared
-    forced = dict(twin.intervention)
-    touched: set[str] = set()  # evidence copies of intervened nodes and their descendants
-    for node in twin.source.dependency_graph().topological_order():
-        e, i = twin.evidence_atom(node), twin.intervention_atom(node)
-        heads = tuple(h for h in (e, i) if h in relevant)
-        if node in forced:
-            touched.add(e)
-            yield from (((h,), (h,)) for h in heads)
-        elif any(lit.name in touched
-                 for c in dp.clauses_by_head.get(e, ()) for lit in c.literals):
-            touched.add(e)
-            yield heads, heads
-        elif heads:
-            yield heads, heads[:1]
-
-
-# ---------------------------------------------------------------------------
-# the enumeration kernel
-
-
-def _columns(names: Sequence[str]) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """Every assignment of ``names`` in chunks: per chunk its size and one
-    bool column per name, bit j of the assignment's index for the j-th name.
-    The low bits repeat in every chunk and the high bits are constant in one,
-    so the low columns are built once."""
-    low = min(len(names), _CHUNK_BITS)
-    count = 1 << low
-    idx = np.arange(count)
-    base = {name: (idx >> j & 1).astype(bool) for j, name in enumerate(names[:low])}
-    for high in range(1 << (len(names) - low)):
-        env = dict(base)
-        for j, name in enumerate(names[low:]):
-            env[name] = np.full(count, bool(high >> j & 1))
-        yield count, env
-
-
-def _holds(env: Mapping[str, np.ndarray], body: frozenset[Literal],
-           count: int) -> np.ndarray | bool:
-    if not body:
-        return True
-    sat = np.ones(count, dtype=bool)
-    for lit in body:
-        sat &= env[lit.name] == lit.positive
-    return sat
-
-
-def _miss(terms: Iterable[tuple[np.ndarray | bool, float]], count: int) -> np.ndarray:
-    """Noisy-OR miss: the product of 1 - fire over the clauses that hold."""
-    miss = np.ones(count, dtype=np.float64)
-    for sat, keep in terms:
-        miss = np.where(sat, miss * keep, miss)
-    return miss
-
-
-def _factor_weight(env: Mapping[str, np.ndarray], factor: _Factor,
-                   count: int) -> np.ndarray:
-    heads, clauses = factor
-    if len(heads) == 1:
-        miss = _miss(((_holds(env, body, count), keep)
-                      for (body,), keep in clauses), count)
-        return np.where(env[heads[0]], 1.0 - miss, miss)
-    sats = [(_holds(env, b_e, count), _holds(env, b_i, count), keep)
-            for (b_e, b_i), keep in clauses]
-    miss_e = _miss(((s_e, keep) for s_e, _, keep in sats), count)
-    miss_i = _miss(((s_i, keep) for _, s_i, keep in sats), count)
-    both = _miss(((s_e | s_i, keep) for s_e, s_i, keep in sats), count)
-    h_e, h_i = env[heads[0]], env[heads[1]]
-    return np.where(h_e,
-                    np.where(h_i, 1.0 - miss_e - miss_i + both, miss_i - both),
-                    np.where(h_i, miss_e - both, both))
-
-
-def _with_aliases(plan: _FactorPlan, env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Add the twin copies merged onto a column of ``env``."""
-    for name, column in plan.aliases.items():
-        if column in env:
-            env[name] = env[column]
-    return env
-
-
-def _table(plan: _FactorPlan, factor: _Factor,
-           count: int) -> tuple[list[str], np.ndarray] | None:
-    """The factor tabulated over the heads and columns it reads, or None when
-    chunks of ``count`` worlds are too small, or the table too large, for a
-    lookup per world to beat evaluating the clauses per world."""
-    if count < 1 << _TABLE_MIN_BITS:
-        return None
-    heads, clauses = factor
-    names = set(heads)
-    for bodies, _ in clauses:
-        for body in bodies:
-            names.update(lit.name for lit in body)
-    scope = sorted({plan.aliases.get(n, n) for n in names})
-    size = 1 << len(scope)
-    if size << _TABLE_MARGIN_BITS > count:
-        return None
-    _, env = next(_columns(scope))
-    return scope, _factor_weight(_with_aliases(plan, env), factor, size)
-
-
-def _enumerate(dp: DesugaredProgram,
-               plan: _FactorPlan) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
-    """Every assignment of the plan's columns, in chunks: the solved
-    environment and the product of the factors."""
-    bits = len(plan.columns)
-    tables = [_table(plan, factor, 1 << min(bits, _CHUNK_BITS))
-              for factor in plan.factors]
-    for count, env in _columns(plan.columns):
-        env = solve(dp, plan.solved, {**plan.known, **_with_aliases(plan, env)}, count)
-        weight = np.ones(count, dtype=np.float64)
-        for factor, table in zip(plan.factors, tables):
-            if table is None:
-                weight *= _factor_weight(env, factor, count)
-                continue
-            scope, values = table
-            if len(scope) == 1:
-                weight *= np.where(env[scope[0]], values[1], values[0])
-                continue
-            code = np.zeros(count, dtype=np.uint16)
-            for k, name in enumerate(scope):
-                code += env[name] * np.uint16(1 << k)
-            weight *= values[code]
-        yield env, weight
-
-
-def solve(dp: DesugaredProgram, order: Sequence[str],
-          known: Mapping[str, np.ndarray | bool], count: int) -> dict[str, np.ndarray]:
+def solve(dp: DesugaredProgram, noise: Mapping[str, np.ndarray | bool],
+          count: int) -> dict[str, np.ndarray]:
     """Solve the Boolean equations for ``count`` noise assignments at once.
 
-    ``order`` lists the heads to compute, each after the body atoms it
-    computes; ``known`` maps every other body atom and every noise fact
-    their clauses read to a bool column of length ``count`` or to a Python
-    bool. Returns ``known`` plus the heads of ``order``: true where one of
-    its clauses has every body literal and every noise entry true, false
-    where it has no clause."""
-    by_head = dp.clauses_by_head
-    env = dict(known)
-    for name in order:
+    ``noise`` maps every noise fact to a bool column of length ``count`` or
+    to a Python bool. Returns ``noise`` plus every internal proposition: true
+    where one of its clauses has every body literal and every noise entry
+    true, false where it has no clause."""
+    env = dict(noise)
+    for name in dp.topological_order():
         value = np.zeros(count, dtype=bool)
-        for clause in by_head.get(name, ()):
-            guards = [env[u] for u in clause.noise]
-            # constants decide without touching the columns: an in-place
-            # AND with a scalar costs ~40x one with a column (2^16 rows,
-            # numpy 2.4)
-            if any(g is False for g in guards):
-                continue
+        for clause in dp.clauses_by_head.get(name, ()):
             sat = np.ones(count, dtype=bool)
             for lit in clause.literals:
                 sat &= env[lit.name] == lit.positive
-            for g in guards:
-                if g is not True:
-                    sat &= g
+            for u in clause.noise:
+                sat &= env[u]
             value |= sat
         env[name] = value
     return env
 
 
-def _query_masses(dp: DesugaredProgram, formulas: Sequence[Formula],
-                  max_worlds: int | None,
-                  twin: "TwinProgram | None" = None) -> tuple[np.ndarray, int]:
-    """The mass of every cell of the formulas' joint truth values and the
-    number of assignments walked: one enumeration of the ancestral closure
-    of their atoms and one ``np.bincount`` per chunk. The first formula is
-    the most significant bit of a cell's code."""
+# ---------------------------------------------------------------------------
+# factors
+
+
+# A body: (variable, polarity) pairs, or None where the clause cannot hold.
+Body = tuple[tuple[str, bool], ...] | None
+
+
+@dataclass(frozen=True)
+class Factor:
+    """P(heads | parents) for one head, or for the two copies of a
+    counterfactual node: per clause its body once per head (aligned with
+    the heads) and its miss probability 1 - fire."""
+
+    heads: tuple[str, ...]
+    terms: tuple[tuple[tuple[Body, ...], float], ...]
+
+    @cached_property
+    def scope(self) -> tuple[str, ...]:
+        """The heads, then the parents in order of first use."""
+        return self.heads + tuple(dict.fromkeys(
+            name for bodies, _ in self.terms for body in bodies for name, _ in body or ()))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The factor tabulated once, one axis per variable of its scope.
+
+        A parent is one bit of a cell's code, the first parent the most
+        significant, and a clause holds in the cells that have the bits its
+        body needs set and clear; a body that cannot hold needs bit 0 both.
+        The pair factor's P(0, 0) is the miss over the clauses whose body
+        holds in either copy, and P(1, 1) = 1 - P(h_e = 0) - P(h_i = 0) +
+        P(0, 0)."""
+        parents = self.scope[len(self.heads):]
+        bit = {name: 1 << j for j, name in enumerate(reversed(parents))}
+        cells = np.arange(1 << len(parents))
+        keep = np.array([k for _, k in self.terms]).reshape(-1, 1)
+        sats = []
+        for h in range(len(self.heads)):
+            masks = []
+            for bodies, _ in self.terms:
+                mask = [int(bodies[h] is None)] * 2  # the bits to have set, and clear
+                for name, positive in bodies[h] or ():
+                    mask[not positive] |= bit[name]
+                masks.append(mask)
+            on, off = np.array(masks, dtype=np.int64).reshape(-1, 2, 1).transpose(1, 0, 2)
+            sats.append((cells & on == on) & (cells & off == 0))
+        # noisy-OR misses: the product of 1 - fire over the clauses that hold
+        miss = [np.where(sat, keep, 1.0).prod(axis=0) for sat in sats]
+        if len(sats) == 1:
+            table = [miss[0], 1.0 - miss[0]]
+        else:
+            both = np.where(sats[0] | sats[1], keep, 1.0).prod(axis=0)
+            table = [both, miss[0] - both, miss[1] - both, 1.0 - miss[0] - miss[1] + both]
+        table = np.concatenate(table).reshape((2,) * len(self.scope))
+        table.flags.writeable = False  # shared by every query on the program
+        return table
+
+
+# every factor of each program while it lives, so that the many marginals
+# the oracle of ``reconstruct`` asks of one program tabulate each factor once
+_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _program_factors(dp: DesugaredProgram, atoms: Iterable[str]) -> list[Factor]:
+    """The factors of the ancestral closure of ``atoms``, in topological
+    order: a noisy-OR per head, and a prior for each random noise fact that
+    several clauses read, which those clauses read as a body atom."""
+    factors = _FACTORS.get(dp)
+    if factors is None:
+        prob = dp.noise_probability
+        reads = Counter(u for c in dp.clauses for u in c.noise if 0.0 < prob(u) < 1.0)
+        factors = {u: Factor((u,), ((((),), 1.0 - prob(u)),))
+                   for u in dp.noise_names if reads[u] > 1}
+        for h in dp.topological_order():
+            terms = []
+            for c in dp.clauses_by_head.get(h, ()):
+                fire = math.prod(prob(u) for u in c.noise if reads[u] < 2)
+                if fire != 0.0:
+                    body = tuple(sorted((lit.name, lit.positive) for lit in c.literals))
+                    body += tuple((u, True) for u in sorted(c.noise) if reads[u] > 1)
+                    terms.append(((body,), 1.0 - fire))
+            factors[h] = Factor((h,), tuple(terms))
+        _FACTORS[dp] = factors
+    relevant, todo = set(), list(atoms)
+    while todo:
+        name = todo.pop()
+        if name not in relevant:
+            relevant.add(name)
+            todo += factors[name].scope
+    return [f for name, f in factors.items() if name in relevant]
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel
+
+
+def _elimination(scopes: Sequence[tuple[str, ...]],
+                 query: tuple[str, ...]) -> list[tuple[list[int], tuple[str, ...]]]:
+    """Plan the min-degree elimination of every variable outside ``query``.
+
+    Each step multiplies the factors it names and keeps a scope; the result
+    of step s is factor ``len(scopes) + s``. An eliminated variable's
+    neighbours become a clique, so the degrees stay current without a
+    rescan; ties go to the variable seen first. The last step multiplies
+    what is left onto ``query``."""
+    kept = set(query)
+    alive = set(range(len(scopes)))
+    holders: dict[str, set[int]] = {}
+    adjacent: dict[str, set[str]] = {}
+    for j, scope in enumerate(scopes):
+        for v in scope:
+            holders.setdefault(v, set()).add(j)
+            adjacent.setdefault(v, set()).update(scope)
+    rank = {v: r for r, v in enumerate(adjacent)}
+    for v, near in adjacent.items():
+        near.discard(v)
+    heap = [(len(near), rank[v], v) for v, near in adjacent.items() if v not in kept]
+    heapq.heapify(heap)
+    steps: list[tuple[list[int], tuple[str, ...]]] = []
+    while heap:
+        degree, _, v = heapq.heappop(heap)
+        if v not in adjacent or degree != len(adjacent[v]):
+            continue  # eliminated already, or a stale degree
+        ids = holders.pop(v)
+        near = adjacent.pop(v)
+        new = len(scopes) + len(steps)
+        steps.append((sorted(ids), tuple(sorted(near, key=rank.__getitem__))))
+        alive -= ids
+        alive.add(new)
+        for u in near:
+            holders[u] -= ids
+            holders[u].add(new)
+            adjacent[u] |= near
+            adjacent[u] -= {u, v}
+            if u not in kept:
+                heapq.heappush(heap, (len(adjacent[u]), rank[u], u))
+    steps.append((sorted(alive), query))
+    return steps
+
+
+def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
+              keep: tuple[str, ...]) -> np.ndarray:
+    """Multiply the (table, scope) operands and sum out every variable not
+    in ``keep``; the result's axes follow ``keep``."""
+    if not operands:
+        return np.ones(())
+    axis = {v: k for k, v in enumerate(dict.fromkeys(
+        itertools.chain(keep, *(s for _, s in operands))))}
+    args: list = []
+    for table, scope in operands:
+        args += [table, [axis[v] for v in scope]]
+    return np.einsum(*args, [axis[v] for v in keep])
+
+
+def _masses(factors: Sequence[Factor], formulas: Sequence[Formula],
+            max_worlds: int | None) -> tuple[np.ndarray, int]:
+    """The mass of every cell of the formulas' joint truth values, and the
+    cells of the products built: the factors eliminated onto the formulas'
+    atoms, whose final table one ``np.bincount`` sorts into cells. The first
+    formula is the most significant bit of a cell's code."""
     cap = resolved_max_worlds(max_worlds)
-    atoms = frozenset().union(*(f.atoms() for f in formulas))
-    plan = _plan(dp, dp.dependency_graph().ancestors(atoms), twin)
-    worlds = 1 << len(plan.columns)
-    if worlds > cap:
-        raise EnumerationCapError(worlds, cap)
-    size = 1 << len(formulas)
-    masses = np.zeros(size, dtype=np.float64)
-    for env, weight in _enumerate(dp, plan):
-        codes = np.zeros(weight.shape, dtype=np.int64)
-        for f in formulas:
-            codes = (codes << 1) | f.evaluate(env)
-        masses += np.bincount(codes, weights=weight, minlength=size)
-    return masses, worlds
+    query = tuple(sorted(frozenset().union(*(f.atoms() for f in formulas))))
+    scopes = [f.scope for f in factors]
+    steps = _elimination(scopes, query)
+    cells = [1 << len(s) for s in scopes]
+    cells += [1 << (len(keep) + 1) for _, keep in steps[:-1]]  # keep + the summed variable
+    cells.append(1 << len(query))
+    if max(cells) > cap:
+        raise EnumerationCapError(max(cells), cap)
+    tables = [f.table for f in factors]
+    for ids, keep in steps:
+        tables.append(_contract([(tables[j], scopes[j]) for j in ids], keep))
+        scopes.append(keep)
+        for j in ids:
+            tables[j] = None
+    # every assignment of the query by broadcasting: its j-th atom as the
+    # two truth values along axis j
+    k = len(query)
+    grid = {name: np.array([False, True]).reshape((1,) * j + (2,) + (1,) * (k - 1 - j))
+            for j, name in enumerate(query)}
+    codes = np.zeros((2,) * k, dtype=np.int64)
+    for f in formulas:
+        codes = (codes << 1) | f.evaluate(grid)
+    masses = np.bincount(codes.ravel(), weights=tables[-1].ravel(),
+                         minlength=1 << len(formulas))
+    return masses, sum(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +333,33 @@ def probability(program: Program | DesugaredProgram, phi: Formula,
     """Exact probability that a random structure satisfies ``phi``."""
     dp = _as_desugared(program)
     check_atoms(phi, dp)
-    masses, worlds = _query_masses(dp, [phi], max_worlds)
-    return QueryResult(_clamp_unit(masses[1]), worlds)
+    masses, cells = _masses(_program_factors(dp, phi.atoms()), [phi], max_worlds)
+    return QueryResult(_clamp_unit(masses[1]), cells)
 
 
 def conditional(program: Program | DesugaredProgram, phi: Formula,
                 evidence: Formula, max_worlds: int | None = None) -> QueryResult:
     """Exact conditional probability of ``phi`` given an evidence formula.
 
-    Numerator and denominator come from one shared enumeration. Evidence of
+    Numerator and denominator come from one shared elimination. Evidence of
     probability zero raises ZeroEvidenceError."""
-    return _conditional(_as_desugared(program), phi, evidence, max_worlds)
-
-
-def twin_conditional(twin: "TwinProgram", phi: Formula, evidence: Formula,
-                     max_worlds: int | None = None) -> QueryResult:
-    """``conditional`` on ``twin.desugared``, with phi and evidence over the
-    twin's alphabet, planned per node of the source program: a node the
-    intervention cannot reach is one column under its ordinary factor, an
-    intervened node's intervention copy is solved, and any other node costs
-    the fewer of its relevant copies, under a pair factor, and its random
-    noise facts, solved from them as columns (ties to the factor)."""
-    return _conditional(twin.desugared, phi, evidence, max_worlds, twin)
-
-
-def _conditional(dp: DesugaredProgram, phi: Formula, evidence: Formula,
-                 max_worlds: int | None,
-                 twin: "TwinProgram | None" = None) -> QueryResult:
+    dp = _as_desugared(program)
     check_atoms(phi, dp)
     check_atoms(evidence, dp)
-    masses, worlds = _query_masses(dp, [phi, evidence], max_worlds, twin)
+    factors = _program_factors(dp, phi.atoms() | evidence.atoms())
+    return factor_conditional(factors, phi, evidence, max_worlds)
+
+
+def factor_conditional(factors: Sequence[Factor], phi: Formula, evidence: Formula,
+                       max_worlds: int | None = None) -> QueryResult:
+    """``conditional`` over the variables of ``factors``, which must cover
+    the ancestral closure of the atoms of ``phi`` and the evidence."""
+    masses, cells = _masses(factors, [phi, evidence], max_worlds)
     # phi is the high bit of a cell's code, the evidence the low bit
     mass = masses[1] + masses[3]
     if mass <= 0.0:
         raise _zero_evidence(evidence)
-    return QueryResult(_clamp_unit(masses[3] / mass), worlds, _clamp_unit(mass))
+    return QueryResult(_clamp_unit(masses[3] / mass), cells, _clamp_unit(mass))
 
 
 def _zero_evidence(evidence: Formula) -> ZeroEvidenceError:
@@ -509,7 +415,8 @@ class Marginal:
 
     ``masses[code]`` is the probability that the columns take the values
     spelled by the bits of ``code``, the first column being the most
-    significant bit; ``worlds_evaluated`` counts the assignments walked."""
+    significant bit; ``worlds_evaluated`` counts the cells of its tables,
+    as for ``QueryResult``."""
 
     columns: tuple[str, ...]
     masses: np.ndarray
@@ -531,10 +438,11 @@ class Marginal:
 
 def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
              max_worlds: int | None = None) -> Marginal:
-    """Exact marginal over ``atoms``: one enumeration of their ancestral
-    closure, each world's weight added to its cell by one ``np.bincount``."""
+    """Exact marginal over ``atoms``: one elimination of their ancestral
+    closure onto them."""
     dp = _as_desugared(program)
     columns = tuple(atoms)
     check_names(columns, dp)
-    masses, count = _query_masses(dp, [Atom(name) for name in columns], max_worlds)
-    return Marginal(columns, masses, count)
+    masses, cells = _masses(_program_factors(dp, columns),
+                            [Atom(name) for name in columns], max_worlds)
+    return Marginal(columns, masses, cells)

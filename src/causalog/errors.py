@@ -57,13 +57,14 @@ class WorldError(CausalogError):
 
 
 class EnumerationCapError(CausalogError):
-    """The exact query would enumerate more assignments than allowed."""
+    """The exact query would build a table of more factor cells than
+    allowed."""
 
     code = "cap"
 
     def __init__(self, needed: int, cap: int):
         super().__init__(
-            f"query needs {needed} assignments which exceeds the enumeration "
+            f"query needs a table of {needed} factor cells, which exceeds the "
             f"cap of {cap}; raise it with --max-worlds or CAUSALOG_MAX_WORLDS, "
             "or simplify the program"
         )

@@ -235,7 +235,7 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     noise_cols = {
         u: uniforms[:, j] < dp.noise_probability(u) for j, u in enumerate(noise)
     }
-    values = solve(dp, dp.topological_order(), noise_cols, n)
+    values = solve(dp, noise_cols, n)
     rows = np.column_stack([values[c] for c in columns]) if columns else \
         np.zeros((n, 0), dtype=bool)
     return Dataset(columns, rows,

@@ -23,8 +23,8 @@ partial failures (starved patterns, non-monotone noise, unresolvable
 saturation) are collected per node and reconstruction still returns what it
 could recover. The oracle is asked one pattern at a time, but both oracles
 shipped here fill a node's whole table at its first pattern: the exact oracle
-with one enumeration of the node's marginal, the frequency oracle with one
-bincount over the rows' pattern codes.
+with one variable elimination onto the node's family, the frequency oracle
+with one bincount over the rows' pattern codes.
 """
 
 from __future__ import annotations
@@ -91,14 +91,14 @@ class ExactOracle:
     """Exact answers computed from a known program by conditioning.
 
     The whole success table of a target and its parent set comes from one
-    enumeration: the exact marginal over the target and the parents, whose
+    elimination: the exact marginal over the target and the parents, whose
     cells hold P(target, pattern) for every pattern at once. The latest table
     is kept, so the other patterns of the same parent set are lookups; the
     answer at a pattern is P(target, pattern) / P(pattern), as a conditional
     would give, and a pattern of probability zero raises ZeroEvidenceError.
-    The enumeration cap applies to the ancestral closure of the target and
-    its parents, and a pattern over more than MAX_TABLE_WIDTH propositions
-    raises TableSizeError.
+    The cap applies to each table that elimination builds, so a node whose
+    largest table exceeds it fails alone, and a pattern over more than
+    MAX_TABLE_WIDTH propositions raises TableSizeError.
 
     Useful for round-trip testing and for re-expressing a program in positive
     normal form: reconstruction against this oracle returns a noisy-OR

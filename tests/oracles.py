@@ -103,3 +103,25 @@ def noisy_or(probabilities) -> float:
     for p in probabilities:
         miss *= 1.0 - p
     return 1.0 - miss
+
+
+def reference_joint(program: Program) -> dict:
+    """Scalar P(every internal assignment) of a surface program by the chain
+    rule: each head's noisy-OR evaluated clause by clause on the assignment,
+    keyed by the tuple of values in ``program.propositions`` order."""
+    names = program.propositions
+    by_effect = {}
+    for clause in program.clauses:
+        by_effect.setdefault(clause.effect, []).append(clause)
+    joint = {}
+    for bits in itertools.product((False, True), repeat=len(names)):
+        values = dict(zip(names, bits))
+        weight = 1.0
+        for head in names:
+            miss = 1.0
+            for clause in by_effect.get(head, ()):
+                if all(values[l.name] == l.positive for l in clause.causes):
+                    miss *= 1.0 - clause.probability
+            weight *= 1.0 - miss if values[head] else miss
+        joint[bits] = weight
+    return joint

@@ -2,6 +2,7 @@ import pytest
 
 from causalog import (
     Atom,
+    EnumerationCapError,
     InterventionError,
     ZeroEvidenceError,
     conditional,
@@ -222,18 +223,36 @@ def test_factored_counterfactual_differential():
 
 
 def test_boost_counterfactual_worlds(boost_program):
-    # treatment__e plus both copies of recovery; treatment__i is pinned
-    r = counterfactual_query(
-        boost_program, Atom("recovery"),
-        {"treatment": False, "recovery": True}, {"treatment": True})
-    assert r.worlds_evaluated == 8
+    # treatment__e (2 cells), the pair factor of recovery's copies given
+    # treatment__e (8) and the final table over the three atoms (8); the
+    # forced treatment__i is a constant and widens no table
+    def query(cap=None):
+        return counterfactual_query(
+            boost_program, Atom("recovery"),
+            {"treatment": False, "recovery": True}, {"treatment": True}, cap)
+
+    r = query()
+    assert r.worlds_evaluated == 18
+    with pytest.raises(EnumerationCapError) as err:
+        query(7)
+    assert err.value.needed == 8
+    assert query(8) == r
 
 
 def test_interventional_worlds(boost_program):
-    # the forced treatment is solved, not enumerated: one bit for recovery
+    # the forced treatment is a deterministic factor and widens nothing:
+    # the largest product spans recovery's factor, as without the
+    # intervention; treatment (2 cells), recovery given treatment (4),
+    # treatment summed out (4) and the final table (2)
     r = interventional_query(boost_program, Atom("recovery"), {"treatment": True})
     assert r.probability == pytest.approx(0.7, abs=EXACT)
-    assert r.worlds_evaluated == 2
+    assert r.worlds_evaluated == 12
+    for query in (lambda cap: interventional_query(
+                      boost_program, Atom("recovery"), {"treatment": True}, cap),
+                  lambda cap: probability(boost_program, Atom("recovery"), cap)):
+        with pytest.raises(EnumerationCapError) as err:
+            query(3)
+        assert err.value.needed == 4
 
 
 def test_layered_counterfactual_under_default_cap():

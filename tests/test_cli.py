@@ -101,6 +101,37 @@ def test_max_worlds_flag():
     assert result.stderr.startswith("error[cap]:")
 
 
+def test_thousand_node_chain_answers_in_process(tmp_path, capsys):
+    # q :: n0 and p :: n_k :- n_(k-1): the last node holds exactly when n0
+    # and every link fire. Elimination sums the chain one link at a time, so
+    # the cells it builds grow linearly in its length; enumerating it would
+    # need 2^1000 worlds, far above the cap.
+    q, p = 0.5, 0.9995
+
+    def query(n, flags):
+        path = tmp_path / f"chain{n}.pl"
+        lines = [f"{q} :: n0."] + [f"{p} :: n{k} :- n{k - 1}." for k in range(1, n)]
+        path.write_text("\n".join(lines) + "\n")
+        last = f"n{n - 1}"
+        assert cli.main(["query", str(path), "--prob", last, *flags(last), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    links = p ** 999
+    kinds = [
+        (lambda last: [], q * links),
+        (lambda last: ["--given", "n0"], links),
+        (lambda last: ["--do", "n0"], links),
+        # the links that fired under do(n0) alone, as n0 was false
+        (lambda last: ["--given", rf"\+{last}", "--do", "n0"],
+         (1 - q) * links / (1 - q * links)),
+    ]
+    for flags, want in kinds:
+        results = [query(n, flags) for n in (250, 500, 1000)]
+        assert results[-1]["probability"] == pytest.approx(want, abs=1e-12)
+        cells = [r["worlds_evaluated"] for r in results]
+        assert cells[2] - cells[1] == 2 * (cells[1] - cells[0]) > 0
+
+
 # --- validate -------------------------------------------------------------------
 
 
@@ -290,6 +321,7 @@ def test_usage_errors():
      "--min-support"),
     (["learn", "--data", "unused.csv", "--graph", EDGES, "--min-support", "-3"],
      "--min-support"),
+    (["query", BOOST, "--prob", "recovery", "--precision", "2147483648"], "--precision"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, flag, capsys, monkeypatch):
     # in-process, so a traceback would surface as an uncaught exception here

@@ -14,7 +14,6 @@ from causalog import (
     conditional,
     conjunction_of,
     counterfactual_query,
-    engine,
     evaluate_world,
     forward_sample,
     intervene,
@@ -27,7 +26,12 @@ from causalog import (
 )
 
 from conftest import SHARED_JOINT
-from oracles import reference_conditional, reference_probability, reference_world
+from oracles import (
+    reference_conditional,
+    reference_joint,
+    reference_probability,
+    reference_world,
+)
 from proggen import (
     layered_program,
     numpy_rng,
@@ -155,17 +159,21 @@ def test_law_of_total_probability():
 
 
 def test_worlds_evaluated_restricts_to_ancestors():
-    # querying a root ignores the rest of the program
+    # a query touches only its ancestral closure: the rest of the program
+    # changes neither its answer nor the cells of the tables it builds
     program = parse_program(
         "0.5 :: a.\n0.5 :: b.\n0.5 :: c :- a, b.\n0.5 :: d :- c.\n")
-    assert probability(program, Atom("a")).worlds_evaluated == 2
-    assert probability(program, Atom("c")).worlds_evaluated == 8
+    closures = {"a": "0.5 :: a.\n", "c": "0.5 :: a.\n0.5 :: b.\n0.5 :: c :- a, b.\n"}
+    for atom, closure in closures.items():
+        assert probability(program, Atom(atom)) == probability(parse_program(closure), Atom(atom))
+    # the root's factor and the final table over it, two cells each
+    assert probability(program, Atom("a")).worlds_evaluated == 4
 
 
-def _world_bound(dp, atoms, surface):
-    """2 to the random noise facts of the clauses in the ancestral closure of
-    ``atoms``, or to the size of that closure when it is smaller and the
-    program is written in the surface syntax."""
+def _factor_variables(dp, atoms):
+    """The propositions of the ancestral closure of ``atoms`` and the random
+    noise facts its clauses read that several clauses of ``dp`` read: every
+    variable a query over ``atoms`` can eliminate."""
     relevant = set(atoms)
     while True:
         grown = relevant | {lit.name for c in dp.clauses if c.head in relevant
@@ -173,14 +181,17 @@ def _world_bound(dp, atoms, surface):
         if grown == relevant:
             break
         relevant = grown
-    noise = {u for c in dp.clauses if c.head in relevant for u in c.noise
-             if 0.0 < dp.noise_probability(u) < 1.0}
-    return 1 << (min(len(noise), len(relevant)) if surface else len(noise))
+    reads = [u for c in dp.clauses for u in c.noise if 0.0 < dp.noise_probability(u) < 1.0]
+    return relevant, {u for c in dp.clauses if c.head in relevant for u in c.noise
+                      if reads.count(u) > 1}
 
 
 def test_world_count_bounds():
+    # the largest product never exceeds 2^(factor variables), and the cap
+    # refuses rather than truncates: a cap one cell below the largest
+    # product raises, a cap equal to it returns the default-cap answer
     rng = numpy_rng(5)
-    seen = {"negated": 0, "certain": 0, "below_noise_walk": 0}
+    seen = {"negated": 0, "certain": 0, "shared_noise": 0}
     for _ in range(60):
         program = with_negation_and_certainty(
             rng, random_program(rng, max_nodes=5, max_parents=2, max_bodies=3))
@@ -194,26 +205,34 @@ def test_world_count_bounds():
         phi_i = phi.map_atoms(lambda n: n + "__i")
         evidence_e = evidence.map_atoms(lambda n: n + "__e")
         both = phi.atoms() | evidence.atoms()
+        twin_atoms = phi_i.atoms() | evidence_e.atoms()
         queries = [
-            (lambda: probability(program, phi), program.desugar(), phi.atoms(), True),
-            (lambda: conditional(program, phi, evidence), program.desugar(), both, True),
-            (lambda: interventional_query(program, phi, action), forced.desugar(),
-             phi.atoms(), True),
-            (lambda: counterfactual_query(program, phi, observed, action),
-             twin.desugared, phi_i.atoms() | evidence_e.atoms(), True),
-            (lambda: conditional(twin.desugared, phi_i, evidence_e), twin.desugared,
-             phi_i.atoms() | evidence_e.atoms(), False),
+            (lambda cap: probability(program, phi, cap), program.desugar(), phi.atoms()),
+            (lambda cap: conditional(program, phi, evidence, cap), program.desugar(), both),
+            (lambda cap: interventional_query(program, phi, action, cap), forced.desugar(),
+             phi.atoms()),
+            # merged copies and constants only remove twin variables
+            (lambda cap: counterfactual_query(program, phi, observed, action, cap),
+             twin.desugared, twin_atoms),
+            (lambda cap: conditional(twin.desugared, phi_i, evidence_e, cap), twin.desugared,
+             twin_atoms),
         ]
-        for query, dp, atoms, surface in queries:
+        for query, dp, atoms in queries:
             try:
-                worlds = query().worlds_evaluated
+                answer = query(None)
             except ZeroEvidenceError:
                 continue
-            assert worlds <= _world_bound(dp, atoms, surface)
-            seen["below_noise_walk"] += not surface and worlds < _world_bound(
-                dp, atoms, False)
+            with pytest.raises(EnumerationCapError) as err:
+                query(1)
+            needed = err.value.needed
+            relevant, shared = _factor_variables(dp, atoms)
+            assert needed <= 1 << (len(relevant) + len(shared))
+            with pytest.raises(EnumerationCapError):
+                query(needed - 1)
+            assert query(needed) == answer
         seen["negated"] += any(not lit.positive for c in program.clauses for lit in c.causes)
         seen["certain"] += any(c.probability in (0.0, 1.0) for c in program.clauses)
+        seen["shared_noise"] += bool(_factor_variables(twin.desugared, twin_atoms)[1])
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -259,11 +278,13 @@ def test_joint_table_uniform_product():
     assert math.isclose(table.total(), 1.0, abs_tol=EXACT)
 
 
-def test_tabulated_factors_match_clause_evaluation(monkeypatch):
-    # joint tables over 13-14 nodes and the 2^13-world counterfactual
-    # enumerate chunks large enough for their factors to be looked up in
-    # tables; evaluating the clauses on every world must give the very same
-    # numbers
+def test_tabulated_factors_match_clause_evaluation():
+    # the kernel tabulates every factor once on a bit grid; the answers must
+    # match evaluating the clauses assignment by assignment: joint tables
+    # over 13-14 nodes against the chain rule, probabilities against the sums
+    # of those cells, and counterfactuals (pair factors and constants)
+    # against the twin read as a plain desugared program (its shared noise
+    # as variables) and against the twin's export replayed as a program
     rng = numpy_rng(1226)
     cases = []
     for _ in range(3):
@@ -273,33 +294,27 @@ def test_tabulated_factors_match_clause_evaluation(monkeypatch):
         cases.append((program, random_formula(rng, names),
                       random_assignment(rng, names, 2),
                       random_assignment(rng, names, 1)))
-    # pair factors over both copies of n1 .. n6, 2^13 worlds
+        joint = reference_joint(program)
+        assert joint_table(program).cells == pytest.approx(joint, abs=EXACT)
+        phi = cases[-1][1]
+        want = math.fsum(w for bits, w in joint.items() if phi.evaluate(dict(zip(names, bits))))
+        assert probability(program, phi).probability == pytest.approx(want, abs=EXACT)
+    # pair factors over both copies of n1 .. n6
     cases.append((layered_program(7), parse_formula("n6 | !n4"),
                   {"n6": True, "n1": False}, {"n0": False}))
-    # the twin read as a plain desugared program, 2^15 worlds: the copies of
-    # n0, n1, n3, n4 and n5 share noise, so they are solved from 14 noise
-    # columns, n2__i is forced and solved, and n2__e is a factor column
-    twin = twin_program(layered_program(7), {"n2": False})
-    desugared = [(twin.desugared, parse_formula("n5__i | !n3__i"),
-                  parse_formula("n4__e & !n5__e"))]
-
-    def answers():
-        out = []
-        for program, phi, evidence, action in cases:
-            out.append(probability(program, phi))
-            try:
-                out.append(counterfactual_query(program, phi, evidence, action))
-            except ZeroEvidenceError:
-                out.append(None)
-            out.append(joint_table(program).cells)
-        for dp, phi, evidence in desugared:
-            out.append(conditional(dp, phi, evidence))
-        return out
-
-    tabulated = answers()
-    assert tabulated[-1].worlds_evaluated == 1 << 15
-    monkeypatch.setattr(engine, "_TABLE_MARGIN_BITS", 64)
-    assert answers() == tabulated
+    # the twin read as a plain desugared program: the copies of n0, n1, n3,
+    # n4 and n5 share noise, n2__i is forced and n2__e has its own factor
+    cases.append((layered_program(7), parse_formula("n5 | !n3"),
+                  {"n4": True, "n5": False}, {"n2": False}))
+    for program, phi, evidence, action in cases:
+        twin = twin_program(program, action)
+        replay = parse_program(twin.to_program_text())
+        phi_i = phi.map_atoms(lambda n: n + "__i")
+        evidence_e = conjunction_of({k + "__e": v for k, v in evidence.items()})
+        got = counterfactual_query(program, phi, evidence, action).probability
+        for other in (twin.desugared, replay):
+            assert conditional(other, phi_i, evidence_e).probability == pytest.approx(
+                got, abs=EXACT)
 
 
 def test_cyclic_program_is_refused():

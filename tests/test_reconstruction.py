@@ -314,11 +314,11 @@ def test_exact_oracle_matches_per_pattern_conditional():
 
 
 def test_exact_oracle_cap_fails_only_nodes_above_it():
-    # on a chain, node k with parent k-1 has the ancestral closure n0..nk:
-    # k + 1 factor bits; a cap of 2^4 admits n0..n3 and refuses the rest
+    # node k reads every earlier node, so its factor spans k + 1 variables,
+    # 2^(k+1) cells; a cap of 2^4 admits n0..n3 and refuses the rest
     lines = ["0.3 :: n0."]
     for k in range(1, 7):
-        lines += [f"0.2 :: n{k}.", f"0.5 :: n{k} :- n{k - 1}."]
+        lines += [f"0.2 :: n{k}."] + [f"0.5 :: n{k} :- n{j}." for j in range(k)]
     program = parse_program("\n".join(lines) + "\n")
     result = reconstruct(ExactOracle(program, max_worlds=16),
                          program.dependency_graph())
