@@ -22,6 +22,7 @@ to one JSON document on stdout with the shape
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Callable
@@ -38,8 +39,7 @@ from .validate import validate
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload = args.run(args)
     except CausalogError as err:
@@ -58,7 +58,10 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps
+    its results in a fresh namespace, so calls share nothing through it."""
     parser = argparse.ArgumentParser(
         prog="causalog",
         description="Exact causal reasoning over probabilistic logic programs.",

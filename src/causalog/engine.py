@@ -37,9 +37,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     CausalogError,
@@ -50,6 +48,9 @@ from .errors import (
 )
 from .formula import Atom, Formula, check_atoms, check_names, conjunction_of
 from .model import DesugaredProgram, Program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_WORLDS = 1 << 26
 MAX_WORLDS_ENV = "CAUSALOG_MAX_WORLDS"
@@ -121,6 +122,8 @@ def solve(dp: DesugaredProgram, noise: Mapping[str, np.ndarray | bool],
     to a Python bool. Returns ``noise`` plus every internal proposition: true
     where one of its clauses has every body literal and every noise entry
     true, false where it has no clause."""
+    import numpy as np
+
     env = dict(noise)
     for name in dp.topological_order():
         value = np.zeros(count, dtype=bool)
@@ -168,6 +171,8 @@ class Factor:
         The pair factor's P(0, 0) is the miss over the clauses whose body
         holds in either copy, and P(1, 1) = 1 - P(h_e = 0) - P(h_i = 0) +
         P(0, 0)."""
+        import numpy as np
+
         parents = self.scope[len(self.heads):]
         bit = {name: 1 << j for j, name in enumerate(reversed(parents))}
         cells = np.arange(1 << len(parents))
@@ -280,6 +285,8 @@ def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
               keep: tuple[str, ...]) -> np.ndarray:
     """Multiply the (table, scope) operands and sum out every variable not
     in ``keep``; the result's axes follow ``keep``."""
+    import numpy as np
+
     if not operands:
         return np.ones(())
     axis = {v: k for k, v in enumerate(dict.fromkeys(
@@ -296,6 +303,8 @@ def _masses(factors: Sequence[Factor], formulas: Sequence[Formula],
     cells of the products built: the factors eliminated onto the formulas'
     atoms, whose final table one ``np.bincount`` sorts into cells. The first
     formula is the most significant bit of a cell's code."""
+    import numpy as np
+
     cap = resolved_max_worlds(max_worlds)
     query = tuple(sorted(frozenset().union(*(f.atoms() for f in formulas))))
     scopes = [f.scope for f in factors]

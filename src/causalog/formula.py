@@ -11,17 +11,21 @@ Grammar, loosest binding first::
 
 Formulas are queried against a program, so atoms are checked: unknown names
 are rejected, and so are the generated noise names of the program's desugared
-form, which are not observable.
+form, which are not observable. A chain of ``&`` or ``|`` is kept as a
+balanced tree, and a formula nesting deeper than ``MAX_DEPTH`` is refused, so
+that no formula reaches the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
-
-import numpy as np
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import FormulaError
+
+# the deepest nesting of a formula: operators on a path from the root to an
+# atom, and parentheses
+MAX_DEPTH = 100
 
 
 class Formula:
@@ -87,6 +91,8 @@ class Not(Formula):
         return self.operand.atoms()
 
     def evaluate(self, env: Mapping[str, Any]) -> Any:
+        import numpy as np
+
         return np.logical_not(self.operand.evaluate(env))
 
     def map_atoms(self, rename: Callable[[str], str]) -> Formula:
@@ -108,6 +114,8 @@ class And(Formula):
         return self.left.atoms() | self.right.atoms()
 
     def evaluate(self, env: Mapping[str, Any]) -> Any:
+        import numpy as np
+
         return np.logical_and(self.left.evaluate(env), self.right.evaluate(env))
 
     def map_atoms(self, rename: Callable[[str], str]) -> Formula:
@@ -132,6 +140,8 @@ class Or(Formula):
         return self.left.atoms() | self.right.atoms()
 
     def evaluate(self, env: Mapping[str, Any]) -> Any:
+        import numpy as np
+
         return np.logical_or(self.left.evaluate(env), self.right.evaluate(env))
 
     def map_atoms(self, rename: Callable[[str], str]) -> Formula:
@@ -143,18 +153,27 @@ class Or(Formula):
 
 def conjunction_of(assignment: Mapping[str, bool]) -> Formula:
     """The conjunction asserting every entry of the assignment; ``true`` when
-    the assignment is empty. Atoms are combined in name order."""
-    formula: Formula | None = None
-    for name in sorted(assignment):
-        term: Formula = Atom(name) if assignment[name] else Not(Atom(name))
-        formula = term if formula is None else And(formula, term)
-    return Const(True) if formula is None else formula
+    the assignment is empty. Atoms are combined in name order, as a balanced
+    tree."""
+    if not assignment:
+        return Const(True)
+    return _balanced(And, [Atom(name) if assignment[name] else Not(Atom(name))
+                           for name in sorted(assignment)])
+
+
+def _balanced(op: type[And] | type[Or], terms: Sequence[Formula]) -> Formula:
+    """``op`` over ``terms`` in order, as a tree of depth log2(len(terms))."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return op(_balanced(op, terms[:mid]), _balanced(op, terms[mid:]))
 
 
 class _FormulaCursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.parens = 0  # the parentheses open at ``pos``
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -172,6 +191,11 @@ class _FormulaCursor:
         return self.text[start:self.pos]
 
 
+def _check_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+
+
 def parse_formula(text: str, program: Any = None) -> Formula:
     """Parse a query formula.
 
@@ -180,7 +204,7 @@ def parse_formula(text: str, program: Any = None) -> Formula:
     generated noise propositions are rejected as unobservable.
     """
     cur = _FormulaCursor(text)
-    formula = _parse_or(cur)
+    formula, _ = _parse_or(cur)
     cur.skip_ws()
     if cur.pos != len(cur.text):
         raise FormulaError(
@@ -198,13 +222,13 @@ def check_atoms(formula: Formula, program: Any) -> None:
 
 def check_names(names: Iterable[str], program: Any) -> None:
     """Reject names outside the program's internal alphabet, naming the first
-    offender in the order given."""
+    offender in the order given. Only an offender needs the noise names, so
+    a query on a Program desugars it here only to explain an error."""
     internal = set(_internal_names(program))
-    noise = set(_noise_names(program))
     for name in names:
         if name in internal:
             continue
-        if name in noise:
+        if name in _noise_names(program):
             raise FormulaError(
                 f"{name} names a generated noise proposition and cannot be queried"
             )
@@ -223,47 +247,66 @@ def _noise_names(program: Any) -> tuple[str, ...]:
     return program.desugar().noise_names
 
 
-def _parse_or(cur: _FormulaCursor) -> Formula:
-    left = _parse_and(cur)
-    while cur.peek() == "|":
+# Each parsing function returns a formula and its depth, the operators on its
+# longest path from the root to an atom.
+
+
+def _parse_or(cur: _FormulaCursor) -> tuple[Formula, int]:
+    return _parse_chain(cur, "|", Or, _parse_and)
+
+
+def _parse_and(cur: _FormulaCursor) -> tuple[Formula, int]:
+    return _parse_chain(cur, "&", And, _parse_not)
+
+
+def _parse_chain(cur: _FormulaCursor, symbol: str, op: type[And] | type[Or],
+                 operand: Callable[[_FormulaCursor], tuple[Formula, int]]
+                 ) -> tuple[Formula, int]:
+    terms = [operand(cur)]
+    while cur.peek() == symbol:
         cur.pos += 1
-        left = Or(left, _parse_and(cur))
-    return left
+        terms.append(operand(cur))
+    # a balanced tree over k terms is ceil(log2 k) deep
+    depth = max(d for _, d in terms) + (len(terms) - 1).bit_length()
+    _check_depth(depth)
+    return _balanced(op, [f for f, _ in terms]), depth
 
 
-def _parse_and(cur: _FormulaCursor) -> Formula:
-    left = _parse_not(cur)
-    while cur.peek() == "&":
+def _parse_not(cur: _FormulaCursor) -> tuple[Formula, int]:
+    negations = 0
+    while cur.peek() == "!":
         cur.pos += 1
-        left = And(left, _parse_not(cur))
-    return left
+        negations += 1
+    formula, depth = _parse_primary(cur)
+    depth += negations
+    _check_depth(depth)
+    for _ in range(negations):
+        formula = Not(formula)
+    return formula, depth
 
 
-def _parse_not(cur: _FormulaCursor) -> Formula:
-    if cur.peek() == "!":
-        cur.pos += 1
-        return Not(_parse_not(cur))
-    return _parse_primary(cur)
-
-
-def _parse_primary(cur: _FormulaCursor) -> Formula:
+def _parse_primary(cur: _FormulaCursor) -> tuple[Formula, int]:
     ch = cur.peek()
     if ch == "(":
+        # each parenthesis recurses, so their nesting is bounded as well
         cur.pos += 1
+        cur.parens += 1
+        _check_depth(cur.parens)
         inner = _parse_or(cur)
         if cur.peek() != ")":
             raise FormulaError(f"missing ')' at position {cur.pos + 1}")
         cur.pos += 1
+        cur.parens -= 1
         return inner
     if not ch:
         raise FormulaError("unexpected end of formula")
     if ch.isalpha():
         word = cur.take_word()
         if word == "true":
-            return Const(True)
+            return Const(True), 0
         if word == "false":
-            return Const(False)
+            return Const(False), 0
         if not word[0].islower():
             raise FormulaError(f"bad atom {word!r}: must start with a lowercase letter")
-        return Atom(word)
+        return Atom(word), 0
     raise FormulaError(f"unexpected character {ch!r} at position {cur.pos + 1}")

@@ -105,33 +105,34 @@ class DependencyGraph:
         return len(self._kahn) == len(self.nodes)
 
     def find_cycle(self) -> list[str] | None:
-        """Some cycle as a node path ``[a, b, ..., a]``, or None."""
+        """Some cycle as a node path ``[a, b, ..., a]``, or None.
+
+        A depth-first search from each node in name order, children in name
+        order, with an explicit stack, so a long cycle needs no recursion."""
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
         for a, b in self.edges:
             out[a].append(b)
-        color: dict[str, int] = {}
-        stack: list[str] = []
-
-        def visit(n: str) -> list[str] | None:
-            color[n] = 1
-            stack.append(n)
-            for m in sorted(out[n]):
-                c = color.get(m, 0)
-                if c == 1:
-                    return stack[stack.index(m):] + [m]
-                if c == 0:
-                    found = visit(m)
-                    if found:
-                        return found
-            stack.pop()
-            color[n] = 2
-            return None
-
-        for n in sorted(self.nodes):
-            if color.get(n, 0) == 0:
-                found = visit(n)
-                if found:
-                    return found
+        done: set[str] = set()
+        for root in sorted(self.nodes):
+            if root in done:
+                continue
+            path = [root]  # the nodes being visited, each a child of the last
+            on_path = {root}
+            children = [iter(sorted(out[root]))]
+            while children:
+                for m in children[-1]:
+                    if m in on_path:
+                        return path[path.index(m):] + [m]
+                    if m not in done:
+                        path.append(m)
+                        on_path.add(m)
+                        children.append(iter(sorted(out[m])))
+                        break
+                else:
+                    n = path.pop()
+                    on_path.remove(n)
+                    done.add(n)
+                    children.pop()
         return None
 
     def ancestors(self, seeds: Iterable[str]) -> frozenset[str]:

@@ -28,9 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .engine import solve
 from .errors import DatasetError, OracleError, StarvedPatternError
@@ -43,6 +41,9 @@ from .reconstruction import (
     check_table_width,
     reconstruct,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MIN_SUPPORT = 30
 DEFAULT_Z = 3.0
@@ -79,6 +80,8 @@ class Dataset:
 
     def __init__(self, columns: tuple[str, ...], rows: np.ndarray,
                  provenance: Provenance | None = None):
+        import numpy as np
+
         rows = np.asarray(rows, dtype=bool)
         if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise DatasetError(
@@ -97,6 +100,8 @@ class Dataset:
         return self.rows.shape[0]
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, Dataset):
             return NotImplemented
         return (self.columns == other.columns
@@ -115,6 +120,8 @@ class Dataset:
         """Write the optional provenance line, the header, then one row per
         sample: ``0``/``1`` cells joined by ``,``, each row ended by ``\\n``.
         The rows are laid out as one byte image and written at once."""
+        import numpy as np
+
         head = ""
         if self.provenance is not None:
             head = f"# provenance: {self.provenance.to_json()}\n"
@@ -139,6 +146,8 @@ class Dataset:
         form ``to_csv`` writes is parsed as one byte matrix; anything else
         goes through the line-by-line reader, which names the first bad
         line. A file that is not UTF-8 raises DatasetError."""
+        import numpy as np
+
         with open(path, "rb") as handle:
             raw = handle.read()
         canonical = _canonical_csv(raw)
@@ -189,6 +198,8 @@ def _canonical_csv(raw: bytes) -> Dataset | None:
     lines, a header, then rows of ``0``/``1`` joined by ``,`` and each ended
     by ``\\n``), else None. Such a body is one byte matrix with a fixed width,
     so one shape and alphabet check replaces the per-row parse."""
+    import numpy as np
+
     end = 0
     while raw.startswith(b"#", end):
         end = raw.find(b"\n", end) + 1
@@ -223,6 +234,8 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     """Draw ``n`` independent samples of the internal propositions.
 
     ``seed`` must be an integer in [0, 2**128), the Philox key space."""
+    import numpy as np
+
     if n < 0:
         raise DatasetError(f"sample count must be nonnegative, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 128:
@@ -253,6 +266,8 @@ class FrequencyOracle:
 
     def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT,
                  z: float = DEFAULT_Z):
+        import numpy as np
+
         self._data = dataset
         self.min_support = int(min_support)
         if self.min_support < 1:
@@ -270,6 +285,8 @@ class FrequencyOracle:
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
+        import numpy as np
+
         parents = tuple(sorted(pattern))
         if self._key != (target, parents):
             self._tabulate(target, parents)
@@ -298,6 +315,8 @@ class FrequencyOracle:
         target true, by one bincount over each row's code: the parent bits,
         first parent most significant, then the target bit. A pattern over
         more than MAX_TABLE_WIDTH propositions raises TableSizeError."""
+        import numpy as np
+
         check_table_width(len(parents))
         names = parents + (target,) if target in self._data.columns else parents
         codes = np.zeros(len(self._data), np.min_scalar_type((1 << len(names)) - 1))

@@ -6,94 +6,60 @@ The surface syntax is one annotated clause per statement::
     0.5 :: recovery.
     0.4 :: recovery :- treatment, \\+ severe.
 
-Numbers are plain decimal literals, ``%`` starts a line comment, ``\\+``
-negates a body atom and every clause ends with a period. Proposition names
-are lowercase-initial identifiers; ``true`` and ``false`` are reserved for
-the query language.
+Numbers are ASCII decimal literals (``[0-9]+(\\.[0-9]+)?``), ``%`` starts a
+line comment, ``\\+`` negates a body atom and every clause ends with a
+period. Proposition names are lowercase-initial ASCII identifiers; ``true``
+and ``false`` are reserved for the query language. Any other character,
+such as a non-ASCII digit or letter, is an unexpected character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 from .graph import RESERVED_NAMES
 from .model import Clause, Literal, Program
 
-# token kinds
-_NUMBER = "number"
-_IDENT = "ident"
-_PUNCT = "punct"
-_EOF = "eof"
+# Token kinds: the groups of _LEXEME, and the end of input. Blanks and
+# comments match no group; any character no other alternative takes is an
+# error.
+_EOF, _NUMBER, _IDENT, _PUNCT, _OTHER = range(5)
+_LEXEME = re.compile(r"""
+    [ \t\r\n]+ | %[^\n]*
+  | ([0-9]+(?:\.[0-9]+)?)
+  | ([A-Za-z_][A-Za-z0-9_]*)
+  | (::|:-|\\\+|,|\.)
+  | (.)
+""", re.VERBOSE | re.DOTALL)
 
-_PUNCTUATION = ("::", ":-", "\\+", ",", ".")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# (kind, text, offset of its first character); the text of a punctuation
+# token is unlike any other token's, so it alone identifies the token
+_Token = tuple[int, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            tokens.append(_Token(_NUMBER, text[start:i], line, start_col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            tokens.append(_Token(_IDENT, word, line, start_col))
-            col += i - start
-            continue
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, i):
-                tokens.append(_Token(_PUNCT, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token(_EOF, "", line, col))
+    tokens = [(m.lastindex, m[m.lastindex], m.start())
+              for m in _LEXEME.finditer(text) if m.lastindex]
+    for kind, word, offset in tokens:
+        if kind == _OTHER:
+            raise _error(text, offset, f"unexpected character {word!r}")
+    # the end of input sits where the last line's comment, if any, begins
+    end = text.find("%", text.rfind("\n") + 1)
+    tokens.append((_EOF, "", len(text) if end < 0 else end))
     return tokens
 
 
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """The error at ``offset`` of ``text``, with its line and column."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
+
+
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -104,25 +70,27 @@ class _Cursor:
         self.pos += 1
         return tok
 
-    def expect_punct(self, text: str) -> _Token:
+    def error(self, tok: _Token, message: str) -> ParseError:
+        return _error(self.text, tok[2], message)
+
+    def unexpected(self, tok: _Token, wanted: str) -> ParseError:
+        return self.error(tok, f"expected {wanted}, got {tok[1] or 'end of input'!r}")
+
+    def expect_punct(self, text: str) -> None:
         tok = self.take()
-        if tok.kind != _PUNCT or tok.text != text:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.column)
-        return tok
+        if tok[1] != text:
+            raise self.unexpected(tok, repr(text))
 
     def expect_ident(self, what: str) -> _Token:
         tok = self.take()
-        if tok.kind != _IDENT:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.line, tok.column)
-        if not tok.text[0].islower():
-            raise ParseError(
-                f"bad proposition name {tok.text!r}: must start with a lowercase letter",
-                tok.line, tok.column,
-            )
-        if tok.text in RESERVED_NAMES:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.column)
+        kind, name, _ = tok
+        if kind != _IDENT:
+            raise self.unexpected(tok, what)
+        if not name[0].islower():
+            raise self.error(
+                tok, f"bad proposition name {name!r}: must start with a lowercase letter")
+        if name in RESERVED_NAMES:
+            raise self.error(tok, f"{name!r} is a reserved word")
         return tok
 
 
@@ -133,59 +101,44 @@ def parse_program(text: str) -> Program:
     [0, 1], a body mentioning an atom both positively and negatively, and two
     clauses sharing both effect and body.
     """
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     clauses: list[Clause] = []
-    seen: dict[tuple[str, frozenset[Literal]], tuple[int, int]] = {}
-    while cur.peek().kind != _EOF:
-        start = cur.peek()
-        prob_tok = cur.take()
-        if prob_tok.kind != _NUMBER:
-            raise ParseError(
-                f"expected a probability, got {prob_tok.text!r}",
-                prob_tok.line, prob_tok.column,
-            )
-        prob = float(prob_tok.text)
+    seen: set[tuple[str, frozenset[Literal]]] = set()
+    while cur.peek()[0] != _EOF:
+        start = cur.take()
+        kind, word, _ = start
+        if kind != _NUMBER:
+            raise cur.error(start, f"expected a probability, got {word!r}")
+        prob = float(word)
         if prob > 1.0:
-            raise ParseError(
-                f"probability {prob_tok.text} outside [0, 1]",
-                prob_tok.line, prob_tok.column,
-            )
+            raise cur.error(start, f"probability {word} outside [0, 1]")
         cur.expect_punct("::")
-        effect = cur.expect_ident("an effect atom").text
+        effect = cur.expect_ident("an effect atom")[1]
         sep = cur.take()
         body: dict[str, Literal] = {}
-        if sep.kind == _PUNCT and sep.text == ":-":
+        if sep[1] == ":-":
             while True:
-                positive = True
-                if cur.peek().kind == _PUNCT and cur.peek().text == "\\+":
+                positive = cur.peek()[1] != "\\+"
+                if not positive:
                     cur.take()
-                    positive = False
                 atom = cur.expect_ident("a body atom")
-                prior = body.get(atom.text)
+                name = atom[1]
+                prior = body.get(name)
                 if prior is not None and prior.positive != positive:
-                    raise ParseError(
-                        f"contradictory body: {atom.text} appears both "
-                        "positively and negatively",
-                        atom.line, atom.column,
-                    )
-                body[atom.text] = Literal(atom.text, positive)
+                    raise cur.error(atom, f"contradictory body: {name} appears both "
+                                    "positively and negatively")
+                body[name] = Literal(name, positive)
                 nxt = cur.take()
-                if nxt.kind == _PUNCT and nxt.text == ",":
-                    continue
-                if nxt.kind == _PUNCT and nxt.text == ".":
+                if nxt[1] == ".":
                     break
-                got = nxt.text or "end of input"
-                raise ParseError(f"expected ',' or '.', got {got!r}", nxt.line, nxt.column)
-        elif not (sep.kind == _PUNCT and sep.text == "."):
-            got = sep.text or "end of input"
-            raise ParseError(f"expected ':-' or '.', got {got!r}", sep.line, sep.column)
+                if nxt[1] != ",":
+                    raise cur.unexpected(nxt, "',' or '.'")
+        elif sep[1] != ".":
+            raise cur.unexpected(sep, "':-' or '.'")
         clause = Clause(effect, frozenset(body.values()), prob)
         if clause.key in seen:
-            raise ParseError(
-                f"duplicate clause for {effect}: same body already given",
-                start.line, start.column,
-            )
-        seen[clause.key] = (start.line, start.column)
+            raise cur.error(start, f"duplicate clause for {effect}: same body already given")
+        seen.add(clause.key)
         clauses.append(clause)
     return Program(clauses)
 
@@ -198,22 +151,20 @@ def print_program(program: Program) -> str:
 def parse_assignment(text: str) -> dict[str, bool]:
     """Parse a comma-separated literal list such as ``\\+treatment,recovery``
     into an assignment. Used for command line evidence and interventions."""
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     out: dict[str, bool] = {}
-    if cur.peek().kind == _EOF:
+    if cur.peek()[0] == _EOF:
         return out
     while True:
-        positive = True
-        if cur.peek().kind == _PUNCT and cur.peek().text == "\\+":
+        positive = cur.peek()[1] != "\\+"
+        if not positive:
             cur.take()
-            positive = False
         atom = cur.expect_ident("a proposition")
-        if atom.text in out:
-            raise ParseError(f"{atom.text} assigned twice", atom.line, atom.column)
-        out[atom.text] = positive
+        if atom[1] in out:
+            raise cur.error(atom, f"{atom[1]} assigned twice")
+        out[atom[1]] = positive
         nxt = cur.take()
-        if nxt.kind == _EOF:
+        if nxt[0] == _EOF:
             return out
-        if not (nxt.kind == _PUNCT and nxt.text == ","):
-            got = nxt.text or "end of input"
-            raise ParseError(f"expected ',' between literals, got {got!r}", nxt.line, nxt.column)
+        if nxt[1] != ",":
+            raise cur.unexpected(nxt, "',' between literals")

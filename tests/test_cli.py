@@ -400,6 +400,114 @@ def test_recovery_json_carries_node_stats(tmp_path, capsys):
         assert all(node["stats"]["seconds"] >= 0.0 for node in nodes.values())
 
 
+# --- the parser built once per process ----------------------------------------
+
+
+def calls(argvs, capsys):
+    """The (exit status, stdout, stderr) of each call, in order."""
+    out = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+@pytest.mark.parametrize("first", [
+    ["--precision", "2"],
+    ["--json"],
+    ["--precision"],  # a usage error, exit 2
+])
+def test_back_to_back_calls_equal_fresh_calls(first, capsys, monkeypatch):
+    # each flag, then the plain query, which must not see it
+    monkeypatch.chdir(ROOT)
+    query = ["query", BOOST, "--prob", "recovery", "--do", "treatment"]
+    argvs = [query + first, query]
+    together = calls(argvs, capsys)
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh += calls([argv], capsys)
+    assert together == fresh
+    assert together[1] == (0, "0.700000\n", "")
+
+
+# --- inputs past the interpreter's recursion limit --------------------------------
+
+
+def test_long_dependency_cycle(tmp_path, capsys):
+    n = 3000
+    path = tmp_path / "cycle.pl"
+    path.write_text("".join(f"0.5 :: n{k} :- n{(k - 1) % n}.\n" for k in range(n)))
+    assert cli.main(["query", str(path), "--prob", "n1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[cycle]: dependency graph has a cycle: n0 -> n1 -> ")
+    assert "Traceback" not in captured.err
+    assert cli.main(["validate", str(path)]) == 0
+    assert "acyclic: no" in capsys.readouterr().out
+
+
+@pytest.fixture
+def long_chain(tmp_path):
+    path = tmp_path / "chain.pl"
+    path.write_text("0.5 :: n0.\n" + "".join(f"0.9 :: n{k} :- n{k - 1}.\n"
+                                             for k in range(1, 1500)))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--prob", "n1499", "--given", ",".join(f"n{k}" for k in range(1500))], "cap"),
+    (["--prob", "!" * 3000 + "n1"], "formula"),
+    (["--prob", "(" * 3000 + "n1" + ")" * 3000], "formula"),
+], ids=["given-1500-literals", "3000-negations", "3000-parentheses"])
+def test_deep_formulas_are_refused(long_chain, flags, code, capsys):
+    assert cli.main(["query", long_chain, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[{code}]: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("program, given", [
+    ("² :: a.\n", None),   # superscript two: a digit, but not a decimal one
+    ("1٣ :: b.\n", None),  # an Arabic-Indic three after an ASCII one
+    (None, "²"),
+    (None, "1٣"),
+])
+def test_non_ascii_digits_are_parse_errors(program, given, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    if program is not None:
+        path = tmp_path / "digits.pl"
+        path.write_text(program, encoding="utf-8")
+        argv = ["validate", str(path)]
+    else:
+        argv = ["query", BOOST, "--prob", "recovery", "--given", given]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[parse]: line 1, column ")
+    assert "unexpected character" in captured.err
+
+
+# --- import cost -----------------------------------------------------------------
+
+
+def test_validate_does_not_import_numpy():
+    # numpy takes about a hundred milliseconds to import; the commands that
+    # do no arithmetic must not pay it
+    script = ("import sys\n"
+              "from causalog import cli\n"
+              f"status = cli.main(['validate', {BOOST!r}])\n"
+              "print(status, 'numpy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=str(ROOT))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
 # --- README examples ------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from causalog import (
     conjunction_of,
     parse_formula,
 )
+from causalog.formula import MAX_DEPTH
 
 
 def test_parse_precedence():
@@ -80,3 +81,36 @@ def test_noise_atom_rejected_against_desugared(boost_program):
 
 def test_known_atom_accepted_against_program(boost_program):
     assert parse_formula("recovery & !treatment", boost_program) is not None
+
+
+def depth(phi):
+    if isinstance(phi, Not):
+        return 1 + depth(phi.operand)
+    if isinstance(phi, (And, Or)):
+        return 1 + max(depth(phi.left), depth(phi.right))
+    return 0
+
+
+def test_long_chains_are_balanced():
+    names = [f"n{k}" for k in range(3000)]
+    phi = conjunction_of({name: k % 2 == 0 for k, name in enumerate(names)})
+    assert depth(phi) == 13  # 12 levels of And over 3000 terms, then a Not
+    assert phi.atoms() == frozenset(names)
+    for op in (" & ", " | "):
+        text = op.join(names)
+        parsed = parse_formula(text)
+        assert depth(parsed) == 12
+        assert parsed.to_text() == text
+
+
+def test_nesting_limit():
+    assert depth(parse_formula("!" * MAX_DEPTH + "a")) == MAX_DEPTH
+    assert parse_formula("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == Atom("a")
+    for text in ("!" * (MAX_DEPTH + 1) + "a",
+                 "(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1),
+                 "!" * 3000 + "a",
+                 "(" * 3000 + "a" + ")" * 3000,
+                 # 95 negations over a chain of 64, which is 6 levels deep
+                 "!" * (MAX_DEPTH - 5) + "(" + " & ".join(["a"] * 64) + ")"):
+        with pytest.raises(FormulaError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_formula(text)

@@ -12,6 +12,7 @@ from causalog import (
 )
 
 from conftest import BOOST_TEXT, SWITCH_TEXT
+from proggen import numpy_rng, random_program, with_negation_and_certainty
 
 
 def test_parses_facts_and_rules(boost_program):
@@ -74,6 +75,41 @@ def test_rejections(bad, fragment):
     with pytest.raises(ParseError) as err:
         parse_program(bad)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("bad, line, column, message", [
+    ("0.5 : a.", 1, 5, "unexpected character ':'"),
+    ("0.5 :: a", 1, 9, "expected ':-' or '.', got 'end of input'"),
+    ("recovery :- treatment.", 1, 1, "expected a probability, got 'recovery'"),
+    ("1.5 :: a.", 1, 1, "probability 1.5 outside [0, 1]"),
+    ("0.5 :: Big.", 1, 8, "bad proposition name 'Big': must start with a lowercase letter"),
+    ("0.5 :: true.", 1, 8, "'true' is a reserved word"),
+    ("0.5 :: c :- a, \\+ a.", 1, 19,
+     "contradictory body: a appears both positively and negatively"),
+    ("0.5 :: a.\n0.6 :: a.", 2, 1, "duplicate clause for a: same body already given"),
+    ("0.5 :: c :- .", 1, 13, "expected a body atom, got '.'"),
+    (".5 :: a.", 1, 1, "expected a probability, got '.'"),
+    # the end of input sits where a trailing comment begins
+    ("0.5 :: a % no period", 1, 10, "expected ':-' or '.', got 'end of input'"),
+    ("0.5 :: a.\n\t0.5 :: b :- a\n", 3, 1, "expected ',' or '.', got 'end of input'"),
+    # numbers and names are ASCII
+    ("\u00b2 :: a.", 1, 1, "unexpected character '\u00b2'"),  # superscript two
+    ("1\u0663 :: b.", 1, 2, "unexpected character '\u0663'"),  # Arabic-Indic three
+    ("0.5 :: caf\u00e9.", 1, 11, "unexpected character '\u00e9'"),
+])
+def test_rejection_positions(bad, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(bad)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_print_parse_round_trip_on_random_programs():
+    rng = numpy_rng(11)
+    for _ in range(200):
+        program = random_program(rng, max_nodes=7)
+        for candidate in (program, with_negation_and_certainty(rng, program)):
+            assert parse_program(print_program(candidate)) == candidate
 
 
 def test_error_carries_position():
