@@ -23,6 +23,8 @@ cells than the cap (``--max-worlds`` or ``CAUSALOG_MAX_WORLDS``, default
 2**26) is refused rather than truncated. ``worlds_evaluated`` reports the
 total cells of the query's tables, its factors and each step's product; a
 program's factors are tabulated once and kept for its later queries.
+``marginals`` runs the same elimination over every variable and back again,
+a two-pass calibration whose cliques give many families' marginals at once.
 ``solve``, the Boolean-equation solve, answers ``evaluate_world`` and
 forward sampling.
 """
@@ -281,16 +283,29 @@ def _elimination(scopes: Sequence[tuple[str, ...]],
     return steps
 
 
+# np.einsum refuses 64 operands or more (32 before numpy 2)
+_MAX_OPERANDS = 31
+
+
+def _union(scopes: Iterable[tuple[str, ...]]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(itertools.chain.from_iterable(scopes)))
+
+
 def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
               keep: tuple[str, ...]) -> np.ndarray:
     """Multiply the (table, scope) operands and sum out every variable not
-    in ``keep``; the result's axes follow ``keep``."""
+    in ``keep``; the result's axes follow ``keep``. Operands beyond what one
+    ``np.einsum`` takes are first multiplied in groups, each onto its own
+    scope, which the whole product's scope holds."""
     import numpy as np
 
     if not operands:
         return np.ones(())
-    axis = {v: k for k, v in enumerate(dict.fromkeys(
-        itertools.chain(keep, *(s for _, s in operands))))}
+    while len(operands) > _MAX_OPERANDS:
+        group, operands = operands[:_MAX_OPERANDS], operands[_MAX_OPERANDS:]
+        scope = _union(s for _, s in group)
+        operands.append((_contract(group, scope), scope))
+    axis = {v: k for k, v in enumerate(_union([keep, *(s for _, s in operands)]))}
     args: list = []
     for table, scope in operands:
         args += [table, [axis[v] for v in scope]]
@@ -455,3 +470,107 @@ def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
     masses, cells = _masses(_program_factors(dp, columns),
                             [Atom(name) for name in columns], max_worlds)
     return Marginal(columns, masses, cells)
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The exact marginals of several families from one calibration.
+
+    ``marginals`` maps each requested family that a clique holds to its
+    ``Marginal``, whose ``worlds_evaluated`` counts the cells of the product
+    it was summed from; ``worlds_evaluated`` here counts the cells of every
+    table the calibration built."""
+
+    marginals: Mapping[tuple[str, ...], Marginal]
+    worlds_evaluated: int
+
+
+def marginals(program: Program | DesugaredProgram,
+              families: Iterable[Sequence[str]],
+              max_worlds: int | None = None) -> Calibration:
+    """Exact marginals over several families of atoms, such as every node
+    with its parents, from one Shafer-Shenoy calibration (Shafer & Shenoy,
+    1990) of the program's factors.
+
+    The upward pass is the elimination of every variable: step s multiplies
+    its factors and its child steps' messages over its clique, the variable
+    it eliminates plus the scope it keeps, and sums that variable out. The
+    downward pass sends each step, last to first, the message of the step
+    that consumed it: that step's factors, its other children's messages and
+    its own downward message, summed onto the child's kept scope. A clique's
+    factors and all its messages multiply to its joint marginal, and a
+    family inside it is summed out of that, with no division, so a pattern
+    of mass zero has exactly zero mass here too.
+
+    Some clique holds a family exactly when the clique of the step that
+    eliminates the family's first eliminated variable does; a family no
+    clique holds is left out of the result, for ``marginal`` to answer. The
+    plan is checked before any table is built: a calibration whose largest
+    table, a factor or a clique, would exceed the cap raises
+    EnumerationCapError."""
+    import numpy as np
+
+    dp = _as_desugared(program)
+    families = [tuple(f) for f in families]
+    names = sorted(set().union(*families))
+    check_names(names, dp)
+    cap = resolved_max_worlds(max_worlds)
+    factors = _program_factors(dp, names)
+    first = len(factors)  # the table index of step 0's message
+    scopes = [f.scope for f in factors]
+    steps = _elimination(scopes, ())
+    scopes += [keep for _, keep in steps]
+    cliques = [frozenset(_union(scopes[j] for j in ids)) for ids, _ in steps]
+    cells = [1 << len(s) for s in scopes[:first]] + [1 << len(c) for c in cliques]
+    if max(cells) > cap:
+        raise EnumerationCapError(max(cells), cap)
+    worlds = sum(cells)
+
+    def contract(operands, keep):
+        nonlocal worlds
+        worlds += 1 << len(_union([keep, *(s for _, s in operands)]))
+        return _contract(operands, keep)
+
+    tables = [f.table for f in factors]
+    for ids, keep in steps:
+        tables.append(_contract([(tables[j], scopes[j]) for j in ids], keep))
+    down = [np.ones(())] * len(steps)
+    for p in reversed(range(len(steps))):
+        ids, keep = steps[p]
+        rest = [(tables[j], scopes[j]) for j in ids if j < first] + [(down[p], keep)]
+        kids = [j for j in ids if j >= first]
+        messages = [(tables[j], scopes[j]) for j in kids]
+        # the messages of the children before and after each child, so that
+        # a step with many children costs linear work
+        before = _products(messages, contract)
+        after = _products(messages[::-1], contract)[::-1]
+        for j, pre, post in zip(kids, before, after):
+            # a ones table puts in the kept variables only the child's own
+            # message carries
+            ones = (np.ones((2,) * len(scopes[j])), scopes[j])
+            down[j - first] = contract(rest + pre + post + [ones], scopes[j])
+    eliminated = {v: s for s, (clique, (_, keep)) in enumerate(zip(cliques, steps))
+                  for v in clique.difference(keep)}
+    found = {}
+    for family in families:
+        s = min(eliminated[v] for v in family)
+        if cliques[s].issuperset(family):
+            ids, keep = steps[s]
+            table = contract([(tables[j], scopes[j]) for j in ids] + [(down[s], keep)],
+                             family)
+            found[family] = Marginal(family, table.ravel(), 1 << len(cliques[s]))
+    return Calibration(found, worlds)
+
+
+def _products(operands: list[tuple[np.ndarray, tuple[str, ...]]],
+              contract) -> list[list[tuple[np.ndarray, tuple[str, ...]]]]:
+    """For each i, the product of ``operands[:i]`` as a list of at most one
+    operand over the union of their scopes."""
+    out: list[list] = [[]]
+    for operand in operands[:-1]:
+        last = out[-1] + [operand]
+        if len(last) > 1:
+            scope = _union(s for _, s in last)
+            last = [(contract(last, scope), scope)]
+        out.append(last)
+    return out

@@ -63,8 +63,10 @@ class EnumerationCapError(CausalogError):
     code = "cap"
 
     def __init__(self, needed: int, cap: int):
+        # a power of two as 2^k, since a long query's count runs to many digits
+        count = f"2^{needed.bit_length() - 1}" if needed & (needed - 1) == 0 else needed
         super().__init__(
-            f"query needs a table of {needed} factor cells, which exceeds the "
+            f"query needs a table of {count} factor cells, which exceeds the "
             f"cap of {cap}; raise it with --max-worlds or CAUSALOG_MAX_WORLDS, "
             "or simplify the program"
         )

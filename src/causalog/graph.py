@@ -43,10 +43,21 @@ class DependencyGraph:
     # -- local structure ---------------------------------------------------
 
     def parents(self, node: str) -> frozenset[str]:
-        return frozenset(a for a, b in self.edges if b == node)
+        return self._links[0].get(node, frozenset())
 
     def children(self, node: str) -> frozenset[str]:
-        return frozenset(b for a, b in self.edges if a == node)
+        return self._links[1].get(node, frozenset())
+
+    @cached_property
+    def _links(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+        """Every node's parents and children, built once per graph."""
+        parents: dict[str, set[str]] = {n: set() for n in self.nodes}
+        children: dict[str, set[str]] = {n: set() for n in self.nodes}
+        for a, b in self.edges:
+            parents[b].add(a)
+            children[a].add(b)
+        return ({n: frozenset(s) for n, s in parents.items()},
+                {n: frozenset(s) for n, s in children.items()})
 
     def sinks(self) -> frozenset[str]:
         with_out = {a for a, _ in self.edges}
@@ -137,9 +148,7 @@ class DependencyGraph:
 
     def ancestors(self, seeds: Iterable[str]) -> frozenset[str]:
         """Ancestral closure of ``seeds``, seeds included."""
-        parents: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            parents[b].add(a)
+        parents = self._links[0]
         closed: set[str] = set()
         todo = [s for s in seeds]
         while todo:

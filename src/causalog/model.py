@@ -91,8 +91,22 @@ class Clause:
 
 
 def float_text(x: float) -> str:
-    """Shortest decimal text that parses back to the same float."""
-    return repr(float(x))
+    """Shortest positional decimal that parses back to the same float: its
+    ``repr``, with an exponent written out as leading or trailing zeros,
+    since the program syntax has no exponent."""
+    text = repr(float(x))
+    mantissa, e, exponent = text.partition("e")
+    if not e:
+        return text
+    sign, mantissa = ("-", mantissa[1:]) if mantissa.startswith("-") else ("", mantissa)
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    point = len(whole) + int(exponent)  # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return f"{sign}{digits}{'0' * (point - len(digits))}.0"
+    return f"{sign}{digits[:point]}.{digits[point:]}"
 
 
 class Program:

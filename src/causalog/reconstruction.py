@@ -21,10 +21,12 @@ clauses already predict the combined pattern exactly.
 Everything here works per node and never looks at another node's answers, so
 partial failures (starved patterns, non-monotone noise, unresolvable
 saturation) are collected per node and reconstruction still returns what it
-could recover. The oracle is asked one pattern at a time, but both oracles
-shipped here fill a node's whole table at its first pattern: the exact oracle
-with one variable elimination onto the node's family, the frequency oracle
-with one bincount over the rows' pattern codes.
+could recover. The oracle is asked one pattern at a time, but neither oracle
+shipped here works per pattern: the exact oracle calibrates the hidden
+program once, at its first pattern, which answers every node whose parents
+are the program's (one elimination per node answers any other), and the
+frequency oracle fills a node's whole table at its first pattern with one
+bincount over the rows' pattern codes.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Protocol
 
-from .engine import Marginal, marginal
+from .engine import Marginal, marginal, marginals
 from .errors import (
     CausalogError,
+    EnumerationCapError,
     ImproperParameterError,
     NonMonotoneTableError,
     OracleError,
@@ -90,15 +93,21 @@ class Oracle(Protocol):
 class ExactOracle:
     """Exact answers computed from a known program by conditioning.
 
-    The whole success table of a target and its parent set comes from one
-    elimination: the exact marginal over the target and the parents, whose
-    cells hold P(target, pattern) for every pattern at once. The latest table
-    is kept, so the other patterns of the same parent set are lookups; the
+    At its first pattern the oracle calibrates the program once
+    (``engine.marginals``), which gives the exact marginal over every node
+    and its parents in the program, so the success table of a node whose
+    parent set the program shares is a lookup: the marginal's cells hold
+    P(target, pattern) for every pattern at once. Any other parent set takes
+    one elimination onto the target and those parents (``engine.marginal``),
+    and the latest such table is kept for the set's other patterns. The
     answer at a pattern is P(target, pattern) / P(pattern), as a conditional
     would give, and a pattern of probability zero raises ZeroEvidenceError.
-    The cap applies to each table that elimination builds, so a node whose
-    largest table exceeds it fails alone, and a pattern over more than
-    MAX_TABLE_WIDTH propositions raises TableSizeError.
+
+    The cap applies to every table. A calibration whose largest table
+    exceeds it builds nothing, and every node then takes its own
+    elimination, so a node whose largest table exceeds the cap fails alone.
+    A pattern over more than MAX_TABLE_WIDTH propositions raises
+    TableSizeError.
 
     Useful for round-trip testing and for re-expressing a program in positive
     normal form: reconstruction against this oracle returns a noisy-OR
@@ -109,6 +118,7 @@ class ExactOracle:
         self._program = program
         self._tolerance = float(tolerance)
         self._max_worlds = max_worlds
+        self._families: Mapping[tuple[str, ...], Marginal] | None = None
         self._table: Marginal | None = None
 
     @property
@@ -117,11 +127,27 @@ class ExactOracle:
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
+        check_table_width(len(pattern))
         atoms = (target, *sorted(pattern))
-        if self._table is None or self._table.columns != atoms:
-            check_table_width(len(pattern))
-            self._table = marginal(self._program, atoms, self._max_worlds)
-        return OracleAnswer(self._table.given(pattern), self._tolerance, None)
+        if self._families is None:
+            self._families = self._calibrate()
+        table = self._families.get(atoms)
+        if table is None:
+            if self._table is None or self._table.columns != atoms:
+                self._table = marginal(self._program, atoms, self._max_worlds)
+            table = self._table
+        return OracleAnswer(table.given(pattern), self._tolerance, None)
+
+    def _calibrate(self) -> Mapping[tuple[str, ...], Marginal]:
+        """The marginal of every node with its parents in the program, or
+        none when the calibration would exceed the cap."""
+        graph = self._program.dependency_graph()
+        families = [(name, *sorted(graph.parents(name)))
+                    for name in self._program.propositions]
+        try:
+            return marginals(self._program, families, self._max_worlds).marginals
+        except EnumerationCapError:
+            return {}
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,17 @@ def test_deep_formulas_are_refused(long_chain, flags, code, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cap_error_counts_cells_as_a_power_of_two(long_chain, capsys):
+    # 100 evidence literals stay in the final table with the query atom
+    flags = ["--prob", "n1499", "--given", ",".join(f"n{k}" for k in range(100))]
+    assert cli.main(["query", long_chain, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error[cap]: query needs a table of 2^101 factor cells, which exceeds "
+        "the cap of 67108864;")
+    assert str(1 << 101) not in captured.err
+
+
 @pytest.mark.parametrize("program, given", [
     ("² :: a.\n", None),   # superscript two: a digit, but not a decimal one
     ("1٣ :: b.\n", None),  # an Arabic-Indic three after an ASCII one

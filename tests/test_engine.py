@@ -25,6 +25,8 @@ from causalog import (
     twin_program,
 )
 
+from causalog.engine import marginal, marginals
+
 from conftest import SHARED_JOINT
 from oracles import (
     reference_conditional,
@@ -333,3 +335,66 @@ def test_cyclic_program_is_refused():
 def test_probability_clamped_to_unit_interval(boost_program):
     r = conditional(boost_program, Atom("recovery"), Atom("recovery"))
     assert r.probability == 1.0
+
+
+# --- one calibration for many families ----------------------------------------
+
+
+def test_calibrated_families_match_per_family_marginals():
+    rng = numpy_rng(2718)
+    seen = {"family": 0, "left_out": 0, "zero": 0}
+    for _ in range(60):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=7, max_parents=3))
+        graph = program.dependency_graph()
+        names = list(program.propositions)
+        families = [(h, *sorted(graph.parents(h))) for h in names]
+        # sets that need not be families: a node and up to three others
+        for h in names:
+            others = [n for n in names if n != h]
+            picks = rng.choice(len(others), size=min(len(others), int(rng.integers(1, 4))),
+                               replace=False)
+            families.append((h, *sorted(others[int(i)] for i in picks)))
+        calibration = marginals(program, families)
+        assert calibration.worlds_evaluated > 0
+        for family in families:
+            want = marginal(program, family)
+            got = calibration.marginals.get(family)
+            if got is None:
+                seen["left_out"] += 1
+                continue
+            seen["family"] += 1
+            assert got.columns == family
+            assert got.masses == pytest.approx(want.masses, abs=EXACT, rel=0)
+            for code in range(1 << (len(family) - 1)):
+                pattern = {name: bool(code >> (len(family) - 2 - k) & 1)
+                           for k, name in enumerate(family[1:])}
+                try:
+                    expected = want.given(pattern)
+                except ZeroEvidenceError as err:
+                    with pytest.raises(ZeroEvidenceError) as got_err:
+                        got.given(pattern)
+                    assert str(got_err.value) == str(err)
+                    seen["zero"] += 1
+                    continue
+                assert got.given(pattern) == pytest.approx(expected, abs=EXACT)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_calibration_refuses_a_plan_above_the_cap():
+    # n3 reads n0..n2, so its factor has 2^4 cells
+    program = parse_program("0.3 :: n0.\n0.4 :: n1 :- n0.\n0.5 :: n2 :- n1.\n"
+                            "0.2 :: n3 :- n0, n1, n2.\n")
+    families = [("n3", "n0", "n1", "n2")]
+    with pytest.raises(EnumerationCapError) as err:
+        marginals(program, families, max_worlds=8)
+    assert (err.value.needed, err.value.cap) == (16, 8)
+    assert set(marginals(program, families, max_worlds=16).marginals) == set(families)
+
+
+def test_cap_error_writes_powers_of_two_as_exponents():
+    big = EnumerationCapError(1 << 101, 1 << 26)
+    assert "a table of 2^101 factor cells" in str(big)
+    assert "the cap of 67108864" in str(big)
+    assert (big.needed, big.cap) == (1 << 101, 1 << 26)
+    assert "a table of 48 factor cells" in str(EnumerationCapError(48, 16))

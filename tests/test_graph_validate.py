@@ -158,3 +158,15 @@ def test_report_text(boost_program):
     text = validate(boost_program).to_text()
     assert "acyclic: yes" in text
     assert "proper normal form: yes" in text
+
+
+def test_parents_and_children_match_an_edge_scan():
+    import random
+
+    rand = random.Random(3)
+    names = [f"v{i}" for i in range(30)]
+    edges = {(a, b) for a in names for b in names if a < b and rand.random() < 0.2}
+    graph = DependencyGraph.build(names, edges)
+    for node in names + ["absent"]:
+        assert graph.parents(node) == frozenset(a for a, b in edges if b == node)
+        assert graph.children(node) == frozenset(b for a, b in edges if a == node)

@@ -10,6 +10,7 @@ from causalog import (
     parse_program,
     print_program,
 )
+from causalog.model import float_text
 
 from conftest import BOOST_TEXT, SWITCH_TEXT
 from proggen import numpy_rng, random_program, with_negation_and_certainty
@@ -148,3 +149,16 @@ def test_empty_program_round_trip():
     program = parse_program("")
     assert program.clauses == ()
     assert print_program(program) == ""
+
+
+def test_tiny_probabilities_print_positionally():
+    # the program syntax has no exponent, so 1e-05 must print as 0.00001
+    rng = numpy_rng(5)
+    randoms = [float(rng.random()) * 10.0 ** -float(rng.uniform(0, 320)) for _ in range(500)]
+    for p in [1e-5, 1e-300, 5e-324, 2.5e-5, 1e-4, 0.125, 1.0, 0.0, *randoms]:
+        text = float_text(p)
+        assert float(text) == p and "e" not in text
+        program = Program([Clause("a", frozenset(), p)])
+        assert parse_program(print_program(program)) == program
+    assert float_text(1e-5) == "0.00001"
+    assert float_text(0.1) == "0.1"

@@ -30,6 +30,7 @@ from causalog import (
     reconstruct,
     success_table,
 )
+from causalog import reconstruction
 from causalog.graph import subsets_by_size
 from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS, MAX_TABLE_WIDTH
 
@@ -480,3 +481,78 @@ def test_explicit_max_parents_above_the_default():
         assert {body for body, _ in report.clauses} == set(expected)
         for body, prob in report.clauses:
             assert prob == pytest.approx(expected[body], abs=1e-9)
+
+
+# --- one calibration per reconstruction ---------------------------------------------
+
+
+def _layered_positive(n):
+    """n0 .. n(n-1), each node on its two predecessors, positive bodies."""
+    lines = ["0.3 :: n0.", "0.2 :: n1.", "0.6 :: n1 :- n0."]
+    for k in range(2, n):
+        lines += [f"0.{k % 9 + 1} :: n{k}.", f"0.5 :: n{k} :- n{k - 1}.",
+                  f"0.35 :: n{k} :- n{k - 2}.", f"0.15 :: n{k} :- n{k - 1}, n{k - 2}."]
+    return parse_program("\n".join(lines) + "\n")
+
+
+def _counting(monkeypatch, module, *names):
+    """Replace the named functions of ``module`` by wrappers that log each
+    call and its result; returns the log."""
+    log = []
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            result = _fn(*args, **kwargs)
+            log.append((_name, result))
+            return result
+        monkeypatch.setattr(module, name, counted)
+    return log
+
+
+def test_reconstruct_calibrates_once_with_linear_work(monkeypatch):
+    log = _counting(monkeypatch, reconstruction, "marginal", "marginals")
+    worlds = {}
+    for n in (50, 100, 200):
+        program = _layered_positive(n)
+        del log[:]
+        result = reconstruct(ExactOracle(program), program.dependency_graph())
+        assert result.ok
+        want = {(c.effect, c.causes): c.probability for c in program.clauses}
+        got = {(c.effect, c.causes): c.probability for c in result.program.clauses}
+        assert set(got) == set(want)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, abs=1e-9)
+        assert [name for name, _ in log] == ["marginals"]
+        worlds[n] = log[0][1].worlds_evaluated
+    # twice the nodes, twice the cells, up to the ends of the chain
+    assert 1.9 < worlds[100] / worlds[50] < 2.1
+    assert 1.9 < worlds[200] / worlds[100] < 2.1
+
+
+def test_parent_sets_outside_the_program_take_their_own_elimination(monkeypatch):
+    log = _counting(monkeypatch, reconstruction, "marginal", "marginals")
+    program = _layered_positive(12)
+    graph = program.dependency_graph()
+    # n11 gains a parent it does not read, so only its table is eliminated
+    wider = DependencyGraph.build(graph.nodes, graph.edges | {("n0", "n11")})
+    result = reconstruct(ExactOracle(program), wider)
+    assert result.ok
+    assert [(name, getattr(r, "columns", None)) for name, r in log] == [
+        ("marginals", None), ("marginal", ("n11", "n0", "n10", "n9"))]
+    assert {(c.effect, c.causes) for c in result.program.clauses} == {
+        (c.effect, c.causes) for c in program.clauses}
+
+
+def test_reconstruct_programs_with_many_children_and_components():
+    # a node read by 100 others, and 100 independent facts: one calibration
+    # step multiplies more tables than one np.einsum takes
+    hub = "0.5 :: a.\n" + "".join(f"0.{k % 9 + 1} :: c{k} :- a.\n" for k in range(100))
+    facts = "".join(f"0.{k % 9 + 1} :: f{k}.\n" for k in range(100))
+    for text in (hub, facts, hub + facts):
+        program = parse_program(text)
+        result = reconstruct(ExactOracle(program), program.dependency_graph())
+        assert result.ok
+        want = {(c.effect, c.causes): c.probability for c in program.clauses}
+        got = {(c.effect, c.causes): c.probability for c in result.program.clauses}
+        assert set(got) == set(want)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, abs=1e-12)
