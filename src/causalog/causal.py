@@ -2,8 +2,7 @@
 
 An intervention forces some propositions to fixed truth values: every clause
 for a forced proposition is erased, and propositions forced true get an
-unconditional probability-one clause instead. Interventional queries run on
-the surgically modified program.
+unconditional probability-one clause instead (``intervene``).
 
 A counterfactual query ("given what was observed, what would have happened
 under the intervention?") needs both worlds at once. The twin construction
@@ -11,17 +10,22 @@ duplicates every internal proposition into an evidence copy (suffix ``__e``)
 and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
-the query is a conditional over the combined program. The query takes the
-twin's factors straight from the program (``_twin_factors``); only
-``twin-export`` builds the combined program itself (``twin_program``).
+the query is a conditional over the combined program. An interventional
+query is the same construction with no evidence, read out as a plain
+probability. Both take the twin's factors straight from the program's
+clauses (``engine._factors``), so neither builds a program; there the
+evidence copy is the proposition itself, and an intervention copy carries a
+mark that no proposition's name can hold, so it never meets a user's name.
+``intervene`` and ``twin_program`` (for ``twin-export``) build the
+surgically modified program and the combined one for their own callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
-from .engine import Body, Factor, QueryResult, factor_conditional, probability
+from .engine import QueryResult, _factors, factor_conditional, factor_probability
 from .errors import InterventionError
 from .formula import Formula, check_atoms, conjunction_of
 from .model import (
@@ -65,8 +69,8 @@ def interventional_query(program: Program, phi: Formula,
                          intervention: Mapping[str, bool],
                          max_worlds: int | None = None) -> QueryResult:
     """Probability of ``phi`` after the intervention."""
-    check_atoms(phi, program)
-    return probability(intervene(program, intervention), phi, max_worlds)
+    factors, phi_i, _ = _twin_query(program, phi, {}, intervention)
+    return factor_probability(factors, phi_i, max_worlds)
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,6 @@ class TwinProgram:
     intervention-copy clauses after surgery, and the shared facts. Intervened
     propositions forced true appear as clauses with an empty body."""
 
-    source: Program
-    intervention: tuple[tuple[str, bool], ...]
     desugared: DesugaredProgram
 
     def to_program_text(self) -> str:
@@ -131,7 +133,7 @@ def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProg
     declared = [p + EVIDENCE_SUFFIX for p in program.propositions]
     declared += [p + INTERVENTION_SUFFIX for p in program.propositions]
     twin_dp = DesugaredProgram(clauses, dp.noise_probs, declared=declared)
-    return TwinProgram(program, tuple(sorted(forced.items())), twin_dp)
+    return TwinProgram(twin_dp)
 
 
 def counterfactual_query(program: Program, phi: Formula,
@@ -143,61 +145,16 @@ def counterfactual_query(program: Program, phi: Formula,
     the intervention copy given the evidence on the evidence copy. With
     empty evidence this coincides with the interventional query. Evidence of
     probability zero in the untouched program raises ZeroEvidenceError."""
+    return factor_conditional(*_twin_query(program, phi, evidence, intervention), max_worlds)
+
+
+def _twin_query(program: Program, phi: Formula, evidence: Mapping[str, bool],
+                intervention: Mapping[str, bool]) -> tuple[list, Formula, Formula]:
+    """The twin's factors for ``phi`` under the intervention given the
+    evidence, ``phi`` on the intervention copies and the evidence on the
+    evidence copies, which are the program's own propositions."""
     check_atoms(phi, program)
     observed = _check_assignment(program, evidence, "evidence")
     forced = _check_assignment(program, intervention, "intervention")
-    factors, copy = _twin_factors(program, forced, phi.atoms(), observed)
-    phi_i = phi.map_atoms(lambda name: copy(name, INTERVENTION_SUFFIX))
-    evidence_e = conjunction_of(
-        {name + EVIDENCE_SUFFIX: value for name, value in observed.items()}
-    )
-    return factor_conditional(factors, phi_i, evidence_e, max_worlds)
-
-
-def _twin_factors(program: Program, forced: Mapping[str, bool],
-                  queried: Iterable[str], observed: Iterable[str]
-                  ) -> tuple[list[Factor], Callable[[str, str], str]]:
-    """The factors of the twin's ancestral closure of the intervention
-    copies of ``queried`` and the evidence copies of ``observed``, built
-    from the program's clauses child before parent, and the function that
-    names a node's copy.
-
-    A node the intervention cannot reach has equal copies, one variable
-    under its ordinary factor. A forced intervention copy is a constant in
-    its children's bodies, and a variable of its own only when queried. Any
-    other node's two copies share a pair factor, or one of them has its own
-    factor when the other is not needed."""
-    by_effect = program.clauses_by_effect
-    order = program.dependency_graph().topological_order()
-    touched = set(forced)  # the nodes whose two copies can differ
-    for node in order:
-        if any(lit.name in touched for c in by_effect.get(node, ()) for lit in c.causes):
-            touched.add(node)
-
-    def copy(name: str, suffix: str) -> str:
-        return name + (suffix if name in touched else EVIDENCE_SUFFIX)
-
-    def body(clause: Clause, suffix: str) -> Body:
-        lits = []
-        for lit in clause.sorted_body():
-            if suffix == EVIDENCE_SUFFIX or lit.name not in forced:
-                lits.append((copy(lit.name, suffix), lit.positive))
-            elif forced[lit.name] != lit.positive:
-                return None
-        return tuple(lits)
-
-    needed = {copy(name, INTERVENTION_SUFFIX) for name in queried}
-    needed.update(name + EVIDENCE_SUFFIX for name in observed)
-    factors = []
-    for node in reversed(order):
-        suffixes = [s for s in (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX) if node + s in needed]
-        if node in forced and INTERVENTION_SUFFIX in suffixes:
-            suffixes.pop()
-            pinned = ((((),), 0.0),) if forced[node] else ()
-            factors.append(Factor((node + INTERVENTION_SUFFIX,), pinned))
-        if suffixes:
-            terms = tuple((tuple(body(c, s) for s in suffixes), 1.0 - c.probability)
-                          for c in by_effect.get(node, ()) if c.probability > 0.0)
-            factors.append(Factor(tuple(node + s for s in suffixes), terms))
-            needed.update(factors[-1].scope)
-    return factors[::-1], copy
+    factors, intervened = _factors(program, phi.atoms(), observed, forced)
+    return factors, phi.map_atoms(intervened), conjunction_of(observed)

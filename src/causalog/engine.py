@@ -14,15 +14,18 @@ noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
 body holds; clauses of probability 0 or 1 make it deterministic. A random
 noise fact that several clauses read, as in a desugared program built by
 hand, is a variable of its own under the prior (1 - p, p), read by those
-clauses as a body atom. Counterfactuals add pair factors over a node's two
-copies (``causal``).
+clauses as a body atom.
+
+One builder (``_factors``) reads every query kind's factors off the program
+itself, so no query builds, intervenes or desugars a program; under an
+intervention a node it reaches gets a second copy, its intervened one
+(``causal``). The ordinary factors are tabulated once per program and kept.
 
 The elimination is planned before it builds a table, and a query whose
 largest table (a factor, or the product one step sums over) would have more
 cells than the cap (``--max-worlds`` or ``CAUSALOG_MAX_WORLDS``, default
 2**26) is refused rather than truncated. ``worlds_evaluated`` reports the
-total cells of the query's tables, its factors and each step's product; a
-program's factors are tabulated once and kept for its later queries.
+total cells of the query's tables, its factors and each step's product.
 ``marginals`` runs the same elimination over every variable and back again,
 a two-pass calibration whose cliques give many families' marginals at once.
 ``solve``, the Boolean-equation solve, answers ``evaluate_world`` and
@@ -39,7 +42,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     CausalogError,
@@ -49,6 +52,7 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .formula import Atom, Formula, check_atoms, check_names, conjunction_of
+from .graph import DependencyGraph
 from .model import DesugaredProgram, Program
 
 if TYPE_CHECKING:
@@ -89,12 +93,6 @@ def resolved_max_worlds(max_worlds: int | None) -> int:
     return value
 
 
-def _as_desugared(program: Program | DesugaredProgram) -> DesugaredProgram:
-    if isinstance(program, Program):
-        return program.desugar()
-    return program
-
-
 def evaluate_world(program: Program | DesugaredProgram,
                    world: Mapping[str, bool]) -> dict[str, bool]:
     """Solve the Boolean equation system for one total noise assignment.
@@ -102,7 +100,7 @@ def evaluate_world(program: Program | DesugaredProgram,
     Returns the full structure: the given noise values plus the uniquely
     determined value of every internal proposition. Internal propositions
     with no clause come out false."""
-    dp = _as_desugared(program)
+    dp = program.desugar() if isinstance(program, Program) else program
     known = set(dp.noise_names)
     missing = sorted(known - world.keys())
     if missing:
@@ -201,38 +199,101 @@ class Factor:
         return table
 
 
-# every factor of each program while it lives, so that the many marginals
-# the oracle of ``reconstruct`` asks of one program tabulate each factor once
-_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# marks a node's intervention copy; no proposition's name can hold it
+_DO_MARK = "@do"
+
+# each program's nodes while it lives, with the factors every query shares, so
+# that the many marginals ``reconstruct`` asks of one program reuse them
+_NODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _program_factors(dp: DesugaredProgram, atoms: Iterable[str]) -> list[Factor]:
-    """The factors of the ancestral closure of ``atoms``, in topological
-    order: a noisy-OR per head, and a prior for each random noise fact that
-    several clauses read, which those clauses read as a body atom."""
-    factors = _FACTORS.get(dp)
-    if factors is None:
-        prob = dp.noise_probability
-        reads = Counter(u for c in dp.clauses for u in c.noise if 0.0 < prob(u) < 1.0)
-        factors = {u: Factor((u,), ((((),), 1.0 - prob(u)),))
-                   for u in dp.noise_names if reads[u] > 1}
-        for h in dp.topological_order():
-            terms = []
-            for c in dp.clauses_by_head.get(h, ()):
+def _nodes(program: Program | DesugaredProgram) -> tuple[tuple[str, ...], dict, dict]:
+    """The roots, each node's clauses as (body, fire) pairs, and the factor
+    cache. A random noise fact that several clauses of a desugared program
+    read is a root, whose one clause fires with its probability and which
+    those clauses read as a body atom; others fold into their clause's fire."""
+    nodes = _NODES.get(program)
+    if nodes is None:
+        roots: tuple[str, ...] = ()
+        clauses: dict[str, list] = {}
+        if isinstance(program, Program):
+            for c in program.clauses:
+                body = tuple(sorted([(lit.name, lit.positive) for lit in c.causes]))
+                clauses.setdefault(c.effect, []).append((body, c.probability))
+        else:
+            prob = program.noise_probability
+            reads = Counter(u for c in program.clauses for u in c.noise if 0.0 < prob(u) < 1.0)
+            roots = tuple(u for u in program.noise_names if reads[u] > 1)
+            clauses.update((u, [((), prob(u))]) for u in roots)
+            for c in program.clauses:
+                body = tuple(sorted([(lit.name, lit.positive) for lit in c.literals]))
+                body += tuple((u, True) for u in sorted(c.noise) if reads[u] > 1)
                 fire = math.prod(prob(u) for u in c.noise if reads[u] < 2)
-                if fire != 0.0:
-                    body = tuple(sorted((lit.name, lit.positive) for lit in c.literals))
-                    body += tuple((u, True) for u in sorted(c.noise) if reads[u] > 1)
-                    terms.append(((body,), 1.0 - fire))
-            factors[h] = Factor((h,), tuple(terms))
-        _FACTORS[dp] = factors
-    relevant, todo = set(), list(atoms)
-    while todo:
-        name = todo.pop()
-        if name not in relevant:
-            relevant.add(name)
-            todo += factors[name].scope
-    return [f for name, f in factors.items() if name in relevant]
+                clauses.setdefault(c.head, []).append((body, fire))
+        nodes = _NODES[program] = (roots, clauses, {})
+    return nodes
+
+
+def _factors(program: Program | DesugaredProgram, queried: Iterable[str],
+             observed: Collection[str] = (), forced: Mapping[str, bool] | None = None
+             ) -> tuple[list[Factor], Callable[[str], str]]:
+    """The factors of the ancestral closure of ``queried`` under the
+    intervention ``forced`` and of ``observed`` as it was, parent first, and
+    the function that names a node's copy in the intervened world.
+
+    The world as it was is the program itself, so a node's evidence copy is
+    the node, under its ordinary factor. A node the intervention reaches has
+    an intervention copy too, its name marked with ``_DO_MARK``: a forced one
+    is a constant in its children's bodies, and a variable only when
+    queried; other copies share a pair factor with the evidence copy, or
+    have their own when it is not needed. With no evidence only the
+    intervened world is read, where no edge enters a forced node, so the walk
+    cuts those edges and the cycles through them."""
+    roots, clauses, cache = _nodes(program)
+    forced = forced or {}
+    graph = program.dependency_graph()
+    if forced and not observed:
+        graph = DependencyGraph.build(graph.nodes, {e for e in graph.edges if e[1] not in forced})
+    order = roots + graph.topological_order()
+    touched = set(forced)  # the nodes whose two copies can differ
+    for node in order if forced else ():
+        if any(name in touched for body, _ in clauses.get(node, ()) for name, _ in body):
+            touched.add(node)
+
+    def intervened(name: str) -> str:
+        return name + _DO_MARK if name in touched else name
+
+    def body(lits: tuple[tuple[str, bool], ...], do: bool) -> Body:
+        out = []
+        for name, positive in lits:
+            if not do or name not in forced:
+                out.append((intervened(name) if do else name, positive))
+            elif forced[name] != positive:
+                return None
+        return tuple(out)
+
+    def factor(node: str, worlds: Sequence[bool], terms: Iterable) -> Factor:
+        return Factor(tuple(node + _DO_MARK if do else node for do in worlds),
+                      tuple((tuple(body(b, do) for do in worlds), 1.0 - fire)
+                            for b, fire in terms if fire > 0.0))
+
+    needed = {intervened(name) for name in queried} | set(observed)
+    factors = []
+    for node in reversed(order):
+        terms = clauses.get(node, ())
+        worlds = [do for do, name in ((False, node), (True, node + _DO_MARK)) if name in needed]
+        if node in forced and True in worlds:
+            worlds.pop()
+            factors.append(factor(node, [True], [((), 1.0)] if forced[node] else []))
+        if worlds == [False]:
+            if node not in cache:
+                cache[node] = factor(node, worlds, terms)
+            factors.append(cache[node])
+        elif worlds:
+            factors.append(factor(node, worlds, terms))
+        if worlds:
+            needed.update(factors[-1].scope)
+    return factors[::-1], intervened
 
 
 # ---------------------------------------------------------------------------
@@ -312,29 +373,40 @@ def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
     return np.einsum(*args, [axis[v] for v in keep])
 
 
+def _eliminate(factors: Sequence[Factor], query: tuple[str, ...], max_worlds: int | None,
+               keep_all: bool = False) -> tuple[list, list, list, int]:
+    """Plan the elimination of ``factors`` onto ``query``, refuse a plan whose
+    largest table (a factor, or a step's product over the scope it keeps and
+    the variable it sums out) exceeds the cap, and run it: the tables of the
+    factors then of each step's message (a message is dropped once used
+    unless ``keep_all``), their scopes, the steps and the cells of every factor
+    and product."""
+    cap = resolved_max_worlds(max_worlds)
+    scopes = [f.scope for f in factors]
+    steps = _elimination(scopes, query)
+    cells = [1 << len(s) for s in scopes] + [2 << len(out) for _, out in steps[:-1]]
+    cells.append(1 << len(query))
+    if max(cells) > cap:
+        raise EnumerationCapError(max(cells), cap)
+    scopes += [out for _, out in steps]
+    tables = [f.table for f in factors]
+    for ids, out in steps:
+        tables.append(_contract([(tables[j], scopes[j]) for j in ids], out))
+        for j in ids if not keep_all else ():
+            tables[j] = None
+    return tables, scopes, steps, sum(cells)
+
+
 def _masses(factors: Sequence[Factor], formulas: Sequence[Formula],
             max_worlds: int | None) -> tuple[np.ndarray, int]:
     """The mass of every cell of the formulas' joint truth values, and the
-    cells of the products built: the factors eliminated onto the formulas'
+    cells of the tables built: the factors eliminated onto the formulas'
     atoms, whose final table one ``np.bincount`` sorts into cells. The first
     formula is the most significant bit of a cell's code."""
     import numpy as np
 
-    cap = resolved_max_worlds(max_worlds)
     query = tuple(sorted(frozenset().union(*(f.atoms() for f in formulas))))
-    scopes = [f.scope for f in factors]
-    steps = _elimination(scopes, query)
-    cells = [1 << len(s) for s in scopes]
-    cells += [1 << (len(keep) + 1) for _, keep in steps[:-1]]  # keep + the summed variable
-    cells.append(1 << len(query))
-    if max(cells) > cap:
-        raise EnumerationCapError(max(cells), cap)
-    tables = [f.table for f in factors]
-    for ids, keep in steps:
-        tables.append(_contract([(tables[j], scopes[j]) for j in ids], keep))
-        scopes.append(keep)
-        for j in ids:
-            tables[j] = None
+    tables, _, _, cells = _eliminate(factors, query, max_worlds)
     # every assignment of the query by broadcasting: its j-th atom as the
     # two truth values along axis j
     k = len(query)
@@ -345,7 +417,7 @@ def _masses(factors: Sequence[Factor], formulas: Sequence[Formula],
         codes = (codes << 1) | f.evaluate(grid)
     masses = np.bincount(codes.ravel(), weights=tables[-1].ravel(),
                          minlength=1 << len(formulas))
-    return masses, sum(cells)
+    return masses, cells
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +427,15 @@ def _masses(factors: Sequence[Factor], formulas: Sequence[Formula],
 def probability(program: Program | DesugaredProgram, phi: Formula,
                 max_worlds: int | None = None) -> QueryResult:
     """Exact probability that a random structure satisfies ``phi``."""
-    dp = _as_desugared(program)
-    check_atoms(phi, dp)
-    masses, cells = _masses(_program_factors(dp, phi.atoms()), [phi], max_worlds)
+    check_atoms(phi, program)
+    return factor_probability(_factors(program, phi.atoms())[0], phi, max_worlds)
+
+
+def factor_probability(factors: Sequence[Factor], phi: Formula,
+                       max_worlds: int | None = None) -> QueryResult:
+    """``probability`` over the variables of ``factors``, which must cover
+    the ancestral closure of the atoms of ``phi``."""
+    masses, cells = _masses(factors, [phi], max_worlds)
     return QueryResult(_clamp_unit(masses[1]), cells)
 
 
@@ -367,10 +445,9 @@ def conditional(program: Program | DesugaredProgram, phi: Formula,
 
     Numerator and denominator come from one shared elimination. Evidence of
     probability zero raises ZeroEvidenceError."""
-    dp = _as_desugared(program)
-    check_atoms(phi, dp)
-    check_atoms(evidence, dp)
-    factors = _program_factors(dp, phi.atoms() | evidence.atoms())
+    check_atoms(phi, program)
+    check_atoms(evidence, program)
+    factors, _ = _factors(program, phi.atoms() | evidence.atoms())
     return factor_conditional(factors, phi, evidence, max_worlds)
 
 
@@ -410,8 +487,7 @@ class JointTable:
 def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
     """Exact joint table over all internal propositions (at most
     ``max_propositions`` of them; the table is exponential in that count)."""
-    dp = _as_desugared(program)
-    columns = dp.internal_propositions
+    columns = tuple(sorted(program.dependency_graph().nodes))
     if len(columns) > max_propositions:
         raise TableSizeError(
             f"joint table over {len(columns)} propositions exceeds the limit "
@@ -419,7 +495,7 @@ def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
         )
     # the first column is the most significant bit, the order in which
     # itertools.product lists the cells
-    masses = marginal(dp, columns).masses
+    masses = marginal(program, columns).masses
     cells = dict(zip(itertools.product((False, True), repeat=len(columns)),
                      masses.tolist()))
     return JointTable(columns, cells)
@@ -464,10 +540,9 @@ def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
              max_worlds: int | None = None) -> Marginal:
     """Exact marginal over ``atoms``: one elimination of their ancestral
     closure onto them."""
-    dp = _as_desugared(program)
     columns = tuple(atoms)
-    check_names(columns, dp)
-    masses, cells = _masses(_program_factors(dp, columns),
+    check_names(columns, program)
+    masses, cells = _masses(_factors(program, columns)[0],
                             [Atom(name) for name in columns], max_worlds)
     return Marginal(columns, masses, cells)
 
@@ -510,30 +585,19 @@ def marginals(program: Program | DesugaredProgram,
     EnumerationCapError."""
     import numpy as np
 
-    dp = _as_desugared(program)
     families = [tuple(f) for f in families]
     names = sorted(set().union(*families))
-    check_names(names, dp)
-    cap = resolved_max_worlds(max_worlds)
-    factors = _program_factors(dp, names)
+    check_names(names, program)
+    factors, _ = _factors(program, names)
     first = len(factors)  # the table index of step 0's message
-    scopes = [f.scope for f in factors]
-    steps = _elimination(scopes, ())
-    scopes += [keep for _, keep in steps]
-    cliques = [frozenset(_union(scopes[j] for j in ids)) for ids, _ in steps]
-    cells = [1 << len(s) for s in scopes[:first]] + [1 << len(c) for c in cliques]
-    if max(cells) > cap:
-        raise EnumerationCapError(max(cells), cap)
-    worlds = sum(cells)
+    tables, scopes, steps, worlds = _eliminate(factors, (), max_worlds, keep_all=True)
+    cliques = [frozenset(_union([out, *(scopes[j] for j in ids)])) for ids, out in steps]
 
     def contract(operands, keep):
         nonlocal worlds
         worlds += 1 << len(_union([keep, *(s for _, s in operands)]))
         return _contract(operands, keep)
 
-    tables = [f.table for f in factors]
-    for ids, keep in steps:
-        tables.append(_contract([(tables[j], scopes[j]) for j in ids], keep))
     down = [np.ones(())] * len(steps)
     for p in reversed(range(len(steps))):
         ids, keep = steps[p]

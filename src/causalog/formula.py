@@ -224,7 +224,7 @@ def check_names(names: Iterable[str], program: Any) -> None:
     """Reject names outside the program's internal alphabet, naming the first
     offender in the order given. Only an offender needs the noise names, so
     a query on a Program desugars it here only to explain an error."""
-    internal = set(_internal_names(program))
+    internal = program.dependency_graph().nodes
     for name in names:
         if name in internal:
             continue
@@ -233,12 +233,6 @@ def check_names(names: Iterable[str], program: Any) -> None:
                 f"{name} names a generated noise proposition and cannot be queried"
             )
         raise FormulaError(f"unknown proposition {name!r}")
-
-
-def _internal_names(program: Any) -> tuple[str, ...]:
-    if hasattr(program, "internal_propositions"):
-        return program.internal_propositions
-    return program.propositions
 
 
 def _noise_names(program: Any) -> tuple[str, ...]:

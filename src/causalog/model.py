@@ -177,6 +177,11 @@ class Program:
         return self._clauses == other._clauses and self._declared == other._declared
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a program keys the engine's per-program cache, looked up per query
         return hash((self._clauses, self._declared))
 
     def __repr__(self) -> str:

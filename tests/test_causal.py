@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from causalog import (
     Atom,
+    CyclicProgramError,
     EnumerationCapError,
     InterventionError,
     ZeroEvidenceError,
@@ -133,15 +136,23 @@ def test_counterfactual_zero_evidence():
 
 
 def test_empty_evidence_counterfactual_equals_intervention():
+    # both read the twin's factors, so the interventional answer is also
+    # checked against brute force on the surgically modified program
     rng = numpy_rng(2024)
+    do_false = 0
     for _ in range(20):
-        program = random_program(rng, max_nodes=4, max_parents=2, max_bodies=3)
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=4, max_parents=2, max_bodies=3))
         names = program.propositions
         phi = random_formula(rng, names)
         action = random_assignment(rng, names, 1)
         a = counterfactual_query(program, phi, {}, action).probability
         b = interventional_query(program, phi, action).probability
         assert a == pytest.approx(b, abs=1e-12)
+        assert b == pytest.approx(reference_probability(intervene(program, action), phi),
+                                  abs=1e-12)
+        do_false += not all(action.values())
+    assert do_false > 0
 
 
 def test_consistency_when_evidence_covers_intervention():
@@ -240,19 +251,49 @@ def test_boost_counterfactual_worlds(boost_program):
 
 
 def test_interventional_worlds(boost_program):
-    # the forced treatment is a deterministic factor and widens nothing:
-    # the largest product spans recovery's factor, as without the
-    # intervention; treatment (2 cells), recovery given treatment (4),
-    # treatment summed out (4) and the final table (2)
+    # the forced treatment is a constant in recovery's body, as in a
+    # counterfactual: recovery__i's factor (2 cells) and the final table (2);
+    # without the intervention recovery's factor spans the treatment (4)
     r = interventional_query(boost_program, Atom("recovery"), {"treatment": True})
     assert r.probability == pytest.approx(0.7, abs=EXACT)
-    assert r.worlds_evaluated == 12
-    for query in (lambda cap: interventional_query(
-                      boost_program, Atom("recovery"), {"treatment": True}, cap),
-                  lambda cap: probability(boost_program, Atom("recovery"), cap)):
+    assert r.worlds_evaluated == 4
+    for query, needed in (
+            (lambda cap: interventional_query(
+                boost_program, Atom("recovery"), {"treatment": True}, cap), 2),
+            (lambda cap: probability(boost_program, Atom("recovery"), cap), 4)):
         with pytest.raises(EnumerationCapError) as err:
-            query(3)
-        assert err.value.needed == 4
+            query(needed - 1)
+        assert err.value.needed == needed
+
+
+def test_intervention_cuts_a_cycle_through_the_forced_node():
+    # forcing a erases its clauses, the only way back into a from b, so the
+    # intervened world is acyclic; evidence reads the world as it was, which
+    # still has the cycle
+    program = parse_program("0.3 :: a.\n0.5 :: a :- b.\n0.5 :: b :- a.\n")
+    r = interventional_query(program, Atom("b"), {"a": True})
+    assert r.probability == pytest.approx(0.5, abs=EXACT)
+    with pytest.raises(CyclicProgramError, match="cycle: a -> b -> a$"):
+        counterfactual_query(program, Atom("b"), {"b": True}, {"a": True})
+
+
+def test_propositions_named_like_twin_copies_stay_apart():
+    # a__i and b__e are propositions of their own, unrelated to a and b
+    program = parse_program("0.5 :: a.\n0.6 :: b :- a.\n0.3 :: a__i.\n0.2 :: b__e.\n")
+    r = interventional_query(program, Atom("a__i"), {"a": False})
+    assert r.probability == pytest.approx(0.3, abs=EXACT)
+    for action in ({"a": True}, {"a": False}):
+        twin = twin_program(program, action)
+        for phi, evidence in itertools.product(
+                (Atom("a__i"), Atom("b"), parse_formula("b | b__e")),
+                ({"b__e": True}, {"b__e": True, "b": True}, {"a__i": False})):
+            want = reference_conditional(
+                twin.desugared, phi.map_atoms(lambda n: n + "__i"),
+                conjunction_of({k + "__e": v for k, v in evidence.items()}))
+            got = counterfactual_query(program, phi, evidence, action)
+            assert got.probability == pytest.approx(want, abs=EXACT)
+            assert got.conditioning_mass == pytest.approx(
+                probability(program, conjunction_of(evidence)).probability, abs=EXACT)
 
 
 def test_layered_counterfactual_under_default_cap():

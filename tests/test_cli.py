@@ -5,6 +5,7 @@ stdout exactly, so the documentation cannot drift from the behavior.
 """
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -302,6 +303,28 @@ def test_zero_probability_evidence(tmp_path):
     result = run_cli("query", str(sure), "--prob", "b", "--given", r"\+a")
     assert result.returncode == 1
     assert result.stderr.startswith("error[zero-evidence]:")
+
+
+@pytest.mark.parametrize("args, unbuffered", [
+    (("query", BOOST, "--prob", "recovery", "--json"), False),
+    (("query", BOOST, "--prob", "recovery", "--json"), True),
+    (("validate", BOOST), False), (("validate", BOOST), True), (("query", "--help"), False)])
+def test_closed_stdout_is_exit_one_without_traceback(args, unbuffered):
+    # the reader of stdout is gone before the command writes its answer; a
+    # buffered stdout fails at its last flush, an unbuffered one at the write
+    # (``--help`` is left to argparse there, which ignores the failed write)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "causalog", *args], stdout=write,
+                                stderr=subprocess.PIPE, text=True, cwd=str(ROOT), env=env)
+    finally:
+        os.close(write)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 def test_usage_errors():

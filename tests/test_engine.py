@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +8,9 @@ from causalog import (
     CausalogError,
     CyclicProgramError,
     EnumerationCapError,
+    ExactOracle,
     Not,
+    Program,
     TableSizeError,
     WorldError,
     ZeroEvidenceError,
@@ -22,9 +25,11 @@ from causalog import (
     parse_formula,
     parse_program,
     probability,
+    reconstruct,
     twin_program,
 )
 
+from causalog import causal
 from causalog.engine import marginal, marginals
 
 from conftest import SHARED_JOINT
@@ -121,7 +126,8 @@ def test_clauseless_proposition_is_false():
 def test_against_reference_oracle():
     rng = numpy_rng(90210)
     for _ in range(25):
-        program = random_program(rng, max_nodes=4, max_parents=2, max_bodies=3)
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=4, max_parents=2, max_bodies=3))
         names = program.propositions
         for _ in range(3):
             phi = random_formula(rng, names)
@@ -133,12 +139,18 @@ def test_against_reference_oracle():
 def test_conditional_against_reference_oracle():
     rng = numpy_rng(31337)
     for _ in range(15):
-        program = random_program(rng, max_nodes=4, max_parents=2, max_bodies=3)
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=4, max_parents=2, max_bodies=3))
         names = program.propositions
         phi = random_formula(rng, names)
         evidence = Atom(sorted(names)[0])
+        try:
+            want = reference_conditional(program, phi, evidence)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroEvidenceError):
+                conditional(program, phi, evidence)
+            continue
         got = conditional(program, phi, evidence).probability
-        want = reference_conditional(program, phi, evidence)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -330,6 +342,41 @@ def test_cyclic_program_is_refused():
     for query in queries:
         with pytest.raises(CyclicProgramError, match="cycle: a -> b -> a$"):
             query()
+
+
+def test_queries_build_no_program(monkeypatch):
+    # every query kind reads its factors off the program's own clauses: none
+    # desugars the program, intervenes on it or builds its twin
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query built a program")
+
+    monkeypatch.setattr(Program, "desugar", refuse)
+    monkeypatch.setattr(causal, "intervene", refuse)
+    monkeypatch.setattr(causal, "twin_program", refuse)
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    for name, counterfactual in (("recovery_boost.pl", 1.0), ("recovery_switch.pl", 0.7)):
+        program = parse_program((root / name).read_text())
+        recovery, treatment = Atom("recovery"), Atom("treatment")
+        answers = [
+            (probability(program, recovery), 0.6),
+            (conditional(program, recovery, treatment), 0.7),
+            (interventional_query(program, recovery, {"treatment": True}), 0.7),
+            (counterfactual_query(program, recovery, {"treatment": False, "recovery": True},
+                                  {"treatment": True}), counterfactual),
+        ]
+        for result, want in answers:
+            assert result.probability == pytest.approx(want, abs=EXACT)
+        columns = ("treatment", "recovery")
+        want = [SHARED_JOINT[(t, r)] for t in (False, True) for r in (False, True)]
+        assert marginal(program, columns).masses == pytest.approx(want, abs=EXACT)
+        calibrated = marginals(program, [columns]).marginals[columns]
+        assert calibrated.masses == pytest.approx(want, abs=EXACT)
+        table = joint_table(program)
+        assert table.probability_of({"treatment": True, "recovery": True}) == pytest.approx(
+            SHARED_JOINT[(True, True)], abs=EXACT)
+        result = reconstruct(ExactOracle(program), program.dependency_graph())
+        assert result.ok
+        assert joint_table(result.program).cells == pytest.approx(table.cells, abs=1e-9)
 
 
 def test_probability_clamped_to_unit_interval(boost_program):
