@@ -143,8 +143,10 @@ def counterfactual_query(program: Program, phi: Formula,
     """Probability that ``phi`` would have held under the intervention, given
     that the evidence was actually observed: the conditional of ``phi`` on
     the intervention copy given the evidence on the evidence copy. With
-    empty evidence this coincides with the interventional query. Evidence of
-    probability zero in the untouched program raises ZeroEvidenceError."""
+    empty evidence it is the interventional query. Evidence of probability
+    zero in the untouched program raises ZeroEvidenceError."""
+    if not evidence:
+        return interventional_query(program, phi, intervention, max_worlds)
     return factor_conditional(*_twin_query(program, phi, evidence, intervention), max_worlds)
 
 

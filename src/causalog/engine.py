@@ -4,10 +4,15 @@ The probability of a formula is, by definition, the total weight of the noise
 assignments whose induced structure satisfies it. One kernel computes that
 sum over the ancestral closure of the atoms a query mentions by variable
 elimination (Zhang & Poole, 1994; Dechter, 1999): every variable outside the
-queried atoms is summed out with ``np.einsum``, in min-degree order kept in
-incremental adjacency sets, so the cost follows the width of that order
-rather than the number of ancestors, and one ``np.bincount`` sorts the final
-table over the atoms into the formulas' cells.
+queried atoms is summed out in min-degree order kept in incremental adjacency
+sets, so the cost follows the width of that order rather than the number of
+ancestors. A step multiplies its operands and sums with one ``np.einsum``,
+unless the product spans 2^10 cells or more and has more operands than
+einsum has dedicated loops for; such a product is multiplied out whole by
+broadcasting, whose whole-array loops beat einsum's cell-by-cell one there,
+and then summed. ``marginal`` and ``joint_table`` read their answer straight
+off the final table over the atoms; for formulas, one ``np.bincount`` sorts
+that table into the formulas' cells.
 
 A factor is tabulated once over its own scope. A head's factor is its
 noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
@@ -51,7 +56,7 @@ from .errors import (
     WorldError,
     ZeroEvidenceError,
 )
-from .formula import Atom, Formula, check_atoms, check_names, conjunction_of
+from .formula import Formula, check_atoms, check_names, conjunction_of
 from .graph import DependencyGraph
 from .model import DesugaredProgram, Program
 
@@ -347,6 +352,18 @@ def _elimination(scopes: Sequence[tuple[str, ...]],
 # np.einsum refuses 64 operands or more (32 before numpy 2)
 _MAX_OPERANDS = 31
 
+# np.einsum has dedicated inner loops for up to three operands and one
+# generic loop, cell by cell, for more. A product of more operands over this
+# many variables or more is built by broadcasting, whose whole-array
+# multiplies beat that loop there and lose to it on smaller products (2 CPUs,
+# numpy 2.4, one chain-like operand per variable, einsum against
+# broadcasting: 2^8 cells 32 against 43 us, 2^10 167 against 94 us, 2^13 1.3
+# against 0.27 ms). With three operands or fewer einsum was as fast or faster
+# at every size tried, up to 2^21 cells (a wide head's factor and a prior:
+# 2.1 against 7.1 ms).
+_EINSUM_LOOPS = 3
+_BROADCAST_VARIABLES = 10
+
 
 def _union(scopes: Iterable[tuple[str, ...]]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(itertools.chain.from_iterable(scopes)))
@@ -355,18 +372,37 @@ def _union(scopes: Iterable[tuple[str, ...]]) -> tuple[str, ...]:
 def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
               keep: tuple[str, ...]) -> np.ndarray:
     """Multiply the (table, scope) operands and sum out every variable not
-    in ``keep``; the result's axes follow ``keep``. Operands beyond what one
-    ``np.einsum`` takes are first multiplied in groups, each onto its own
-    scope, which the whole product's scope holds."""
+    in ``keep``; the result's axes follow ``keep``.
+
+    A product of more than _EINSUM_LOOPS operands and at least
+    2^_BROADCAST_VARIABLES cells is built whole by multiplying the operands
+    in order by broadcasting, the summed variables on its leading axes, which
+    are then summed out: that adds whole blocks, where summing trailing axes
+    of length 2 would cost more than ``np.einsum``. Any other product is one
+    ``np.einsum``; operands beyond what it takes are first multiplied in
+    groups, each onto its own scope, which the whole product's scope holds."""
     import numpy as np
 
+    axes = _union([keep, *(s for _, s in operands)])
+    if len(operands) > _EINSUM_LOOPS and len(axes) >= _BROADCAST_VARIABLES:
+        summed = axes[len(keep):]
+        axis = {v: k for k, v in enumerate(summed + keep)}
+        product = np.ones((2,) * len(axes))
+        for table, scope in operands:
+            ordered = sorted(range(len(scope)), key=lambda k: axis[scope[k]])
+            shape = [1] * len(axes)
+            for v in scope:
+                shape[axis[v]] = 2
+            product *= table.transpose(ordered).reshape(shape)
+        return product.sum(axis=tuple(range(len(summed)))) if summed else product
     if not operands:
         return np.ones(())
     while len(operands) > _MAX_OPERANDS:
         group, operands = operands[:_MAX_OPERANDS], operands[_MAX_OPERANDS:]
         scope = _union(s for _, s in group)
         operands.append((_contract(group, scope), scope))
-    axis = {v: k for k, v in enumerate(_union([keep, *(s for _, s in operands)]))}
+        axes = _union([keep, *(s for _, s in operands)])
+    axis = {v: k for k, v in enumerate(axes)}
     args: list = []
     for table, scope in operands:
         args += [table, [axis[v] for v in scope]]
@@ -471,17 +507,28 @@ def _zero_evidence(evidence: Formula) -> ZeroEvidenceError:
 class JointTable:
     """The full joint distribution over the internal propositions.
 
-    Keys of ``cells`` are tuples of booleans aligned with ``columns``."""
+    ``masses[code]`` is the probability of the assignment spelled by the bits
+    of ``code``, the first column the most significant bit, as in
+    ``Marginal``; the array is read-only. ``cells``, the same masses keyed by
+    tuples of booleans aligned with ``columns``, is built when first read."""
 
     columns: tuple[str, ...]
-    cells: Mapping[tuple[bool, ...], float]
+    masses: np.ndarray
+
+    @cached_property
+    def cells(self) -> dict[tuple[bool, ...], float]:
+        # itertools.product lists the cells in code order
+        return dict(zip(itertools.product((False, True), repeat=len(self.columns)),
+                        self.masses.tolist()))
 
     def probability_of(self, assignment: Mapping[str, bool]) -> float:
-        key = tuple(bool(assignment[c]) for c in self.columns)
-        return self.cells[key]
+        code = 0
+        for name in self.columns:
+            code = (code << 1) | bool(assignment[name])
+        return float(self.masses[code])
 
     def total(self) -> float:
-        return math.fsum(self.cells.values())
+        return math.fsum(self.masses.tolist())
 
 
 def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
@@ -493,12 +540,7 @@ def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
             f"joint table over {len(columns)} propositions exceeds the limit "
             f"of {max_propositions}"
         )
-    # the first column is the most significant bit, the order in which
-    # itertools.product lists the cells
-    masses = marginal(program, columns).masses
-    cells = dict(zip(itertools.product((False, True), repeat=len(columns)),
-                     masses.tolist()))
-    return JointTable(columns, cells)
+    return JointTable(columns, marginal(program, columns).masses)
 
 
 def _clamp_unit(x: float) -> float:
@@ -539,11 +581,22 @@ class Marginal:
 def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
              max_worlds: int | None = None) -> Marginal:
     """Exact marginal over ``atoms``: one elimination of their ancestral
-    closure onto them."""
+    closure onto them, whose final table is the answer. A repeated atom has
+    mass only where its columns agree. The masses are read-only."""
+    import numpy as np
+
     columns = tuple(atoms)
     check_names(columns, program)
-    masses, cells = _masses(_factors(program, columns)[0],
-                            [Atom(name) for name in columns], max_worlds)
+    distinct = tuple(dict.fromkeys(columns))
+    tables, _, _, cells = _eliminate(_factors(program, columns)[0], distinct, max_worlds)
+    table = tables[-1]
+    if len(distinct) < len(columns):
+        spread = np.zeros((2,) * len(columns))
+        index = np.indices(table.shape)
+        spread[tuple(index[distinct.index(name)] for name in columns)] = table
+        table = spread
+    masses = table.ravel()
+    masses.flags.writeable = False
     return Marginal(columns, masses, cells)
 
 

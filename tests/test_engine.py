@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -292,6 +293,34 @@ def test_joint_table_uniform_product():
     assert math.isclose(table.total(), 1.0, abs_tol=EXACT)
 
 
+def test_marginal_edge_cases():
+    program = parse_program("0.3 :: a.\n0.5 :: b :- a.\n")
+    # a repeated column has mass only where its copies agree
+    assert marginal(program, ["a", "a"]).masses.tolist() == pytest.approx(
+        [0.7, 0.0, 0.0, 0.3], abs=EXACT)
+    assert marginal(program, ["b", "a", "b"]).masses.tolist() == pytest.approx(
+        [0.7, 0.0, 0.15, 0.0, 0.0, 0.0, 0.0, 0.15], abs=EXACT)
+    assert marginal(program, []).masses.tolist() == [1.0]
+    empty = joint_table(parse_program(""))
+    assert empty.cells == {(): 1.0}
+    assert empty.total() == 1.0
+
+
+def test_joint_table_builds_cells_on_first_read():
+    program = layered_program(16)
+    table = joint_table(program)
+    assert table.columns == program.propositions  # the order reference_joint keys by
+    assert not table.masses.flags.writeable
+    assert table.total() == pytest.approx(1.0, abs=EXACT)
+    reference = reference_joint(program)
+    for bits in ((False,) * 16, (True, False) * 8):
+        assert table.probability_of(dict(zip(table.columns, bits))) == pytest.approx(
+            reference[bits], abs=EXACT)
+    assert "cells" not in vars(table)
+    assert table.cells == pytest.approx(reference, abs=EXACT)
+    assert list(table.cells) == list(itertools.product((False, True), repeat=16))
+
+
 def test_tabulated_factors_match_clause_evaluation():
     # the kernel tabulates every factor once on a bit grid; the answers must
     # match evaluating the clauses assignment by assignment: joint tables
@@ -313,6 +342,23 @@ def test_tabulated_factors_match_clause_evaluation():
         phi = cases[-1][1]
         want = math.fsum(w for bits, w in joint.items() if phi.evaluate(dict(zip(names, bits))))
         assert probability(program, phi).probability == pytest.approx(want, abs=EXACT)
+    # a root with ten children, the marginal of the children: the step that
+    # sums the root out multiplies eleven operands over 2^11 cells, a product
+    # built by broadcasting
+    lines = ["0.4 :: r."]
+    for k in range(10):
+        lines += [f"0.{k + 1} :: c{k} :- r.", f"0.{9 - k}5 :: c{k} :- \\+ r."]
+    program = parse_program("\n".join(lines) + "\n")
+    names = list(program.propositions)
+    joint = reference_joint(program)
+    columns = tuple(f"c{k}" for k in (3, 9, 0, 8, 1, 7, 2, 6, 4, 5))
+    cells = {}
+    for bits, w in joint.items():
+        values = dict(zip(names, bits))
+        cells.setdefault(tuple(values[c] for c in columns), []).append(w)
+    want = [math.fsum(cells[key])
+            for key in itertools.product((False, True), repeat=len(columns))]
+    assert marginal(program, columns).masses == pytest.approx(want, abs=EXACT)
     # pair factors over both copies of n1 .. n6
     cases.append((layered_program(7), parse_formula("n6 | !n4"),
                   {"n6": True, "n1": False}, {"n0": False}))
