@@ -7,7 +7,7 @@ elimination (Zhang & Poole, 1994; Dechter, 1999): every variable outside the
 queried atoms is summed out in min-degree order kept in incremental adjacency
 sets, so the cost follows the width of that order rather than the number of
 ancestors. A step multiplies its operands and sums with one ``np.einsum``,
-unless the product spans 2^10 cells or more and has more operands than
+unless the product spans 2^10 to 2^21 cells and has more operands than
 einsum has dedicated loops for; such a product is multiplied out whole by
 broadcasting, whose whole-array loops beat einsum's cell-by-cell one there,
 and then summed. ``marginal`` and ``joint_table`` read their answer straight
@@ -353,16 +353,19 @@ def _elimination(scopes: Sequence[tuple[str, ...]],
 _MAX_OPERANDS = 31
 
 # np.einsum has dedicated inner loops for up to three operands and one
-# generic loop, cell by cell, for more. A product of more operands over this
-# many variables or more is built by broadcasting, whose whole-array
-# multiplies beat that loop there and lose to it on smaller products (2 CPUs,
-# numpy 2.4, one chain-like operand per variable, einsum against
-# broadcasting: 2^8 cells 32 against 43 us, 2^10 167 against 94 us, 2^13 1.3
-# against 0.27 ms). With three operands or fewer einsum was as fast or faster
+# generic loop, cell by cell, for more. A product of more operands over 10 to
+# 21 variables is built by broadcasting, whose whole-array multiplies beat
+# that loop there and lose to it on smaller products (2 CPUs, numpy 2.4, one
+# chain-like operand per variable, einsum against broadcasting: 2^8 cells 32
+# against 43 us, 2^10 167 against 94 us, 2^13 1.3 against 0.27 ms, 2^21 751
+# against 61 ms). With three operands or fewer einsum was as fast or faster
 # at every size tried, up to 2^21 cells (a wide head's factor and a prior:
-# 2.1 against 7.1 ms).
+# 2.1 against 7.1 ms). Broadcasting holds the whole product, einsum only its
+# output, half a one-variable step's product. Above 2^21 cells (16 MB) einsum
+# is kept, though ten times slower there (2^22 cells: 1.3 s against 0.16 s),
+# so near the 2^26 cap a step needs no more memory than einsum needs.
 _EINSUM_LOOPS = 3
-_BROADCAST_VARIABLES = 10
+_BROADCAST_VARIABLES = range(10, 22)
 
 
 def _union(scopes: Iterable[tuple[str, ...]]) -> tuple[str, ...]:
@@ -374,8 +377,8 @@ def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
     """Multiply the (table, scope) operands and sum out every variable not
     in ``keep``; the result's axes follow ``keep``.
 
-    A product of more than _EINSUM_LOOPS operands and at least
-    2^_BROADCAST_VARIABLES cells is built whole by multiplying the operands
+    A product of more than _EINSUM_LOOPS operands over a number of variables
+    in _BROADCAST_VARIABLES is built whole by multiplying the operands
     in order by broadcasting, the summed variables on its leading axes, which
     are then summed out: that adds whole blocks, where summing trailing axes
     of length 2 would cost more than ``np.einsum``. Any other product is one
@@ -384,7 +387,7 @@ def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
     import numpy as np
 
     axes = _union([keep, *(s for _, s in operands)])
-    if len(operands) > _EINSUM_LOOPS and len(axes) >= _BROADCAST_VARIABLES:
+    if len(operands) > _EINSUM_LOOPS and len(axes) in _BROADCAST_VARIABLES:
         summed = axes[len(keep):]
         axis = {v: k for k, v in enumerate(summed + keep)}
         product = np.ones((2,) * len(axes))
@@ -507,28 +510,17 @@ def _zero_evidence(evidence: Formula) -> ZeroEvidenceError:
 class JointTable:
     """The full joint distribution over the internal propositions.
 
-    ``masses[code]`` is the probability of the assignment spelled by the bits
-    of ``code``, the first column the most significant bit, as in
-    ``Marginal``; the array is read-only. ``cells``, the same masses keyed by
-    tuples of booleans aligned with ``columns``, is built when first read."""
+    Keys of ``cells`` are tuples of booleans aligned with ``columns``."""
 
     columns: tuple[str, ...]
-    masses: np.ndarray
-
-    @cached_property
-    def cells(self) -> dict[tuple[bool, ...], float]:
-        # itertools.product lists the cells in code order
-        return dict(zip(itertools.product((False, True), repeat=len(self.columns)),
-                        self.masses.tolist()))
+    cells: Mapping[tuple[bool, ...], float]
 
     def probability_of(self, assignment: Mapping[str, bool]) -> float:
-        code = 0
-        for name in self.columns:
-            code = (code << 1) | bool(assignment[name])
-        return float(self.masses[code])
+        key = tuple(bool(assignment[c]) for c in self.columns)
+        return self.cells[key]
 
     def total(self) -> float:
-        return math.fsum(self.masses.tolist())
+        return math.fsum(self.cells.values())
 
 
 def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
@@ -540,7 +532,12 @@ def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
             f"joint table over {len(columns)} propositions exceeds the limit "
             f"of {max_propositions}"
         )
-    return JointTable(columns, marginal(program, columns).masses)
+    # the first column is the most significant bit, the order in which
+    # itertools.product lists the cells
+    masses = marginal(program, columns).masses
+    cells = dict(zip(itertools.product((False, True), repeat=len(columns)),
+                     masses.tolist()))
+    return JointTable(columns, cells)
 
 
 def _clamp_unit(x: float) -> float:

@@ -306,21 +306,6 @@ def test_marginal_edge_cases():
     assert empty.total() == 1.0
 
 
-def test_joint_table_builds_cells_on_first_read():
-    program = layered_program(16)
-    table = joint_table(program)
-    assert table.columns == program.propositions  # the order reference_joint keys by
-    assert not table.masses.flags.writeable
-    assert table.total() == pytest.approx(1.0, abs=EXACT)
-    reference = reference_joint(program)
-    for bits in ((False,) * 16, (True, False) * 8):
-        assert table.probability_of(dict(zip(table.columns, bits))) == pytest.approx(
-            reference[bits], abs=EXACT)
-    assert "cells" not in vars(table)
-    assert table.cells == pytest.approx(reference, abs=EXACT)
-    assert list(table.cells) == list(itertools.product((False, True), repeat=16))
-
-
 def test_tabulated_factors_match_clause_evaluation():
     # the kernel tabulates every factor once on a bit grid; the answers must
     # match evaluating the clauses assignment by assignment: joint tables
@@ -338,7 +323,9 @@ def test_tabulated_factors_match_clause_evaluation():
                       random_assignment(rng, names, 2),
                       random_assignment(rng, names, 1)))
         joint = reference_joint(program)
-        assert joint_table(program).cells == pytest.approx(joint, abs=EXACT)
+        cells = joint_table(program).cells
+        assert list(cells) == list(itertools.product((False, True), repeat=len(names)))
+        assert cells == pytest.approx(joint, abs=EXACT)
         phi = cases[-1][1]
         want = math.fsum(w for bits, w in joint.items() if phi.evaluate(dict(zip(names, bits))))
         assert probability(program, phi).probability == pytest.approx(want, abs=EXACT)
