@@ -14,7 +14,8 @@ One subcommand per task:
   plain clause format
 
 Exit status: 0 on success, 1 on any domain error (printed to stderr as
-``error[<code>]: <message>``), 2 on bad usage. ``--json`` switches the output
+``error[<code>]: <message>``, ``error[memory]`` for a query whose tables do
+not fit in memory), 2 on bad usage. ``--json`` switches the output
 to one JSON document on stdout with the shape
 ``{"command": ..., "inputs": ..., "result": ..., "diagnostics": [...]}``.
 """
@@ -28,8 +29,8 @@ import sys
 from typing import Any, Callable
 
 from .causal import counterfactual_query, interventional_query, twin_program
-from .engine import conditional, probability
-from .errors import CausalogError, GraphFormatError, ProgramError
+from .engine import MAX_WORLDS_ENV, conditional, probability
+from .errors import CausalogError, GraphFormatError, ProgramError, ReconstructionError
 from .formula import conjunction_of, parse_formula
 from .graph import DependencyGraph
 from .learning import DEFAULT_MIN_SUPPORT, Dataset, forward_sample, learn
@@ -47,6 +48,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as err:
         print(f"error[io]: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy's _ArrayMemoryError among them
+        print(f"error[memory]: {err or 'out of memory'}; lower the cap with "
+              f"--max-worlds or {MAX_WORLDS_ENV}", file=sys.stderr)
         return 1
     if getattr(args, "json", False):
         payload.pop("_text", None)
@@ -251,10 +256,6 @@ def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-class _RecoveryFailed(CausalogError):
-    code = "reconstruction"
-
-
 def _recovery_payload(command: str, inputs: dict[str, Any], result,
                       output: str | None) -> dict[str, Any]:
     diagnostics = [
@@ -265,7 +266,7 @@ def _recovery_payload(command: str, inputs: dict[str, Any], result,
         for line in diagnostics:
             print(line, file=sys.stderr)
         failed = ", ".join(sorted(result.failures))
-        raise _RecoveryFailed(f"could not recover: {failed}")
+        raise ReconstructionError(f"could not recover: {failed}")
     text = result.program.to_text()
     return {
         "command": command,

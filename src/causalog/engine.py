@@ -14,12 +14,13 @@ and then summed. ``marginal`` and ``joint_table`` read their answer straight
 off the final table over the atoms; for formulas, one ``np.bincount`` sorts
 that table into the formulas' cells.
 
-A factor is tabulated once over its own scope. A head's factor is its
-noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
-body holds; clauses of probability 0 or 1 make it deterministic. A random
-noise fact that several clauses read, as in a desugared program built by
-hand, is a variable of its own under the prior (1 - p, p), read by those
-clauses as a body atom.
+A factor is tabulated once over its own scope, in place: each clause's miss
+multiplies the slice its body selects of a table of ones, so the cap on cells
+bounds memory too. A head's factor is its noisy-OR, P(head | parents) =
+1 - prod(1 - fire(c)) over the clauses whose body holds; clauses of
+probability 0 or 1 make it deterministic. A random noise fact that several
+clauses read, as in a desugared program built by hand, is a variable of its
+own under the prior (1 - p, p), read by those clauses as a body atom.
 
 One builder (``_factors``) reads every query kind's factors off the program
 itself, so no query builds, intervenes or desugars a program; under an
@@ -168,38 +169,45 @@ class Factor:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The factor tabulated once, one axis per variable of its scope.
-
-        A parent is one bit of a cell's code, the first parent the most
-        significant, and a clause holds in the cells that have the bits its
-        body needs set and clear; a body that cannot hold needs bit 0 both.
-        The pair factor's P(0, 0) is the miss over the clauses whose body
-        holds in either copy, and P(1, 1) = 1 - P(h_e = 0) - P(h_i = 0) +
-        P(0, 0)."""
+        """The factor tabulated once, in place, one axis per variable of its
+        scope: each clause's miss 1 - fire multiplies, in clause order, the
+        slice of a table of ones that fixes each atom of its body to its
+        polarity (none if the body cannot hold). That builds a head's
+        P(0 | parents), and the pair factor's P(0, 1) and P(1, 0) for the
+        evidence and intervention copies and, by one mask per clause, P(0, 0)
+        for either; then P(1, 1) is 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0), and
+        P(0, 1) and P(1, 0) lose P(0, 0)."""
         import numpy as np
 
-        parents = self.scope[len(self.heads):]
-        bit = {name: 1 << j for j, name in enumerate(reversed(parents))}
-        cells = np.arange(1 << len(parents))
-        keep = np.array([k for _, k in self.terms]).reshape(-1, 1)
-        sats = []
-        for h in range(len(self.heads)):
-            masks = []
-            for bodies, _ in self.terms:
-                mask = [int(bodies[h] is None)] * 2  # the bits to have set, and clear
-                for name, positive in bodies[h] or ():
-                    mask[not positive] |= bit[name]
-                masks.append(mask)
-            on, off = np.array(masks, dtype=np.int64).reshape(-1, 2, 1).transpose(1, 0, 2)
-            sats.append((cells & on == on) & (cells & off == 0))
-        # noisy-OR misses: the product of 1 - fire over the clauses that hold
-        miss = [np.where(sat, keep, 1.0).prod(axis=0) for sat in sats]
-        if len(sats) == 1:
-            table = [miss[0], 1.0 - miss[0]]
+        axis = {name: k for k, name in enumerate(self.scope)}
+        table = np.ones((2,) * len(self.scope))
+
+        def cells(body: tuple[tuple[str, bool], ...], *heads: int) -> tuple:
+            index = [*heads] + [slice(None)] * (len(self.scope) - len(heads))
+            for name, positive in body:
+                index[axis[name]] = int(positive)
+            return tuple(index)
+
+        if len(self.heads) == 1:
+            for (body,), keep in self.terms:
+                if body is not None:
+                    table[cells(body, 0)] *= keep
+            np.subtract(1.0, table[0, ...], out=table[1, ...])
         else:
-            both = np.where(sats[0] | sats[1], keep, 1.0).prod(axis=0)
-            table = [both, miss[0] - both, miss[1] - both, 1.0 - miss[0] - miss[1] + both]
-        table = np.concatenate(table).reshape((2,) * len(self.scope))
+            both = table[0, 0, ...]
+            for bodies, keep in self.terms:
+                either = np.zeros(both.shape, dtype=bool)
+                for body, heads in zip(bodies, ((0, 1), (1, 0))):
+                    if body is not None:
+                        index = cells(body, *heads)
+                        table[index] *= keep
+                        either[index[2:]] = True
+                np.multiply(both, keep, out=both, where=either)
+            hit = np.subtract(1.0, table[0, 1, ...], out=table[1, 1, ...])
+            hit -= table[1, 0, ...]
+            hit += both
+            table[0, 1, ...] -= both
+            table[1, 0, ...] -= both
         table.flags.writeable = False  # shared by every query on the program
         return table
 

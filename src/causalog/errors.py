@@ -92,16 +92,20 @@ class InterventionError(CausalogError):
     code = "intervention"
 
 
-class OracleError(CausalogError):
-    """An oracle could not answer a query."""
-
-    code = "oracle"
+class _NodeError(CausalogError):
+    """A failure at one node (``target``), at a parent subset if any."""
 
     def __init__(self, message: str, target: str | None = None,
                  subset: frozenset[str] | None = None):
         super().__init__(message)
         self.target = target
         self.subset = subset
+
+
+class OracleError(_NodeError):
+    """An oracle could not answer a query."""
+
+    code = "oracle"
 
 
 class StarvedPatternError(OracleError):
@@ -115,46 +119,31 @@ class StarvedPatternError(OracleError):
         self.patterns = patterns
 
 
-class NonMonotoneTableError(CausalogError):
+class NonMonotoneTableError(_NodeError):
     """A success table that decreases when a parent is switched on, beyond
     tolerance. Impossible for exact oracles over positive programs, possible
     for noisy empirical ones."""
 
     code = "non-monotone"
 
-    def __init__(self, message: str, target: str, subset: frozenset[str]):
-        super().__init__(message)
-        self.target = target
-        self.subset = subset
 
-
-class SaturationError(CausalogError):
+class SaturationError(_NodeError):
     """Clause detection hit a subset whose prediction is already within
     tolerance of certainty while the table value still exceeds it, so the
     remaining parameter cannot be solved for."""
 
     code = "saturation"
 
-    def __init__(self, message: str, target: str, subset: frozenset[str]):
-        super().__init__(message)
-        self.target = target
-        self.subset = subset
 
-
-class ImproperParameterError(CausalogError):
+class ImproperParameterError(_NodeError):
     """A solved clause probability escaped the open unit interval."""
 
     code = "improper"
 
-    def __init__(self, message: str, target: str, subset: frozenset[str]):
-        super().__init__(message)
-        self.target = target
-        self.subset = subset
-
 
 class ReconstructionError(CausalogError):
     """Reconstruction could not start (cyclic graph, uncovered nodes,
-    too many parents)."""
+    too many parents), or could not recover every node."""
 
     code = "reconstruction"
 

@@ -5,6 +5,7 @@ stdout exactly, so the documentation cannot drift from the behavior.
 """
 
 import json
+import math
 import os
 import re
 import shlex
@@ -100,6 +101,36 @@ def test_max_worlds_flag():
     result = run_cli("query", BOOST, "--prob", "recovery", "--max-worlds", "1")
     assert result.returncode == 1
     assert result.stderr.startswith("error[cap]:")
+
+
+def test_wide_heads_answer_or_fail_by_name_under_a_memory_limit(tmp_path):
+    # a head on k root parents, queried by two children that each limit
+    # their own address space to 1 GiB: at k=24 the head's factor (2^25
+    # cells, 256 MB) is the only array of its size, so the query answers; at
+    # k=27, with the cap raised, the factor alone needs 2 GiB and the query
+    # exits 1 with a named error, not a traceback
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    children = {}
+    for k, flags in ((24, ()), (27, ("--max-worlds", "1000000000"))):
+        path = tmp_path / f"fan{k}.pl"
+        path.write_text("".join(f"0.5 :: r{j}.\n0.0{j % 9 + 1} :: h :- r{j}.\n"
+                                for j in range(k)))
+        children[k] = subprocess.Popen(
+            [sys.executable, "-m", "causalog", "query", str(path), "--prob", "h", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=str(ROOT),
+            preexec_fn=limit)
+    out, err = children[24].communicate()
+    miss = math.prod(1 - 0.5 * (j % 9 + 1) / 100 for j in range(24))
+    assert (children[24].returncode, out, err) == (0, f"{1 - miss:.6f}\n", "")
+    out, err = children[27].communicate()
+    assert (children[27].returncode, out) == (1, "")
+    assert err.startswith("error[memory]: ")
+    assert "Traceback" not in err
 
 
 def test_thousand_node_chain_answers_in_process(tmp_path, capsys):

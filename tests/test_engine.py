@@ -307,7 +307,7 @@ def test_marginal_edge_cases():
 
 
 def test_tabulated_factors_match_clause_evaluation():
-    # the kernel tabulates every factor once on a bit grid; the answers must
+    # the kernel tabulates every factor once, in place; the answers must
     # match evaluating the clauses assignment by assignment: joint tables
     # over 13-14 nodes against the chain rule, probabilities against the sums
     # of those cells, and counterfactuals (pair factors and constants)
@@ -335,17 +335,27 @@ def test_tabulated_factors_match_clause_evaluation():
     lines = ["0.4 :: r."]
     for k in range(10):
         lines += [f"0.{k + 1} :: c{k} :- r.", f"0.{9 - k}5 :: c{k} :- \\+ r."]
-    program = parse_program("\n".join(lines) + "\n")
-    names = list(program.propositions)
-    joint = reference_joint(program)
-    columns = tuple(f"c{k}" for k in (3, 9, 0, 8, 1, 7, 2, 6, 4, 5))
-    cells = {}
-    for bits, w in joint.items():
-        values = dict(zip(names, bits))
-        cells.setdefault(tuple(values[c] for c in columns), []).append(w)
-    want = [math.fsum(cells[key])
-            for key in itertools.product((False, True), repeat=len(columns))]
-    assert marginal(program, columns).masses == pytest.approx(want, abs=EXACT)
+    marginal_cases = [(parse_program("\n".join(lines) + "\n"),
+                   tuple(f"c{k}" for k in (3, 9, 0, 8, 1, 7, 2, 6, 4, 5)))]
+    # a head on twelve roots, its clauses' bodies one to three literals, some
+    # negated, one clause certain and one impossible: the head's factor has
+    # 2^13 cells, each clause's miss multiplied into the slice its body selects
+    lines = [f"0.{k % 8 + 1} :: r{k}." for k in range(12)]
+    lines += ["0.3 :: h :- r0.", "0.25 :: h :- \\+ r1, r2.", "0.4 :: h :- r3, \\+ r4, r5.",
+              "1 :: h :- r6, r7.", "0 :: h :- \\+ r8.", "0.15 :: h :- \\+ r9, \\+ r10, r11.",
+              "0.2 :: h :- r2, r11.", "0.35 :: h :- \\+ r0, r8."]
+    marginal_cases.append((parse_program("\n".join(lines) + "\n"), ("r8", "h", "r0", "r6")))
+    for program, columns in marginal_cases:
+        names = list(program.propositions)
+        joint = reference_joint(program)
+        assert joint_table(program).cells == pytest.approx(joint, abs=EXACT)
+        cells = {}
+        for bits, w in joint.items():
+            values = dict(zip(names, bits))
+            cells.setdefault(tuple(values[c] for c in columns), []).append(w)
+        want = [math.fsum(cells[key])
+                for key in itertools.product((False, True), repeat=len(columns))]
+        assert marginal(program, columns).masses == pytest.approx(want, abs=EXACT)
     # pair factors over both copies of n1 .. n6
     cases.append((layered_program(7), parse_formula("n6 | !n4"),
                   {"n6": True, "n1": False}, {"n0": False}))
@@ -353,6 +363,14 @@ def test_tabulated_factors_match_clause_evaluation():
     # n4 and n5 share noise, n2__i is forced and n2__e has its own factor
     cases.append((layered_program(7), parse_formula("n5 | !n3"),
                   {"n4": True, "n5": False}, {"n2": False}))
+    # a pair factor over a head on six roots under do(c=false): the clauses
+    # on c hold in the evidence copy only, the one on !c and d holds on d
+    # alone in the intervention copy, the others alike in both
+    lines = ["0.3 :: a.", "0.6 :: b.", "0.5 :: c.", "0.4 :: d.", "0.7 :: e.", "0.2 :: f.",
+             "0.1 :: h.", "0.5 :: h :- c.", "0.35 :: h :- \\+ c, d.",
+             "0.45 :: h :- a, \\+ b, e.", "0.25 :: h :- f.", "1 :: h :- c, d, \\+ e."]
+    cases.append((parse_program("\n".join(lines) + "\n"), parse_formula("h | !d"),
+                  {"h": True, "a": False}, {"c": False}))
     for program, phi, evidence, action in cases:
         twin = twin_program(program, action)
         replay = parse_program(twin.to_program_text())
@@ -362,6 +380,9 @@ def test_tabulated_factors_match_clause_evaluation():
         for other in (twin.desugared, replay):
             assert conditional(other, phi_i, evidence_e).probability == pytest.approx(
                 got, abs=EXACT)
+    # the last case: its twin's 2^12 noise worlds are few enough for brute force
+    assert got == pytest.approx(
+        reference_conditional(twin.desugared, phi_i, evidence_e), abs=EXACT)
 
 
 def test_cyclic_program_is_refused():
