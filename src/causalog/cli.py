@@ -91,10 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="program file")
     p.add_argument("--prob", required=True, metavar="FORMULA",
                    help="query formula, e.g. 'recovery & !treatment'")
-    p.add_argument("--given", metavar="LITERALS",
-                   help="comma-separated evidence literals, e.g. '\\+treatment,recovery'")
-    p.add_argument("--do", dest="do_", metavar="LITERALS",
-                   help="comma-separated intervention literals")
+    p.add_argument("--given", action=_JoinLiterals, metavar="LITERALS",
+                   help="comma-separated evidence literals, e.g. '\\+treatment,recovery'; "
+                   "repeatable")
+    p.add_argument("--do", dest="do_", action=_JoinLiterals, metavar="LITERALS",
+                   help="comma-separated intervention literals; repeatable")
     # a double's decimal expansion ends within 1074 places
     p.add_argument("--precision", type=_int_in(0, 1075, "in [0, 1074]"), default=6,
                    metavar="D", help="decimal places to print (default 6, at most 1074)")
@@ -137,13 +138,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twin-export",
                        help="export the evidence/intervention twin of a program")
     p.add_argument("file", help="program file")
-    p.add_argument("--do", dest="do_", required=True, metavar="LITERALS",
-                   help="comma-separated intervention literals")
+    p.add_argument("--do", dest="do_", action=_JoinLiterals, required=True,
+                   metavar="LITERALS", help="comma-separated intervention literals; repeatable")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_twin_export)
 
     return parser
+
+
+class _JoinLiterals(argparse.Action):
+    """Keeps every occurrence of a literal-list flag, joined with commas: a
+    repeated flag adds its literals, and a proposition bound twice is an
+    error, where argparse's default would keep only the last occurrence."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        prior = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, values if prior is None else f"{prior},{values}")
 
 
 def _int_in(low: int, high: int | None, what: str) -> Callable[[str], int]:

@@ -596,9 +596,14 @@ def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
     tables, _, _, cells = _eliminate(_factors(program, columns)[0], distinct, max_worlds)
     table = tables[-1]
     if len(distinct) < len(columns):
+        # the table goes onto the diagonal where a name's columns agree,
+        # written through a view whose step along a name is the sum of the
+        # steps of that name's columns
         spread = np.zeros((2,) * len(columns))
-        index = np.indices(table.shape)
-        spread[tuple(index[distinct.index(name)] for name in columns)] = table
+        strides = [0] * len(distinct)
+        for name, stride in zip(columns, spread.strides):
+            strides[distinct.index(name)] += stride
+        np.lib.stride_tricks.as_strided(spread, table.shape, strides)[...] = table
         table = spread
     masses = table.ravel()
     masses.flags.writeable = False

@@ -42,6 +42,14 @@ class Literal:
     def __post_init__(self) -> None:
         _check_proposition(self.name)
 
+    @classmethod
+    def _trusted(cls, name: str, positive: bool) -> "Literal":
+        """A literal whose caller has checked that ``name`` is a valid,
+        unreserved proposition name."""
+        lit = object.__new__(cls)
+        lit.__dict__.update(name=name, positive=positive)
+        return lit
+
     def negated(self) -> "Literal":
         return Literal(self.name, not self.positive)
 
@@ -73,6 +81,16 @@ class Clause:
         if not (0.0 <= p <= 1.0) or p != p:
             raise ProgramError(f"probability {self.probability!r} outside [0, 1]")
         object.__setattr__(self, "probability", p)
+
+    @classmethod
+    def _trusted(cls, effect: str, causes: frozenset[Literal],
+                 probability: float) -> "Clause":
+        """A clause whose caller has made ``__post_init__``'s checks: a valid
+        effect name, a frozenset body naming no atom twice and a float in
+        [0, 1]."""
+        clause = object.__new__(cls)
+        clause.__dict__.update(effect=effect, causes=causes, probability=probability)
+        return clause
 
     @property
     def key(self) -> tuple[str, frozenset[Literal]]:
@@ -119,30 +137,37 @@ class Program:
     """
 
     def __init__(self, clauses: Iterable[Clause], declared: Iterable[str] = ()):
-        clause_list = list(clauses)
-        seen: dict[tuple[str, frozenset[Literal]], Clause] = {}
-        for c in clause_list:
+        # one pass: check each clause, collect the names and edges, and key
+        # it by effect and body, which are unique once duplicates are out
+        seen: set[tuple[str, frozenset[Literal]]] = set()
+        mentioned: set[str] = set()
+        edges: set[tuple[str, str]] = set()
+        keyed: list[tuple[str, tuple[tuple[str, bool], ...], Clause]] = []
+        for c in clauses:
             if not isinstance(c, Clause):
                 raise ProgramError(f"expected a Clause, got {type(c).__name__}")
-            if c.key in seen:
+            effect, causes = c.effect, c.causes
+            if (effect, causes) in seen:
                 raise ProgramError(
-                    f"duplicate clause for {c.effect}: two clauses share the body "
+                    f"duplicate clause for {effect}: two clauses share the body "
                     f"{{{', '.join(str(l) for l in c.sorted_body()) or ''}}}"
                 )
-            seen[c.key] = c
-        mentioned = {c.effect for c in clause_list}
-        mentioned.update(lit.name for c in clause_list for lit in c.causes)
+            seen.add((effect, causes))
+            mentioned.add(effect)
+            body: tuple[tuple[str, bool], ...] = ()
+            if causes:
+                # a body names each atom once, so this is the name order
+                body = tuple(sorted([(lit.name, not lit.positive) for lit in causes]))
+                for name, _ in body:
+                    mentioned.add(name)
+                    edges.add((name, effect))
+            keyed.append((effect, body, c))
         extras = frozenset(_check_proposition(n) for n in declared) - mentioned
-        graph = DependencyGraph.build(
-            mentioned | extras,
-            {(lit.name, c.effect) for c in clause_list for lit in c.causes},
-        )
+        graph = DependencyGraph.build(mentioned | extras, edges)
         rank = graph.ordering_rank()
-        clause_list.sort(
-            key=lambda c: (rank[c.effect], c.effect,
-                           tuple((l.name, not l.positive) for l in c.sorted_body()))
-        )
-        self._clauses = tuple(clause_list)
+        # no two effects share a rank, so the effect name never breaks a tie
+        keyed.sort(key=lambda k: (rank[k[0]], k[1]))
+        self._clauses = tuple([k[2] for k in keyed])
         self._declared = extras
         self._graph = graph
 

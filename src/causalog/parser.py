@@ -11,6 +11,16 @@ line comment, ``\\+`` negates a body atom and every clause ends with a
 period. Proposition names are lowercase-initial ASCII identifiers; ``true``
 and ``false`` are reserved for the query language. Any other character,
 such as a non-ASCII digit or letter, is an unexpected character.
+
+Two readers share the work. The scanner accepts: it matches one statement
+pattern per clause and builds each clause once, checking only what the
+pattern cannot (probabilities above 1, reserved names, contradictory bodies,
+duplicate clauses, and that only blanks and comments follow the last
+clause). It reads less than the grammar allows, for example no comment
+inside a clause. Whenever it stops early or a check fails, the token walk
+reads the whole text again: it parses what the scanner left to it and
+explains why a text is rejected, with the position of the first fault.
+``parse_assignment`` uses the token walk alone.
 """
 
 from __future__ import annotations
@@ -101,6 +111,66 @@ def parse_program(text: str) -> Program:
     [0, 1], a body mentioning an atom both positively and negatively, and two
     clauses sharing both effect and body.
     """
+    program = _scan(text)
+    return program if program is not None else _walk(text)
+
+
+# The scanner's patterns. A statement is blanks and comments, then a clause
+# or the end of the text. Every blank and comment, every number and every
+# name is the token the tokenizer would read there: each is followed only
+# by a character that cannot extend it. A comment runs to its line's end,
+# so a run of blanks and comments splits one way only and a failed match
+# never backtracks through it.
+_B = r"[ \t\r\n]*"
+_NAME = r"[a-z][A-Za-z0-9_]*"
+_LIT = rf"(?:\\\+{_B})?{_NAME}"
+_STATEMENT = re.compile(
+    rf"{_B}(?:%[^\n]*(?:\n|\Z){_B})*"
+    rf"(?:([0-9]+(?:\.[0-9]+)?){_B}::{_B}({_NAME}){_B}"
+    rf"(?::-{_B}({_LIT}(?:{_B},{_B}{_LIT})*){_B})?\.|\Z)")
+_LITERAL = re.compile(rf"(\\\+)?{_B}({_NAME})")
+
+
+def _scan(text: str) -> Program | None:
+    """The program of ``text`` read one statement match at a time, or None
+    where the text breaks a rule or holds what the scanner does not read."""
+    clauses: list[Clause] = []
+    seen: set[tuple[str, frozenset[Literal]]] = set()
+    # each distinct literal and body, built once: a literal keyed by its
+    # (negation, name) match, a body by its text (None for no body)
+    literals: dict[tuple[str, str], Literal] = {}
+    bodies: dict[str | None, frozenset[Literal]] = {None: frozenset()}
+    pos = 0
+    while (m := _STATEMENT.match(text, pos)) is not None:
+        number, effect, body = m.groups()
+        if number is None:  # only blanks and comments were left
+            return Program(clauses)
+        prob = float(number)
+        if prob > 1.0 or effect in RESERVED_NAMES:
+            return None
+        causes = bodies.get(body)
+        if causes is None:
+            pairs = set(_LITERAL.findall(body))
+            if len({name for _, name in pairs}) < len(pairs):
+                return None
+            for pair in pairs:
+                if pair not in literals:
+                    if pair[1] in RESERVED_NAMES:
+                        return None
+                    literals[pair] = Literal._trusted(pair[1], not pair[0])
+            causes = bodies[body] = frozenset([literals[pair] for pair in pairs])
+        key = (effect, causes)
+        if key in seen:
+            return None
+        seen.add(key)
+        clauses.append(Clause._trusted(effect, causes, prob))
+        pos = m.end()
+    return None
+
+
+def _walk(text: str) -> Program:
+    """The program of ``text`` read token by token; raises the ParseError of
+    the first fault, at its position."""
     cur = _Cursor(text)
     clauses: list[Clause] = []
     seen: set[tuple[str, frozenset[Literal]]] = set()

@@ -4,9 +4,23 @@ Both programs induce the same joint distribution over (treatment, recovery)
 but answer counterfactual queries differently, which several tests lean on.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from causalog import parse_program
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def children_import_this_checkout():
+    """Child interpreters started by tests import causalog from ``src``, as
+    the tests do through pytest's ``pythonpath`` setting."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
+        yield
 
 BOOST_TEXT = """\
 0.5 :: treatment.

@@ -36,6 +36,7 @@ from causalog import (
     probability,
 )
 from causalog.graph import subsets_by_size
+from causalog.model import float_text
 
 
 def numpy_rng(seed):
@@ -94,6 +95,46 @@ def with_negation_and_certainty(rng, program):
             p = float(rng.choice([0.0, 1.0]))
         clauses.append(Clause(c.effect, causes, p))
     return Program(clauses)
+
+
+def program_text_variant(rng, program):
+    """The clause text of ``program`` as a person might type it: clauses and
+    body literals shuffled, some literals repeated, random blanks (or none)
+    between tokens, comments, LF or CRLF line ends, integer probabilities
+    where exact, trailing zeros, and sometimes no final newline."""
+    gaps = ["", " ", " ", "  ", "\t"]
+    # drawn in one call, since a draw per gap would take most of the time
+    draws = iter(rng.integers(len(gaps), size=16 * len(program.clauses)).tolist())
+
+    def gap():
+        return gaps[next(draws)]
+
+    def number(p):
+        if p in (0.0, 1.0) and rng.random() < 0.5:
+            return str(int(p))
+        text = float_text(p)
+        return text + "0" * int(rng.integers(0, 3))
+
+    clauses = [program.clauses[int(i)] for i in rng.permutation(len(program.clauses))]
+    out = ["% generated\n"] if rng.random() < 0.3 else []
+    for c in clauses:
+        lits = [f"\\+{gap()}{lit.name}" if not lit.positive else lit.name
+                for lit in c.sorted_body()]
+        if lits and rng.random() < 0.1:
+            lits.append(lits[0])
+        lits = [lits[int(i)] for i in rng.permutation(len(lits))]
+        out += [gap(), number(c.probability), gap(), "::", gap(), c.effect]
+        if lits:
+            out += [gap(), ":-", gap(), f"{gap()},{gap()}".join(lits)]
+        out += [gap(), ".", str(rng.choice(
+            ["\n", "\n", "\r\n", " ", "  % note\n", "\n% a comment line\r\n\n"]))]
+    text = "".join(out)
+    ending = rng.random()
+    if ending < 0.15:
+        text = text.rstrip(" \r\n")
+    elif ending < 0.25:
+        text += "% trailing comment, no newline"
+    return text
 
 
 def layered_program(n):

@@ -97,6 +97,39 @@ def test_given_plus_do_dispatches_counterfactually():
     assert payload["result"]["probability"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_repeated_literal_flags_add_up(capsys, monkeypatch):
+    # every --given and --do counts, as if their literals were one list
+    monkeypatch.chdir(ROOT)
+    query = ["query", SWITCH, "--prob", "recovery", "--json"]
+    pairs = [
+        (["--given", r"\+treatment", "--given", "recovery"],
+         ["--given", r"\+treatment,recovery"]),
+        (["--do", "treatment", "--do", r"\+recovery"],
+         ["--do", r"treatment,\+recovery"]),
+        (["--given", "recovery", "--do", "treatment", "--given", r"\+treatment"],
+         ["--given", r"recovery,\+treatment", "--do", "treatment"]),
+    ]
+    for repeated, joined in pairs:
+        (code, out, err), want = calls([query + repeated, query + joined], capsys)
+        assert (code, err) == (0, "") and (code, out, err) == want
+    payload = json.loads(calls([query + pairs[2][0]], capsys)[0][1])
+    assert payload["inputs"]["given"] == r"recovery,\+treatment"
+    assert payload["inputs"]["do"] == "treatment"
+    assert payload["inputs"]["kind"] == "counterfactual"
+    # a proposition bound twice across flags is the error it is within one
+    for flags in (["--given", "treatment", "--given", r"\+treatment"],
+                  ["--do", "treatment", "--do", "treatment"]):
+        code, out, err = calls([query + flags], capsys)[0]
+        assert (code, out) == (1, "")
+        assert err.startswith("error[parse]: ") and "treatment assigned twice" in err
+    export = ["twin-export", BOOST, "--do", "treatment"]
+    twice, once, clash = calls([export + ["--do", r"\+recovery"],
+                                ["twin-export", BOOST, "--do", r"treatment,\+recovery"],
+                                export + ["--do", "treatment"]], capsys)
+    assert twice == once and twice[0] == 0
+    assert clash[0] == 1 and "treatment assigned twice" in clash[2]
+
+
 def test_max_worlds_flag():
     result = run_cli("query", BOOST, "--prob", "recovery", "--max-worlds", "1")
     assert result.returncode == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,36 @@ def test_marginal_edge_cases():
     empty = joint_table(parse_program(""))
     assert empty.cells == {(): 1.0}
     assert empty.total() == 1.0
+
+
+def test_repeated_columns_spread_in_place():
+    # a repeated column's mass lies where its copies agree; spreading the
+    # table there builds no index array of the table's size per column, so
+    # the peak stays within a small multiple of the answer
+    lines = [f"0.{k % 8 + 1} :: r{k}." for k in range(12)]
+    lines += [f"0.0{k % 9 + 1} :: h :- {'' if k % 3 else chr(92) + '+ '}r{k}."
+              for k in range(12)]
+    program = parse_program("\n".join(lines) + "\n")
+    names = list(program.propositions)
+    joint = reference_joint(program)
+    for columns in (["h", *(f"r{k}" for k in range(12)), "h"],
+                    ["r3", "h", "r3", "r3", "r0"]):
+        cells = {}
+        for bits, w in joint.items():
+            values = dict(zip(names, bits))
+            cells.setdefault(tuple(values[c] for c in columns), []).append(w)
+        want = [math.fsum(cells.get(key, [0.0]))
+                for key in itertools.product((False, True), repeat=len(columns))]
+        marginal(program, columns)  # the program's factors, built once
+        tracemalloc.start()
+        try:
+            masses = marginal(program, columns).masses
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masses == pytest.approx(want, abs=EXACT)
+        if len(columns) > 5:
+            assert peak <= 3 * masses.nbytes, (peak, masses.nbytes)
 
 
 def test_tabulated_factors_match_clause_evaluation():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from causalog import (
@@ -10,10 +12,16 @@ from causalog import (
     parse_program,
     print_program,
 )
+from causalog import parser
 from causalog.model import float_text
 
 from conftest import BOOST_TEXT, SWITCH_TEXT
-from proggen import numpy_rng, random_program, with_negation_and_certainty
+from proggen import (
+    numpy_rng,
+    program_text_variant,
+    random_program,
+    with_negation_and_certainty,
+)
 
 
 def test_parses_facts_and_rules(boost_program):
@@ -162,3 +170,90 @@ def test_tiny_probabilities_print_positionally():
         assert parse_program(print_program(program)) == program
     assert float_text(1e-5) == "0.00001"
     assert float_text(0.1) == "0.1"
+
+
+# characters a mutation inserts: the syntax's own, blanks, and non-ASCII
+# digits, letters and spaces that ASCII-only rules must refuse
+_ALPHABET = list(" \t\r\n%:-.,\\+_0123456789abnAZ") + [
+    "\u0663", "\u00b2", "\uff11", "\u00e9", "\u0131", "\u00a0", "\u2028"]
+_NAME_AT = re.compile(r"(?<![A-Za-z0-9_])n[0-9]+")
+_NUMBER_AT = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def _mutate(rng, text, program):
+    """``text`` with one random fault or oddity put in."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    def at(pattern):
+        found = list(pattern.finditer(text))
+        return pick(found) if found else None
+
+    def clause_text(c, extra=()):
+        lits = [str(lit) for lit in c.sorted_body()] + list(extra)
+        body = f" :- {', '.join(lits)}" if lits else ""
+        return f"{float_text(c.probability)} :: {c.effect}{body}."
+
+    i = int(rng.integers(len(text) + 1))
+    kind = int(rng.integers(9))
+    if kind == 0 and text:
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        return text[:i] + pick(_ALPHABET) + text[i:]
+    if kind == 2 and text:
+        return text[:i] + pick(_ALPHABET) + text[i + 1:]
+    if kind == 3 and (m := at(_NAME_AT)):
+        name = pick([m[0].capitalize(), "true", "false", "_" + m[0], m[0] + "\u00e9"])
+        return text[:m.start()] + name + text[m.end():]
+    if kind == 4 and (m := at(_NUMBER_AT)):
+        number = pick(["1.5", "2", "10", "1.0000001", "1.00", "0", "1\u0663", "\u0663",
+                       "0.\u0663", "\u0660", "\uff10.5"])
+        return text[:m.start()] + number + text[m.end():]
+    if kind == 5 and program.clauses:
+        c = pick(program.clauses)
+        line = clause_text(c)
+        return pick([text + "\n" + line, line + "\n" + text])
+    if kind == 6 and program.clauses:
+        bodied = [c for c in program.clauses if c.causes] or program.clauses
+        c = pick(bodied)
+        lit = pick(sorted(c.causes)) if c.causes else None
+        extra = [str(lit.negated()) if lit else "\\+ " + c.effect]
+        return text + "\n" + clause_text(c, extra) + "\n"
+    if kind == 7:
+        spots = [m.end() for m in re.finditer(r":-|,", text)] or [i]
+        spot = pick(spots)
+        return text[:spot] + pick([" % inside\n", "%\n", "% x\r\n "]) + text[spot:]
+    return text.rstrip(" \t\r\n") if rng.random() < 0.5 else text + "%"
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as err:
+        return err
+
+
+def test_scanner_agrees_with_token_walk():
+    # parse_program must return the token walk's program, clause order
+    # included, or raise the walk's error at the walk's position
+    rng = numpy_rng(12)
+    counts = {"scanned": 0, "walked": 0, "rejected": 0}
+    for _ in range(250):
+        program = with_negation_and_certainty(rng, random_program(rng, max_nodes=7))
+        for _ in range(8):
+            text = program_text_variant(rng, program)
+            for _ in range(int(rng.integers(0, 3))):
+                text = _mutate(rng, text, program)
+            expected = _outcome(parser._walk, text)
+            got = _outcome(parse_program, text)
+            if isinstance(expected, ParseError):
+                assert isinstance(got, ParseError), text
+                assert (str(got), got.line, got.column) == (
+                    str(expected), expected.line, expected.column), text
+                counts["rejected"] += 1
+            else:
+                assert isinstance(got, Program), text
+                assert got == expected and got.clauses == expected.clauses, text
+                counts["walked" if parser._scan(text) is None else "scanned"] += 1
+    # every reader took a fair share of the 2,000 texts
+    assert min(counts.values()) >= 50, counts
