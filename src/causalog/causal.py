@@ -10,14 +10,16 @@ duplicates every internal proposition into an evidence copy (suffix ``__e``)
 and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
-the query is a conditional over the combined program. An interventional
-query is the same construction with no evidence, read out as a plain
-probability. Both take the twin's factors straight from the program's
-clauses (``engine._factors``), so neither builds a program; there the
-evidence copy is the proposition itself, and an intervention copy carries a
-mark that no proposition's name can hold, so it never meets a user's name.
-``intervene`` and ``twin_program`` (for ``twin-export``) build the
-surgically modified program and the combined one for their own callers.
+the query is a conditional over the combined program. The evidence is a
+conjunction of literals, so it restricts the twin's factors to the observed
+values before their elimination is planned. An interventional query is the
+same construction with no evidence, read out as a plain probability. Both
+take the twin's factors straight from the program's clauses
+(``engine._factors``), so neither builds a program; there the evidence copy
+is the proposition itself, and an intervention copy carries a mark that no
+proposition's name can hold, so it never meets a user's name. ``intervene``
+and ``twin_program`` (for ``twin-export``) build the surgically modified
+program and the combined one for their own callers.
 """
 
 from __future__ import annotations

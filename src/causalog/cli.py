@@ -268,7 +268,9 @@ def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _recovery_payload(command: str, inputs: dict[str, Any], result,
-                      output: str | None) -> dict[str, Any]:
+                      args: argparse.Namespace) -> dict[str, Any]:
+    """The payload of ``reconstruct`` or ``learn``; the residual audit is
+    built only for ``--json``, the one output that shows it."""
     diagnostics = [
         f"{name}: error[{err.code}]: {err}"
         for name, err in sorted(result.failures.items())
@@ -282,9 +284,9 @@ def _recovery_payload(command: str, inputs: dict[str, Any], result,
     return {
         "command": command,
         "inputs": inputs,
-        "result": result.to_json_dict(),
+        "result": result.to_json_dict() if args.json else None,
         "diagnostics": diagnostics,
-        "_text": _write_or_return(text, output),
+        "_text": _write_or_return(text, args.output),
     }
 
 
@@ -293,9 +295,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> dict[str, Any]:
     graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = reconstruct(ExactOracle(hidden), graph)
     return _recovery_payload(
-        "reconstruct", {"hidden": args.hidden, "graph": args.graph},
-        result, args.output,
-    )
+        "reconstruct", {"hidden": args.hidden, "graph": args.graph}, result, args)
 
 
 def _cmd_learn(args: argparse.Namespace) -> dict[str, Any]:
@@ -305,8 +305,7 @@ def _cmd_learn(args: argparse.Namespace) -> dict[str, Any]:
     return _recovery_payload(
         "learn",
         {"data": args.data, "graph": args.graph, "min_support": args.min_support},
-        result, args.output,
-    )
+        result, args)
 
 
 def _cmd_twin_export(args: argparse.Namespace) -> dict[str, Any]:

@@ -161,6 +161,26 @@ def conjunction_of(assignment: Mapping[str, bool]) -> Formula:
                            for name in sorted(assignment)])
 
 
+def literals_of(formula: Formula) -> dict[str, bool] | None:
+    """The assignment a conjunction of literals asserts, the inverse of
+    ``conjunction_of``: ``{}`` for ``true``, None for any other formula and
+    for a conjunction that asserts some atom both ways."""
+    out: dict[str, bool] = {}
+    pending = [formula]
+    while pending:
+        f = pending.pop()
+        if isinstance(f, And):
+            pending += (f.right, f.left)
+            continue
+        if isinstance(f, Const) and f.value:
+            continue
+        positive = not isinstance(f, Not)
+        atom = f if positive else f.operand
+        if not isinstance(atom, Atom) or out.setdefault(atom.name, positive) != positive:
+            return None
+    return out
+
+
 def _balanced(op: type[And] | type[Or], terms: Sequence[Formula]) -> Formula:
     """``op`` over ``terms`` in order, as a tree of depth log2(len(terms))."""
     if len(terms) == 1:

@@ -245,10 +245,11 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     columns = dp.internal_propositions
     generator = np.random.Generator(np.random.Philox(key=seed))
     uniforms = generator.random((n, len(noise)))
-    noise_cols = {
-        u: uniforms[:, j] < dp.noise_probability(u) for j, u in enumerate(noise)
-    }
-    values = solve(dp, noise_cols, n)
+    # one comparison of the whole matrix; each fact's column is then a
+    # contiguous row of the transpose
+    fired = np.ascontiguousarray(
+        (uniforms < np.array([dp.noise_probability(u) for u in noise])).T)
+    values = solve(dp, dict(zip(noise, fired)), n)
     rows = np.column_stack([values[c] for c in columns]) if columns else \
         np.zeros((n, 0), dtype=bool)
     return Dataset(columns, rows,

@@ -236,16 +236,17 @@ def test_factored_counterfactual_differential():
 
 
 def test_boost_counterfactual_worlds(boost_program):
-    # treatment__e (2 cells), the pair factor of recovery's copies given
-    # treatment__e (8) and the final table over the three atoms (8); the
-    # forced treatment__i is a constant and widens no table
+    # treatment__e (2 cells) and the pair factor of recovery's copies given
+    # treatment__e (8), each built whole, then restricted to the evidence on
+    # treatment__e and recovery__e, leaving one product over recovery__i (2);
+    # the forced treatment__i is a constant and widens no table
     def query(cap=None):
         return counterfactual_query(
             boost_program, Atom("recovery"),
             {"treatment": False, "recovery": True}, {"treatment": True}, cap)
 
     r = query()
-    assert r.worlds_evaluated == 18
+    assert r.worlds_evaluated == 12
     with pytest.raises(EnumerationCapError) as err:
         query(7)
     assert err.value.needed == 8

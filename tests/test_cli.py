@@ -545,11 +545,26 @@ def long_chain(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("given, want", [
+    # the evidence cuts the chain: n1499 holds when its last 1400 links fire
+    (range(100), 0.9 ** 1400),
+    (range(1500), 1.0),
+], ids=["100-literals", "1500-literals"])
+def test_given_literals_restrict_the_chain(long_chain, given, want, capsys):
+    # each literal slices the factors that read it, so evidence adds no
+    # table width; at 100 literals the final table once needed 2^101 cells
+    flags = ["--prob", "n1499", "--given", ",".join(f"n{k}" for k in given), "--json"]
+    assert cli.main(["query", long_chain, *flags]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["probability"] == pytest.approx(want, rel=1e-12)
+    assert result["conditioning_mass"] == pytest.approx(0.5 * 0.9 ** max(given), rel=1e-12)
+
+
 @pytest.mark.parametrize("flags, code", [
-    (["--prob", "n1499", "--given", ",".join(f"n{k}" for k in range(1500))], "cap"),
+    (["--prob", "|".join(f"n{k}" for k in range(1500))], "cap"),
     (["--prob", "!" * 3000 + "n1"], "formula"),
     (["--prob", "(" * 3000 + "n1" + ")" * 3000], "formula"),
-], ids=["given-1500-literals", "3000-negations", "3000-parentheses"])
+], ids=["prob-1500-atoms", "3000-negations", "3000-parentheses"])
 def test_deep_formulas_are_refused(long_chain, flags, code, capsys):
     assert cli.main(["query", long_chain, *flags]) == 1
     captured = capsys.readouterr()
@@ -559,8 +574,8 @@ def test_deep_formulas_are_refused(long_chain, flags, code, capsys):
 
 
 def test_cap_error_counts_cells_as_a_power_of_two(long_chain, capsys):
-    # 100 evidence literals stay in the final table with the query atom
-    flags = ["--prob", "n1499", "--given", ",".join(f"n{k}" for k in range(100))]
+    # the 101 atoms of a disjunction stay in the final table
+    flags = ["--prob", "|".join(f"n{k}" for k in [*range(100), 1499])]
     assert cli.main(["query", long_chain, *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(

@@ -10,7 +10,7 @@ from causalog import (
     conjunction_of,
     parse_formula,
 )
-from causalog.formula import MAX_DEPTH
+from causalog.formula import MAX_DEPTH, literals_of
 
 
 def test_parse_precedence():
@@ -21,6 +21,16 @@ def test_parse_precedence():
 def test_parse_parentheses():
     phi = parse_formula("(a | b) & c")
     assert phi == And(Or(Atom("a"), Atom("b")), Atom("c"))
+
+
+def test_literals_of_reads_conjunctions_of_literals_only():
+    assignment = {f"a{k}": k % 3 == 0 for k in range(20)}
+    assert literals_of(conjunction_of(assignment)) == assignment
+    assert literals_of(Const(True)) == {}
+    assert literals_of(parse_formula("a & !b & (c & a)")) == {"a": True, "b": False, "c": True}
+    # a formula, or literals that contradict each other, is not an assignment
+    for text in ("false", "a | b", "!!a", "!(a & b)", "a & b & !a"):
+        assert literals_of(parse_formula(text)) is None, text
 
 
 def test_constants():
