@@ -259,6 +259,21 @@ def _nodes(program: Program | DesugaredProgram) -> tuple[tuple[str, ...], dict, 
     return nodes
 
 
+def node_factor(program: Program | DesugaredProgram, node: str) -> Factor:
+    """P(node | its parents in the program), the factor every query on the
+    program shares, built once; its table is tabulated on first use."""
+    _, clauses, cache = _nodes(program)
+    return _node_factor(node, clauses, cache)
+
+
+def _node_factor(node: str, clauses: dict, cache: dict) -> Factor:
+    found = cache.get(node)
+    if found is None:
+        found = cache[node] = Factor((node,), tuple(
+            ((body,), 1.0 - fire) for body, fire in clauses.get(node, ()) if fire > 0.0))
+    return found
+
+
 def _factors(program: Program | DesugaredProgram, queried: Iterable[str],
              observed: Collection[str] = (), forced: Mapping[str, bool] | None = None
              ) -> tuple[list[Factor], Callable[[str], str]]:
@@ -311,9 +326,7 @@ def _factors(program: Program | DesugaredProgram, queried: Iterable[str],
             worlds.pop()
             factors.append(factor(node, [True], [((), 1.0)] if forced[node] else []))
         if worlds == [False]:
-            if node not in cache:
-                cache[node] = factor(node, worlds, terms)
-            factors.append(cache[node])
+            factors.append(_node_factor(node, clauses, cache))
         elif worlds:
             factors.append(factor(node, worlds, terms))
         if worlds:
@@ -562,11 +575,12 @@ def factor_conditional(factors: Sequence[Factor], phi: Formula, evidence: Formul
         masses, cells = _masses(factors, [phi], max_worlds, observed)
         hit, mass = masses[1], masses[0] + masses[1]
     if mass <= 0.0:
-        raise _zero_evidence(evidence)
+        raise zero_evidence(evidence)
     return QueryResult(_clamp_unit(hit / mass), cells, _clamp_unit(mass))
 
 
-def _zero_evidence(evidence: Formula) -> ZeroEvidenceError:
+def zero_evidence(evidence: Formula) -> ZeroEvidenceError:
+    """The error of conditioning on ``evidence`` of probability zero."""
     return ZeroEvidenceError(f"evidence '{evidence.to_text()}' has probability zero")
 
 
@@ -635,7 +649,7 @@ class Marginal:
         # the first column is the most significant bit of a cell's code
         miss, hit = self.masses.reshape(2, -1)[:, code].tolist()
         if miss + hit <= 0.0:
-            raise _zero_evidence(conjunction_of(pattern))
+            raise zero_evidence(conjunction_of(pattern))
         return _clamp_unit(hit / (miss + hit))
 
 

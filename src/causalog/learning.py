@@ -19,8 +19,9 @@ success probability of a target under a parent pattern is estimated by the
 relative frequency among the rows matching the pattern, with a standard-error
 tolerance (z * sqrt(v / n), v estimated with add-one smoothing so it never
 degenerates to zero) and a minimum support below which the pattern is
-reported as starved instead of trusted. The row counts of every pattern of a
-table come from one bincount over the rows' pattern codes.
+reported as starved instead of trusted. A whole table is read at once: the
+row counts of every pattern come from one bincount over the rows' pattern
+codes, and the rates and tolerances are computed as arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .engine import solve
 from .errors import DatasetError, OracleError, StarvedPatternError
@@ -36,10 +37,15 @@ from .graph import DependencyGraph
 from .model import Program
 from .reconstruction import (
     MAX_PARENTS,
+    Family,
     OracleAnswer,
     ReconstructionResult,
+    SuccessTable,
     check_table_width,
+    pattern_code,
     reconstruct,
+    subsets_by_code,
+    table_order,
 )
 
 if TYPE_CHECKING:
@@ -262,60 +268,82 @@ class FrequencyOracle:
     For a pattern with ``n_T`` matching rows of which ``s`` have the target
     true, the answer is ``s / n_T`` with tolerance ``z * sqrt(v / n_T)`` where
     ``v`` uses the add-one-smoothed rate ``(s + 1) / (n_T + 2)``. Patterns
-    with fewer than ``min_support`` rows, which must be at least 1, raise
-    StarvedPatternError."""
+    with fewer than ``min_support`` rows, which must be at least 1, are
+    starved: a table lists them all in one StarvedPatternError, in table
+    order, and a single pattern raises its own. A table's row counts come
+    from one bincount, and its rates and tolerances are computed for every
+    pattern at once."""
 
     def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT,
                  z: float = DEFAULT_Z):
-        import numpy as np
-
         self._data = dataset
         self.min_support = int(min_support)
         if self.min_support < 1:
             raise OracleError(f"min_support must be at least 1, got {min_support}")
         self.z = float(z)
-        # the latest table: the rows per parent pattern and, when the target
-        # is a column, the rows per pattern with the target true
-        self._key: tuple[str, tuple[str, ...]] | None = None
-        self._support = np.zeros(0, dtype=np.int64)
-        self._hits: np.ndarray | None = None
 
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self._data.columns)
 
+    def expect(self, families: Sequence[Family]) -> None:
+        """Nothing to prepare: each table is one bincount of its own."""
+
+    def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
+        support, hits = self._counts(target, parents)
+        if hits is None:  # the target is not a column: DatasetError
+            self._data.column(target)
+        subsets = subsets_by_code(parents)
+        starved = support < self.min_support
+        if starved.any():
+            listed = sorted(((subsets[code], int(support[code])) for code in starved.nonzero()[0]),
+                            key=lambda entry: table_order(entry[0]))
+            listing = "; ".join(f"{{{', '.join(sorted(s)) or ''}}} has {n} samples"
+                                for s, n in listed)
+            raise StarvedPatternError(
+                f"{target}: {len(listed)} parent pattern(s) below support: {listing}",
+                target=target, patterns=tuple(listed),
+            )
+        rates, tolerances = self._estimates(hits, support)
+        return SuccessTable(target, parents, dict(zip(subsets, rates.tolist())),
+                            dict(zip(subsets, tolerances.tolist())),
+                            dict(zip(subsets, support.tolist())), "samples")
+
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
-        import numpy as np
-
+        """One pattern of the table ``success_table`` reads."""
         parents = tuple(sorted(pattern))
-        if self._key != (target, parents):
-            self._tabulate(target, parents)
-        code = 0
-        for name in parents:
-            code = (code << 1) | bool(pattern[name])
-        n = int(self._support[code])
-        subset = frozenset(name for name, value in pattern.items() if value)
+        support, hits = self._counts(target, parents)
+        code = pattern_code(parents, pattern)
+        n = int(support[code])
         if n < self.min_support:
-            names = ", ".join(sorted(subset))
+            subset = frozenset(name for name, value in pattern.items() if value)
             raise StarvedPatternError(
-                f"pattern {{{names}}} matches only {n} rows "
+                f"pattern {{{', '.join(sorted(subset))}}} matches only {n} rows "
                 f"(minimum support {self.min_support})",
                 target=target, patterns=((subset, n),),
             )
-        if self._hits is None:  # the target is not a column: DatasetError
+        if hits is None:  # the target is not a column: DatasetError
             self._data.column(target)
-        s = int(self._hits[code])
-        rate = s / n
-        smoothed = (s + 1.0) / (n + 2.0)
-        tolerance = self.z * float(np.sqrt(smoothed * (1.0 - smoothed) / n))
-        return OracleAnswer(rate, tolerance, n)
+        rate, tolerance = self._estimates(hits[code:code + 1], support[code:code + 1])
+        return OracleAnswer(float(rate[0]), float(tolerance[0]), n)
 
-    def _tabulate(self, target: str, parents: tuple[str, ...]) -> None:
-        """Count the rows of every parent pattern, and those of them with the
-        target true, by one bincount over each row's code: the parent bits,
-        first parent most significant, then the target bit. A pattern over
-        more than MAX_TABLE_WIDTH propositions raises TableSizeError."""
+    def _estimates(self, hits: np.ndarray, support: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The rate and the tolerance of each pattern, from its rows and
+        those of them with the target true."""
+        import numpy as np
+
+        smoothed = (hits + 1.0) / (support + 2.0)
+        return hits / support, self.z * np.sqrt(smoothed * (1.0 - smoothed) / support)
+
+    def _counts(self, target: str, parents: tuple[str, ...]
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The rows of every parent pattern by ``pattern_code`` and, when the
+        target is a column, those of them with the target true, by one
+        bincount over each row's code: the parent bits, then the target bit.
+        A pattern over more than MAX_TABLE_WIDTH propositions raises
+        TableSizeError."""
         import numpy as np
 
         check_table_width(len(parents))
@@ -326,10 +354,8 @@ class FrequencyOracle:
             codes |= self._data.column(name)
         counts = np.bincount(codes, minlength=1 << len(names))
         if len(names) > len(parents):
-            self._support, self._hits = counts[0::2] + counts[1::2], counts[1::2]
-        else:
-            self._support, self._hits = counts, None
-        self._key = (target, parents)
+            return counts[0::2] + counts[1::2], counts[1::2]
+        return counts, None
 
 
 def empirical_oracle(dataset: Dataset,

@@ -21,22 +21,32 @@ clauses already predict the combined pattern exactly.
 Everything here works per node and never looks at another node's answers, so
 partial failures (starved patterns, non-monotone noise, unresolvable
 saturation) are collected per node and reconstruction still returns what it
-could recover. The oracle is asked one pattern at a time, but neither oracle
-shipped here works per pattern: the exact oracle calibrates the hidden
-program once, at its first pattern, which answers every node whose parents
-are the program's (one elimination per node answers any other), and the
-frequency oracle fills a node's whole table at its first pattern with one
-bincount over the rows' pattern codes.
+could recover. An oracle answers a node's whole success table in one call.
+The exact oracle reads the table of a node asked with its own parents off
+the node's factor when no pattern of those parents can have zero mass, and
+otherwise from one calibration of the families ``reconstruct`` asks (one
+elimination answers any other parent set); the frequency oracle reads it
+from one bincount over the rows' pattern codes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
+from itertools import compress, product
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
-from .engine import Marginal, marginal, marginals
+from .engine import (
+    Factor,
+    Marginal,
+    marginal,
+    marginals,
+    node_factor,
+    resolved_max_worlds,
+    zero_evidence,
+)
 from .errors import (
     CausalogError,
     EnumerationCapError,
@@ -48,15 +58,22 @@ from .errors import (
     StarvedPatternError,
     TableSizeError,
 )
+from .formula import conjunction_of
 from .graph import DependencyGraph, subsets_by_size
 from .model import Clause, Literal, Program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_TOLERANCE = 1e-9
 MAX_PARENTS = 12
 # the widest pattern an oracle tabulates: the table holds 2^width patterns,
-# and success_table asks each of them, so this only bounds an explicit
-# max_parents well above MAX_PARENTS (the same 20 as engine.joint_table)
+# so this only bounds an explicit max_parents well above MAX_PARENTS (the
+# same 20 as engine.joint_table)
 MAX_TABLE_WIDTH = 20
+
+# (target, its parents in name order): one success table
+Family = tuple[str, tuple[str, ...]]
 
 
 def check_table_width(width: int) -> None:
@@ -67,6 +84,37 @@ def check_table_width(width: int) -> None:
             f"pattern over {width} propositions exceeds the table limit of "
             f"{MAX_TABLE_WIDTH}"
         )
+
+
+def pattern_code(parents: Sequence[str], pattern: Mapping[str, bool]) -> int:
+    """The code of one pattern of ``parents``: a bit per parent, the first
+    parent the most significant, set where the parent is pinned true."""
+    code = 0
+    for name in parents:
+        code = (code << 1) | bool(pattern[name])
+    return code
+
+
+def subsets_by_code(parents: tuple[str, ...]) -> list[frozenset[str]]:
+    """The subset of ``parents`` each pattern pins true, by ``pattern_code``."""
+    return [frozenset(compress(parents, bits))
+            for bits in product((False, True), repeat=len(parents))]
+
+
+def table_order(subset: frozenset[str]) -> tuple[int, list[str]]:
+    """The key that sorts subsets in table order, as ``subsets_by_size``
+    lists them: by size, then by name."""
+    return len(subset), sorted(subset)
+
+
+def pattern_error(target: str, subset: frozenset[str], err: CausalogError) -> OracleError:
+    """The error of an oracle that failed for ``target`` at the pattern
+    pinning ``subset`` true, for ``err``; raise it from ``err``."""
+    return OracleError(
+        f"oracle failed for {target} at pattern "
+        f"{{{', '.join(sorted(subset)) or ''}}}: {err}",
+        target=target, subset=subset,
+    )
 
 
 class OracleAnswer(NamedTuple):
@@ -80,34 +128,45 @@ class OracleAnswer(NamedTuple):
 
 
 class Oracle(Protocol):
-    """Answers 'how often does the target hold when its parents are pinned to
-    this pattern'. ``nodes`` is the set of propositions it covers."""
+    """Answers how often a target holds when its parents, in name order, are
+    pinned to each on/off pattern, as one SuccessTable. A failure at one
+    pattern raises ``pattern_error``, starved patterns raise one
+    StarvedPatternError that lists them all, and any other error is taken to
+    come before the first pattern. ``expect`` is told every family that
+    ``reconstruct`` will ask, before the first, for an oracle that answers
+    families more cheaply together. ``nodes`` is the set of propositions it
+    covers."""
 
     @property
     def nodes(self) -> frozenset[str]: ...
 
-    def success_given_parents(self, target: str,
-                              pattern: Mapping[str, bool]) -> OracleAnswer: ...
+    def expect(self, families: Sequence[Family]) -> None: ...
+
+    def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable: ...
 
 
 class ExactOracle:
-    """Exact answers computed from a known program by conditioning.
+    """Exact answers computed from a known program.
 
-    At its first pattern the oracle calibrates the program once
-    (``engine.marginals``), which gives the exact marginal over every node
-    and its parents in the program, so the success table of a node whose
-    parent set the program shares is a lookup: the marginal's cells hold
-    P(target, pattern) for every pattern at once. Any other parent set takes
-    one elimination onto the target and those parents (``engine.marginal``),
-    and the latest such table is kept for the set's other patterns. The
-    answer at a pattern is P(target, pattern) / P(pattern), as a conditional
-    would give, and a pattern of probability zero raises ZeroEvidenceError.
+    A family is a node with its parents in the program. When every factor of
+    the ancestral closure of those parents is strictly positive, no cell 0,
+    every parent pattern has positive mass, so P(node | pattern) is the
+    node's own factor at the pattern (the factorization): the table is read
+    off that factor, with no inference. Any other parent set takes the
+    general path, where the answer at a pattern is P(target, pattern) /
+    P(pattern), as a conditional would give, and a pattern of probability
+    zero raises ZeroEvidenceError. At the first family that needs it, one
+    calibration (``engine.marginals``) gives the marginal of every expected
+    family whose closure holds a zero cell: those ``expect`` was told, or the
+    program's own, and it covers only their ancestral closure. A parent set
+    that is not a family takes one elimination onto the target and those
+    parents (``engine.marginal``).
 
-    The cap applies to every table. A calibration whose largest table
-    exceeds it builds nothing, and every node then takes its own
-    elimination, so a node whose largest table exceeds the cap fails alone.
-    A pattern over more than MAX_TABLE_WIDTH propositions raises
-    TableSizeError.
+    The cap applies to every table, the factors the factor path tabulates
+    included. A calibration whose largest table exceeds it builds nothing,
+    and every node then takes its own elimination, so a node whose closure,
+    factor or largest table exceeds the cap fails alone. A pattern over more
+    than MAX_TABLE_WIDTH propositions raises TableSizeError.
 
     Useful for round-trip testing and for re-expressing a program in positive
     normal form: reconstruction against this oracle returns a noisy-OR
@@ -118,32 +177,141 @@ class ExactOracle:
         self._program = program
         self._tolerance = float(tolerance)
         self._max_worlds = max_worlds
+        self._expected: Sequence[Family] | None = None
         self._families: Mapping[tuple[str, ...], Marginal] | None = None
-        self._table: Marginal | None = None
+        # each node seen: its factor within the cap, and whether every factor
+        # of its closure is strictly positive; each family seen: its route
+        self._factors: dict[str, Factor] = {}
+        self._positive: dict[str, bool] = {}
+        self._reads: dict[tuple[str, ...], str] = {}
 
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self._program.propositions)
 
+    def expect(self, families: Sequence[Family]) -> None:
+        self._expected = list(families)
+        self._families = None
+
+    def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
+        values, read = self._read(target, parents)
+        subsets = subsets_by_code(parents)
+        zero = [s for s, value in zip(subsets, values) if value != value]  # NaN
+        if zero:
+            subset = min(zero, key=table_order)
+            err = zero_evidence(conjunction_of({p: p in subset for p in parents}))
+            raise pattern_error(target, subset, err) from err
+        return SuccessTable(target, parents, dict(zip(subsets, values)),
+                            dict.fromkeys(subsets, self._tolerance), None, read)
+
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
-        check_table_width(len(pattern))
-        atoms = (target, *sorted(pattern))
-        if self._families is None:
-            self._families = self._calibrate()
-        table = self._families.get(atoms)
+        """One pattern of the table ``success_table`` reads."""
+        parents = tuple(sorted(pattern))
+        value = self._read(target, parents)[0][pattern_code(parents, pattern)]
+        if value != value:  # NaN
+            raise zero_evidence(conjunction_of(pattern))
+        return OracleAnswer(value, self._tolerance, None)
+
+    def _read(self, target: str, parents: tuple[str, ...]) -> tuple[list[float], str]:
+        """P(target | pattern) for every pattern of ``parents`` by
+        ``pattern_code``, NaN where the pattern has probability zero, and
+        how it was read: ``factor``, ``calibration`` or ``elimination``."""
+        check_table_width(len(parents))
+        family = (target, *parents)
+        read = self._reads.get(family) or self._route(target, parents)
+        if read == "factor":
+            return self._factor_row(target, parents).tolist(), read
+        table = None
+        if read == "calibration":
+            if self._families is None:
+                self._families = self._calibrate()
+            table = self._families.get(family)
         if table is None:
-            if self._table is None or self._table.columns != atoms:
-                self._table = marginal(self._program, atoms, self._max_worlds)
-            table = self._table
-        return OracleAnswer(table.given(pattern), self._tolerance, None)
+            table, read = marginal(self._program, family, self._max_worlds), "elimination"
+        # masses are never negative, so hit / (miss + hit) lies in [0, 1];
+        # a table is a few patterns, where a list beats numpy's per-call cost
+        miss, hit = table.masses.reshape(2, -1).tolist()
+        return [h / (m + h) if m + h > 0.0 else math.nan for m, h in zip(miss, hit)], read
+
+    def _route(self, target: str, parents: tuple[str, ...]) -> str:
+        """How the table of ``target`` under ``parents`` is read, kept: off
+        the target's factor, or from the calibration, when they are its
+        parents in the acyclic program, else by its own elimination."""
+        graph = self._program.dependency_graph()
+        read = "elimination"
+        if (target in graph.nodes and graph.parents(target) == frozenset(parents)
+                and graph.is_acyclic()):
+            read = "factor" if self._closure_positive(parents) else "calibration"
+        self._reads[(target, *parents)] = read
+        return read
+
+    def _factor(self, node: str) -> Factor:
+        """The node's factor, refused when its table exceeds the cap."""
+        factor = self._factors.get(node)
+        if factor is None:
+            factor = node_factor(self._program, node)
+            cells, cap = 1 << len(factor.scope), resolved_max_worlds(self._max_worlds)
+            if cells > cap:
+                raise EnumerationCapError(cells, cap)
+            self._factors[node] = factor
+        return factor
+
+    def _closure_positive(self, names: Iterable[str]) -> bool:
+        """Whether every factor of the ancestral closure of ``names`` in the
+        acyclic program is strictly positive. Each node's answer is kept; a
+        node below one that is not is never tabulated."""
+        graph = self._program.dependency_graph()
+        known = self._positive
+        todo = list(names)
+        while todo:
+            node = todo[-1]
+            if node in known:
+                todo.pop()
+                continue
+            waiting = [p for p in graph.parents(node) if p not in known]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            known[node] = (all(known[p] for p in graph.parents(node))
+                           and bool(self._factor(node).table.all()))
+        return all(known[name] for name in names)
+
+    def _factor_row(self, target: str, parents: tuple[str, ...]) -> np.ndarray:
+        """P(target = 1 | pattern) off the target's factor, by pattern code;
+        a parent that only clauses of probability 0 read is not in the
+        factor's scope, and the row does not vary along it."""
+        import numpy as np
+
+        factor = self._factor(target)
+        unread = tuple(p for p in parents if p not in factor.scope)
+        table = factor.table
+        if unread:
+            table = table.reshape(table.shape + (1,) * len(unread))
+        axis = {name: k for k, name in enumerate(factor.scope + unread)}
+        row = table.transpose([axis[name] for name in (target, *parents)])[1]
+        if unread:
+            row = np.broadcast_to(row, (2,) * len(parents))
+        return row.reshape(-1)
 
     def _calibrate(self) -> Mapping[tuple[str, ...], Marginal]:
-        """The marginal of every node with its parents in the program, or
-        none when the calibration would exceed the cap."""
+        """The marginal of every expected family whose parents' closure holds
+        a zero cell, from one calibration, or none when the calibration would
+        exceed the cap. A family whose closure exceeds the cap is left out:
+        it fails on its own."""
         graph = self._program.dependency_graph()
-        families = [(name, *sorted(graph.parents(name)))
-                    for name in self._program.propositions]
+        expected = self._expected
+        if expected is None:
+            expected = [(name, tuple(sorted(graph.parents(name))))
+                        for name in self._program.propositions]
+        families = []
+        for target, parents in expected:
+            try:
+                if self._route(target, parents) == "calibration":
+                    families.append((target, *parents))
+            except EnumerationCapError:
+                continue
         try:
             return marginals(self._program, families, self._max_worlds).marginals
         except EnumerationCapError:
@@ -156,13 +324,17 @@ class SuccessTable:
 
     Keys of ``values`` are the subsets of ``parents`` pinned true (the rest
     pinned false). ``tolerances`` carries the per-pattern trust radius and
-    ``support`` the per-pattern sample counts for empirical oracles."""
+    ``support`` the per-pattern sample counts for empirical oracles. ``read``
+    says how the oracle read the table (``factor``, ``calibration``,
+    ``elimination`` or ``samples`` for the shipped oracles); it is not part
+    of the table's value."""
 
     target: str
     parents: tuple[str, ...]
     values: Mapping[frozenset[str], float]
     tolerances: Mapping[frozenset[str], float]
     support: Mapping[frozenset[str], int] | None = None
+    read: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         expected = 1 << len(self.parents)
@@ -178,51 +350,22 @@ class SuccessTable:
 
 def success_table(oracle: Oracle, target: str, parents: Iterable[str],
                   max_parents: int = MAX_PARENTS) -> SuccessTable:
-    """Query the oracle for every parent pattern of one target.
+    """Ask the oracle for the success table of one target.
 
-    Starved patterns are collected across the whole table and reported in a
-    single error; any other oracle failure propagates with the offending
-    subset named."""
+    An oracle error names the offending pattern: one before the first
+    pattern is reported at the first, the empty subset."""
     ordered = tuple(sorted(set(parents)))
     if len(ordered) > max_parents:
         raise ReconstructionError(
             f"{target} has {len(ordered)} parents; the table would need "
             f"{1 << len(ordered)} oracle calls (limit {max_parents} parents)"
         )
-    values: dict[frozenset[str], float] = {}
-    tolerances: dict[frozenset[str], float] = {}
-    support: dict[frozenset[str], int] = {}
-    starved: list[tuple[frozenset[str], int]] = []
-    any_support = False
-    for subset in subsets_by_size(ordered):
-        pattern = {p: (p in subset) for p in ordered}
-        try:
-            answer = oracle.success_given_parents(target, pattern)
-        except StarvedPatternError as err:
-            starved.append((subset, err.patterns[0][1] if err.patterns else 0))
-            continue
-        except CausalogError as err:
-            raise OracleError(
-                f"oracle failed for {target} at pattern "
-                f"{{{', '.join(sorted(subset)) or ''}}}: {err}",
-                target=target, subset=subset,
-            ) from err
-        values[subset] = float(answer.probability)
-        tolerances[subset] = float(answer.tolerance)
-        if answer.support is not None:
-            any_support = True
-            support[subset] = answer.support
-    if starved:
-        listing = "; ".join(
-            f"{{{', '.join(sorted(s)) or ''}}} has {n} samples"
-            for s, n in starved
-        )
-        raise StarvedPatternError(
-            f"{target}: {len(starved)} parent pattern(s) below support: {listing}",
-            target=target, patterns=tuple(starved),
-        )
-    return SuccessTable(target, ordered, values, tolerances,
-                        support if any_support else None)
+    try:
+        return oracle.success_table(target, ordered)
+    except OracleError:
+        raise
+    except CausalogError as err:
+        raise pattern_error(target, frozenset(), err) from err
 
 
 @dataclass(frozen=True)
@@ -321,7 +464,8 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
 @dataclass(frozen=True)
 class NodeReport:
     """Reconstruction outcome for one node, with the number of patterns the
-    oracle was asked and the seconds spent on the node."""
+    oracle read, the seconds spent on the node and how the oracle read its
+    table (None when it read none)."""
 
     target: str
     parents: tuple[str, ...]
@@ -331,6 +475,7 @@ class NodeReport:
     error: CausalogError | None = None
     oracle_calls: int = 0
     seconds: float = 0.0
+    read: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -355,7 +500,8 @@ class NodeReport:
                 }
                 for r in self.records
             ],
-            "stats": {"oracle_calls": self.oracle_calls, "seconds": self.seconds},
+            "stats": {"oracle_calls": self.oracle_calls, "seconds": self.seconds,
+                      "read": self.read},
         }
         if self.table is not None:
             out["table"] = {
@@ -395,21 +541,15 @@ class ReconstructionResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-class _CountingOracle:
-    """Forwards to an oracle and counts the patterns asked."""
-
-    def __init__(self, oracle: Oracle):
-        self._oracle = oracle
-        self.calls = 0
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        return self._oracle.nodes
-
-    def success_given_parents(self, target: str,
-                              pattern: Mapping[str, bool]) -> OracleAnswer:
-        self.calls += 1
-        return self._oracle.success_given_parents(target, pattern)
+def _patterns_read(err: CausalogError, parents: tuple[str, ...]) -> int:
+    """The patterns an oracle read for a table that failed with ``err``:
+    every one when some were starved, up to the pattern that failed, and none
+    when the table was refused before the oracle was asked."""
+    if isinstance(err, StarvedPatternError):
+        return 1 << len(parents)
+    if isinstance(err, OracleError) and err.subset is not None:
+        return list(subsets_by_size(parents)).index(err.subset) + 1
+    return 0
 
 
 def reconstruct(oracle: Oracle, graph: DependencyGraph,
@@ -417,9 +557,10 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph,
     """Recover a program over the graph's nodes from the oracle.
 
     Each node is processed independently: its parents are read off the graph,
-    its success table is filled by the oracle and peeled into clauses. Each
-    node's report counts the patterns asked and the seconds spent. The
-    result's own dependency graph is always a subgraph of the input graph."""
+    its success table is read from the oracle in one call and peeled into
+    clauses. The oracle is told every node's family first. Each node's
+    report counts the patterns read and the seconds spent. The result's own
+    dependency graph is always a subgraph of the input graph."""
     if not graph.is_acyclic():
         cycle = graph.find_cycle() or []
         raise ReconstructionError(
@@ -433,21 +574,24 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph,
     clauses: list[Clause] = []
     reports: dict[str, NodeReport] = {}
     failures: dict[str, CausalogError] = {}
-    counted = _CountingOracle(oracle)
-    for target in sorted(graph.nodes):
-        parents = tuple(sorted(graph.parents(target)))
-        counted.calls = 0
+    families = [(target, tuple(sorted(graph.parents(target))))
+                for target in sorted(graph.nodes)]
+    oracle.expect(families)
+    for target, parents in families:
         start = time.perf_counter()
-        error = None
+        table, solved, records, error, calls, read = None, [], [], None, 0, None
         try:
-            table = success_table(counted, target, parents, max_parents)
+            table = success_table(oracle, target, parents, max_parents)
+            calls, read = len(table.values), table.read
             solved, records = _detect(table)
         except CausalogError as err:
+            if table is None:
+                calls = _patterns_read(err, parents)
             table, solved, records, error = None, [], [], err
             failures[target] = err
         reports[target] = NodeReport(target, parents, table, tuple(solved),
-                                     tuple(records), error, counted.calls,
-                                     time.perf_counter() - start)
+                                     tuple(records), error, calls,
+                                     time.perf_counter() - start, read)
         for body, prob in solved:
             clauses.append(Clause(target, frozenset(Literal(b) for b in body), prob))
     program = Program(clauses, declared=sorted(graph.nodes))

@@ -477,14 +477,16 @@ def test_recovery_json_carries_node_stats(tmp_path, capsys):
     fixtures = ROOT / "fixtures"
     assert cli.main(["sample", str(fixtures / "recovery_boost.pl"), "-n", "3000",
                      "--seed", "5", "-o", str(csv)]) == 0
-    for argv in (["learn", "--data", str(csv)],
-                 ["reconstruct", "--hidden", str(fixtures / "recovery_boost.pl")]):
+    for argv, read in ((["learn", "--data", str(csv)], "samples"),
+                       (["reconstruct", "--hidden", str(fixtures / "recovery_boost.pl")],
+                        "factor")):
         capsys.readouterr()
         assert cli.main([*argv, "--graph", str(fixtures / "recovery.edges"), "--json"]) == 0
         nodes = json.loads(capsys.readouterr().out)["result"]["nodes"]
         assert nodes["recovery"]["stats"]["oracle_calls"] == 2
         assert nodes["treatment"]["stats"]["oracle_calls"] == 1
         assert all(node["stats"]["seconds"] >= 0.0 for node in nodes.values())
+        assert all(node["stats"]["read"] == read for node in nodes.values())
 
 
 # --- the parser built once per process ----------------------------------------

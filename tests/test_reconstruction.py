@@ -6,6 +6,7 @@ import pytest
 
 from causalog import (
     Atom,
+    CausalogError,
     Dataset,
     DatasetError,
     DependencyGraph,
@@ -16,6 +17,7 @@ from causalog import (
     Not,
     OracleAnswer,
     OracleError,
+    Program,
     ReconstructionError,
     StarvedPatternError,
     SuccessTable,
@@ -31,6 +33,7 @@ from causalog import (
     success_table,
 )
 from causalog import reconstruction
+from causalog.engine import marginal, marginals
 from causalog.graph import subsets_by_size
 from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS, MAX_TABLE_WIDTH
 
@@ -41,19 +44,30 @@ TR_GRAPH = DependencyGraph.build(
 
 
 class TableOracle:
-    """Scripted oracle for exercising the detector directly."""
+    """Scripted oracle: each target's table keyed by the subset pinned true,
+    where a CausalogError instead of a value fails at that pattern."""
 
     def __init__(self, tables, tolerance=1e-9):
         self._tables = tables
         self._tolerance = tolerance
+        self.expected = None
 
     @property
     def nodes(self):
         return frozenset(self._tables)
 
-    def success_given_parents(self, target, pattern):
-        subset = frozenset(n for n, v in pattern.items() if v)
-        return OracleAnswer(self._tables[target][subset], self._tolerance)
+    def expect(self, families):
+        self.expected = list(families)
+
+    def success_table(self, target, parents):
+        values = {}
+        for subset in subsets_by_size(parents):
+            value = self._tables[target][subset]
+            if isinstance(value, CausalogError):
+                raise reconstruction.pattern_error(target, subset, value) from value
+            values[subset] = value
+        return SuccessTable(target, parents, values,
+                            dict.fromkeys(values, self._tolerance))
 
 
 def make_table(target, parents, values, tol=1e-9):
@@ -209,20 +223,43 @@ def test_failures_are_collected_per_node():
 
 
 def test_starved_patterns_aggregate():
-    class Starver:
-        nodes = frozenset({"a", "t"})
-
-        def success_given_parents(self, target, pattern):
-            if any(pattern.values()):
-                raise StarvedPatternError(
-                    "pattern too rare", target=target,
-                    patterns=((frozenset(k for k, v in pattern.items() if v), 3),))
-            return OracleAnswer(0.5, 1e-3)
-
+    # 40 rows with a and b false, 3 with a true, none with b true: the three
+    # patterns other than {} are starved, listed in table order
+    rows = np.zeros((43, 3), dtype=bool)
+    rows[40:, 0] = True
+    dataset = Dataset(("a", "b", "t"), rows)
     with pytest.raises(StarvedPatternError) as err:
-        success_table(Starver(), "t", ["a", "b"])
+        success_table(FrequencyOracle(dataset), "t", ["a", "b"])
     assert err.value.target == "t"
-    assert len(err.value.patterns) == 3  # {a}, {b}, {a,b}
+    assert err.value.patterns == ((frozenset({"a"}), 3), (frozenset({"b"}), 0),
+                                  (frozenset({"a", "b"}), 0))
+    assert str(err.value) == ("t: 3 parent pattern(s) below support: {a} has 3 "
+                              "samples; {b} has 0 samples; {a, b} has 0 samples")
+    graph = DependencyGraph.build(["a", "b", "t"], [("a", "t"), ("b", "t")])
+    report = reconstruct(FrequencyOracle(dataset), graph).nodes["t"]
+    assert isinstance(report.error, StarvedPatternError)
+    assert report.oracle_calls == 4 and report.read is None
+
+
+def test_scripted_oracle_is_told_the_families_and_fails_at_its_pattern():
+    # t's table fails at its third pattern, {b}: the patterns read up to it
+    failure = ZeroEvidenceError("no mass")
+    oracle = TableOracle({
+        "a": {frozenset(): 0.3},
+        "b": {frozenset(): 0.6},
+        "t": {frozenset(): 0.1, frozenset({"a"}): 0.5, frozenset({"b"}): failure,
+              frozenset({"a", "b"}): 0.9},
+    })
+    graph = DependencyGraph.build(["a", "b", "t"], [("a", "t"), ("b", "t")])
+    result = reconstruct(oracle, graph)
+    assert oracle.expected == [("a", ()), ("b", ()), ("t", ("a", "b"))]
+    assert set(result.failures) == {"t"}
+    err = result.failures["t"]
+    assert isinstance(err, OracleError) and err.__cause__ is failure
+    assert err.subset == frozenset({"b"})
+    assert str(err) == "oracle failed for t at pattern {b}: no mass"
+    assert result.nodes["t"].oracle_calls == 3
+    assert [result.nodes[n].oracle_calls for n in "ab"] == [1, 1]
 
 
 def test_report_json_shape(boost_program):
@@ -352,6 +389,28 @@ class MaskOracle:
     def nodes(self):
         return frozenset(self._data.columns)
 
+    def expect(self, families):
+        pass
+
+    def success_table(self, target, parents):
+        """The table pattern by pattern, starved patterns listed together."""
+        values, tolerances, support, starved = {}, {}, {}, []
+        for subset in subsets_by_size(parents):
+            try:
+                answer = self.success_given_parents(
+                    target, {p: p in subset for p in parents})
+            except StarvedPatternError as err:
+                starved.append(err.patterns[0])
+                continue
+            values[subset], tolerances[subset], support[subset] = answer
+        if starved:
+            listing = "; ".join(f"{{{', '.join(sorted(s))}}} has {n} samples"
+                                for s, n in starved)
+            raise StarvedPatternError(
+                f"{target}: {len(starved)} parent pattern(s) below support: {listing}",
+                target=target, patterns=tuple(starved))
+        return SuccessTable(target, parents, values, tolerances, support)
+
     def success_given_parents(self, target, pattern):
         mask = np.ones(len(self._data), dtype=bool)
         for name, value in pattern.items():
@@ -387,7 +446,8 @@ def test_frequency_oracle_matches_per_pattern_masks():
                 assert got.value.patterns == err.patterns
                 seen["starved"] += 1
                 continue
-            assert success_table(fast, target, parents) == want
+            got = success_table(fast, target, parents)
+            assert got == want and got.read == "samples"
             seen["complete"] += 1
         queries = _queries(rng, program)
         for i in rng.permutation(len(queries)):
@@ -413,14 +473,24 @@ def test_node_stats_count_oracle_calls(boost_program):
     assert nodes["recovery"]["stats"]["oracle_calls"] == 2
     assert nodes["treatment"]["stats"]["oracle_calls"] == 1
     for node in nodes.values():
-        assert set(node["stats"]) == {"oracle_calls", "seconds"}
+        assert set(node["stats"]) == {"oracle_calls", "seconds", "read"}
         assert 0.0 <= node["stats"]["seconds"] < 60.0
+        assert node["stats"]["read"] == "factor"
     # a failed node reports the patterns asked up to the failure: c's first
-    # pattern {} pins b false, which has probability zero
+    # pattern {} pins b false, which has probability zero; b's certain
+    # clause is a zero cell, so c's table takes the calibration
     program = parse_program("1 :: b.\n0.5 :: a.\n0.3 :: c :- b.\n0.2 :: c :- a.\n")
     failed = reconstruct(ExactOracle(program), program.dependency_graph())
     assert failed.nodes["c"].oracle_calls == 1
-    assert failed.nodes["c"].to_json_dict()["stats"]["oracle_calls"] == 1
+    assert failed.nodes["c"].to_json_dict()["stats"] == {
+        "oracle_calls": 1, "seconds": failed.nodes["c"].seconds, "read": None}
+    assert [failed.nodes[n].read for n in "ab"] == ["factor", "factor"]
+    # a parent set outside the program is eliminated; samples are counted
+    wider = DependencyGraph.build(["a", "b", "c"], [("a", "b")])
+    assert reconstruct(ExactOracle(program), wider).nodes["b"].read == "elimination"
+    dataset = forward_sample(program, 200, seed=3)
+    learned = reconstruct(FrequencyOracle(dataset), wider)
+    assert {report.read for report in learned.nodes.values()} == {"samples"}
 
 
 def test_frequency_oracle_unknown_target_matches_masks():
@@ -486,9 +556,13 @@ def test_explicit_max_parents_above_the_default():
 # --- one calibration per reconstruction ---------------------------------------------
 
 
-def _layered_positive(n):
-    """n0 .. n(n-1), each node on its two predecessors, positive bodies."""
-    lines = ["0.3 :: n0.", "0.2 :: n1.", "0.6 :: n1 :- n0."]
+def _layered_positive(n, gated=False):
+    """n0 .. n(n-1), each node on its two predecessors, positive bodies.
+    ``gated`` makes n0 read a root r, with no clause for r false: a zero
+    cell in n0's factor, so every node below n0 takes the calibration,
+    though no pattern of any node's parents has zero mass."""
+    lines = ["0.3 :: r.", "0.5 :: n0 :- r."] if gated else ["0.3 :: n0."]
+    lines += ["0.2 :: n1.", "0.6 :: n1 :- n0."]
     for k in range(2, n):
         lines += [f"0.{k % 9 + 1} :: n{k}.", f"0.5 :: n{k} :- n{k - 1}.",
                   f"0.35 :: n{k} :- n{k - 2}.", f"0.15 :: n{k} :- n{k - 1}, n{k - 2}."]
@@ -512,7 +586,7 @@ def test_reconstruct_calibrates_once_with_linear_work(monkeypatch):
     log = _counting(monkeypatch, reconstruction, "marginal", "marginals")
     worlds = {}
     for n in (50, 100, 200):
-        program = _layered_positive(n)
+        program = _layered_positive(n, gated=True)
         del log[:]
         result = reconstruct(ExactOracle(program), program.dependency_graph())
         assert result.ok
@@ -530,7 +604,7 @@ def test_reconstruct_calibrates_once_with_linear_work(monkeypatch):
 
 def test_parent_sets_outside_the_program_take_their_own_elimination(monkeypatch):
     log = _counting(monkeypatch, reconstruction, "marginal", "marginals")
-    program = _layered_positive(12)
+    program = _layered_positive(12, gated=True)
     graph = program.dependency_graph()
     # n11 gains a parent it does not read, so only its table is eliminated
     wider = DependencyGraph.build(graph.nodes, graph.edges | {("n0", "n11")})
@@ -540,6 +614,92 @@ def test_parent_sets_outside_the_program_take_their_own_elimination(monkeypatch)
         ("marginals", None), ("marginal", ("n11", "n0", "n10", "n9"))]
     assert {(c.effect, c.causes) for c in result.program.clauses} == {
         (c.effect, c.causes) for c in program.clauses}
+
+
+def test_calibration_covers_only_the_closure_of_the_asked_families(monkeypatch):
+    # the graph asks r, n0 .. n9 of the 200-node program: the calibration
+    # builds exactly the tables it builds for the 10-node program
+    log = _counting(monkeypatch, reconstruction, "marginal", "marginals")
+    worlds = []
+    for n in (10, 200):
+        program = _layered_positive(n, gated=True)
+        edges = program.dependency_graph().edges
+        asked = {"r"} | {f"n{k}" for k in range(10)}
+        graph = DependencyGraph.build(asked, {e for e in edges if e[1] in asked})
+        del log[:]
+        result = reconstruct(ExactOracle(program), graph)
+        assert result.ok
+        assert [name for name, _ in log] == ["marginals"]
+        worlds.append(log[0][1].worlds_evaluated)
+        assert [result.nodes[k].read for k in ("r", "n0", "n1", "n9")] == [
+            "factor", "factor", "calibration", "calibration"]
+    assert worlds[0] == worlds[1]
+
+
+def test_strictly_positive_programs_need_no_inference(monkeypatch):
+    # every factor has no zero cell, so every table is read off its node's
+    # own factor: no calibration and no elimination
+    log = _counting(monkeypatch, reconstruction, "marginal", "marginals")
+    hub = "0.5 :: a.\n" + "".join(f"0.{k % 9 + 1} :: c{k} :- a.\n" for k in range(20))
+    for program in (_layered_positive(50), parse_program(hub)):
+        result = reconstruct(ExactOracle(program), program.dependency_graph())
+        assert result.ok and log == []
+        assert {report.read for report in result.nodes.values()} == {"factor"}
+        want = {(c.effect, c.causes): c.probability for c in program.clauses}
+        got = {(c.effect, c.causes): c.probability for c in result.program.clauses}
+        assert set(got) == set(want)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_factor_tables_equal_calibrated_tables():
+    # every node's table against one calibration of the program, pattern by
+    # pattern: equal within 1e-12 where the closure is strictly positive, and
+    # with certainty or negation the same ZeroEvidenceError text at the same
+    # first pattern
+    rng = numpy_rng(6151)
+    seen = {"factor": 0, "calibration": 0, "zero": 0, "unread": 0}
+    for k in range(60):
+        program = random_program(rng, max_nodes=7, max_parents=3)
+        positive = k % 2 == 0
+        if not positive:
+            # half the nodes with parents lose their unconditional clause, so
+            # some parent values have no clause at all: more zero cells
+            program = with_negation_and_certainty(rng, program)
+            program = Program([c for c in program.clauses if c.causes or rng.random() < 0.5
+                               or not program.dependency_graph().parents(c.effect)],
+                              declared=program.propositions)
+        graph = program.dependency_graph()
+        families = [(t, tuple(sorted(graph.parents(t)))) for t in program.propositions]
+        calibrated = marginals(program, [(t, *ps) for t, ps in families]).marginals
+        oracle = ExactOracle(program)
+        for target, parents in families:
+            # a family no clique holds, as a parent only a clause of
+            # probability 0 reads, takes its own elimination
+            reference = calibrated.get((target, *parents)) or marginal(
+                program, (target, *parents))
+            want, zero = {}, None
+            for subset in subsets_by_size(parents):
+                try:
+                    want[subset] = reference.given({p: p in subset for p in parents})
+                except ZeroEvidenceError as err:
+                    zero = zero or (subset, str(err))
+            try:
+                table = success_table(oracle, target, parents)
+            except OracleError as err:
+                assert zero is not None and not positive
+                assert (err.subset, str(err.__cause__)) == zero
+                assert isinstance(err.__cause__, ZeroEvidenceError)
+                seen["zero"] += 1
+                continue
+            assert zero is None
+            assert table.read == "factor" or not positive
+            seen[table.read] += 1
+            seen["unread"] += any(c.probability == 0.0 for c in program.clauses
+                                  if c.effect == target and c.causes)
+            for subset, value in want.items():
+                assert table.values[subset] == pytest.approx(value, abs=1e-12)
+    assert all(seen.values()), seen
 
 
 def test_reconstruct_programs_with_many_children_and_components():
