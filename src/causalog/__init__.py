@@ -21,6 +21,7 @@ from .engine import (
     evaluate_world,
     joint_table,
     probability,
+    query,
 )
 from .errors import (
     CausalogError,
@@ -130,6 +131,7 @@ __all__ = [
     "print_program",
     "probability",
     "program_fingerprint",
+    "query",
     "reconstruct",
     "success_table",
     "twin_program",

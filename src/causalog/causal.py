@@ -10,16 +10,13 @@ duplicates every internal proposition into an evidence copy (suffix ``__e``)
 and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
-the query is a conditional over the combined program. The evidence is a
-conjunction of literals, so it restricts the twin's factors to the observed
-values before their elimination is planned. An interventional query is the
-same construction with no evidence, read out as a plain probability. Both
-take the twin's factors straight from the program's clauses
-(``engine._factors``), so neither builds a program; there the evidence copy
-is the proposition itself, and an intervention copy carries a mark that no
-proposition's name can hold, so it never meets a user's name. ``intervene``
-and ``twin_program`` (for ``twin-export``) build the surgically modified
-program and the combined one for their own callers.
+the query is a conditional over the combined program. An interventional
+query is the same construction with no evidence. Both check the names they
+are given and hand the query to ``engine.query``, the one entry point of
+every query kind, which reads the twin's factors straight from the program's
+clauses, so neither builds a program. ``intervene`` and ``twin_program``
+(for ``twin-export``) build the surgically modified program and the combined
+one for their own callers.
 """
 
 from __future__ import annotations
@@ -27,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .engine import QueryResult, _factors, factor_conditional, factor_probability
+from .engine import QueryResult, query
 from .errors import InterventionError
-from .formula import Formula, check_atoms, conjunction_of
+from .formula import Formula, conjunction_of
 from .model import (
     Clause,
     DesugaredProgram,
@@ -71,8 +68,8 @@ def interventional_query(program: Program, phi: Formula,
                          intervention: Mapping[str, bool],
                          max_worlds: int | None = None) -> QueryResult:
     """Probability of ``phi`` after the intervention."""
-    factors, phi_i, _ = _twin_query(program, phi, {}, intervention)
-    return factor_probability(factors, phi_i, max_worlds)
+    forced = _check_assignment(program, intervention, "intervention")
+    return query(program, phi, forced=forced, max_worlds=max_worlds)
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,9 @@ class TwinProgram:
         Shared noise facts become explicit propositions with their own
         unconditional clause, and every logical clause becomes a
         probability-one clause, so any tool reading the plain format can
-        replay counterfactual queries as conditionals."""
+        replay counterfactual queries as conditionals. A twin proposition no
+        clause mentions, such as the intervention copy of a node forced
+        false, gets a clause of probability zero, so it stays queryable."""
         dp = self.desugared
         lines = []
         for u in dp.noise_names:
@@ -103,6 +102,9 @@ class TwinProgram:
                 lines.append(f"1.0 :: {clause.head} :- {', '.join(parts)}.")
             else:
                 lines.append(f"1.0 :: {clause.head}.")
+        # a proposition no clause reads (a sink) and none concludes
+        unmentioned = dp.dependency_graph().sinks().difference(c.head for c in dp.clauses)
+        lines += [f"0.0 :: {name}." for name in sorted(unmentioned)]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -149,16 +151,6 @@ def counterfactual_query(program: Program, phi: Formula,
     zero in the untouched program raises ZeroEvidenceError."""
     if not evidence:
         return interventional_query(program, phi, intervention, max_worlds)
-    return factor_conditional(*_twin_query(program, phi, evidence, intervention), max_worlds)
-
-
-def _twin_query(program: Program, phi: Formula, evidence: Mapping[str, bool],
-                intervention: Mapping[str, bool]) -> tuple[list, Formula, Formula]:
-    """The twin's factors for ``phi`` under the intervention given the
-    evidence, ``phi`` on the intervention copies and the evidence on the
-    evidence copies, which are the program's own propositions."""
-    check_atoms(phi, program)
     observed = _check_assignment(program, evidence, "evidence")
     forced = _check_assignment(program, intervention, "intervention")
-    factors, intervened = _factors(program, phi.atoms(), observed, forced)
-    return factors, phi.map_atoms(intervened), conjunction_of(observed)
+    return query(program, phi, conjunction_of(observed), forced, max_worlds)

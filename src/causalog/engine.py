@@ -18,14 +18,16 @@ A factor is tabulated once over its own scope, in place: each clause's miss
 multiplies the slice its body selects of a table of ones, so the cap on cells
 bounds memory too. A head's factor is its noisy-OR, P(head | parents) =
 1 - prod(1 - fire(c)) over the clauses whose body holds; clauses of
-probability 0 or 1 make it deterministic. A random noise fact that several
-clauses read, as in a desugared program built by hand, is a variable of its
-own under the prior (1 - p, p), read by those clauses as a body atom.
+probability 0 or 1 make it deterministic.
 
-One builder (``_factors``) reads every query kind's factors off the program
-itself, so no query builds, intervenes or desugars a program; under an
-intervention a node it reaches gets a second copy, its intervened one
-(``causal``). The ordinary factors are tabulated once per program and kept.
+``query`` is the one entry point of every query kind: the probability of a
+formula under an intervention, given evidence observed in the world as it
+was, a conditional on the twin network (Balke & Pearl, 1994). A plain
+probability has neither, a conditional no intervention, an interventional
+query no evidence. One builder (``_factors``) reads the query's factors off
+the program itself, so no query builds, intervenes or desugars a program;
+under an intervention a node it reaches gets a second copy, its intervened
+one. The ordinary factors are tabulated once per program and kept.
 
 Evidence that is a conjunction of literals, as every ``--given`` and every
 counterfactual observation is, restricts the factors before the elimination
@@ -57,7 +59,6 @@ import itertools
 import math
 import os
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Sequence
@@ -69,7 +70,7 @@ from .errors import (
     WorldError,
     ZeroEvidenceError,
 )
-from .formula import Formula, check_atoms, check_names, conjunction_of, literals_of
+from .formula import Formula, check_atoms, check_names, literals_of
 from .graph import DependencyGraph
 from .model import DesugaredProgram, Program
 
@@ -232,37 +233,22 @@ _DO_MARK = "@do"
 _NODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _nodes(program: Program | DesugaredProgram) -> tuple[tuple[str, ...], dict, dict]:
-    """The roots, each node's clauses as (body, fire) pairs, and the factor
-    cache. A random noise fact that several clauses of a desugared program
-    read is a root, whose one clause fires with its probability and which
-    those clauses read as a body atom; others fold into their clause's fire."""
+def _nodes(program: Program) -> tuple[dict, dict]:
+    """Each node's clauses as (body, fire) pairs, and the factor cache."""
     nodes = _NODES.get(program)
     if nodes is None:
-        roots: tuple[str, ...] = ()
         clauses: dict[str, list] = {}
-        if isinstance(program, Program):
-            for c in program.clauses:
-                body = tuple(sorted([(lit.name, lit.positive) for lit in c.causes]))
-                clauses.setdefault(c.effect, []).append((body, c.probability))
-        else:
-            prob = program.noise_probability
-            reads = Counter(u for c in program.clauses for u in c.noise if 0.0 < prob(u) < 1.0)
-            roots = tuple(u for u in program.noise_names if reads[u] > 1)
-            clauses.update((u, [((), prob(u))]) for u in roots)
-            for c in program.clauses:
-                body = tuple(sorted([(lit.name, lit.positive) for lit in c.literals]))
-                body += tuple((u, True) for u in sorted(c.noise) if reads[u] > 1)
-                fire = math.prod(prob(u) for u in c.noise if reads[u] < 2)
-                clauses.setdefault(c.head, []).append((body, fire))
-        nodes = _NODES[program] = (roots, clauses, {})
+        for c in program.clauses:
+            body = tuple(sorted([(lit.name, lit.positive) for lit in c.causes]))
+            clauses.setdefault(c.effect, []).append((body, c.probability))
+        nodes = _NODES[program] = (clauses, {})
     return nodes
 
 
-def node_factor(program: Program | DesugaredProgram, node: str) -> Factor:
+def node_factor(program: Program, node: str) -> Factor:
     """P(node | its parents in the program), the factor every query on the
     program shares, built once; its table is tabulated on first use."""
-    _, clauses, cache = _nodes(program)
+    clauses, cache = _nodes(program)
     return _node_factor(node, clauses, cache)
 
 
@@ -274,7 +260,7 @@ def _node_factor(node: str, clauses: dict, cache: dict) -> Factor:
     return found
 
 
-def _factors(program: Program | DesugaredProgram, queried: Iterable[str],
+def _factors(program: Program, queried: Iterable[str],
              observed: Collection[str] = (), forced: Mapping[str, bool] | None = None
              ) -> tuple[list[Factor], Callable[[str], str]]:
     """The factors of the ancestral closure of ``queried`` under the
@@ -289,12 +275,12 @@ def _factors(program: Program | DesugaredProgram, queried: Iterable[str],
     have their own when it is not needed. With no evidence only the
     intervened world is read, where no edge enters a forced node, so the walk
     cuts those edges and the cycles through them."""
-    roots, clauses, cache = _nodes(program)
+    clauses, cache = _nodes(program)
     forced = forced or {}
     graph = program.dependency_graph()
     if forced and not observed:
         graph = DependencyGraph.build(graph.nodes, {e for e in graph.edges if e[1] not in forced})
-    order = roots + graph.topological_order()
+    order = graph.topological_order()
     touched = set(forced)  # the nodes whose two copies can differ
     for node in order if forced else ():
         if any(name in touched for body, _ in clauses.get(node, ()) for name, _ in body):
@@ -532,40 +518,31 @@ def _masses(factors: Sequence[Factor], formulas: Sequence[Formula],
 # public queries
 
 
-def probability(program: Program | DesugaredProgram, phi: Formula,
-                max_worlds: int | None = None) -> QueryResult:
-    """Exact probability that a random structure satisfies ``phi``."""
-    check_atoms(phi, program)
-    return factor_probability(_factors(program, phi.atoms())[0], phi, max_worlds)
+def query(program: Program, phi: Formula, evidence: Formula | None = None,
+          forced: Mapping[str, bool] | None = None,
+          max_worlds: int | None = None) -> QueryResult:
+    """Exact probability that ``phi`` holds in the world under the
+    intervention ``forced``, given that ``evidence`` held in the world as it
+    was. Without an intervention both worlds are one, without evidence the
+    answer is a plain probability.
 
-
-def factor_probability(factors: Sequence[Factor], phi: Formula,
-                       max_worlds: int | None = None) -> QueryResult:
-    """``probability`` over the variables of ``factors``, which must cover
-    the ancestral closure of the atoms of ``phi``."""
-    masses, cells = _masses(factors, [phi], max_worlds)
-    return QueryResult(_clamp_unit(masses[1]), cells)
-
-
-def conditional(program: Program | DesugaredProgram, phi: Formula,
-                evidence: Formula, max_worlds: int | None = None) -> QueryResult:
-    """Exact conditional probability of ``phi`` given an evidence formula.
-
-    Numerator and denominator come from one shared elimination. Evidence of
-    probability zero raises ZeroEvidenceError."""
-    check_atoms(phi, program)
-    check_atoms(evidence, program)
-    factors, _ = _factors(program, phi.atoms() | evidence.atoms())
-    return factor_conditional(factors, phi, evidence, max_worlds)
-
-
-def factor_conditional(factors: Sequence[Factor], phi: Formula, evidence: Formula,
-                       max_worlds: int | None = None) -> QueryResult:
-    """``conditional`` over the variables of ``factors``, which must cover
-    the ancestral closure of the atoms of ``phi`` and the evidence. Evidence
+    Numerator and denominator come from one shared elimination. Evidence
     that is a conjunction of literals restricts the factors to its values,
     so it adds no table width; other evidence is a formula of the final
-    table, as ``phi`` is."""
+    table, as ``phi`` is. Evidence of probability zero raises
+    ZeroEvidenceError."""
+    check_atoms(phi, program)
+    if evidence is not None:
+        check_atoms(evidence, program)
+    if forced:
+        check_names(forced, program)
+    factors, intervened = _factors(
+        program, phi.atoms(), evidence.atoms() if evidence is not None else (), forced)
+    if forced:
+        phi = phi.map_atoms(intervened)
+    if evidence is None:
+        masses, cells = _masses(factors, [phi], max_worlds)
+        return QueryResult(_clamp_unit(masses[1]), cells)
     observed = literals_of(evidence)
     if observed is None:
         masses, cells = _masses(factors, [phi, evidence], max_worlds)
@@ -577,6 +554,18 @@ def factor_conditional(factors: Sequence[Factor], phi: Formula, evidence: Formul
     if mass <= 0.0:
         raise zero_evidence(evidence)
     return QueryResult(_clamp_unit(hit / mass), cells, _clamp_unit(mass))
+
+
+def probability(program: Program, phi: Formula,
+                max_worlds: int | None = None) -> QueryResult:
+    """Exact probability that a random structure satisfies ``phi``."""
+    return query(program, phi, max_worlds=max_worlds)
+
+
+def conditional(program: Program, phi: Formula, evidence: Formula,
+                max_worlds: int | None = None) -> QueryResult:
+    """Exact conditional probability of ``phi`` given an evidence formula."""
+    return query(program, phi, evidence, max_worlds=max_worlds)
 
 
 def zero_evidence(evidence: Formula) -> ZeroEvidenceError:
@@ -639,21 +628,8 @@ class Marginal:
     masses: np.ndarray
     worlds_evaluated: int
 
-    def given(self, pattern: Mapping[str, bool]) -> float:
-        """P(first column | the other columns as in ``pattern``), the value
-        ``conditional`` gives; a pattern of probability zero raises the same
-        ZeroEvidenceError."""
-        code = 0
-        for name in self.columns[1:]:
-            code = (code << 1) | bool(pattern[name])
-        # the first column is the most significant bit of a cell's code
-        miss, hit = self.masses.reshape(2, -1)[:, code].tolist()
-        if miss + hit <= 0.0:
-            raise zero_evidence(conjunction_of(pattern))
-        return _clamp_unit(hit / (miss + hit))
 
-
-def marginal(program: Program | DesugaredProgram, atoms: Sequence[str],
+def marginal(program: Program, atoms: Sequence[str],
              max_worlds: int | None = None) -> Marginal:
     """Exact marginal over ``atoms``: one elimination of their ancestral
     closure onto them, whose final table is the answer. A repeated atom has
@@ -693,7 +669,7 @@ class Calibration:
     worlds_evaluated: int
 
 
-def marginals(program: Program | DesugaredProgram,
+def marginals(program: Program,
               families: Iterable[Sequence[str]],
               max_worlds: int | None = None) -> Calibration:
     """Exact marginals over several families of atoms, such as every node

@@ -10,7 +10,7 @@ reused, so agreement between the two routes is meaningful.
 import itertools
 import math
 
-from causalog import DesugaredProgram, Program
+from causalog import DesugaredProgram, Program, ZeroEvidenceError, conjunction_of
 
 
 def _as_desugared(program):
@@ -95,6 +95,22 @@ def reference_conditional(program, phi, evidence) -> float:
     if denominator <= 0.0:
         raise ZeroDivisionError("evidence has zero probability")
     return math.fsum(joint) / denominator
+
+
+def marginal_given(marginal, pattern) -> float:
+    """P(first column | the other columns as in ``pattern``) read off a
+    marginal's masses, whose first column is the most significant bit of a
+    cell's code; a pattern of mass zero raises the ZeroEvidenceError that
+    ``conditional`` raises for it."""
+    code = 0
+    for name in marginal.columns[1:]:
+        code = (code << 1) | bool(pattern[name])
+    miss = float(marginal.masses[code])
+    hit = float(marginal.masses[(1 << (len(marginal.columns) - 1)) + code])
+    if miss + hit <= 0.0:
+        raise ZeroEvidenceError(
+            f"evidence '{conjunction_of(pattern).to_text()}' has probability zero")
+    return hit / (miss + hit)
 
 
 def noisy_or(probabilities) -> float:

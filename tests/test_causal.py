@@ -16,6 +16,7 @@ from causalog import (
     parse_formula,
     parse_program,
     probability,
+    query,
     twin_program,
 )
 
@@ -89,13 +90,13 @@ def test_twin_export_round_trip(boost_program):
     twin = twin_program(boost_program, {"treatment": True})
     replay = parse_program(twin.to_program_text())
     # the exported ordinary program must induce the same distribution over
-    # the twin alphabet
+    # the twin alphabet as brute force over the twin's shared noise
     for name in ("treatment__e", "recovery__e", "recovery__i"):
-        want = probability(twin.desugared, Atom(name)).probability
+        want = reference_probability(twin.desugared, Atom(name))
         got = probability(replay, Atom(name)).probability
         assert got == pytest.approx(want, abs=EXACT)
     joint = conjunction_of({"recovery__i": True, "recovery__e": False})
-    want = probability(twin.desugared, joint).probability
+    want = reference_probability(twin.desugared, joint)
     got = probability(replay, joint).probability
     assert got == pytest.approx(want, abs=EXACT)
 
@@ -155,6 +156,63 @@ def test_empty_evidence_counterfactual_equals_intervention():
             reference_probability(intervene(program, action), phi), abs=1e-12)
         do_false += not all(action.values())
     assert do_false > 0
+
+
+def test_query_kinds_are_one_query():
+    # a counterfactual with no intervention is the conditional, with no
+    # evidence the interventional query and with neither the plain
+    # probability, equal in every field of the result
+    rng = numpy_rng(1515)
+    seen = {"zero_evidence": 0, "negated": 0, "certain": 0, "do_false": 0}
+    for _ in range(60):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=5, max_parents=2, max_bodies=3))
+        names = program.propositions
+        phi = random_formula(rng, names)
+        evidence = random_assignment(rng, names, int(rng.integers(1, 3)))
+        action = random_assignment(rng, names, int(rng.integers(1, 3)))
+        try:
+            want = conditional(program, phi, conjunction_of(evidence))
+        except ZeroEvidenceError as err:
+            with pytest.raises(ZeroEvidenceError) as got:
+                counterfactual_query(program, phi, evidence, {})
+            assert str(got.value) == str(err)
+            seen["zero_evidence"] += 1
+        else:
+            assert counterfactual_query(program, phi, evidence, {}) == want
+        assert (counterfactual_query(program, phi, {}, action)
+                == interventional_query(program, phi, action))
+        assert counterfactual_query(program, phi, {}, {}) == probability(program, phi)
+        seen["negated"] += any(not lit.positive for c in program.clauses for lit in c.causes)
+        seen["certain"] += any(c.probability in (0.0, 1.0) for c in program.clauses)
+        seen["do_false"] += not all(action.values())
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_formula_evidence_under_an_intervention_against_reference():
+    # evidence that is no conjunction of literals stays in the final table,
+    # read in the world as it was while phi is read in the intervened one
+    rng = numpy_rng(4242)
+    seen = {"answered": 0, "zero_evidence": 0}
+    for _ in range(40):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=4, max_parents=2, max_bodies=3))
+        names = program.propositions
+        phi, evidence = random_formula(rng, names), random_formula(rng, names)
+        action = random_assignment(rng, names, int(rng.integers(1, 3)))
+        twin = twin_program(program, action)
+        try:
+            want = reference_conditional(twin.desugared, phi.map_atoms(lambda n: n + "__i"),
+                                         evidence.map_atoms(lambda n: n + "__e"))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroEvidenceError):
+                query(program, phi, evidence, action)
+            seen["zero_evidence"] += 1
+            continue
+        got = query(program, phi, evidence, action)
+        assert got.probability == pytest.approx(want, abs=EXACT)
+        seen["answered"] += 1
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_consistency_when_evidence_covers_intervention():
@@ -223,8 +281,10 @@ def test_factored_counterfactual_differential():
             continue
         got = counterfactual_query(program, phi, evidence, action)
         assert got.probability == pytest.approx(want, abs=EXACT)
-        # never more worlds than walking the twin's shared noise
-        noise = conditional(twin.desugared, phi_i, evidence_e)
+        # never more worlds than the exported twin, whose noise facts are
+        # propositions of their own
+        replay = parse_program(twin.to_program_text())
+        noise = conditional(replay, phi_i, evidence_e)
         assert noise.probability == pytest.approx(want, abs=EXACT)
         assert got.worlds_evaluated <= noise.worlds_evaluated
         seen["negated"] += any(not lit.positive

@@ -325,7 +325,7 @@ def test_twin_export_stdout():
     assert result.stdout == TWIN_TEXT
 
 
-def test_twin_export_replays_queries(tmp_path):
+def test_twin_export_replays_queries(tmp_path, capsys):
     out = tmp_path / "twin.pl"
     assert run_cli("twin-export", BOOST, "--do", "treatment",
                    "-o", str(out)).returncode == 0
@@ -335,6 +335,23 @@ def test_twin_export_replays_queries(tmp_path):
     assert intervened.stdout == "0.700000\n"
     observed = run_cli("query", str(out), "--prob", "recovery__e")
     assert observed.stdout == "0.600000\n"
+    # a twin proposition that no exported clause mentions still gets a line:
+    # the intervention copy of a node forced false, and a clause-less atom
+    # that only a forced node's clauses read; the replayed conditional answers
+    # as the counterfactual does
+    source = tmp_path / "source.pl"
+    for text, do, prob, given, given_e in (
+            ("0.5 :: a.\n0.6 :: b :- a.\n", r"\+b", "b", "b", "b__e"),
+            ("0.3 :: z.\n0.5 :: a :- y.\n0.4 :: a :- z.\n", "a", "y", "a", "a__e")):
+        source.write_text(text)
+        assert cli.main(["twin-export", str(source), "--do", do, "-o", str(out)]) == 0
+        assert f"0.0 :: {prob}__i.\n" in out.read_text()
+        capsys.readouterr()
+        assert cli.main(["query", str(source), "--prob", prob, "--given", given,
+                         "--do", do]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["query", str(out), "--prob", prob + "__i", "--given", given_e]) == 0
+        assert capsys.readouterr().out == want == "0.000000\n"
 
 
 # --- failure modes --------------------------------------------------------------

@@ -36,6 +36,7 @@ from causalog.engine import marginal, marginals
 
 from conftest import SHARED_JOINT
 from oracles import (
+    marginal_given,
     reference_conditional,
     reference_joint,
     reference_probability,
@@ -219,6 +220,7 @@ def test_world_count_bounds():
         action = random_assignment(rng, names, int(rng.integers(1, 3)))
         forced = intervene(program, action)
         twin = twin_program(program, action)
+        replay = parse_program(twin.to_program_text())
         phi_i = phi.map_atoms(lambda n: n + "__i")
         evidence_e = evidence.map_atoms(lambda n: n + "__e")
         both = phi.atoms() | evidence.atoms()
@@ -231,7 +233,8 @@ def test_world_count_bounds():
             # merged copies and constants only remove twin variables
             (lambda cap: counterfactual_query(program, phi, observed, action, cap),
              twin.desugared, twin_atoms),
-            (lambda cap: conditional(twin.desugared, phi_i, evidence_e, cap), twin.desugared,
+            # the exported twin, its noise facts propositions of their own
+            (lambda cap: conditional(replay, phi_i, evidence_e, cap), replay.desugar(),
              twin_atoms),
         ]
         for query, dp, atoms in queries:
@@ -345,8 +348,8 @@ def test_tabulated_factors_match_clause_evaluation():
     # match evaluating the clauses assignment by assignment: joint tables
     # over 13-14 nodes against the chain rule, probabilities against the sums
     # of those cells, and counterfactuals (pair factors and constants)
-    # against the twin read as a plain desugared program (its shared noise
-    # as variables) and against the twin's export replayed as a program
+    # against the twin's export replayed as a program (its shared noise as
+    # variables) and, for the last case, against brute force on the twin
     rng = numpy_rng(1226)
     cases = []
     for _ in range(3):
@@ -393,8 +396,8 @@ def test_tabulated_factors_match_clause_evaluation():
     # pair factors over both copies of n1 .. n6
     cases.append((layered_program(7), parse_formula("n6 | !n4"),
                   {"n6": True, "n1": False}, {"n0": False}))
-    # the twin read as a plain desugared program: the copies of n0, n1, n3,
-    # n4 and n5 share noise, n2__i is forced and n2__e has its own factor
+    # the copies of n0, n1, n3, n4 and n5 share noise, n2__i is forced and
+    # n2__e has its own factor
     cases.append((layered_program(7), parse_formula("n5 | !n3"),
                   {"n4": True, "n5": False}, {"n2": False}))
     # a pair factor over a head on six roots under do(c=false): the clauses
@@ -411,9 +414,8 @@ def test_tabulated_factors_match_clause_evaluation():
         phi_i = phi.map_atoms(lambda n: n + "__i")
         evidence_e = conjunction_of({k + "__e": v for k, v in evidence.items()})
         got = counterfactual_query(program, phi, evidence, action).probability
-        for other in (twin.desugared, replay):
-            assert conditional(other, phi_i, evidence_e).probability == pytest.approx(
-                got, abs=EXACT)
+        assert conditional(replay, phi_i, evidence_e).probability == pytest.approx(
+            got, abs=EXACT)
     # the last case: its twin's 2^12 noise worlds are few enough for brute force
     assert got == pytest.approx(
         reference_conditional(twin.desugared, phi_i, evidence_e), abs=EXACT)
@@ -505,14 +507,14 @@ def test_calibrated_families_match_per_family_marginals():
                 pattern = {name: bool(code >> (len(family) - 2 - k) & 1)
                            for k, name in enumerate(family[1:])}
                 try:
-                    expected = want.given(pattern)
+                    expected = marginal_given(want, pattern)
                 except ZeroEvidenceError as err:
                     with pytest.raises(ZeroEvidenceError) as got_err:
-                        got.given(pattern)
+                        marginal_given(got, pattern)
                     assert str(got_err.value) == str(err)
                     seen["zero"] += 1
                     continue
-                assert got.given(pattern) == pytest.approx(expected, abs=EXACT)
+                assert marginal_given(got, pattern) == pytest.approx(expected, abs=EXACT)
     assert all(count > 0 for count in seen.values()), seen
 
 
