@@ -14,9 +14,9 @@ One subcommand per task:
   plain clause format
 
 Exit status: 0 on success, 1 on any domain error (printed to stderr as
-``error[<code>]: <message>``, ``error[memory]`` for a query whose tables do
-not fit in memory), 2 on bad usage. ``--json`` switches the output
-to one JSON document on stdout with the shape
+``error[<code>]: <message>``, ``error[memory]`` for a run that does not fit
+in memory, with what to lower where the subcommand has it), 2 on bad usage.
+``--json`` switches the output to one JSON document on stdout with the shape
 ``{"command": ..., "inputs": ..., "result": ..., "diagnostics": [...]}``.
 """
 
@@ -50,8 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[io]: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:  # numpy's _ArrayMemoryError among them
-        print(f"error[memory]: {err or 'out of memory'}; lower the cap with "
-              f"--max-worlds or {MAX_WORLDS_ENV}", file=sys.stderr)
+        hint = _MEMORY_HINTS.get(args.command)
+        print(f"error[memory]: {err or 'out of memory'}" + (f"; {hint}" if hint else ""),
+              file=sys.stderr)
         return 1
     if getattr(args, "json", False):
         payload.pop("_text", None)
@@ -61,6 +62,15 @@ def main(argv: list[str] | None = None) -> int:
         if text:
             print(text, end="" if text.endswith("\n") else "\n")
     return 0
+
+
+# what bounds a subcommand's memory: the cap on exact inference's tables
+# governs only the subcommands that run it
+_MEMORY_HINTS = {
+    "query": f"lower the cap with --max-worlds or {MAX_WORLDS_ENV}",
+    "reconstruct": f"lower the cap with {MAX_WORLDS_ENV}",
+    "sample": "ask for fewer rows with -n",
+}
 
 
 @functools.cache

@@ -66,6 +66,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Seque
 from .errors import (
     CausalogError,
     EnumerationCapError,
+    ProgramError,
     TableSizeError,
     WorldError,
     ZeroEvidenceError,
@@ -237,6 +238,10 @@ def _nodes(program: Program) -> tuple[dict, dict]:
     """Each node's clauses as (body, fire) pairs, and the factor cache."""
     nodes = _NODES.get(program)
     if nodes is None:
+        if not isinstance(program, Program):
+            raise ProgramError(
+                f"expected a Program, got {type(program).__name__}; query the "
+                "program it was desugared from")
         clauses: dict[str, list] = {}
         for c in program.clauses:
             body = tuple(sorted([(lit.name, lit.positive) for lit in c.causes]))

@@ -33,7 +33,8 @@ class FormulaError(CausalogError):
 
 class ProgramError(CausalogError):
     """A program object violating a structural invariant (duplicate clause,
-    probability out of range, bad proposition name, contradictory body)."""
+    probability out of range, bad proposition name, contradictory body), or
+    another object, such as a desugared program, where a Program is due."""
 
     code = "program"
 

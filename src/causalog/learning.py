@@ -5,7 +5,11 @@ equation system column-wise, all rows at once, with the engine's shared
 solve. Sampling is seeded and deterministic: the counter-based Philox
 generator is keyed with the seed and consumed as one uniform draw per (row,
 fact) cell in row-major order, so row ``i`` always consumes the ``i``-th
-block of draws no matter how rows are batched.
+run of draws no matter how rows are batched. The draws are made and
+thresholded a block of rows at a time, at most ``_BLOCK_DRAWS`` uniforms,
+into one bool per (fact, row): the blocks consume the stream in the order
+one draw of the whole matrix would, so the rows do not depend on the block
+size, and sampling holds a byte per cell, not a double.
 
 A dataset records only the internal propositions (noise is latent), plus a
 provenance stamp: the fingerprint of the generating program, the seed and the
@@ -53,6 +57,9 @@ if TYPE_CHECKING:
 
 DEFAULT_MIN_SUPPORT = 30
 DEFAULT_Z = 3.0
+# the uniforms forward sampling draws at once, rounded down to whole rows
+# but at least one row (512 KiB of doubles)
+_BLOCK_DRAWS = 1 << 16
 
 
 def program_fingerprint(program: Program) -> str:
@@ -125,7 +132,8 @@ class Dataset:
     def to_csv(self, path: str) -> None:
         """Write the optional provenance line, the header, then one row per
         sample: ``0``/``1`` cells joined by ``,``, each row ended by ``\\n``.
-        The rows are laid out as one byte image and written at once."""
+        The rows are laid out as one byte image and written at once,
+        straight from the array's buffer."""
         import numpy as np
 
         head = ""
@@ -142,7 +150,7 @@ class Dataset:
             image = np.full(n, ord("\n"), dtype=np.uint8)
         with open(path, "wb") as handle:
             handle.write(head.encode("utf-8"))
-            handle.write(image.tobytes())
+            handle.write(image)
 
     @staticmethod
     def from_csv(path: str) -> "Dataset":
@@ -249,12 +257,18 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     dp = program.desugar()
     noise = dp.noise_names
     columns = dp.internal_propositions
-    generator = np.random.Generator(np.random.Philox(key=seed))
-    uniforms = generator.random((n, len(noise)))
-    # one comparison of the whole matrix; each fact's column is then a
-    # contiguous row of the transpose
-    fired = np.ascontiguousarray(
-        (uniforms < np.array([dp.noise_probability(u) for u in noise])).T)
+    # one bool row per fact, so that each fact's column is contiguous for
+    # the solve; each block of draws is compared straight into its rows
+    fired = np.empty((len(noise), n), dtype=bool)
+    if noise:
+        thresholds = np.array([dp.noise_probability(u) for u in noise])
+        generator = np.random.Generator(np.random.Philox(key=seed))
+        block = max(1, _BLOCK_DRAWS // len(noise))
+        draws = np.empty((min(block, n), len(noise)))
+        for start in range(0, n, block):
+            part = draws[:min(block, n - start)]
+            generator.random(out=part)
+            np.less(part, thresholds, out=fired[:, start:start + len(part)].T)
     values = solve(dp, dict(zip(noise, fired)), n)
     rows = np.column_stack([values[c] for c in columns]) if columns else \
         np.zeros((n, 0), dtype=bool)

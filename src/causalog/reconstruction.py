@@ -429,10 +429,10 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
                 )
             solved = 1.0 - (1.0 - value) / miss
             note = ""
-            if solved > 1.0:
+            if not 0.0 < solved <= 1.0:  # below 0 only for a negative tolerance
                 raise ImproperParameterError(
                     f"{table.target}: solved probability {solved} at "
-                    f"{{{', '.join(sorted(subset)) or ''}}} escapes [0, 1]; "
+                    f"{{{', '.join(sorted(subset)) or ''}}} escapes (0, 1]; "
                     f"the table is not noisy-OR shaped",
                     table.target, subset,
                 )
@@ -592,7 +592,11 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph,
         reports[target] = NodeReport(target, parents, table, tuple(solved),
                                      tuple(records), error, calls,
                                      time.perf_counter() - start, read)
+        # the names are graph nodes, which Program checks as declared ones;
+        # each body is a distinct subset of the parents and each weight a
+        # float in (0, 1)
         for body, prob in solved:
-            clauses.append(Clause(target, frozenset(Literal(b) for b in body), prob))
+            clauses.append(Clause._trusted(
+                target, frozenset([Literal._trusted(b, True) for b in body]), prob))
     program = Program(clauses, declared=sorted(graph.nodes))
     return ReconstructionResult(program, reports, failures)

@@ -166,6 +166,32 @@ def test_wide_heads_answer_or_fail_by_name_under_a_memory_limit(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("owner, name, argv, hint", [
+    (cli, "forward_sample", ["sample", BOOST, "-n", "10", "--seed", "1", "-o", "unused.csv"],
+     "; ask for fewer rows with -n\n"),
+    (cli, "probability", ["query", BOOST, "--prob", "recovery"],
+     "; lower the cap with --max-worlds or CAUSALOG_MAX_WORLDS\n"),
+    (cli, "ExactOracle", ["reconstruct", "--hidden", BOOST, "--graph", EDGES],
+     "; lower the cap with CAUSALOG_MAX_WORLDS\n"),
+    (cli.Dataset, "from_csv", ["learn", "--data", "unused.csv", "--graph", EDGES], "\n"),
+], ids=["sample", "query", "reconstruct", "learn"])
+def test_memory_error_names_what_bounds_the_subcommand(owner, name, argv, hint, capsys,
+                                                       monkeypatch):
+    # the cap bounds only exact inference, so only query and reconstruct
+    # point at it; the call that would allocate raises instead, since a real
+    # huge request can start writing on a host that overcommits memory
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 73.3 TiB")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(owner, name, exhausted)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[memory]: Unable to allocate 73.3 TiB" + hint
+    assert not (ROOT / "unused.csv").exists()
+
+
 def test_thousand_node_chain_answers_in_process(tmp_path, capsys):
     # q :: n0 and p :: n_k :- n_(k-1): the last node holds exactly when n0
     # and every link fire. Elimination sums the chain one link at a time, so

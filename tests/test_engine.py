@@ -13,6 +13,7 @@ from causalog import (
     ExactOracle,
     Not,
     Program,
+    ProgramError,
     TableSizeError,
     WorldError,
     ZeroEvidenceError,
@@ -32,7 +33,7 @@ from causalog import (
 )
 
 from causalog import causal
-from causalog.engine import marginal, marginals
+from causalog.engine import marginal, marginals, node_factor, query
 
 from conftest import SHARED_JOINT
 from oracles import (
@@ -311,6 +312,19 @@ def test_marginal_edge_cases():
     empty = joint_table(parse_program(""))
     assert empty.cells == {(): 1.0}
     assert empty.total() == 1.0
+
+
+def test_desugared_program_is_refused_by_name(boost_program):
+    # the queries take a Program; its desugaring is refused with a typed
+    # error, not an AttributeError from deep in the factor build
+    dp = boost_program.desugar()
+    for ask in (lambda: query(dp, Atom("recovery")),
+                lambda: query(dp, Atom("recovery"), Atom("treatment"), {"treatment": True}),
+                lambda: marginal(dp, ["recovery"]),
+                lambda: marginals(dp, [("recovery", "treatment")]),
+                lambda: node_factor(dp, "recovery")):
+        with pytest.raises(ProgramError, match="expected a Program, got DesugaredProgram"):
+            ask()
 
 
 def test_repeated_columns_spread_in_place():

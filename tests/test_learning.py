@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from causalog import (
     DependencyGraph,
     FrequencyOracle,
     OracleError,
+    Program,
     Provenance,
     StarvedPatternError,
     forward_sample,
@@ -18,6 +20,9 @@ from causalog import (
     probability,
     program_fingerprint,
 )
+
+from causalog import learning
+from causalog.engine import solve
 
 from conftest import BOOST_TEXT
 from oracles import reference_world
@@ -80,6 +85,76 @@ def test_sampling_matches_independent_rederivation(make_program):
         world = reference_world(dp, noise)
         for j, name in enumerate(dataset.columns):
             assert bool(dataset.rows[i, j]) == world[name], (i, name)
+
+
+def _one_draw(program, n, seed):
+    """The rows of ``forward_sample`` from one draw of the whole uniform
+    matrix, thresholded and solved at once."""
+    dp = program.desugar()
+    noise, columns = dp.noise_names, dp.internal_propositions
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((n, len(noise)))
+    fired = uniforms < np.array([dp.noise_probability(u) for u in noise])
+    values = solve(dp, dict(zip(noise, fired.T)), n)
+    return np.array([values[c] for c in columns], dtype=bool).reshape(len(columns), n).T
+
+
+def _wide_program():
+    # a fact per clause: 3,000 priors and 2,999 negated links, so a block
+    # is 10 rows
+    return parse_program("".join(
+        f"0.{k % 9 + 1} :: r{k}.\n" + (f"0.5 :: r{k} :- \\+ r{k - 1}.\n" if k else "")
+        for k in range(3000)))
+
+
+@pytest.mark.parametrize("make_program, block", [
+    (lambda: parse_program(BOOST_TEXT), 21845),
+    (_wide_program, 10),
+], ids=["three-facts", "5999-facts"])
+def test_blocks_draw_the_rows_of_one_draw(make_program, block):
+    # the draws are made one block of rows at a time; at each block edge the
+    # rows must be those of one draw of the whole matrix
+    program = make_program()
+    assert block == learning._BLOCK_DRAWS // len(program.clauses)
+    for n in (block - 1, block, block + 1, 3 * block + 17):
+        rows = forward_sample(program, n, seed=77).rows
+        assert rows.shape == (n, len(program.propositions))
+        assert np.array_equal(rows, _one_draw(program, n, 77)), n
+
+
+def test_one_row_blocks_draw_the_rows_of_one_draw(boost_program, monkeypatch):
+    # more facts than draws in a block: each block is one row
+    monkeypatch.setattr(learning, "_BLOCK_DRAWS", 2)
+    assert np.array_equal(forward_sample(boost_program, 7, seed=5).rows,
+                          _one_draw(boost_program, 7, 5))
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_sampling_a_program_without_facts(n):
+    # declared propositions and no clauses: no draws, every cell false
+    program = Program([], declared=["b", "a"])
+    dataset = forward_sample(program, n, seed=3)
+    assert dataset.columns == ("a", "b")
+    assert dataset.rows.shape == (n, 2) and not dataset.rows.any()
+    assert np.array_equal(dataset.rows, _one_draw(program, n, 3))
+
+
+def test_sampling_memory_is_bounded_by_blocks():
+    # a double per (row, fact) would be 35.2 MB at 200,000 rows of 22 facts;
+    # drawn in blocks, the peak numpy reports to tracemalloc stays below half
+    # of that (the bool rows of the facts and the columns, about 9.7 MB)
+    program = parse_program(
+        "".join(f"0.3 :: n{k}.\n" for k in range(12))
+        + "".join(f"0.4 :: n{k} :- n{k - 1}.\n" for k in range(1, 11)))
+    n, facts = 200_000, len(program.clauses)
+    assert facts == 22
+    forward_sample(program, 10, seed=1)  # the program's desugaring, cached
+    tracemalloc.start()
+    try:
+        forward_sample(program, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * facts * 8 / 2, peak
 
 
 def test_sample_columns_are_internal_propositions_only(boost_program):

@@ -13,6 +13,7 @@ from causalog import (
     EnumerationCapError,
     ExactOracle,
     FrequencyOracle,
+    ImproperParameterError,
     NonMonotoneTableError,
     Not,
     OracleAnswer,
@@ -162,6 +163,17 @@ def test_solved_probability_clamped_near_one():
     solved = dict(detect_and_solve(table))
     assert solved[frozenset({"a"})] == pytest.approx(1.0, abs=1e-8)
     assert solved[frozenset({"a"})] < 1.0
+
+
+@pytest.mark.parametrize("values, tol", [
+    ({(): 1.2}, 1e-9),  # a rate above 1
+    ({(): 0.5, ("a",): 0.3}, -0.5),  # a negative tolerance accepts a fall
+], ids=["above-one", "below-zero"])
+def test_detect_refuses_weights_outside_the_unit_interval(values, tol):
+    # reconstruct builds its clauses unchecked, so detection lets no weight
+    # outside (0, 1) through
+    with pytest.raises(ImproperParameterError, match=r"escapes \(0, 1\]"):
+        detect_and_solve(make_table("c", ["a"] if len(values) > 1 else [], values, tol))
 
 
 # --- whole-program reconstruction ----------------------------------------------
