@@ -49,20 +49,18 @@ from .learning import (
     Dataset,
     FrequencyOracle,
     Provenance,
-    empirical_oracle,
     forward_sample,
     learn,
     program_fingerprint,
 )
-from .model import Clause, DesugaredProgram, Literal, LogicalClause, Program, desugar
-from .parser import parse_assignment, parse_program, print_program
+from .model import Clause, DesugaredProgram, Literal, LogicalClause, Program
+from .parser import parse_assignment, parse_program
 from .reconstruction import (
     ExactOracle,
     NodeReport,
     OracleAnswer,
     ReconstructionResult,
     SuccessTable,
-    detect_and_solve,
     reconstruct,
     success_table,
 )
@@ -116,9 +114,6 @@ __all__ = [
     "conditional",
     "conjunction_of",
     "counterfactual_query",
-    "desugar",
-    "detect_and_solve",
-    "empirical_oracle",
     "evaluate_world",
     "forward_sample",
     "intervene",
@@ -128,7 +123,6 @@ __all__ = [
     "parse_assignment",
     "parse_formula",
     "parse_program",
-    "print_program",
     "probability",
     "program_fingerprint",
     "query",

@@ -11,10 +11,11 @@ and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
 the query is a conditional over the combined program. An interventional
-query is the same construction with no evidence. Both check the names they
-are given and hand the query to ``engine.query``, the one entry point of
-every query kind, which reads the twin's factors straight from the program's
-clauses, so neither builds a program. ``intervene`` and ``twin_program``
+query is the same construction with no evidence. Both check the
+intervention's names and hand the query to ``engine.query``, the one entry
+point of every query kind, which checks the evidence as a formula and reads
+the twin's factors straight from the program's clauses, so neither builds a
+program. ``intervene`` and ``twin_program``
 (for ``twin-export``) build the surgically modified program and the combined
 one for their own callers.
 """
@@ -151,6 +152,5 @@ def counterfactual_query(program: Program, phi: Formula,
     zero in the untouched program raises ZeroEvidenceError."""
     if not evidence:
         return interventional_query(program, phi, intervention, max_worlds)
-    observed = _check_assignment(program, evidence, "evidence")
     forced = _check_assignment(program, intervention, "intervention")
-    return query(program, phi, conjunction_of(observed), forced, max_worlds)
+    return query(program, phi, conjunction_of(evidence), forced, max_worlds)

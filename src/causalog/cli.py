@@ -17,7 +17,8 @@ Exit status: 0 on success, 1 on any domain error (printed to stderr as
 ``error[<code>]: <message>``, ``error[memory]`` for a run that does not fit
 in memory, with what to lower where the subcommand has it), 2 on bad usage.
 ``--json`` switches the output to one JSON document on stdout with the shape
-``{"command": ..., "inputs": ..., "result": ..., "diagnostics": [...]}``.
+``{"command": ..., "inputs": ..., "result": ..., "diagnostics": []}``; a run
+that fails prints no document.
 """
 
 from __future__ import annotations
@@ -38,11 +39,15 @@ from .parser import parse_assignment, parse_program
 from .reconstruction import ExactOracle, reconstruct
 from .validate import validate
 
+# what a subcommand returns: the --json document's inputs and result, and the
+# text it prints without --json ("" when it prints nothing)
+_Outcome = tuple[dict[str, Any], Any, str]
+
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload = args.run(args)
+        inputs, result, text = args.run(args)
     except CausalogError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
         return 1
@@ -54,13 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[memory]: {err or 'out of memory'}" + (f"; {hint}" if hint else ""),
               file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        payload.pop("_text", None)
-        print(json.dumps(payload, indent=2))
-    else:
-        text = payload.get("_text", "")
-        if text:
-            print(text, end="" if text.endswith("\n") else "\n")
+    if args.json:
+        # a failure raises, so a document always has empty diagnostics
+        print(json.dumps({"command": args.command, "inputs": inputs, "result": result,
+                          "diagnostics": []}, indent=2))
+    elif text:
+        print(text, end="" if text.endswith("\n") else "\n")
     return 0
 
 
@@ -87,14 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="program file")
     p.add_argument("--strict", action="store_true",
                    help="fail the normal-form flag when a sink lacks an unconditional clause")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("graph", help="export the dependency graph")
     p.add_argument("file", help="program file")
     p.add_argument("--format", choices=("dot", "edges"), default="edges")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_graph)
 
     p = sub.add_parser("query", help="exact probability of a formula")
@@ -112,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=_int_in(1, None, "a positive integer"),
                    default=None, help="override for this query the cap on the cells of "
                    "the largest table the elimination builds")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_query)
 
     p = sub.add_parser("sample", help="forward-sample a CSV dataset")
@@ -121,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_in(0, 1 << 128, "in [0, 2**128)"), required=True,
                    help="generator seed, 0 <= seed < 2**128")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_sample)
 
     p = sub.add_parser("reconstruct",
@@ -131,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, metavar="FILE",
                    help="dependency graph file (DOT or edge list)")
     p.add_argument("-o", "--output", help="write the program to a file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("learn", help="recover a program from samples and a graph")
@@ -142,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_MIN_SUPPORT,
                    help=f"fewest samples a parent pattern may have (default {DEFAULT_MIN_SUPPORT})")
     p.add_argument("-o", "--output", help="write the program to a file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_learn)
 
     p = sub.add_parser("twin-export",
@@ -151,9 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--do", dest="do_", action=_JoinLiterals, required=True,
                    metavar="LITERALS", help="comma-separated intervention literals; repeatable")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_twin_export)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true",
+                       help="print one JSON document instead of text")
     return parser
 
 
@@ -199,32 +199,22 @@ def _write_or_return(text: str, output: str | None) -> str:
     return text
 
 
-def _cmd_validate(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_validate(args: argparse.Namespace) -> _Outcome:
     program = parse_program(_read(args.file, ProgramError))
     report = validate(program, strict=args.strict)
-    return {
-        "command": "validate",
-        "inputs": {"file": args.file, "strict": args.strict},
-        "result": report.to_json_dict(),
-        "diagnostics": [],
-        "_text": report.to_text(),
-    }
+    return ({"file": args.file, "strict": args.strict}, report.to_json_dict(),
+            report.to_text())
 
 
-def _cmd_graph(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_graph(args: argparse.Namespace) -> _Outcome:
     program = parse_program(_read(args.file, ProgramError))
     graph = program.dependency_graph()
     text = graph.to_dot() if args.format == "dot" else graph.to_edge_list()
-    return {
-        "command": "graph",
-        "inputs": {"file": args.file, "format": args.format},
-        "result": {"graph": text},
-        "diagnostics": [],
-        "_text": _write_or_return(text, args.output),
-    }
+    return ({"file": args.file, "format": args.format}, {"graph": text},
+            _write_or_return(text, args.output))
 
 
-def _cmd_query(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_query(args: argparse.Namespace) -> _Outcome:
     program = parse_program(_read(args.file, ProgramError))
     phi = parse_formula(args.prob, program)
     given = parse_assignment(args.given) if args.given else None
@@ -241,95 +231,56 @@ def _cmd_query(args: argparse.Namespace) -> dict[str, Any]:
     else:
         kind = "observational"
         result = probability(program, phi, args.max_worlds)
-    return {
-        "command": "query",
-        "inputs": {
-            "file": args.file,
-            "prob": args.prob,
-            "given": args.given,
-            "do": args.do_,
-            "kind": kind,
-        },
-        "result": {
-            "probability": result.probability,
-            "worlds_evaluated": result.worlds_evaluated,
-            "conditioning_mass": result.conditioning_mass,
-        },
-        "diagnostics": [],
-        "_text": f"{result.probability:.{args.precision}f}\n",
-    }
+    return ({"file": args.file, "prob": args.prob, "given": args.given, "do": args.do_,
+             "kind": kind},
+            {"probability": result.probability, "worlds_evaluated": result.worlds_evaluated,
+             "conditioning_mass": result.conditioning_mass},
+            f"{result.probability:.{args.precision}f}\n")
 
 
-def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_sample(args: argparse.Namespace) -> _Outcome:
     program = parse_program(_read(args.file, ProgramError))
     dataset = forward_sample(program, args.rows, args.seed)
     dataset.to_csv(args.output)
-    return {
-        "command": "sample",
-        "inputs": {"file": args.file, "n": args.rows, "seed": args.seed},
-        "result": {
-            "output": args.output,
-            "columns": list(dataset.columns),
-            "rows": len(dataset),
-        },
-        "diagnostics": [],
-        "_text": "",
-    }
+    return ({"file": args.file, "n": args.rows, "seed": args.seed},
+            {"output": args.output, "columns": list(dataset.columns), "rows": len(dataset)},
+            "")
 
 
-def _recovery_payload(command: str, inputs: dict[str, Any], result,
-                      args: argparse.Namespace) -> dict[str, Any]:
-    """The payload of ``reconstruct`` or ``learn``; the residual audit is
-    built only for ``--json``, the one output that shows it."""
-    diagnostics = [
-        f"{name}: error[{err.code}]: {err}"
-        for name, err in sorted(result.failures.items())
-    ]
+def _recovered(inputs: dict[str, Any], result, args: argparse.Namespace) -> _Outcome:
+    """The outcome of ``reconstruct`` or ``learn``: a node that failed is
+    printed to stderr and fails the run. The residual audit is built only
+    for ``--json``, the one output that shows it."""
     if not result.ok:
-        for line in diagnostics:
-            print(line, file=sys.stderr)
-        failed = ", ".join(sorted(result.failures))
-        raise ReconstructionError(f"could not recover: {failed}")
-    text = result.program.to_text()
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result.to_json_dict() if args.json else None,
-        "diagnostics": diagnostics,
-        "_text": _write_or_return(text, args.output),
-    }
+        for name, err in sorted(result.failures.items()):
+            print(f"{name}: error[{err.code}]: {err}", file=sys.stderr)
+        raise ReconstructionError(f"could not recover: {', '.join(sorted(result.failures))}")
+    return (inputs, result.to_json_dict() if args.json else None,
+            _write_or_return(result.program.to_text(), args.output))
 
 
-def _cmd_reconstruct(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_reconstruct(args: argparse.Namespace) -> _Outcome:
     hidden = parse_program(_read(args.hidden, ProgramError))
     graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = reconstruct(ExactOracle(hidden), graph)
-    return _recovery_payload(
-        "reconstruct", {"hidden": args.hidden, "graph": args.graph}, result, args)
+    return _recovered({"hidden": args.hidden, "graph": args.graph}, result, args)
 
 
-def _cmd_learn(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_learn(args: argparse.Namespace) -> _Outcome:
     dataset = Dataset.from_csv(args.data)
     graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = learn(dataset, graph, min_support=args.min_support)
-    return _recovery_payload(
-        "learn",
+    return _recovered(
         {"data": args.data, "graph": args.graph, "min_support": args.min_support},
         result, args)
 
 
-def _cmd_twin_export(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_twin_export(args: argparse.Namespace) -> _Outcome:
     program = parse_program(_read(args.file, ProgramError))
-    doing = parse_assignment(args.do_)
-    twin = twin_program(program, doing)
+    twin = twin_program(program, parse_assignment(args.do_))
     text = twin.to_program_text()
-    return {
-        "command": "twin-export",
-        "inputs": {"file": args.file, "do": args.do_},
-        "result": {"program": text},
-        "diagnostics": [],
-        "_text": _write_or_return(text, args.output),
-    }
+    return ({"file": args.file, "do": args.do_}, {"program": text},
+            _write_or_return(text, args.output))
 
 
 if __name__ == "__main__":

@@ -80,6 +80,10 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_WORLDS = 1 << 26
 MAX_WORLDS_ENV = "CAUSALOG_MAX_WORLDS"
+# the most propositions a table is indexed by, for joint_table and for an
+# oracle's success table alike: such a table holds 2^width cells whatever
+# the cap on worlds allows
+MAX_TABLE_WIDTH = 20
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,14 @@ class QueryResult:
     probability: float
     worlds_evaluated: int
     conditioning_mass: float = 1.0
+
+
+def check_table_width(width: int) -> None:
+    """Refuse a table over more than MAX_TABLE_WIDTH propositions with
+    TableSizeError, before anything allocates it."""
+    if width > MAX_TABLE_WIDTH:
+        raise TableSizeError(
+            f"table over {width} propositions exceeds the limit of {MAX_TABLE_WIDTH}")
 
 
 def resolved_max_worlds(max_worlds: int | None) -> int:
@@ -595,15 +607,11 @@ class JointTable:
         return math.fsum(self.cells.values())
 
 
-def joint_table(program: Program, max_propositions: int = 20) -> JointTable:
-    """Exact joint table over all internal propositions (at most
-    ``max_propositions`` of them; the table is exponential in that count)."""
+def joint_table(program: Program) -> JointTable:
+    """Exact joint table over all internal propositions, at most
+    MAX_TABLE_WIDTH of them."""
     columns = tuple(sorted(program.dependency_graph().nodes))
-    if len(columns) > max_propositions:
-        raise TableSizeError(
-            f"joint table over {len(columns)} propositions exceeds the limit "
-            f"of {max_propositions}"
-        )
+    check_table_width(len(columns))
     # the first column is the most significant bit, the order in which
     # itertools.product lists the cells
     masses = marginal(program, columns).masses

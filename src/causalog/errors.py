@@ -82,13 +82,13 @@ class ZeroEvidenceError(CausalogError):
 
 
 class TableSizeError(CausalogError):
-    """Joint table requested over too many propositions."""
+    """A table over more than ``engine.MAX_TABLE_WIDTH`` propositions."""
 
     code = "table-size"
 
 
 class InterventionError(CausalogError):
-    """Bad intervention or evidence assignment (unknown proposition)."""
+    """An intervention names a proposition the program lacks."""
 
     code = "intervention"
 

@@ -19,9 +19,12 @@ that no formula reaches the interpreter's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import FormulaError
+
+if TYPE_CHECKING:
+    from .model import Program
 
 # the deepest nesting of a formula: operators on a path from the root to an
 # atom, and parentheses
@@ -216,12 +219,13 @@ def _check_depth(depth: int) -> None:
         raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
 
 
-def parse_formula(text: str, program: Any = None) -> Formula:
+def parse_formula(text: str, program: Program | None = None) -> Formula:
     """Parse a query formula.
 
-    When ``program`` is given (a Program or DesugaredProgram), every atom is
-    checked against its alphabet: unknown atoms are an error, and atoms naming
-    generated noise propositions are rejected as unobservable.
+    When ``program`` is given, every atom is checked against its internal
+    propositions: an unknown atom is an error, and so is an atom naming one
+    of the noise propositions ``Program.desugar`` generates, which are not
+    observable.
     """
     cur = _FormulaCursor(text)
     formula, _ = _parse_or(cur)
@@ -235,30 +239,24 @@ def parse_formula(text: str, program: Any = None) -> Formula:
     return formula
 
 
-def check_atoms(formula: Formula, program: Any) -> None:
+def check_atoms(formula: Formula, program: Program) -> None:
     """Reject atoms outside the program's internal alphabet."""
     check_names(sorted(formula.atoms()), program)
 
 
-def check_names(names: Iterable[str], program: Any) -> None:
+def check_names(names: Iterable[str], program: Program) -> None:
     """Reject names outside the program's internal alphabet, naming the first
     offender in the order given. Only an offender needs the noise names, so
-    a query on a Program desugars it here only to explain an error."""
+    a query desugars the program only to explain an error."""
     internal = program.dependency_graph().nodes
     for name in names:
         if name in internal:
             continue
-        if name in _noise_names(program):
+        if name in program.desugar().noise_names:
             raise FormulaError(
                 f"{name} names a generated noise proposition and cannot be queried"
             )
         raise FormulaError(f"unknown proposition {name!r}")
-
-
-def _noise_names(program: Any) -> tuple[str, ...]:
-    if hasattr(program, "noise_names"):
-        return program.noise_names
-    return program.desugar().noise_names
 
 
 # Each parsing function returns a formula and its depth, the operators on its

@@ -21,9 +21,9 @@ byte matrix and falls back to a line-by-line reader for anything looser.
 Learning is reconstruction against the empirical frequency oracle: the
 success probability of a target under a parent pattern is estimated by the
 relative frequency among the rows matching the pattern, with a standard-error
-tolerance (z * sqrt(v / n), v estimated with add-one smoothing so it never
-degenerates to zero) and a minimum support below which the pattern is
-reported as starved instead of trusted. A whole table is read at once: the
+tolerance (Z * sqrt(v / n) with Z = 3, v estimated with add-one smoothing so
+it never degenerates to zero) and a minimum support below which the pattern
+is reported as starved instead of trusted. A whole table is read at once: the
 row counts of every pattern come from one bincount over the rows' pattern
 codes, and the rates and tolerances are computed as arrays.
 """
@@ -35,17 +35,15 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .engine import solve
+from .engine import check_table_width, solve
 from .errors import DatasetError, OracleError, StarvedPatternError
 from .graph import DependencyGraph
 from .model import Program
 from .reconstruction import (
-    MAX_PARENTS,
     Family,
     OracleAnswer,
     ReconstructionResult,
     SuccessTable,
-    check_table_width,
     pattern_code,
     reconstruct,
     subsets_by_code,
@@ -56,7 +54,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_MIN_SUPPORT = 30
-DEFAULT_Z = 3.0
+# the standard errors a sample rate is trusted to
+Z = 3.0
 # the uniforms forward sampling draws at once, rounded down to whole rows
 # but at least one row (512 KiB of doubles)
 _BLOCK_DRAWS = 1 << 16
@@ -280,7 +279,7 @@ class FrequencyOracle:
     """Relative-frequency estimates from a dataset.
 
     For a pattern with ``n_T`` matching rows of which ``s`` have the target
-    true, the answer is ``s / n_T`` with tolerance ``z * sqrt(v / n_T)`` where
+    true, the answer is ``s / n_T`` with tolerance ``Z * sqrt(v / n_T)`` where
     ``v`` uses the add-one-smoothed rate ``(s + 1) / (n_T + 2)``. Patterns
     with fewer than ``min_support`` rows, which must be at least 1, are
     starved: a table lists them all in one StarvedPatternError, in table
@@ -288,13 +287,11 @@ class FrequencyOracle:
     from one bincount, and its rates and tolerances are computed for every
     pattern at once."""
 
-    def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT,
-                 z: float = DEFAULT_Z):
+    def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT):
         self._data = dataset
         self.min_support = int(min_support)
         if self.min_support < 1:
             raise OracleError(f"min_support must be at least 1, got {min_support}")
-        self.z = float(z)
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -349,15 +346,15 @@ class FrequencyOracle:
         import numpy as np
 
         smoothed = (hits + 1.0) / (support + 2.0)
-        return hits / support, self.z * np.sqrt(smoothed * (1.0 - smoothed) / support)
+        return hits / support, Z * np.sqrt(smoothed * (1.0 - smoothed) / support)
 
     def _counts(self, target: str, parents: tuple[str, ...]
                 ) -> tuple[np.ndarray, np.ndarray | None]:
         """The rows of every parent pattern by ``pattern_code`` and, when the
         target is a column, those of them with the target true, by one
         bincount over each row's code: the parent bits, then the target bit.
-        A pattern over more than MAX_TABLE_WIDTH propositions raises
-        TableSizeError."""
+        A pattern over more than ``engine.MAX_TABLE_WIDTH`` propositions
+        raises TableSizeError."""
         import numpy as np
 
         check_table_width(len(parents))
@@ -372,15 +369,7 @@ class FrequencyOracle:
         return counts, None
 
 
-def empirical_oracle(dataset: Dataset,
-                     min_support: int = DEFAULT_MIN_SUPPORT,
-                     z: float = DEFAULT_Z) -> FrequencyOracle:
-    return FrequencyOracle(dataset, min_support, z)
-
-
 def learn(dataset: Dataset, graph: DependencyGraph,
-          min_support: int = DEFAULT_MIN_SUPPORT, z: float = DEFAULT_Z,
-          max_parents: int = MAX_PARENTS) -> ReconstructionResult:
+          min_support: int = DEFAULT_MIN_SUPPORT) -> ReconstructionResult:
     """Reconstruct a program from samples and a dependency graph."""
-    return reconstruct(empirical_oracle(dataset, min_support, z), graph,
-                       max_parents)
+    return reconstruct(FrequencyOracle(dataset, min_support), graph)

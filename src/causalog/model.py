@@ -3,7 +3,7 @@
 A program is a set of annotated clauses ``p :: effect :- causes`` over
 propositional atoms. Each clause is sugar for an independent noise proposition
 (a random fact holding with probability ``p``) guarding a purely logical
-clause; ``desugar`` makes that explicit. The semantics of a desugared program
+clause; ``Program.desugar`` makes that explicit. The semantics of a desugared program
 is a system of Boolean equations, one per internal proposition: the
 proposition is true exactly when some clause for it fires, a clause firing
 when all its body literals hold and all its noise propositions are drawn true.
@@ -338,11 +338,3 @@ class DesugaredProgram:
     def __repr__(self) -> str:
         return (f"DesugaredProgram({len(self._clauses)} clauses, "
                 f"{len(self._noise_probs)} noise facts)")
-
-
-def desugar(program: Program) -> DesugaredProgram:
-    """Replace every annotated clause with a fresh noise fact and a logical
-    clause guarded by it. Fresh names are ``u1, u2, ...`` in clause order,
-    prefixed with extra ``u`` letters if a user proposition already took the
-    name."""
-    return program.desugar()

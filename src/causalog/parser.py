@@ -1,4 +1,4 @@
-"""Reader and writer for the clause text format.
+"""Reader for the clause text format, which ``Program.to_text`` writes.
 
 The surface syntax is one annotated clause per statement::
 
@@ -211,11 +211,6 @@ def _walk(text: str) -> Program:
         seen.add(clause.key)
         clauses.append(clause)
     return Program(clauses)
-
-
-def print_program(program: Program) -> str:
-    """Canonical text of a program; ``parse_program`` inverts it exactly."""
-    return program.to_text()
 
 
 def parse_assignment(text: str) -> dict[str, bool]:

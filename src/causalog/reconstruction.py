@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Seque
 from .engine import (
     Factor,
     Marginal,
+    check_table_width,
     marginal,
     marginals,
     node_factor,
@@ -56,7 +57,6 @@ from .errors import (
     ReconstructionError,
     SaturationError,
     StarvedPatternError,
-    TableSizeError,
 )
 from .formula import conjunction_of
 from .graph import DependencyGraph, subsets_by_size
@@ -65,25 +65,13 @@ from .model import Clause, Literal, Program
 if TYPE_CHECKING:
     import numpy as np
 
+# the trust radius of every exact answer, and the most parents a node's
+# success table is read over: 2^MAX_PARENTS patterns
 EXACT_TOLERANCE = 1e-9
 MAX_PARENTS = 12
-# the widest pattern an oracle tabulates: the table holds 2^width patterns,
-# so this only bounds an explicit max_parents well above MAX_PARENTS (the
-# same 20 as engine.joint_table)
-MAX_TABLE_WIDTH = 20
 
 # (target, its parents in name order): one success table
 Family = tuple[str, tuple[str, ...]]
-
-
-def check_table_width(width: int) -> None:
-    """Refuse a pattern over more than MAX_TABLE_WIDTH propositions with
-    TableSizeError, before an oracle allocates its table."""
-    if width > MAX_TABLE_WIDTH:
-        raise TableSizeError(
-            f"pattern over {width} propositions exceeds the table limit of "
-            f"{MAX_TABLE_WIDTH}"
-        )
 
 
 def pattern_code(parents: Sequence[str], pattern: Mapping[str, bool]) -> int:
@@ -166,16 +154,15 @@ class ExactOracle:
     included. A calibration whose largest table exceeds it builds nothing,
     and every node then takes its own elimination, so a node whose closure,
     factor or largest table exceeds the cap fails alone. A pattern over more
-    than MAX_TABLE_WIDTH propositions raises TableSizeError.
+    than ``engine.MAX_TABLE_WIDTH`` propositions raises TableSizeError. Every
+    answer is trusted to EXACT_TOLERANCE.
 
     Useful for round-trip testing and for re-expressing a program in positive
     normal form: reconstruction against this oracle returns a noisy-OR
     program with the same distribution whenever one exists."""
 
-    def __init__(self, program: Program, tolerance: float = EXACT_TOLERANCE,
-                 max_worlds: int | None = None):
+    def __init__(self, program: Program, max_worlds: int | None = None):
         self._program = program
-        self._tolerance = float(tolerance)
         self._max_worlds = max_worlds
         self._expected: Sequence[Family] | None = None
         self._families: Mapping[tuple[str, ...], Marginal] | None = None
@@ -202,7 +189,7 @@ class ExactOracle:
             err = zero_evidence(conjunction_of({p: p in subset for p in parents}))
             raise pattern_error(target, subset, err) from err
         return SuccessTable(target, parents, dict(zip(subsets, values)),
-                            dict.fromkeys(subsets, self._tolerance), None, read)
+                            dict.fromkeys(subsets, EXACT_TOLERANCE), None, read)
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
@@ -211,7 +198,7 @@ class ExactOracle:
         value = self._read(target, parents)[0][pattern_code(parents, pattern)]
         if value != value:  # NaN
             raise zero_evidence(conjunction_of(pattern))
-        return OracleAnswer(value, self._tolerance, None)
+        return OracleAnswer(value, EXACT_TOLERANCE, None)
 
     def _read(self, target: str, parents: tuple[str, ...]) -> tuple[list[float], str]:
         """P(target | pattern) for every pattern of ``parents`` by
@@ -348,18 +335,17 @@ class SuccessTable:
         return subsets_by_size(self.parents)
 
 
-def success_table(oracle: Oracle, target: str, parents: Iterable[str],
-                  max_parents: int = MAX_PARENTS) -> SuccessTable:
-    """Ask the oracle for the success table of one target.
+def success_table(oracle: Oracle, target: str, parents: Iterable[str]) -> SuccessTable:
+    """Ask the oracle for the success table of one target, over at most
+    MAX_PARENTS parents.
 
     An oracle error names the offending pattern: one before the first
     pattern is reported at the first, the empty subset."""
     ordered = tuple(sorted(set(parents)))
-    if len(ordered) > max_parents:
+    if len(ordered) > MAX_PARENTS:
         raise ReconstructionError(
-            f"{target} has {len(ordered)} parents; the table would need "
-            f"{1 << len(ordered)} oracle calls (limit {max_parents} parents)"
-        )
+            f"{target} has {len(ordered)} parents; its table would hold "
+            f"2^{len(ordered)} patterns (limit {MAX_PARENTS} parents)")
     try:
         return oracle.success_table(target, ordered)
     except OracleError:
@@ -386,15 +372,11 @@ class SubsetRecord:
     note: str = ""
 
 
-def detect_and_solve(table: SuccessTable) -> list[tuple[frozenset[str], float]]:
-    """Detect which parent subsets are clause bodies and solve their
-    probabilities. Returns (body, probability) pairs in subset order."""
-    accepted, _ = _detect(table)
-    return accepted
-
-
 def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
                                           list[SubsetRecord]]:
+    """Detect which parent subsets are clause bodies and solve their
+    probabilities: the (body, probability) pairs in subset order, and the
+    record of every subset."""
     # Subsets are visited smallest first, so the prediction at each subset
     # only involves parameters that are already solved. Every solved
     # parameter carries a first-order uncertainty bound derived from the
@@ -552,8 +534,7 @@ def _patterns_read(err: CausalogError, parents: tuple[str, ...]) -> int:
     return 0
 
 
-def reconstruct(oracle: Oracle, graph: DependencyGraph,
-                max_parents: int = MAX_PARENTS) -> ReconstructionResult:
+def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
     """Recover a program over the graph's nodes from the oracle.
 
     Each node is processed independently: its parents are read off the graph,
@@ -581,7 +562,7 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph,
         start = time.perf_counter()
         table, solved, records, error, calls, read = None, [], [], None, 0, None
         try:
-            table = success_table(oracle, target, parents, max_parents)
+            table = success_table(oracle, target, parents)
             calls, read = len(table.values), table.read
             solved, records = _detect(table)
         except CausalogError as err:

@@ -6,6 +6,7 @@ from causalog import (
     Atom,
     CyclicProgramError,
     EnumerationCapError,
+    FormulaError,
     InterventionError,
     ZeroEvidenceError,
     conditional,
@@ -248,9 +249,13 @@ def test_counterfactual_randomized_against_reference():
 
 
 def test_counterfactual_checks_names(boost_program):
-    with pytest.raises(InterventionError):
+    # evidence is checked as the formula it becomes, an intervention by name
+    with pytest.raises(FormulaError, match="unknown proposition 'cure'"):
         counterfactual_query(boost_program, Atom("recovery"),
                              {"cure": True}, {"treatment": True})
+    with pytest.raises(InterventionError, match="unknown proposition 'cure'"):
+        counterfactual_query(boost_program, Atom("recovery"),
+                             {"treatment": False}, {"cure": True})
 
 
 def test_twin_reference_total_mass(boost_program):

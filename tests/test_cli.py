@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -565,6 +566,62 @@ def test_back_to_back_calls_equal_fresh_calls(first, capsys, monkeypatch):
         fresh += calls([argv], capsys)
     assert together == fresh
     assert together[1] == (0, "0.700000\n", "")
+
+
+SAMPLE = ["sample", BOOST, "-n", "2000", "--seed", "7", "-o", "rows.csv"]
+
+
+# each subcommand on the fixtures, with the calls it needs first, and the text
+# it prints without --json
+SUBCOMMANDS = [
+    ([], ["validate", SWITCH, "--strict"],
+     "acyclic: yes\npositive: no\nproper normal form: no\n"
+     "  note: clause '0.5 :: recovery :- \\+ treatment.' negates treatment\n"
+     "  note: sink recovery has no unconditional clause\n"),
+    ([], ["graph", BOOST, "--format", "dot"], "digraph g {\n  treatment -> recovery;\n}\n"),
+    ([], ["query", SWITCH, "--prob", "recovery", "--given", r"\+treatment,recovery",
+          "--do", "treatment"], "0.700000\n"),
+    ([], SAMPLE, ""),
+    ([SAMPLE], ["learn", "--data", "rows.csv", "--graph", EDGES],
+     "0.5095 :: treatment.\n0.4954128440366973 :: recovery.\n"
+     "0.43015434026228927 :: recovery :- treatment.\n"),
+    ([], ["reconstruct", "--hidden", BOOST, "--graph", EDGES],
+     "0.5 :: treatment.\n0.5 :: recovery.\n0.3999999999999999 :: recovery :- treatment.\n"),
+    ([], ["twin-export", BOOST, "--do", "treatment"],
+     "0.5 :: u1.\n0.5 :: u2.\n0.4 :: u3.\n1.0 :: treatment__e :- u1.\n"
+     "1.0 :: recovery__e :- u2.\n1.0 :: recovery__i :- u2.\n"
+     "1.0 :: recovery__e :- treatment__e, u3.\n1.0 :: recovery__i :- treatment__i, u3.\n"
+     "1.0 :: treatment__i.\n"),
+]
+
+
+@pytest.mark.parametrize("before, argv, text", SUBCOMMANDS,
+                         ids=[argv[0] for _, argv, _ in SUBCOMMANDS])
+def test_every_subcommand_prints_its_text_and_one_document(before, argv, text, tmp_path,
+                                                           capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(ROOT / "fixtures", tmp_path / "fixtures")
+    assert all(code == 0 for code, _, _ in calls(before, capsys))
+    assert calls([argv], capsys) == [(0, text, "")]
+    (code, out, err), = calls([argv + ["--json"]], capsys)
+    assert (code, err) == (0, "")
+    document = json.loads(out)
+    assert list(document) == ["command", "inputs", "result", "diagnostics"]
+    assert document["command"] == argv[0]
+    assert document["diagnostics"] == []
+
+
+@pytest.mark.parametrize("name, message", [
+    ("zz", "unknown proposition 'zz'"),
+    ("u1", "u1 names a generated noise proposition and cannot be queried"),
+], ids=["unknown", "noise"])
+def test_unknown_given_names_are_formula_errors_with_or_without_do(name, message, capsys,
+                                                                   monkeypatch):
+    # --given is checked as the formula it becomes, whether or not --do is set
+    monkeypatch.chdir(ROOT)
+    query = ["query", BOOST, "--prob", "recovery", "--given", name]
+    assert calls([query, query + ["--do", "treatment"]], capsys) \
+        == [(1, "", f"error[formula]: {message}\n")] * 2
 
 
 # --- inputs past the interpreter's recursion limit --------------------------------

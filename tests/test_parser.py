@@ -10,7 +10,6 @@ from causalog import (
     ProgramError,
     parse_assignment,
     parse_program,
-    print_program,
 )
 from causalog import parser
 from causalog.model import float_text
@@ -33,16 +32,16 @@ def test_parses_facts_and_rules(boost_program):
 
 def test_print_parse_round_trip(boost_program, switch_program):
     for program in (boost_program, switch_program):
-        assert parse_program(print_program(program)) == program
+        assert parse_program(program.to_text()) == program
 
 
 def test_canonical_text_is_stable():
     shuffled = "0.4 :: recovery :- treatment.\n0.5 :: recovery.\n0.5 :: treatment.\n"
-    assert print_program(parse_program(shuffled)) == BOOST_TEXT
+    assert parse_program(shuffled).to_text() == BOOST_TEXT
 
 
 def test_negative_literal_has_space_in_output():
-    assert "\\+ treatment" in print_program(parse_program(SWITCH_TEXT))
+    assert "\\+ treatment" in parse_program(SWITCH_TEXT).to_text()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -118,7 +117,7 @@ def test_print_parse_round_trip_on_random_programs():
     for _ in range(200):
         program = random_program(rng, max_nodes=7)
         for candidate in (program, with_negation_and_certainty(rng, program)):
-            assert parse_program(print_program(candidate)) == candidate
+            assert parse_program(candidate.to_text()) == candidate
 
 
 def test_error_carries_position():
@@ -156,7 +155,7 @@ def test_parse_assignment_rejects_double_binding():
 def test_empty_program_round_trip():
     program = parse_program("")
     assert program.clauses == ()
-    assert print_program(program) == ""
+    assert program.to_text() == ""
 
 
 def test_tiny_probabilities_print_positionally():
@@ -167,7 +166,7 @@ def test_tiny_probabilities_print_positionally():
         text = float_text(p)
         assert float(text) == p and "e" not in text
         program = Program([Clause("a", frozenset(), p)])
-        assert parse_program(print_program(program)) == program
+        assert parse_program(program.to_text()) == program
     assert float_text(1e-5) == "0.00001"
     assert float_text(0.1) == "0.1"
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -26,7 +25,6 @@ from causalog import (
     ZeroEvidenceError,
     conditional,
     conjunction_of,
-    detect_and_solve,
     forward_sample,
     joint_table,
     parse_program,
@@ -34,9 +32,9 @@ from causalog import (
     success_table,
 )
 from causalog import reconstruction
-from causalog.engine import marginal, marginals
+from causalog.engine import MAX_TABLE_WIDTH, marginal, marginals
 from causalog.graph import subsets_by_size
-from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS, MAX_TABLE_WIDTH
+from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS
 
 from oracles import marginal_given
 from proggen import numpy_rng, random_program, with_negation_and_certainty
@@ -90,7 +88,8 @@ def test_success_table_from_exact_oracle(boost_program):
 
 def test_success_table_parent_cap(boost_program):
     oracle = ExactOracle(boost_program)
-    with pytest.raises(ReconstructionError, match="parents"):
+    with pytest.raises(ReconstructionError, match=r"^recovery has 13 parents; its table "
+                       r"would hold 2\^13 patterns \(limit 12 parents\)$"):
         success_table(oracle, "recovery", [f"x{i}" for i in range(13)])
 
 
@@ -105,7 +104,7 @@ def test_incomplete_table_rejected():
 def test_detect_boost_table():
     table = make_table("recovery", ["treatment"],
                        {(): 0.5, ("treatment",): 0.7})
-    assert detect_and_solve(table) == [
+    assert reconstruction._detect(table)[0] == [
         (frozenset(), pytest.approx(0.5, abs=1e-9)),
         (frozenset({"treatment"}), pytest.approx(0.4, abs=1e-9)),
     ]
@@ -116,7 +115,7 @@ def test_detect_rejects_explained_interaction():
     # single clauses predict, so no two-cause clause may be introduced.
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.44})
-    solved = detect_and_solve(table)
+    solved = reconstruction._detect(table)[0]
     assert [s for s, _ in solved] == [frozenset({"a"}), frozenset({"b"})]
 
 
@@ -125,14 +124,14 @@ def test_detect_finds_real_interaction():
     value = 1 - (1 - 0.3) * (1 - 0.2) * (1 - 0.5)
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): value})
-    solved = dict(detect_and_solve(table))
+    solved = dict(reconstruction._detect(table)[0])
     assert solved[frozenset({"a", "b"})] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_detect_non_monotone_table():
     table = make_table("c", ["a"], {(): 0.5, ("a",): 0.3})
     with pytest.raises(NonMonotoneTableError):
-        detect_and_solve(table)
+        reconstruction._detect(table)
 
 
 def test_detector_ignores_noise_below_tolerance():
@@ -141,7 +140,7 @@ def test_detector_ignores_noise_below_tolerance():
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.449},
                        tol=0.02)
-    solved = detect_and_solve(table)
+    solved = reconstruction._detect(table)[0]
     assert frozenset({"a", "b"}) not in dict(solved)
 
 
@@ -154,13 +153,13 @@ def test_threshold_widens_with_solved_uncertainty():
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): bump},
                        tol=tol)
-    solved = detect_and_solve(table)
+    solved = reconstruction._detect(table)[0]
     assert frozenset({"a", "b"}) not in dict(solved)
 
 
 def test_solved_probability_clamped_near_one():
     table = make_table("c", ["a"], {(): 0.0, ("a",): 1.0})
-    solved = dict(detect_and_solve(table))
+    solved = dict(reconstruction._detect(table)[0])
     assert solved[frozenset({"a"})] == pytest.approx(1.0, abs=1e-8)
     assert solved[frozenset({"a"})] < 1.0
 
@@ -173,7 +172,7 @@ def test_detect_refuses_weights_outside_the_unit_interval(values, tol):
     # reconstruct builds its clauses unchecked, so detection lets no weight
     # outside (0, 1) through
     with pytest.raises(ImproperParameterError, match=r"escapes \(0, 1\]"):
-        detect_and_solve(make_table("c", ["a"] if len(values) > 1 else [], values, tol))
+        reconstruction._detect(make_table("c", ["a"] if len(values) > 1 else [], values, tol))
 
 
 # --- whole-program reconstruction ----------------------------------------------
@@ -529,41 +528,31 @@ def test_oracles_refuse_patterns_wider_than_a_table():
     wide = {n: True for n in names[1:]}
     for oracle in (exact, frequency):
         with pytest.raises(TableSizeError,
-                           match=f"pattern over {MAX_TABLE_WIDTH + 1} "):
+                           match=f"table over {MAX_TABLE_WIDTH + 1} "):
             oracle.success_given_parents(names[0], wide)
     widest = {n: True for n in names[1:MAX_TABLE_WIDTH + 1]}
     assert exact.success_given_parents(names[0], widest).probability == 1.0
     assert frequency.success_given_parents(names[0], widest).support == 40
 
 
-def test_explicit_max_parents_above_the_default():
-    # t has MAX_PARENTS + 1 parents: refused at the default max_parents,
-    # recovered through both oracles when max_parents admits it
+def test_more_than_max_parents_are_refused():
+    # t has MAX_PARENTS + 1 parents: refused through both oracles before
+    # either is asked, and the other nodes are still recovered
     parents = [f"p{i:02d}" for i in range(MAX_PARENTS + 1)]
     program = parse_program(
         "".join(f"0.5 :: {p}.\n" for p in parents)
         + "0.7 :: t :- p00, p01.\n0.4 :: t :- p05.\n"
     )
     graph = DependencyGraph.build(parents + ["t"], [(p, "t") for p in parents])
-    expected = {frozenset({"p00", "p01"}): 0.7, frozenset({"p05"}): 0.4}
-    # 50 rows per parent pattern, the target true in exactly its share of
-    # them, so the sample rates are the exact ones
-    patterns = np.array(list(itertools.product((False, True), repeat=len(parents))))
-    rates = 1.0 - ((1.0 - 0.7 * (patterns[:, 0] & patterns[:, 1]))
-                   * (1.0 - 0.4 * patterns[:, 5]))
-    rows = np.repeat(patterns, 50, axis=0)
-    target = (np.arange(len(rows)) % 50) < np.repeat(np.rint(rates * 50), 50)
-    dataset = Dataset(tuple(parents) + ("t",), np.column_stack([rows, target]))
+    dataset = forward_sample(program, 40, seed=5)
     for oracle in (ExactOracle(program), FrequencyOracle(dataset)):
-        default = reconstruct(oracle, graph)
-        assert isinstance(default.failures["t"], ReconstructionError)
-        assert default.nodes["t"].oracle_calls == 0
-        result = reconstruct(oracle, graph, max_parents=MAX_PARENTS + 1)
-        report = result.nodes["t"]
-        assert result.ok and report.oracle_calls == 1 << len(parents)
-        assert {body for body, _ in report.clauses} == set(expected)
-        for body, prob in report.clauses:
-            assert prob == pytest.approx(expected[body], abs=1e-9)
+        result = reconstruct(oracle, graph)
+        assert list(result.failures) == ["t"]
+        err = result.failures["t"]
+        assert isinstance(err, ReconstructionError)
+        assert str(err) == (f"t has {MAX_PARENTS + 1} parents; its table would hold "
+                            f"2^{MAX_PARENTS + 1} patterns (limit {MAX_PARENTS} parents)")
+        assert result.nodes["t"].oracle_calls == 0
 
 
 # --- one calibration per reconstruction ---------------------------------------------
