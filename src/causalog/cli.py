@@ -29,7 +29,7 @@ import json
 import sys
 from typing import Any, Callable
 
-from .causal import counterfactual_query, interventional_query, twin_program
+from .causal import counterfactual_query, twin_program
 from .engine import MAX_WORLDS_ENV, conditional, probability
 from .errors import CausalogError, GraphFormatError, ProgramError, ReconstructionError
 from .formula import conjunction_of, parse_formula
@@ -87,20 +87,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a program's structural properties")
-    p.add_argument("file", help="program file")
+    def command(name: str, run: Callable[[argparse.Namespace], _Outcome], help: str,
+                file: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file", help="program file")
+        p.set_defaults(run=run)
+        return p
+
+    p = command("validate", _cmd_validate, "check a program's structural properties")
     p.add_argument("--strict", action="store_true",
                    help="fail the normal-form flag when a sink lacks an unconditional clause")
-    p.set_defaults(run=_cmd_validate)
 
-    p = sub.add_parser("graph", help="export the dependency graph")
-    p.add_argument("file", help="program file")
+    p = command("graph", _cmd_graph, "export the dependency graph")
     p.add_argument("--format", choices=("dot", "edges"), default="edges")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(run=_cmd_graph)
 
-    p = sub.add_parser("query", help="exact probability of a formula")
-    p.add_argument("file", help="program file")
+    p = command("query", _cmd_query, "exact probability of a formula")
     p.add_argument("--prob", required=True, metavar="FORMULA",
                    help="query formula, e.g. 'recovery & !treatment'")
     p.add_argument("--given", action=_JoinLiterals, metavar="LITERALS",
@@ -114,26 +117,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=_int_in(1, None, "a positive integer"),
                    default=None, help="override for this query the cap on the cells of "
                    "the largest table the elimination builds")
-    p.set_defaults(run=_cmd_query)
 
-    p = sub.add_parser("sample", help="forward-sample a CSV dataset")
-    p.add_argument("file", help="program file")
+    p = command("sample", _cmd_sample, "forward-sample a CSV dataset")
     p.add_argument("-n", "--rows", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=_int_in(0, 1 << 128, "in [0, 2**128)"), required=True,
                    help="generator seed, 0 <= seed < 2**128")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
-    p.set_defaults(run=_cmd_sample)
 
-    p = sub.add_parser("reconstruct",
-                       help="recover a program from an exact oracle and a graph")
+    p = command("reconstruct", _cmd_reconstruct,
+                "recover a program from an exact oracle and a graph", file=False)
     p.add_argument("--hidden", required=True, metavar="FILE",
                    help="program file answering the oracle queries")
     p.add_argument("--graph", required=True, metavar="FILE",
                    help="dependency graph file (DOT or edge list)")
     p.add_argument("-o", "--output", help="write the program to a file")
-    p.set_defaults(run=_cmd_reconstruct)
 
-    p = sub.add_parser("learn", help="recover a program from samples and a graph")
+    p = command("learn", _cmd_learn, "recover a program from samples and a graph", file=False)
     p.add_argument("--data", required=True, metavar="CSV", help="sample file")
     p.add_argument("--graph", required=True, metavar="FILE",
                    help="dependency graph file (DOT or edge list)")
@@ -141,15 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_MIN_SUPPORT,
                    help=f"fewest samples a parent pattern may have (default {DEFAULT_MIN_SUPPORT})")
     p.add_argument("-o", "--output", help="write the program to a file")
-    p.set_defaults(run=_cmd_learn)
 
-    p = sub.add_parser("twin-export",
-                       help="export the evidence/intervention twin of a program")
-    p.add_argument("file", help="program file")
+    p = command("twin-export", _cmd_twin_export,
+                "export the evidence/intervention twin of a program")
     p.add_argument("--do", dest="do_", action=_JoinLiterals, required=True,
                    metavar="LITERALS", help="comma-separated intervention literals; repeatable")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(run=_cmd_twin_export)
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true",
@@ -217,14 +213,12 @@ def _cmd_graph(args: argparse.Namespace) -> _Outcome:
 def _cmd_query(args: argparse.Namespace) -> _Outcome:
     program = parse_program(_read(args.file, ProgramError))
     phi = parse_formula(args.prob, program)
-    given = parse_assignment(args.given) if args.given else None
-    doing = parse_assignment(args.do_) if args.do_ else None
-    if given is not None and doing is not None:
-        kind = "counterfactual"
-        result = counterfactual_query(program, phi, given, doing, args.max_worlds)
-    elif doing is not None:
-        kind = "interventional"
-        result = interventional_query(program, phi, doing, args.max_worlds)
+    given = parse_assignment(args.given) if args.given is not None else None
+    doing = parse_assignment(args.do_) if args.do_ is not None else None
+    if doing is not None:
+        # with no evidence the counterfactual is the interventional query
+        kind = "counterfactual" if given is not None else "interventional"
+        result = counterfactual_query(program, phi, given or {}, doing, args.max_worlds)
     elif given is not None:
         kind = "conditional"
         result = conditional(program, phi, conjunction_of(given), args.max_worlds)

@@ -12,7 +12,10 @@ einsum has dedicated loops for; such a product is multiplied out whole by
 broadcasting, whose whole-array loops beat einsum's cell-by-cell one there,
 and then summed. ``marginal`` and ``joint_table`` read their answer straight
 off the final table over the atoms; for formulas, one ``np.bincount`` sorts
-that table into the formulas' cells.
+that table into the formulas' cells. A ``JointTable`` keeps that table as its
+read-only ``masses``, indexed as in ``Marginal``; its ``cells`` is a read-only
+mapping view over them, which builds no per-cell object until a caller reads
+the cell.
 
 A factor is tabulated once over its own scope, in place: each clause's miss
 multiplies the slice its body selects of a table of ones, so the cap on cells
@@ -59,9 +62,10 @@ import itertools
 import math
 import os
 import weakref
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import (
     CausalogError,
@@ -590,21 +594,54 @@ def zero_evidence(evidence: Formula) -> ZeroEvidenceError:
     return ZeroEvidenceError(f"evidence '{evidence.to_text()}' has probability zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointTable:
     """The full joint distribution over the internal propositions.
 
-    Keys of ``cells`` are tuples of booleans aligned with ``columns``."""
+    ``masses`` is read-only and indexed as in ``Marginal``, the first column
+    being the most significant bit. ``cells`` is a read-only mapping view
+    over it, keyed by tuples of booleans aligned with ``columns`` in the
+    order ``itertools.product`` lists them; no key or float is built until a
+    caller reads it."""
 
     columns: tuple[str, ...]
-    cells: Mapping[tuple[bool, ...], float]
+    masses: np.ndarray
+
+    @property
+    def cells(self) -> Mapping[tuple[bool, ...], float]:
+        return _Cells(self.masses)
 
     def probability_of(self, assignment: Mapping[str, bool]) -> float:
-        key = tuple(bool(assignment[c]) for c in self.columns)
-        return self.cells[key]
+        return self.cells[tuple(bool(assignment[c]) for c in self.columns)]
 
     def total(self) -> float:
-        return math.fsum(self.cells.values())
+        return math.fsum(self.masses.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class _Cells(Mapping):
+    """A joint table's masses keyed by tuples of booleans, the first entry
+    the most significant bit of the cell's index."""
+
+    masses: np.ndarray
+
+    def __getitem__(self, key: tuple[bool, ...]) -> float:
+        # found where a dict of the same keys finds it: a tuple of the
+        # table's width whose entries equal False or True, 0, 1 and numpy
+        # bools among them
+        if not (isinstance(key, tuple) and 1 << len(key) == self.masses.size
+                and all(bit in (False, True) for bit in key)):
+            raise KeyError(key)
+        return float(self.masses[sum(bool(bit) << k for k, bit in enumerate(key[::-1]))])
+
+    def __iter__(self) -> Iterator[tuple[bool, ...]]:
+        return itertools.product((False, True), repeat=self.masses.size.bit_length() - 1)
+
+    def __len__(self) -> int:
+        return self.masses.size
+
+    def values(self) -> list[float]:
+        return self.masses.tolist()
 
 
 def joint_table(program: Program) -> JointTable:
@@ -612,12 +649,7 @@ def joint_table(program: Program) -> JointTable:
     MAX_TABLE_WIDTH of them."""
     columns = tuple(sorted(program.dependency_graph().nodes))
     check_table_width(len(columns))
-    # the first column is the most significant bit, the order in which
-    # itertools.product lists the cells
-    masses = marginal(program, columns).masses
-    cells = dict(zip(itertools.product((False, True), repeat=len(columns)),
-                     masses.tolist()))
-    return JointTable(columns, cells)
+    return JointTable(columns, marginal(program, columns).masses)
 
 
 def _clamp_unit(x: float) -> float:

@@ -215,11 +215,10 @@ def _walk(text: str) -> Program:
 
 def parse_assignment(text: str) -> dict[str, bool]:
     """Parse a comma-separated literal list such as ``\\+treatment,recovery``
-    into an assignment. Used for command line evidence and interventions."""
+    into an assignment. Used for command line evidence and interventions; a
+    list needs at least one literal."""
     cur = _Cursor(text)
     out: dict[str, bool] = {}
-    if cur.peek()[0] == _EOF:
-        return out
     while True:
         positive = cur.peek()[1] != "\\+"
         if not positive:

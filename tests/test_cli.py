@@ -131,6 +131,21 @@ def test_repeated_literal_flags_add_up(capsys, monkeypatch):
     assert clash[0] == 1 and "treatment assigned twice" in clash[2]
 
 
+def test_empty_literal_lists_are_parse_errors(capsys, monkeypatch):
+    # an empty --given or --do is malformed, as ',' is, rather than a flag
+    # dropped so that the query runs as another kind
+    monkeypatch.chdir(ROOT)
+    query = ["query", BOOST, "--prob", "recovery"]
+    for argv in (query + ["--given", ""], query + ["--do", ""],
+                 query + ["--given", "", "--do", "treatment"],
+                 query + ["--given", "treatment", "--do", " ", "--json"],
+                 ["twin-export", BOOST, "--do", ""]):
+        code, out, err = calls([argv], capsys)[0]
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error[parse]: line 1, column "), (argv, err)
+        assert err.endswith("expected a proposition, got 'end of input'\n"), (argv, err)
+
+
 def test_max_worlds_flag():
     result = run_cli("query", BOOST, "--prob", "recovery", "--max-worlds", "1")
     assert result.returncode == 1

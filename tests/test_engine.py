@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from causalog import (
@@ -299,6 +301,58 @@ def test_joint_table_uniform_product():
         for b in (False, True):
             assert table.probability_of({"a": a, "b": b}) == pytest.approx(0.25, abs=EXACT)
     assert math.isclose(table.total(), 1.0, abs_tol=EXACT)
+
+
+def test_joint_table_cells_answer_as_a_dict_would():
+    # cells is a read-only view over the masses; on every read it answers as
+    # the dict of one key tuple and one float per cell would
+    rng = numpy_rng(1818)
+    for n in range(11):
+        program = random_program(rng, min_nodes=n, max_nodes=n)
+        if n % 2:
+            program = with_negation_and_certainty(rng, program)
+        table = joint_table(program)
+        cells = table.cells
+        want = dict(zip(itertools.product((False, True), repeat=n), table.masses.tolist()))
+        assert list(cells) == list(want) and list(cells.keys()) == list(want)
+        assert len(cells) == len(want) == 1 << n
+        assert cells.values() == list(want.values())
+        assert cells == want and want == cells
+        assert cells == pytest.approx(want, abs=0) and want == pytest.approx(cells, abs=0)
+        bits = [bool(b) for b in rng.integers(0, 2, n)]
+        probes = [tuple(bits), tuple(int(b) for b in bits), tuple(np.bool_(b) for b in bits),
+                  tuple(float(b) for b in bits), tuple(2 * b for b in bits),
+                  tuple(bits[:-1]), tuple(bits) + (False,), None, 0, "n0", frozenset()]
+        for probe in probes:
+            assert (probe in cells) == (probe in want), probe
+            assert cells.get(probe) == want.get(probe), probe
+            if probe not in want:
+                with pytest.raises(KeyError):
+                    cells[probe]
+        # writes are refused: the masses and the view are read-only, and the
+        # table is frozen
+        with pytest.raises(ValueError):
+            table.masses[0] = 0.5
+        with pytest.raises(TypeError):
+            cells[tuple(bits)] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.masses = np.ones(1 << n)
+
+
+def test_joint_table_builds_no_per_cell_objects():
+    # a 16-node joint table is its 2^16 masses and a view over them: with the
+    # program's factors cached, the call peaks within a small multiple of the
+    # masses, where a dict of one key tuple and one float per cell took 15 MB
+    program = layered_program(16)
+    joint_table(program)
+    tracemalloc.start()
+    try:
+        table = joint_table(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.masses.size == len(table.cells) == 1 << 16
+    assert peak < 4 * (1 << 16) * 8, peak
 
 
 def test_marginal_edge_cases():

@@ -144,7 +144,10 @@ def test_parse_assignment():
         "recovery": True,
     }
     assert parse_assignment(" a , \\+ b ") == {"a": True, "b": False}
-    assert parse_assignment("") == {}
+    # a list of no literal is as malformed as one ending in a comma
+    for text in ("", " ", "a,"):
+        with pytest.raises(ParseError, match="expected a proposition, got 'end of input'"):
+            parse_assignment(text)
 
 
 def test_parse_assignment_rejects_double_binding():
