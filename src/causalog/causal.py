@@ -22,12 +22,12 @@ one for their own callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .engine import QueryResult, query
 from .errors import InterventionError
 from .formula import Formula, conjunction_of
+from .frozen import Frozen
 from .model import (
     Clause,
     DesugaredProgram,
@@ -73,15 +73,17 @@ def interventional_query(program: Program, phi: Formula,
     return query(program, phi, forced=forced, max_worlds=max_worlds)
 
 
-@dataclass(frozen=True)
-class TwinProgram:
+class TwinProgram(Frozen):
     """Both copies of a program sharing one set of noise facts.
 
     ``desugared`` holds the combined clause system: evidence-copy clauses,
     intervention-copy clauses after surgery, and the shared facts. Intervened
     propositions forced true appear as clauses with an empty body."""
 
-    desugared: DesugaredProgram
+    _fields = ("desugared",)
+
+    def __init__(self, desugared: DesugaredProgram):
+        self.__dict__["desugared"] = desugared
 
     def to_program_text(self) -> str:
         """Render the twin in the ordinary clause format.

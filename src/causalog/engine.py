@@ -63,7 +63,6 @@ import math
 import os
 import weakref
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -76,6 +75,7 @@ from .errors import (
     ZeroEvidenceError,
 )
 from .formula import Formula, check_atoms, check_names, literals_of
+from .frozen import Frozen
 from .graph import DependencyGraph
 from .model import DesugaredProgram, Program
 
@@ -90,8 +90,7 @@ MAX_WORLDS_ENV = "CAUSALOG_MAX_WORLDS"
 MAX_TABLE_WIDTH = 20
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(Frozen):
     """An exact probability plus how it was obtained.
 
     ``worlds_evaluated`` counts the cells of the query's tables, its
@@ -99,9 +98,12 @@ class QueryResult:
     ``conditioning_mass`` is the probability of the evidence (1.0 when the
     query was unconditional)."""
 
-    probability: float
-    worlds_evaluated: int
-    conditioning_mass: float = 1.0
+    _fields = ("probability", "worlds_evaluated", "conditioning_mass")
+
+    def __init__(self, probability: float, worlds_evaluated: int,
+                 conditioning_mass: float = 1.0):
+        self.__dict__.update(probability=probability, worlds_evaluated=worlds_evaluated,
+                             conditioning_mass=conditioning_mass)
 
 
 def check_table_width(width: int) -> None:
@@ -182,14 +184,16 @@ def solve(dp: DesugaredProgram, noise: Mapping[str, np.ndarray | bool],
 Body = tuple[tuple[str, bool], ...] | None
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Frozen):
     """P(heads | parents) for one head, or for the two copies of a
     counterfactual node: per clause its body once per head (aligned with
     the heads) and its miss probability 1 - fire."""
 
-    heads: tuple[str, ...]
-    terms: tuple[tuple[tuple[Body, ...], float], ...]
+    _fields = ("heads", "terms")
+
+    def __init__(self, heads: tuple[str, ...],
+                 terms: tuple[tuple[tuple[Body, ...], float], ...]):
+        self.__dict__.update(heads=heads, terms=terms)
 
     @cached_property
     def scope(self) -> tuple[str, ...]:
@@ -594,18 +598,21 @@ def zero_evidence(evidence: Formula) -> ZeroEvidenceError:
     return ZeroEvidenceError(f"evidence '{evidence.to_text()}' has probability zero")
 
 
-@dataclass(frozen=True, eq=False)
-class JointTable:
+class JointTable(Frozen):
     """The full joint distribution over the internal propositions.
 
     ``masses`` is read-only and indexed as in ``Marginal``, the first column
     being the most significant bit. ``cells`` is a read-only mapping view
     over it, keyed by tuples of booleans aligned with ``columns`` in the
     order ``itertools.product`` lists them; no key or float is built until a
-    caller reads it."""
+    caller reads it. Tables compare by identity."""
 
-    columns: tuple[str, ...]
-    masses: np.ndarray
+    _fields = ("columns", "masses")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, columns: tuple[str, ...], masses: np.ndarray):
+        self.__dict__.update(columns=columns, masses=masses)
 
     @property
     def cells(self) -> Mapping[tuple[bool, ...], float]:
@@ -618,12 +625,14 @@ class JointTable:
         return math.fsum(self.masses.tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class _Cells(Mapping):
+class _Cells(Mapping, Frozen):
     """A joint table's masses keyed by tuples of booleans, the first entry
     the most significant bit of the cell's index."""
 
-    masses: np.ndarray
+    _fields = ("masses",)
+
+    def __init__(self, masses: np.ndarray):
+        self.__dict__["masses"] = masses
 
     def __getitem__(self, key: tuple[bool, ...]) -> float:
         # found where a dict of the same keys finds it: a tuple of the
@@ -660,18 +669,21 @@ def _clamp_unit(x: float) -> float:
     return float(x)
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(Frozen):
     """The mass of every cell of the joint marginal over ``columns``.
 
     ``masses[code]`` is the probability that the columns take the values
     spelled by the bits of ``code``, the first column being the most
     significant bit; ``worlds_evaluated`` counts the cells of its tables,
-    as for ``QueryResult``."""
+    as for ``QueryResult``. Marginals compare by identity: to compare two,
+    compare ``.masses``."""
 
-    columns: tuple[str, ...]
-    masses: np.ndarray
-    worlds_evaluated: int
+    _fields = ("columns", "masses", "worlds_evaluated")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, columns: tuple[str, ...], masses: np.ndarray, worlds_evaluated: int):
+        self.__dict__.update(columns=columns, masses=masses, worlds_evaluated=worlds_evaluated)
 
 
 def marginal(program: Program, atoms: Sequence[str],
@@ -701,8 +713,7 @@ def marginal(program: Program, atoms: Sequence[str],
     return Marginal(columns, masses, cells)
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(Frozen):
     """The exact marginals of several families from one calibration.
 
     ``marginals`` maps each requested family that a clique holds to its
@@ -710,8 +721,10 @@ class Calibration:
     it was summed from; ``worlds_evaluated`` here counts the cells of every
     table the calibration built."""
 
-    marginals: Mapping[tuple[str, ...], Marginal]
-    worlds_evaluated: int
+    _fields = ("marginals", "worlds_evaluated")
+
+    def __init__(self, marginals: Mapping[tuple[str, ...], Marginal], worlds_evaluated: int):
+        self.__dict__.update(marginals=marginals, worlds_evaluated=worlds_evaluated)
 
 
 def marginals(program: Program,

@@ -18,10 +18,10 @@ that no formula reaches the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import FormulaError
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .model import Program
@@ -52,9 +52,11 @@ class Formula:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+class Atom(Formula, Frozen):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
     def atoms(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -69,9 +71,11 @@ class Atom(Formula):
         return self.name
 
 
-@dataclass(frozen=True)
-class Const(Formula):
-    value: bool
+class Const(Formula, Frozen):
+    _fields = ("value",)
+
+    def __init__(self, value: bool):
+        self.__dict__["value"] = value
 
     def atoms(self) -> frozenset[str]:
         return frozenset()
@@ -86,9 +90,11 @@ class Const(Formula):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
+class Not(Formula, Frozen):
+    _fields = ("operand",)
+
+    def __init__(self, operand: Formula):
+        self.__dict__["operand"] = operand
 
     def atoms(self) -> frozenset[str]:
         return self.operand.atoms()
@@ -108,10 +114,11 @@ class Not(Formula):
         return f"!{inner}"
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Formula, Frozen):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.__dict__.update(left=left, right=right)
 
     def atoms(self) -> frozenset[str]:
         return self.left.atoms() | self.right.atoms()
@@ -134,10 +141,11 @@ class And(Formula):
         return " & ".join(parts)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(Formula, Frozen):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.__dict__.update(left=left, right=right)
 
     def atoms(self) -> frozenset[str]:
         return self.left.atoms() | self.right.atoms()

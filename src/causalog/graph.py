@@ -11,28 +11,27 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CyclicProgramError, GraphFormatError
+from .frozen import Frozen
 
 # The proposition-name rule shared by programs and graphs.
 VALID_NAME = re.compile(r"[a-z][A-Za-z0-9_]*$")
 RESERVED_NAMES = frozenset({"true", "false"})
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(Frozen):
     """An immutable directed graph over proposition names."""
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    _fields = ("nodes", "edges")
 
-    def __post_init__(self) -> None:
-        for a, b in self.edges:
-            if a not in self.nodes or b not in self.nodes:
+    def __init__(self, nodes: frozenset[str], edges: frozenset[tuple[str, str]]):
+        for a, b in edges:
+            if a not in nodes or b not in nodes:
                 raise GraphFormatError(f"edge ({a}, {b}) mentions a node not in the node set")
+        self.__dict__.update(nodes=nodes, edges=edges)
 
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DependencyGraph":

@@ -30,13 +30,12 @@ codes, and the rates and tolerances are computed as arrays.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .engine import check_table_width, solve
 from .errors import DatasetError, OracleError, StarvedPatternError
+from .frozen import Frozen
 from .graph import DependencyGraph
 from .model import Program
 from .reconstruction import (
@@ -63,14 +62,16 @@ _BLOCK_DRAWS = 1 << 16
 
 def program_fingerprint(program: Program) -> str:
     """Hex digest of the canonical program text."""
+    import hashlib
+
     return hashlib.sha256(program.to_text().encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class Provenance:
-    program_sha256: str
-    seed: int
-    n: int
+class Provenance(Frozen):
+    _fields = ("program_sha256", "seed", "n")
+
+    def __init__(self, program_sha256: str, seed: int, n: int):
+        self.__dict__.update(program_sha256=program_sha256, seed=seed, n=n)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -16,11 +16,11 @@ just tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Mapping
 
 from .errors import ProgramError
+from .frozen import Frozen
 from .graph import RESERVED_NAMES, VALID_NAME, DependencyGraph
 
 
@@ -32,15 +32,29 @@ def _check_proposition(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A proposition or its negation, as found in clause bodies."""
+@total_ordering
+class Literal(Frozen):
+    """A proposition or its negation, as found in clause bodies; literals
+    order by name, then polarity."""
 
-    name: str
-    positive: bool = True
+    _fields = ("name", "positive")
 
-    def __post_init__(self) -> None:
-        _check_proposition(self.name)
+    def __init__(self, name: str, positive: bool = True):
+        _check_proposition(name)
+        self.__dict__.update(name=name, positive=positive)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.positive) == (other.name, other.positive)
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.positive) < (other.name, other.positive)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.positive))
 
     @classmethod
     def _trusted(cls, name: str, positive: bool) -> "Literal":
@@ -57,35 +71,41 @@ class Literal:
         return self.name if self.positive else f"\\+ {self.name}"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Frozen):
     """An annotated clause: with probability ``probability``, ``effect`` holds
     whenever every cause literal holds."""
 
-    effect: str
-    causes: frozenset[Literal]
-    probability: float
+    _fields = ("effect", "causes", "probability")
 
-    def __post_init__(self) -> None:
-        _check_proposition(self.effect)
-        if not isinstance(self.causes, frozenset):
-            object.__setattr__(self, "causes", frozenset(self.causes))
-        names = [lit.name for lit in self.causes]
+    def __init__(self, effect: str, causes: Iterable[Literal], probability: float):
+        _check_proposition(effect)
+        if not isinstance(causes, frozenset):
+            causes = frozenset(causes)
+        names = [lit.name for lit in causes]
         if len(set(names)) != len(names):
             dup = sorted(n for n in set(names) if names.count(n) > 1)
             raise ProgramError(
-                f"contradictory body for {self.effect}: {', '.join(dup)} "
+                f"contradictory body for {effect}: {', '.join(dup)} "
                 "appears both positively and negatively"
             )
-        p = float(self.probability)
+        p = float(probability)
         if not (0.0 <= p <= 1.0) or p != p:
-            raise ProgramError(f"probability {self.probability!r} outside [0, 1]")
-        object.__setattr__(self, "probability", p)
+            raise ProgramError(f"probability {probability!r} outside [0, 1]")
+        self.__dict__.update(effect=effect, causes=causes, probability=p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.effect, self.causes, self.probability)
+                    == (other.effect, other.causes, other.probability))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.effect, self.causes, self.probability))
 
     @classmethod
     def _trusted(cls, effect: str, causes: frozenset[Literal],
                  probability: float) -> "Clause":
-        """A clause whose caller has made ``__post_init__``'s checks: a valid
+        """A clause whose caller has made ``__init__``'s checks: a valid
         effect name, a frozenset body naming no atom twice and a float in
         [0, 1]."""
         clause = object.__new__(cls)
@@ -239,8 +259,7 @@ class Program:
         return self._desugared
 
 
-@dataclass(frozen=True)
-class LogicalClause:
+class LogicalClause(Frozen):
     """A purely logical clause of a desugared program.
 
     The head holds when every body literal holds and every noise proposition
@@ -248,19 +267,16 @@ class LogicalClause:
     true (used for intervened propositions).
     """
 
-    head: str
-    literals: frozenset[Literal]
-    noise: frozenset[str]
+    _fields = ("head", "literals", "noise")
 
-    def __post_init__(self) -> None:
-        _check_proposition(self.head)
-        if not isinstance(self.literals, frozenset):
-            object.__setattr__(self, "literals", frozenset(self.literals))
-        if not isinstance(self.noise, frozenset):
-            object.__setattr__(self, "noise", frozenset(self.noise))
-        names = [lit.name for lit in self.literals]
+    def __init__(self, head: str, literals: Iterable[Literal], noise: Iterable[str]):
+        _check_proposition(head)
+        literals = literals if isinstance(literals, frozenset) else frozenset(literals)
+        noise = noise if isinstance(noise, frozenset) else frozenset(noise)
+        names = [lit.name for lit in literals]
         if len(set(names)) != len(names):
-            raise ProgramError(f"contradictory body for {self.head}")
+            raise ProgramError(f"contradictory body for {head}")
+        self.__dict__.update(head=head, literals=literals, noise=noise)
 
 
 class DesugaredProgram:

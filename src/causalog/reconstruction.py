@@ -35,7 +35,6 @@ import json
 import math
 import time
 from itertools import compress, product
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .engine import (
@@ -59,6 +58,7 @@ from .errors import (
     StarvedPatternError,
 )
 from .formula import conjunction_of
+from .frozen import Frozen
 from .graph import DependencyGraph, subsets_by_size
 from .model import Clause, Literal, Program
 
@@ -305,8 +305,7 @@ class ExactOracle:
             return {}
 
 
-@dataclass(frozen=True)
-class SuccessTable:
+class SuccessTable(Frozen):
     """Success probability of one target under every on/off parent pattern.
 
     Keys of ``values`` are the subsets of ``parents`` pinned true (the rest
@@ -316,20 +315,24 @@ class SuccessTable:
     ``elimination`` or ``samples`` for the shipped oracles); it is not part
     of the table's value."""
 
-    target: str
-    parents: tuple[str, ...]
-    values: Mapping[frozenset[str], float]
-    tolerances: Mapping[frozenset[str], float]
-    support: Mapping[frozenset[str], int] | None = None
-    read: str | None = field(default=None, compare=False)
+    _fields = ("target", "parents", "values", "tolerances", "support", "read")
 
-    def __post_init__(self) -> None:
-        expected = 1 << len(self.parents)
-        if len(self.values) != expected or len(self.tolerances) != expected:
+    def __init__(self, target: str, parents: tuple[str, ...],
+                 values: Mapping[frozenset[str], float],
+                 tolerances: Mapping[frozenset[str], float],
+                 support: Mapping[frozenset[str], int] | None = None,
+                 read: str | None = None):
+        expected = 1 << len(parents)
+        if len(values) != expected or len(tolerances) != expected:
             raise ReconstructionError(
-                f"success table for {self.target} is incomplete: expected "
-                f"{expected} patterns, got {len(self.values)}"
+                f"success table for {target} is incomplete: expected "
+                f"{expected} patterns, got {len(values)}"
             )
+        self.__dict__.update(target=target, parents=parents, values=values,
+                             tolerances=tolerances, support=support, read=read)
+
+    def _values(self) -> tuple:
+        return (self.target, self.parents, self.values, self.tolerances, self.support)
 
     def subsets(self) -> Iterable[frozenset[str]]:
         return subsets_by_size(self.parents)
@@ -354,22 +357,22 @@ def success_table(oracle: Oracle, target: str, parents: Iterable[str]) -> Succes
         raise pattern_error(target, frozenset(), err) from err
 
 
-@dataclass(frozen=True)
-class SubsetRecord:
+class SubsetRecord(Frozen):
     """Audit trail of one detection step.
 
     ``tolerance`` is the effective acceptance threshold at this subset: the
     table's own per-pattern tolerance plus the uncertainty propagated from
     the already-solved parameters feeding ``predicted``."""
 
-    subset: frozenset[str]
-    value: float
-    predicted: float
-    residual: float
-    tolerance: float
-    accepted: bool
-    solved: float | None = None
-    note: str = ""
+    _fields = ("subset", "value", "predicted", "residual", "tolerance", "accepted",
+               "solved", "note")
+
+    def __init__(self, subset: frozenset[str], value: float, predicted: float,
+                 residual: float, tolerance: float, accepted: bool,
+                 solved: float | None = None, note: str = ""):
+        self.__dict__.update(subset=subset, value=value, predicted=predicted,
+                             residual=residual, tolerance=tolerance, accepted=accepted,
+                             solved=solved, note=note)
 
 
 def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
@@ -443,21 +446,21 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
     return accepted, records
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(Frozen):
     """Reconstruction outcome for one node, with the number of patterns the
     oracle read, the seconds spent on the node and how the oracle read its
     table (None when it read none)."""
 
-    target: str
-    parents: tuple[str, ...]
-    table: SuccessTable | None
-    clauses: tuple[tuple[frozenset[str], float], ...]
-    records: tuple[SubsetRecord, ...]
-    error: CausalogError | None = None
-    oracle_calls: int = 0
-    seconds: float = 0.0
-    read: str | None = None
+    _fields = ("target", "parents", "table", "clauses", "records", "error",
+               "oracle_calls", "seconds", "read")
+
+    def __init__(self, target: str, parents: tuple[str, ...], table: SuccessTable | None,
+                 clauses: tuple[tuple[frozenset[str], float], ...],
+                 records: tuple[SubsetRecord, ...], error: CausalogError | None = None,
+                 oracle_calls: int = 0, seconds: float = 0.0, read: str | None = None):
+        self.__dict__.update(target=target, parents=parents, table=table, clauses=clauses,
+                             records=records, error=error, oracle_calls=oracle_calls,
+                             seconds=seconds, read=read)
 
     @property
     def ok(self) -> bool:
@@ -496,16 +499,21 @@ class NodeReport:
         return out
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+# the default of ReconstructionResult.failures, which each result replaces by
+# a new dict of its own
+class ReconstructionResult(Frozen):
     """A recovered program plus per-node audit data.
 
     ``program`` contains the clauses of every node that succeeded; nodes that
-    failed are listed in ``failures`` and contribute nothing."""
+    failed are listed in ``failures`` and contribute nothing. ``failures``
+    defaults to a new empty dict."""
 
-    program: Program
-    nodes: Mapping[str, NodeReport]
-    failures: Mapping[str, CausalogError] = field(default_factory=dict)
+    _fields = ("program", "nodes", "failures")
+
+    def __init__(self, program: Program, nodes: Mapping[str, NodeReport],
+                 failures: Mapping[str, CausalogError] | None = None):
+        failures = {} if failures is None else failures
+        self.__dict__.update(program=program, nodes=nodes, failures=failures)
 
     @property
     def ok(self) -> bool:

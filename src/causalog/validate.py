@@ -19,17 +19,17 @@ does not fail the flag, which is convenient when inspecting derived programs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
+from .frozen import Frozen
 from .model import Program
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    acyclic: bool
-    positive: bool
-    proper_normal_form: bool
-    diagnostics: tuple[str, ...]
+class ValidationReport(Frozen):
+    _fields = ("acyclic", "positive", "proper_normal_form", "diagnostics")
+
+    def __init__(self, acyclic: bool, positive: bool, proper_normal_form: bool,
+                 diagnostics: tuple[str, ...]):
+        self.__dict__.update(acyclic=acyclic, positive=positive,
+                             proper_normal_form=proper_normal_form, diagnostics=diagnostics)
 
     @property
     def all_ok(self) -> bool:
