@@ -122,21 +122,23 @@ def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProg
     program.dependency_graph().topological_order()
     forced = _check_assignment(program, intervention, "intervention")
     dp = program.desugar()
+    # the program's clauses are checked, and a valid name with a suffix is
+    # one too, so the copies are built without the checks again
     clauses: list[LogicalClause] = []
     for clause in dp.clauses:
         for suffix in (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX):
             if suffix == INTERVENTION_SUFFIX and clause.head in forced:
                 continue
-            clauses.append(LogicalClause(
+            clauses.append(LogicalClause._trusted(
                 clause.head + suffix,
-                frozenset(Literal(lit.name + suffix, lit.positive)
-                          for lit in clause.literals),
+                frozenset([Literal._trusted(lit.name + suffix, lit.positive)
+                           for lit in clause.literals]),
                 clause.noise,
             ))
     for name in sorted(forced):
         if forced[name]:
-            clauses.append(LogicalClause(name + INTERVENTION_SUFFIX,
-                                         frozenset(), frozenset()))
+            clauses.append(LogicalClause._trusted(name + INTERVENTION_SUFFIX,
+                                                  frozenset(), frozenset()))
     declared = [p + EVIDENCE_SUFFIX for p in program.propositions]
     declared += [p + INTERVENTION_SUFFIX for p in program.propositions]
     twin_dp = DesugaredProgram(clauses, dp.noise_probs, declared=declared)

@@ -3,29 +3,33 @@
 Forward sampling draws every noise fact independently and solves the Boolean
 equation system column-wise, all rows at once, with the engine's shared
 solve. Sampling is seeded and deterministic: the counter-based Philox
-generator is keyed with the seed and consumed as one uniform draw per (row,
-fact) cell in row-major order, so row ``i`` always consumes the ``i``-th
-run of draws no matter how rows are batched. The draws are made and
-thresholded a block of rows at a time, at most ``_BLOCK_DRAWS`` uniforms,
-into one bool per (fact, row): the blocks consume the stream in the order
-one draw of the whole matrix would, so the rows do not depend on the block
-size, and sampling holds a byte per cell, not a double.
+generator is keyed with the seed and consumed as one draw per (row, fact)
+cell in row-major order, so row ``i`` always consumes the ``i``-th run of
+draws no matter how rows are batched. ``Generator.random`` makes the
+uniform ``(raw >> 11) * 2^-53`` of a raw 64-bit word, so a fact with
+probability ``p`` fires exactly where its ``u < p`` would: where
+``raw >> 11 < ceil(p * 2^53)``, compared as integers. The words are drawn
+and compared a block of rows at a time, at most ``_BLOCK_DRAWS`` of them,
+into one bool per (fact, row), so the rows do not depend on the block size
+and sampling holds a byte per cell.
 
 A dataset records only the internal propositions (noise is latent), plus a
 provenance stamp: the fingerprint of the generating program, the seed and the
-row count. The CSV form is a header of proposition names, one 0/1 row per
-sample, and an optional leading ``# provenance:`` comment. Writing lays out
-all rows as one byte image; reading parses a file in exactly that form as one
-byte matrix and falls back to a line-by-line reader for anything looser.
+row count. It stores one contiguous bool array per column, as the solve
+makes them and counting reads them. The CSV form is a header of proposition
+names, one 0/1 row per sample, and an optional leading ``# provenance:``
+comment. Writing fills one byte image a column at a time; reading turns a
+file in exactly that form column-major a block of rows at a time and falls
+back to a line-by-line reader for anything looser.
 
 Learning is reconstruction against the empirical frequency oracle: the
 success probability of a target under a parent pattern is estimated by the
 relative frequency among the rows matching the pattern, with a standard-error
 tolerance (Z * sqrt(v / n) with Z = 3, v estimated with add-one smoothing so
 it never degenerates to zero) and a minimum support below which the pattern
-is reported as starved instead of trusted. A whole table is read at once: the
-row counts of every pattern come from one bincount over the rows' pattern
-codes, and the rates and tolerances are computed as arrays.
+is reported as starved instead of trusted. The families ``reconstruct``
+announces are counted in groups, one bincount per group, and a table's rates
+and tolerances are computed as arrays.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ if TYPE_CHECKING:
 DEFAULT_MIN_SUPPORT = 30
 # the standard errors a sample rate is trusted to
 Z = 3.0
-# the uniforms forward sampling draws at once, rounded down to whole rows
-# but at least one row (512 KiB of doubles)
+# the cells a block of rows holds, rounded down to whole rows but at least
+# one row: the raw words forward sampling draws at once (512 KiB), and the
+# CSV cells read at once
 _BLOCK_DRAWS = 1 << 16
 
 
@@ -89,7 +94,12 @@ class Provenance(Frozen):
 
 
 class Dataset:
-    """An immutable 0/1 sample matrix with named columns."""
+    """An immutable 0/1 sample matrix with named columns.
+
+    The samples are stored one contiguous bool array per column, shape
+    ``(columns, n)``; ``rows`` is a read-only ``(n, columns)`` view of that
+    storage. The constructor copies the rows it is given, so the caller's
+    array stays the caller's."""
 
     def __init__(self, columns: tuple[str, ...], rows: np.ndarray,
                  provenance: Provenance | None = None):
@@ -101,16 +111,30 @@ class Dataset:
                 f"row matrix of shape {rows.shape} does not match "
                 f"{len(columns)} columns"
             )
+        self._adopt(tuple(columns), rows.T.copy(), provenance)
+
+    @classmethod
+    def _of_columns(cls, columns: tuple[str, ...], data: np.ndarray,
+                    provenance: Provenance | None) -> "Dataset":
+        """The dataset that takes over ``data``, a C-contiguous bool array of
+        shape ``(len(columns), n)`` that nothing else holds."""
+        dataset = object.__new__(cls)
+        dataset._adopt(columns, data, provenance)
+        return dataset
+
+    def _adopt(self, columns: tuple[str, ...], data: np.ndarray,
+               provenance: Provenance | None) -> None:
         if len(set(columns)) != len(columns):
             raise DatasetError("duplicate column names")
-        self.columns = tuple(columns)
-        self.rows = rows
-        self.rows.setflags(write=False)
+        data.setflags(write=False)
+        self.columns = columns
+        self._data = data
+        self.rows = data.T
         self.provenance = provenance
         self._index = {name: i for i, name in enumerate(columns)}
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self._data.shape[1]
 
     def __eq__(self, other: object) -> bool:
         import numpy as np
@@ -118,12 +142,12 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (self.columns == other.columns
-                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self._data, other._data)
                 and self.provenance == other.provenance)
 
     def column(self, name: str) -> np.ndarray:
         try:
-            return self.rows[:, self._index[name]]
+            return self._data[self._index[name]]
         except KeyError:
             raise DatasetError(f"no column named {name!r}") from None
 
@@ -132,8 +156,8 @@ class Dataset:
     def to_csv(self, path: str) -> None:
         """Write the optional provenance line, the header, then one row per
         sample: ``0``/``1`` cells joined by ``,``, each row ended by ``\\n``.
-        The rows are laid out as one byte image and written at once,
-        straight from the array's buffer."""
+        The rows are laid out as one byte image, filled one column at a time,
+        and written at once, straight from the array's buffer."""
         import numpy as np
 
         head = ""
@@ -142,10 +166,9 @@ class Dataset:
         head += ",".join(self.columns) + "\n"
         n, width = self.rows.shape
         if width:
-            image = np.full((n, 2 * width), ord(","), dtype=np.uint8)
-            image[:, 0::2] = self.rows
-            image[:, 0::2] += ord("0")
-            image[:, -1] = ord("\n")
+            image = np.empty((n, width), dtype="<u2")
+            for cell, column, code in zip(image.T, self._data, _cell_codes(width)):
+                np.add(column, code, out=cell)
         else:
             image = np.full(n, ord("\n"), dtype=np.uint8)
         with open(path, "wb") as handle:
@@ -157,9 +180,10 @@ class Dataset:
         """Read a dataset written by ``to_csv``, or any CSV of the same
         shape: blank lines, CRLF or CR line ends, spaces around cells and a
         missing final newline are accepted as well. A file in exactly the
-        form ``to_csv`` writes is parsed as one byte matrix; anything else
-        goes through the line-by-line reader, which names the first bad
-        line. A file that is not UTF-8 raises DatasetError."""
+        form ``to_csv`` writes is read a block of rows at a time, without a
+        per-row parse; anything else goes through the line-by-line reader,
+        which names the first bad line. A file that is not UTF-8 raises
+        DatasetError."""
         import numpy as np
 
         with open(path, "rb") as handle:
@@ -192,9 +216,9 @@ class Dataset:
         return Dataset(columns, rows, provenance)
 
 
-def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], int]:
-    """Provenance, column names and index of the header line: the first line
-    not starting with ``#``; a ``# provenance:`` comment before it is read."""
+def _csv_comments(lines: list[str]) -> tuple[Provenance | None, int]:
+    """Provenance and index of the first line not starting with ``#``; a
+    ``# provenance:`` comment before it is read."""
     provenance = None
     start = 0
     while start < len(lines) and lines[start].startswith("#"):
@@ -202,16 +226,36 @@ def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], i
         if stripped.startswith("provenance:"):
             provenance = Provenance.from_json(stripped[len("provenance:"):])
         start += 1
+    return provenance, start
+
+
+def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], int]:
+    """Provenance, column names and index of the header line: the first line
+    not starting with ``#``."""
+    provenance, start = _csv_comments(lines)
     if start >= len(lines) or not lines[start].strip():
         raise DatasetError("missing header row")
     return provenance, tuple(name.strip() for name in lines[start].split(",")), start
 
 
+def _cell_codes(width: int) -> np.ndarray:
+    """A row of ``width`` ``0`` cells as little-endian uint16s, one per cell:
+    the digit, then the byte after it, ``,`` or, after the last, ``\\n``.
+    Adding a cell's bool gives its digit; ``| 1`` gives the ``1`` cell."""
+    import numpy as np
+
+    codes = np.full(width, ord("0") | ord(",") << 8, dtype="<u2")
+    codes[-1] = ord("0") | ord("\n") << 8
+    return codes
+
+
 def _canonical_csv(raw: bytes) -> Dataset | None:
     """The dataset when ``raw`` is in the exact form ``to_csv`` writes (comment
     lines, a header, then rows of ``0``/``1`` joined by ``,`` and each ended
-    by ``\\n``), else None. Such a body is one byte matrix with a fixed width,
-    so one shape and alphabet check replaces the per-row parse."""
+    by ``\\n``; with an empty header, rows of a bare ``\\n``), else None.
+    Such a body is one matrix of ``_cell_codes`` with a fixed width, so it is
+    checked and read without a per-row parse: a block of rows at a time,
+    turned into one contiguous row per column, which is compared in place."""
     import numpy as np
 
     end = 0
@@ -223,15 +267,24 @@ def _canonical_csv(raw: bytes) -> Dataset | None:
     end = raw.find(b"\n", header) + 1
     if end == 0:
         return None
-    width = 2 * (raw.count(b",", header, end) + 1)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=end)
-    if body.size % width:
-        return None
-    body = body.reshape(-1, width)
-    if not ((body[:, 0::2] | 1) == ord("1")).all() \
-            or not (body[:, 1:-1:2] == ord(",")).all() \
-            or not (body[:, -1] == ord("\n")).all():
-        return None
+    width = raw.count(b",", header, end) + 1 if end - header > 1 else 0
+    size = len(raw) - end
+    if not width:
+        if raw.count(b"\n", end) != size:
+            return None
+        data = np.zeros((0, size), dtype=bool)
+    else:
+        if size % (2 * width):
+            return None
+        cells = np.frombuffer(raw, dtype="<u2", offset=end).reshape(-1, width)
+        ones = (_cell_codes(width) | 1)[:, None]
+        data = np.empty((width, len(cells)), dtype=bool)
+        step = max(1, _BLOCK_DRAWS // width)
+        for start in range(0, len(cells), step):
+            block = cells[start:start + step].T.copy()
+            if not ((block | 1) == ones).all():
+                return None
+            np.equal(block, ones, out=data[:, start:start + step])
     # the body is ASCII, so the head decides what the line reader would do;
     # a head it would split into other lines is left to it
     try:
@@ -240,8 +293,11 @@ def _canonical_csv(raw: bytes) -> Dataset | None:
         return None
     if len(lines) != raw.count(b"\n", 0, end):
         return None
-    provenance, columns, _ = _csv_header(lines)
-    return Dataset(columns, body[:, 0::2] == ord("1"), provenance)
+    if width:
+        provenance, columns, _ = _csv_header(lines)
+    else:
+        provenance, columns = _csv_comments(lines)[0], ()
+    return Dataset._of_columns(columns, data, provenance)
 
 
 def forward_sample(program: Program, n: int, seed: int) -> Dataset:
@@ -261,19 +317,24 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     # the solve; each block of draws is compared straight into its rows
     fired = np.empty((len(noise), n), dtype=bool)
     if noise:
-        thresholds = np.array([dp.noise_probability(u) for u in noise])
-        generator = np.random.Generator(np.random.Philox(key=seed))
+        # Generator.random() is (raw >> 11) / 2^53 of Philox's raw 64-bit
+        # words, so its u < p is exactly raw >> 11 < ceil(p * 2^53): never
+        # for p = 0, always for p = 1 (p * 2^53 is exact)
+        probabilities = np.array([dp.noise_probability(u) for u in noise])
+        thresholds = np.ceil(probabilities * 2.0 ** 53).astype(np.uint64)[:, None]
+        bits = np.random.Philox(key=seed)
         block = max(1, _BLOCK_DRAWS // len(noise))
-        draws = np.empty((min(block, n), len(noise)))
         for start in range(0, n, block):
-            part = draws[:min(block, n - start)]
-            generator.random(out=part)
-            np.less(part, thresholds, out=fired[:, start:start + len(part)].T)
+            rows = min(block, n - start)
+            draws = bits.random_raw(rows * len(noise)).reshape(rows, len(noise))
+            draws >>= 11
+            np.less(draws.T, thresholds, out=fired[:, start:start + rows])
     values = solve(dp, dict(zip(noise, fired)), n)
-    rows = np.column_stack([values[c] for c in columns]) if columns else \
-        np.zeros((n, 0), dtype=bool)
-    return Dataset(columns, rows,
-                   Provenance(program_fingerprint(program), seed, int(n)))
+    data = np.empty((len(columns), n), dtype=bool)
+    for row, name in zip(data, columns):
+        row[...] = values[name]
+    return Dataset._of_columns(columns, data,
+                               Provenance(program_fingerprint(program), seed, int(n)))
 
 
 class FrequencyOracle:
@@ -284,22 +345,51 @@ class FrequencyOracle:
     ``v`` uses the add-one-smoothed rate ``(s + 1) / (n_T + 2)``. Patterns
     with fewer than ``min_support`` rows, which must be at least 1, are
     starved: a table lists them all in one StarvedPatternError, in table
-    order, and a single pattern raises its own. A table's row counts come
-    from one bincount, and its rates and tolerances are computed for every
-    pattern at once."""
+    order, and a single pattern raises its own.
+
+    The row counts come from histograms, one bincount over each row's code
+    of the columns counted. ``expect`` puts the families it is told into
+    groups: a group's histogram is over the union of its families' columns
+    and holds no more cells than the dataset has rows, and each family's
+    counts are that histogram summed over the group's other columns. A family
+    wider than that, one with a name that is not a column, and a family
+    nobody announced are each a group of one. A table's rates and tolerances
+    are computed for every pattern at once."""
 
     def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT):
         self._data = dataset
         self.min_support = int(min_support)
         if self.min_support < 1:
             raise OracleError(f"min_support must be at least 1, got {min_support}")
+        # each expected family: the columns of its group and the group's
+        # families; each family counted with its group and not yet asked:
+        # its counts
+        self._groups: dict[Family, tuple[tuple[str, ...], list[Family]]] = {}
+        self._counted: dict[Family, tuple[np.ndarray, np.ndarray | None]] = {}
 
     @property
     def nodes(self) -> frozenset[str]:
         return frozenset(self._data.columns)
 
     def expect(self, families: Sequence[Family]) -> None:
-        """Nothing to prepare: each table is one bincount of its own."""
+        """Group the families, first fit in the order given; nothing is
+        counted until a family of a group is asked."""
+        rows, columns = len(self._data), self._data.columns
+        groups: list[tuple[set[str], list[Family]]] = []
+        for target, parents in families:
+            names = {target, *parents}
+            if not names.issubset(columns):
+                continue
+            for union, members in groups:
+                if 1 << len(union | names) <= rows:
+                    union |= names
+                    members.append((target, parents))
+                    break
+            else:
+                groups.append((names, [(target, parents)]))
+        self._groups = {family: (tuple(sorted(union)), members)
+                        for union, members in groups for family in members}
+        self._counted = {}
 
     def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
         support, hits = self._counts(target, parents)
@@ -352,22 +442,51 @@ class FrequencyOracle:
     def _counts(self, target: str, parents: tuple[str, ...]
                 ) -> tuple[np.ndarray, np.ndarray | None]:
         """The rows of every parent pattern by ``pattern_code`` and, when the
-        target is a column, those of them with the target true, by one
-        bincount over each row's code: the parent bits, then the target bit.
-        A pattern over more than ``engine.MAX_TABLE_WIDTH`` propositions
-        raises TableSizeError."""
+        target is a column, those of them with the target true, counted with
+        the family's group. A pattern over more than
+        ``engine.MAX_TABLE_WIDTH`` propositions raises TableSizeError."""
+        check_table_width(len(parents))
+        family = (target, parents)
+        if family not in self._counted:
+            names, families = self._groups.get(family) or (self._counted_names(family), [family])
+            self._counted.update(self._count(names, families))
+        return self._counted.pop(family)
+
+    def _counted_names(self, family: Family) -> tuple[str, ...]:
+        """The columns a family is counted over: its parents, then its
+        target when that is a column."""
+        target, parents = family
+        return parents + (target,) if target in self._data.columns else parents
+
+    def _count(self, names: tuple[str, ...], families: list[Family]
+               ) -> dict[Family, tuple[np.ndarray, np.ndarray | None]]:
+        """The counts of each family from one histogram over ``names``, the
+        columns of them all: one bincount over each row's code, a bit per
+        name, the first the most significant. A family over fewer names sums
+        the others out, its parents' bits then the target's kept in order."""
         import numpy as np
 
-        check_table_width(len(parents))
-        names = parents + (target,) if target in self._data.columns else parents
         codes = np.zeros(len(self._data), np.min_scalar_type((1 << len(names)) - 1))
         for name in names:
             codes <<= 1
             codes |= self._data.column(name)
-        counts = np.bincount(codes, minlength=1 << len(names))
-        if len(names) > len(parents):
-            return counts[0::2] + counts[1::2], counts[1::2]
-        return counts, None
+        histogram = np.bincount(codes, minlength=1 << len(names))
+        counted = {}
+        for family in families:
+            target, parents = family
+            own = self._counted_names(family)
+            counts = histogram
+            if own != names:
+                cube = histogram.reshape((2,) * len(names))
+                kept = [name for name in names if name in own]
+                counts = cube.sum(axis=tuple(k for k, name in enumerate(names)
+                                             if name not in own))
+                counts = counts.transpose([kept.index(name) for name in own]).reshape(-1)
+            if own == parents:
+                counted[family] = counts, None
+            else:
+                counted[family] = counts[0::2] + counts[1::2], counts[1::2]
+        return counted
 
 
 def learn(dataset: Dataset, graph: DependencyGraph,

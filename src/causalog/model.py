@@ -251,7 +251,8 @@ class Program:
             name = f"u{i}"
             while name in internal:
                 name = "u" + name
-            clauses.append(LogicalClause(c.effect, c.causes, frozenset({name})))
+            # a Clause's effect and body have passed LogicalClause's checks
+            clauses.append(LogicalClause._trusted(c.effect, c.causes, frozenset({name})))
             probs[name] = c.probability
         return DesugaredProgram(clauses, probs, declared=self._declared)
 
@@ -277,6 +278,15 @@ class LogicalClause(Frozen):
         if len(set(names)) != len(names):
             raise ProgramError(f"contradictory body for {head}")
         self.__dict__.update(head=head, literals=literals, noise=noise)
+
+    @classmethod
+    def _trusted(cls, head: str, literals: frozenset[Literal],
+                 noise: frozenset[str]) -> "LogicalClause":
+        """A clause whose caller has made ``__init__``'s checks: a valid head
+        name and a frozenset body naming no atom twice."""
+        clause = object.__new__(cls)
+        clause.__dict__.update(head=head, literals=literals, noise=noise)
+        return clause
 
 
 class DesugaredProgram:

@@ -25,8 +25,9 @@ could recover. An oracle answers a node's whole success table in one call.
 The exact oracle reads the table of a node asked with its own parents off
 the node's factor when no pattern of those parents can have zero mass, and
 otherwise from one calibration of the families ``reconstruct`` asks (one
-elimination answers any other parent set); the frequency oracle reads it
-from one bincount over the rows' pattern codes.
+elimination answers any other parent set); the frequency oracle counts the
+families ``reconstruct`` asks in groups, one bincount over the rows' codes
+of each group's columns.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ class Oracle(Protocol):
     StarvedPatternError that lists them all, and any other error is taken to
     come before the first pattern. ``expect`` is told every family that
     ``reconstruct`` will ask, before the first, for an oracle that answers
-    families more cheaply together. ``nodes`` is the set of propositions it
-    covers."""
+    families more cheaply together, as both shipped oracles do: the exact
+    oracle calibrates them once and the frequency oracle counts them in
+    groups. ``nodes`` is the set of propositions it covers."""
 
     @property
     def nodes(self) -> frozenset[str]: ...
@@ -499,8 +501,6 @@ class NodeReport(Frozen):
         return out
 
 
-# the default of ReconstructionResult.failures, which each result replaces by
-# a new dict of its own
 class ReconstructionResult(Frozen):
     """A recovered program plus per-node audit data.
 

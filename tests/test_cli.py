@@ -304,6 +304,21 @@ def test_sample_then_learn(tmp_path):
     same_clauses(learned.stdout, (ROOT / BOOST).read_text(), tol=0.05)
 
 
+def test_sample_then_learn_without_propositions(tmp_path, capsys):
+    # an empty program samples rows of no columns; learn reads that file
+    # back as those rows and recovers the empty program
+    program, graph = tmp_path / "empty.pl", tmp_path / "empty.edges"
+    program.write_text("")
+    graph.write_text("")
+    rows, learned = tmp_path / "rows.csv", tmp_path / "learned.pl"
+    assert cli.main(["sample", str(program), "-n", "3", "--seed", "1",
+                     "-o", str(rows)]) == 0
+    assert rows.read_bytes().endswith(b"}\n\n\n\n\n")
+    assert cli.main(["learn", "--data", str(rows), "--graph", str(graph),
+                     "-o", str(learned)]) == 0, capsys.readouterr().err
+    assert learned.read_text() == ""
+
+
 def test_learn_reports_starved_nodes(tmp_path):
     rare = tmp_path / "rare.pl"
     rare.write_text("0.02 :: a.\n0.5 :: b :- a.\n")

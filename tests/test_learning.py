@@ -1,15 +1,19 @@
 import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalog import (
     Atom,
+    Clause,
     Dataset,
     DatasetError,
     DependencyGraph,
     FrequencyOracle,
+    Literal,
     OracleError,
     Program,
     Provenance,
@@ -21,7 +25,7 @@ from causalog import (
     program_fingerprint,
 )
 
-from causalog import learning
+from causalog import cli, learning
 from causalog.engine import solve
 
 from conftest import BOOST_TEXT
@@ -106,10 +110,21 @@ def _wide_program():
         for k in range(3000)))
 
 
+def _grid_edge_program():
+    # weights at and beside the edges of the 2^-53 grid the draws lie on
+    weights = [0.0, 1.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53,
+               float(np.nextafter(0.3, 0.0)), float(np.nextafter(0.3, 1.0))]
+    clauses = [Clause("w0", (), weights[0])]
+    clauses += [Clause(f"w{k}", (Literal(f"w{k - 1}", k % 2 == 0),), weight)
+                for k, weight in enumerate(weights[1:], start=1)]
+    return Program(clauses)
+
+
 @pytest.mark.parametrize("make_program, block", [
     (lambda: parse_program(BOOST_TEXT), 21845),
     (_wide_program, 10),
-], ids=["three-facts", "5999-facts"])
+    (_grid_edge_program, 9362),
+], ids=["three-facts", "5999-facts", "grid-edge-weights"])
 def test_blocks_draw_the_rows_of_one_draw(make_program, block):
     # the draws are made one block of rows at a time; at each block edge the
     # rows must be those of one draw of the whole matrix
@@ -266,8 +281,7 @@ def test_to_csv_matches_row_loop(tmp_path, boost_program, make):
     path = tmp_path / "out.csv"
     dataset.to_csv(str(path))
     assert path.read_bytes() == _row_loop_csv(dataset)
-    if dataset.columns:
-        assert Dataset.from_csv(str(path)) == dataset
+    assert Dataset.from_csv(str(path)) == dataset
 
 
 @pytest.mark.parametrize("text", [
@@ -323,6 +337,17 @@ def test_dataset_rows_are_frozen(boost_program):
     dataset = forward_sample(boost_program, 4, seed=2)
     with pytest.raises(ValueError):
         dataset.rows[0, 0] = True
+    with pytest.raises(ValueError):
+        dataset.column("treatment")[0] = True
+
+
+def test_dataset_leaves_the_callers_array_alone():
+    rows = np.zeros((3, 2), dtype=bool)
+    dataset = Dataset(("x", "y"), rows)
+    assert rows.flags.writeable
+    rows[0, 0] = True
+    assert not dataset.rows.any()
+    assert dataset.rows.shape == (3, 2) and not dataset.rows.flags.writeable
 
 
 # --- frequency oracle -----------------------------------------------------------
@@ -379,6 +404,37 @@ def test_min_support_below_one_rejected(min_support):
               min_support=min_support)
 
 
+def _outcome(oracle, target, parents):
+    try:
+        return oracle.success_table(target, parents)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return type(err), str(err)
+
+
+def test_grouped_counts_equal_counts_alone():
+    # 200 rows hold a histogram over at most 7 columns: first fit puts five
+    # families in one group over c0..c6, leaves the 8-column family alone and
+    # starts a third group for c7; the two families naming a missing column
+    # are not grouped and fail as they would alone
+    dataset = Dataset(tuple(f"c{k}" for k in range(9)),
+                      numpy_rng(7).random((200, 9)) < 0.5)
+    families = [("c0", ()), ("c1", ("c0",)), ("c2", ("c0", "c1")),
+                ("c5", ("c3", "c4")), ("c8", tuple(f"c{k}" for k in range(1, 8))),
+                ("c6", ("c5",)), ("c7", ("c0", "c6")), ("gone", ("c0",)),
+                ("c3", ("gone",))]
+    grouped = FrequencyOracle(dataset, min_support=1)
+    grouped.expect(families)
+    assert sorted({names for names, _ in grouped._groups.values()}) == [
+        ("c0", "c1", "c2", "c3", "c4", "c5", "c6"), ("c0", "c6", "c7"),
+        tuple(f"c{k}" for k in range(1, 9))]
+    for target, parents in families + families[:2]:
+        alone = _outcome(FrequencyOracle(dataset, min_support=1), target, parents)
+        assert _outcome(grouped, target, parents) == alone, (target, parents)
+    assert grouped.success_given_parents("c2", {"c0": True, "c1": False}) == \
+        FrequencyOracle(dataset, min_support=1).success_given_parents(
+            "c2", {"c0": True, "c1": False})
+
+
 # --- fingerprints ---------------------------------------------------------------
 
 
@@ -427,3 +483,37 @@ def test_learn_respects_min_support():
     dataset = forward_sample(program, 200, seed=21)
     result = learn(dataset, program.dependency_graph(), min_support=2)
     assert "b" not in result.failures
+
+
+# --- the recover benchmark's stored samples -------------------------------------
+
+
+def _pool_entries():
+    """The first entry of each row count of the recover benchmark's pool."""
+    pool = Path(__file__).resolve().parent.parent / "bench" / "recover_pool.json"
+    first = {}
+    for entry in json.loads(pool.read_text())["entries"]:
+        first.setdefault(entry["rows"], entry)
+    return [first[rows] for rows in sorted(first)]
+
+
+@pytest.mark.parametrize("entry", _pool_entries(), ids=lambda entry: str(entry["rows"]))
+def test_sample_and_learn_reproduce_the_recover_pool(tmp_path, capsys, entry):
+    # the benchmark checks each sample's bytes and each learned weight against
+    # the pool, so a change to the draws or to the CSV form fails here as well
+    program, graph = tmp_path / "program.pl", tmp_path / "graph.edges"
+    program.write_text(entry["program"])
+    graph.write_text(entry["graph"])
+    rows, learned = tmp_path / "rows.csv", tmp_path / "learned.pl"
+    assert cli.main(["sample", str(program), "-n", str(entry["rows"]),
+                     "--seed", str(entry["seed"]), "-o", str(rows)]) == 0
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == entry["sha256"]
+    assert cli.main(["learn", "--data", str(rows), "--graph", str(graph),
+                     "-o", str(learned)]) == 0, capsys.readouterr().err
+    got = {(c.effect, c.causes): c.probability
+           for c in parse_program(learned.read_text()).clauses}
+    want = {(head, frozenset(Literal(name, positive) for name, positive in body)): weight
+            for head, body, weight in entry["learned"]}
+    assert got.keys() == want.keys()
+    for key, weight in want.items():
+        assert got[key] == pytest.approx(weight, abs=1e-12, rel=0), key
