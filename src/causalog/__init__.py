@@ -18,7 +18,6 @@ from .engine import (
     JointTable,
     QueryResult,
     conditional,
-    evaluate_world,
     joint_table,
     probability,
     query,
@@ -40,7 +39,6 @@ from .errors import (
     SaturationError,
     StarvedPatternError,
     TableSizeError,
-    WorldError,
     ZeroEvidenceError,
 )
 from .formula import And, Atom, Const, Formula, Not, Or, conjunction_of, parse_formula
@@ -109,12 +107,10 @@ __all__ = [
     "TableSizeError",
     "TwinProgram",
     "ValidationReport",
-    "WorldError",
     "ZeroEvidenceError",
     "conditional",
     "conjunction_of",
     "counterfactual_query",
-    "evaluate_world",
     "forward_sample",
     "intervene",
     "interventional_query",

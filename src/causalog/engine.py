@@ -17,11 +17,14 @@ read-only ``masses``, indexed as in ``Marginal``; its ``cells`` is a read-only
 mapping view over them, which builds no per-cell object until a caller reads
 the cell.
 
-A factor is tabulated once over its own scope, in place: each clause's miss
-multiplies the slice its body selects of a table of ones, so the cap on cells
-bounds memory too. A head's factor is its noisy-OR, P(head | parents) =
-1 - prod(1 - fire(c)) over the clauses whose body holds; clauses of
-probability 0 or 1 make it deterministic.
+A factor is tabulated once over its own scope. A head's factor is its
+noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
+body holds; clauses of probability 0 or 1 make it deterministic. A table of
+at most 64 cells (``_LIST_CELLS``) is built cell by cell in Python lists, one
+bit-mask test per body; a larger one in place, each clause's miss
+multiplying the slice its body selects of a table of ones, so the cap on
+cells bounds memory too. The two multiply the same misses in the same order
+and give the same floats.
 
 ``query`` is the one entry point of every query kind: the probability of a
 formula under an intervention, given evidence observed in the world as it
@@ -30,7 +33,9 @@ probability has neither, a conditional no intervention, an interventional
 query no evidence. One builder (``_factors``) reads the query's factors off
 the program itself, so no query builds, intervenes or desugars a program;
 under an intervention a node it reaches gets a second copy, its intervened
-one. The ordinary factors are tabulated once per program and kept.
+one. A ``Program`` groups each node's clauses into (body, fire) rows when
+it is built, and keeps the ordinary factors, each tabulated once, beside
+them: every query on the program shares them, and they go with it.
 
 Evidence that is a conjunction of literals, as every ``--given`` and every
 counterfactual observation is, restricts the factors before the elimination
@@ -51,8 +56,8 @@ need. ``worlds_evaluated`` reports the total cells of the query's tables,
 its factors and each step's product.
 ``marginals`` runs the same elimination over every variable and back again,
 a two-pass calibration whose cliques give many families' marginals at once.
-``solve``, the Boolean-equation solve, answers ``evaluate_world`` and
-forward sampling.
+``solve``, the Boolean-equation solve, answers forward sampling and any
+caller that needs the structure a noise assignment induces.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ import heapq
 import itertools
 import math
 import os
-import weakref
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -71,7 +75,6 @@ from .errors import (
     EnumerationCapError,
     ProgramError,
     TableSizeError,
-    WorldError,
     ZeroEvidenceError,
 )
 from .formula import Formula, check_atoms, check_names, literals_of
@@ -131,27 +134,6 @@ def resolved_max_worlds(max_worlds: int | None) -> int:
     return value
 
 
-def evaluate_world(program: Program | DesugaredProgram,
-                   world: Mapping[str, bool]) -> dict[str, bool]:
-    """Solve the Boolean equation system for one total noise assignment.
-
-    Returns the full structure: the given noise values plus the uniquely
-    determined value of every internal proposition. Internal propositions
-    with no clause come out false."""
-    dp = program.desugar() if isinstance(program, Program) else program
-    known = set(dp.noise_names)
-    missing = sorted(known - world.keys())
-    if missing:
-        raise WorldError(f"noise assignment missing {', '.join(missing)}")
-    extra = sorted(set(world.keys()) - known)
-    if extra:
-        raise WorldError(f"assignment names unknown noise propositions {', '.join(extra)}")
-    values: dict[str, bool] = {u: bool(world[u]) for u in known}
-    env = solve(dp, values, 1)
-    values.update((name, bool(env[name][0])) for name in dp.topological_order())
-    return values
-
-
 def solve(dp: DesugaredProgram, noise: Mapping[str, np.ndarray | bool],
           count: int) -> dict[str, np.ndarray]:
     """Solve the Boolean equations for ``count`` noise assignments at once.
@@ -184,35 +166,49 @@ def solve(dp: DesugaredProgram, noise: Mapping[str, np.ndarray | bool],
 Body = tuple[tuple[str, bool], ...] | None
 
 
+# A factor of at most this many cells is tabulated in Python lists, where one
+# bit-mask test per clause per cell costs less than numpy's calls on each
+# clause's slice. Lists against slicing, per table (2 CPUs, numpy 2.4, Python
+# 3.11; medians): the factors of the three bench workloads' requests, heads
+# of 4 cells 6.3 against 8.1 us, of 16 cells 14.5 against 22.9 us, pair
+# factors of 32 cells 18.9 against 42.3 us, of 128 cells 47.7 against 60.6 us,
+# of 256 cells 81 against 69 us; heads with a clause per parent, of 64 cells
+# 36-43 against 39-50 us, of 128 cells 62-79 against 47-58 us.
+_LIST_CELLS = 1 << 6
+
+
 class Factor(Frozen):
     """P(heads | parents) for one head, or for the two copies of a
     counterfactual node: per clause its body once per head (aligned with
-    the heads) and its miss probability 1 - fire."""
+    the heads) and its miss probability 1 - fire. ``scope`` is the heads,
+    then the parents in order of first use."""
 
     _fields = ("heads", "terms")
 
     def __init__(self, heads: tuple[str, ...],
                  terms: tuple[tuple[tuple[Body, ...], float], ...]):
-        self.__dict__.update(heads=heads, terms=terms)
-
-    @cached_property
-    def scope(self) -> tuple[str, ...]:
-        """The heads, then the parents in order of first use."""
-        return self.heads + tuple(dict.fromkeys(
-            name for bodies, _ in self.terms for body in bodies for name, _ in body or ()))
+        scope = heads + tuple(dict.fromkeys(
+            name for bodies, _ in terms for body in bodies for name, _ in body or ()))
+        self.__dict__.update(heads=heads, terms=terms, scope=scope)
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The factor tabulated once, in place, one axis per variable of its
-        scope: each clause's miss 1 - fire multiplies, in clause order, the
-        slice of a table of ones that fixes each atom of its body to its
-        polarity (none if the body cannot hold). That builds a head's
+        """The factor tabulated once, one axis per variable of its scope:
+        each clause's miss 1 - fire multiplies, in clause order, the cells
+        where its body holds (none if it cannot hold). That builds a head's
         P(0 | parents), and the pair factor's P(0, 1) and P(1, 0) for the
-        evidence and intervention copies and, by one mask per clause, P(0, 0)
-        for either; then P(1, 1) is 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0), and
-        P(0, 1) and P(1, 0) lose P(0, 0)."""
+        evidence and intervention copies and P(0, 0) where either body
+        holds; then P(1, 1) is 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0), and
+        P(0, 1) and P(1, 0) lose P(0, 0). A table of at most _LIST_CELLS
+        cells is built in Python lists, one bit-mask test per body per
+        cell; a larger one in place, each miss multiplying the slice its
+        body selects of a table of ones. Both give the same floats."""
         import numpy as np
 
+        if 1 << len(self.scope) <= _LIST_CELLS:
+            table = np.array(self._cells()).reshape((2,) * len(self.scope))
+            table.flags.writeable = False  # shared by every query on the program
+            return table
         axis = {name: k for k, name in enumerate(self.scope)}
         table = np.ones((2,) * len(self.scope))
 
@@ -242,46 +238,71 @@ class Factor(Frozen):
             hit += both
             table[0, 1, ...] -= both
             table[1, 0, ...] -= both
-        table.flags.writeable = False  # shared by every query on the program
+        table.flags.writeable = False
         return table
+
+    def _cells(self) -> list[float]:
+        """The table's cells in C order: a parent pattern is the bits of a
+        cell's index below the heads', and a body holds at the pattern i
+        when i & mask == want (a body that cannot hold wants a bit its mask
+        clears). Each product runs in clause order, and a clause whose body
+        fails multiplies by 1.0, which changes no float, so the cells are
+        the slicing's to the bit."""
+        width = len(self.scope) - len(self.heads)
+        bit = {name: 1 << (width - 1 - k) for k, name in enumerate(self.scope[len(self.heads):])}
+        terms = []
+        for bodies, keep in self.terms:
+            term = []
+            for body in bodies:
+                mask, want = 0, int(body is None)
+                for name, positive in body or ():
+                    mask |= bit[name]
+                    want |= bit[name] if positive else 0
+                term += (mask, want)
+            terms.append((*term, keep))
+        if len(self.heads) == 1:
+            misses = []
+            for i in range(1 << width):
+                miss = 1.0
+                for mask, want, keep in terms:
+                    miss *= keep if i & mask == want else 1.0
+                misses.append(miss)
+            return misses + [1.0 - miss for miss in misses]
+        rows = []  # per pattern, the misses where either body holds, and each copy's
+        for i in range(1 << width):
+            b = e = d = 1.0
+            for e_mask, e_want, d_mask, d_want, keep in terms:
+                in_e, in_d = i & e_mask == e_want, i & d_mask == d_want
+                e *= keep if in_e else 1.0
+                d *= keep if in_d else 1.0
+                b *= keep if in_e or in_d else 1.0
+            rows.append((b, e, d))
+        return ([b for b, _, _ in rows] + [e - b for b, e, _ in rows]
+                + [d - b for b, _, d in rows] + [1.0 - e - d + b for b, e, d in rows])
 
 
 # marks a node's intervention copy; no proposition's name can hold it
 _DO_MARK = "@do"
 
-# each program's nodes while it lives, with the factors every query shares, so
-# that the many marginals ``reconstruct`` asks of one program reuse them
-_NODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-
-def _nodes(program: Program) -> tuple[dict, dict]:
-    """Each node's clauses as (body, fire) pairs, and the factor cache."""
-    nodes = _NODES.get(program)
-    if nodes is None:
-        if not isinstance(program, Program):
-            raise ProgramError(
-                f"expected a Program, got {type(program).__name__}; query the "
-                "program it was desugared from")
-        clauses: dict[str, list] = {}
-        for c in program.clauses:
-            body = tuple(sorted([(lit.name, lit.positive) for lit in c.causes]))
-            clauses.setdefault(c.effect, []).append((body, c.probability))
-        nodes = _NODES[program] = (clauses, {})
-    return nodes
+def _rows(program: Program) -> dict[str, list[tuple[Body, float]]]:
+    """Each node's clauses as (body, fire) rows, built with the program."""
+    if not isinstance(program, Program):
+        raise ProgramError(
+            f"expected a Program, got {type(program).__name__}; query the "
+            "program it was desugared from")
+    return program._rows
 
 
 def node_factor(program: Program, node: str) -> Factor:
     """P(node | its parents in the program), the factor every query on the
-    program shares, built once; its table is tabulated on first use."""
-    clauses, cache = _nodes(program)
-    return _node_factor(node, clauses, cache)
-
-
-def _node_factor(node: str, clauses: dict, cache: dict) -> Factor:
+    program shares, built once and kept on the program, so that it dies
+    with it; its table is tabulated on first use."""
+    rows, cache = _rows(program), program._factors
     found = cache.get(node)
     if found is None:
         found = cache[node] = Factor((node,), tuple(
-            ((body,), 1.0 - fire) for body, fire in clauses.get(node, ()) if fire > 0.0))
+            ((body,), 1.0 - fire) for body, fire in rows.get(node, ()) if fire > 0.0))
     return found
 
 
@@ -300,7 +321,7 @@ def _factors(program: Program, queried: Iterable[str],
     have their own when it is not needed. With no evidence only the
     intervened world is read, where no edge enters a forced node, so the walk
     cuts those edges and the cycles through them."""
-    clauses, cache = _nodes(program)
+    clauses = _rows(program)
     forced = forced or {}
     graph = program.dependency_graph()
     if forced and not observed:
@@ -337,7 +358,7 @@ def _factors(program: Program, queried: Iterable[str],
             worlds.pop()
             factors.append(factor(node, [True], [((), 1.0)] if forced[node] else []))
         if worlds == [False]:
-            factors.append(_node_factor(node, clauses, cache))
+            factors.append(node_factor(program, node))
         elif worlds:
             factors.append(factor(node, worlds, terms))
         if worlds:
@@ -594,8 +615,15 @@ def conditional(program: Program, phi: Formula, evidence: Formula,
 
 
 def zero_evidence(evidence: Formula) -> ZeroEvidenceError:
-    """The error of conditioning on ``evidence`` of probability zero."""
-    return ZeroEvidenceError(f"evidence '{evidence.to_text()}' has probability zero")
+    """The error of conditioning on ``evidence`` of probability zero. It
+    quotes evidence over at most 12 atoms, or of at most 160 characters, in
+    full; longer evidence is quoted up to a blank within its first 160
+    characters and followed by its number of atoms, so the error stays one
+    short line."""
+    text, atoms = f"'{evidence.to_text()}'", len(evidence.atoms())
+    if atoms > 12 and len(text) > 160:
+        text = f"{text[:160].rpartition(' ')[0]} ...' of {atoms} atoms"
+    return ZeroEvidenceError(f"evidence {text} has probability zero")
 
 
 class JointTable(Frozen):

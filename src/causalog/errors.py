@@ -51,12 +51,6 @@ class CyclicProgramError(CausalogError):
     code = "cycle"
 
 
-class WorldError(CausalogError):
-    """A noise assignment that is not total over the noise propositions."""
-
-    code = "world"
-
-
 class EnumerationCapError(CausalogError):
     """The exact query would build a table of more factor cells than
     allowed."""

@@ -112,11 +112,6 @@ class Clause(Frozen):
         clause.__dict__.update(effect=effect, causes=causes, probability=probability)
         return clause
 
-    @property
-    def key(self) -> tuple[str, frozenset[Literal]]:
-        """Identity of the clause up to its probability."""
-        return (self.effect, self.causes)
-
     def sorted_body(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.causes, key=lambda lit: lit.name))
 
@@ -126,6 +121,14 @@ class Clause(Frozen):
             return head + "."
         body = ", ".join(str(lit) for lit in self.sorted_body())
         return f"{head} :- {body}."
+
+
+def body_keys(pairs: Iterable[tuple[str, bool]]) -> tuple[tuple, tuple]:
+    """A body's sort key, its (name, negated) ``pairs`` sorted, and its
+    engine row, the same atoms as (name, positive) pairs in the same order:
+    a body names each atom once, so both follow the names."""
+    order = tuple(sorted(pairs))
+    return order, tuple([(name, not negated) for name, negated in order])
 
 
 def float_text(x: float) -> str:
@@ -154,40 +157,62 @@ class Program:
     mentioned by any clause; they are identically false but still part of the
     alphabet. Transformations such as interventions use this to keep erased
     propositions queryable.
+
+    For the engine, a program also keeps each node's clauses as (body, fire)
+    rows, built in the pass that sorts the clauses, and the factors every
+    query on it tabulates from them; they go with the program.
     """
 
     def __init__(self, clauses: Iterable[Clause], declared: Iterable[str] = ()):
-        # one pass: check each clause, collect the names and edges, and key
-        # it by effect and body, which are unique once duplicates are out
+        # check each clause and key it by effect and body, which are unique
+        # once duplicates are out
         seen: set[tuple[str, frozenset[Literal]]] = set()
-        mentioned: set[str] = set()
-        edges: set[tuple[str, str]] = set()
-        keyed: list[tuple[str, tuple[tuple[str, bool], ...], Clause]] = []
+        keyed = []
         for c in clauses:
             if not isinstance(c, Clause):
                 raise ProgramError(f"expected a Clause, got {type(c).__name__}")
-            effect, causes = c.effect, c.causes
-            if (effect, causes) in seen:
+            if (c.effect, c.causes) in seen:
                 raise ProgramError(
-                    f"duplicate clause for {effect}: two clauses share the body "
+                    f"duplicate clause for {c.effect}: two clauses share the body "
                     f"{{{', '.join(str(l) for l in c.sorted_body()) or ''}}}"
                 )
-            seen.add((effect, causes))
+            seen.add((c.effect, c.causes))
+            keyed.append((c.effect, *body_keys([(l.name, not l.positive) for l in c.causes]), c))
+        self._build(keyed, frozenset(_check_proposition(n) for n in declared))
+
+    @classmethod
+    def _trusted(cls, keyed: list[tuple[str, tuple, tuple, Clause]]) -> "Program":
+        """The program of the (effect, *body_keys(causes), clause) entries
+        ``keyed``, declaring no atom, whose caller has made ``__init__``'s
+        checks: only Clauses, and no two sharing effect and body."""
+        program = object.__new__(cls)
+        program._build(keyed, frozenset())
+        return program
+
+    def _build(self, keyed: list[tuple[str, tuple, tuple, Clause]],
+               declared: frozenset[str]) -> None:
+        """One pass over the checked, keyed clauses: collect the names and
+        edges, sort the clauses into canonical order and group each node's
+        clauses into the engine's rows, (body, fire) with the body as
+        sorted (name, positive) pairs."""
+        mentioned: set[str] = set()
+        edges: set[tuple[str, str]] = set()
+        for effect, order, _, _ in keyed:
             mentioned.add(effect)
-            body: tuple[tuple[str, bool], ...] = ()
-            if causes:
-                # a body names each atom once, so this is the name order
-                body = tuple(sorted([(lit.name, not lit.positive) for lit in causes]))
-                for name, _ in body:
-                    mentioned.add(name)
-                    edges.add((name, effect))
-            keyed.append((effect, body, c))
-        extras = frozenset(_check_proposition(n) for n in declared) - mentioned
+            for name, _ in order:
+                mentioned.add(name)
+                edges.add((name, effect))
+        extras = declared - mentioned
         graph = DependencyGraph.build(mentioned | extras, edges)
         rank = graph.ordering_rank()
         # no two effects share a rank, so the effect name never breaks a tie
         keyed.sort(key=lambda k: (rank[k[0]], k[1]))
-        self._clauses = tuple([k[2] for k in keyed])
+        rows: dict[str, list[tuple[tuple[tuple[str, bool], ...], float]]] = {}
+        for effect, _, body, c in keyed:
+            rows.setdefault(effect, []).append((body, c.probability))
+        self._clauses = tuple([k[3] for k in keyed])
+        self._rows = rows
+        self._factors: dict = {}  # the engine's factors, built once per node
         self._declared = extras
         self._graph = graph
 
@@ -196,10 +221,6 @@ class Program:
     @property
     def clauses(self) -> tuple[Clause, ...]:
         return self._clauses
-
-    @property
-    def declared(self) -> frozenset[str]:
-        return self._declared
 
     @cached_property
     def propositions(self) -> tuple[str, ...]:
@@ -222,11 +243,6 @@ class Program:
         return self._clauses == other._clauses and self._declared == other._declared
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # a program keys the engine's per-program cache, looked up per query
         return hash((self._clauses, self._declared))
 
     def __repr__(self) -> str:

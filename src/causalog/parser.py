@@ -29,7 +29,7 @@ import re
 
 from .errors import ParseError
 from .graph import RESERVED_NAMES
-from .model import Clause, Literal, Program
+from .model import Clause, Literal, Program, body_keys
 
 # Token kinds: the groups of _LEXEME, and the end of input. Blanks and
 # comments match no group; any character no other alternative takes is an
@@ -134,36 +134,37 @@ _LITERAL = re.compile(rf"(\\\+)?{_B}({_NAME})")
 def _scan(text: str) -> Program | None:
     """The program of ``text`` read one statement match at a time, or None
     where the text breaks a rule or holds what the scanner does not read."""
-    clauses: list[Clause] = []
+    keyed: list[tuple[str, tuple, tuple, Clause]] = []
     seen: set[tuple[str, frozenset[Literal]]] = set()
     # each distinct literal and body, built once: a literal keyed by its
-    # (negation, name) match, a body by its text (None for no body)
-    literals: dict[tuple[str, str], Literal] = {}
-    bodies: dict[str | None, frozenset[Literal]] = {None: frozenset()}
+    # (name, negated) pair, a body by its text (None for no body) as its
+    # literals and its two keys (model.body_keys)
+    literals: dict[tuple[str, bool], Literal] = {}
+    bodies: dict[str | None, tuple] = {None: (frozenset(), (), ())}
     pos = 0
     while (m := _STATEMENT.match(text, pos)) is not None:
         number, effect, body = m.groups()
         if number is None:  # only blanks and comments were left
-            return Program(clauses)
+            return Program._trusted(keyed)
         prob = float(number)
         if prob > 1.0 or effect in RESERVED_NAMES:
             return None
-        causes = bodies.get(body)
-        if causes is None:
-            pairs = set(_LITERAL.findall(body))
-            if len({name for _, name in pairs}) < len(pairs):
+        found = bodies.get(body)
+        if found is None:
+            order, row = body_keys({(name, neg != "") for neg, name in _LITERAL.findall(body)})
+            names = dict(order)
+            if len(names) < len(order) or not RESERVED_NAMES.isdisjoint(names):
                 return None
-            for pair in pairs:
-                if pair not in literals:
-                    if pair[1] in RESERVED_NAMES:
-                        return None
-                    literals[pair] = Literal._trusted(pair[1], not pair[0])
-            causes = bodies[body] = frozenset([literals[pair] for pair in pairs])
+            for key in order:
+                if key not in literals:
+                    literals[key] = Literal._trusted(key[0], not key[1])
+            found = bodies[body] = (frozenset([literals[key] for key in order]), order, row)
+        causes, order, row = found
         key = (effect, causes)
         if key in seen:
             return None
         seen.add(key)
-        clauses.append(Clause._trusted(effect, causes, prob))
+        keyed.append((effect, order, row, Clause._trusted(effect, causes, prob)))
         pos = m.end()
     return None
 
@@ -206,9 +207,9 @@ def _walk(text: str) -> Program:
         elif sep[1] != ".":
             raise cur.unexpected(sep, "':-' or '.'")
         clause = Clause(effect, frozenset(body.values()), prob)
-        if clause.key in seen:
+        if (effect, clause.causes) in seen:
             raise cur.error(start, f"duplicate clause for {effect}: same body already given")
-        seen.add(clause.key)
+        seen.add((effect, clause.causes))
         clauses.append(clause)
     return Program(clauses)
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 import tracemalloc
 from pathlib import Path
 
@@ -16,12 +18,10 @@ from causalog import (
     Program,
     ProgramError,
     TableSizeError,
-    WorldError,
     ZeroEvidenceError,
     conditional,
     conjunction_of,
     counterfactual_query,
-    evaluate_world,
     forward_sample,
     intervene,
     interventional_query,
@@ -33,8 +33,8 @@ from causalog import (
     twin_program,
 )
 
-from causalog import causal
-from causalog.engine import marginal, marginals, node_factor, query
+from causalog import causal, engine
+from causalog.engine import _factors, marginal, marginals, node_factor, query, solve
 
 from conftest import SHARED_JOINT
 from oracles import (
@@ -92,13 +92,21 @@ def test_joint_table_values(boost_program, switch_program):
 # --- world evaluation ---------------------------------------------------------
 
 
-def test_evaluate_world_solves_equations(boost_program):
+def _world(program, noise):
+    """The structure one total noise assignment induces: the noise and every
+    internal proposition's value, by ``solve``."""
+    dp = program.desugar() if isinstance(program, Program) else program
+    env = solve(dp, noise, 1)
+    return {**noise, **{name: bool(env[name][0]) for name in dp.topological_order()}}
+
+
+def test_solve_evaluates_worlds(boost_program):
     dp = boost_program.desugar()
     names = dp.noise_names
     assert names == ("u1", "u2", "u3")
-    world = evaluate_world(boost_program, {"u1": True, "u2": False, "u3": True})
+    world = _world(boost_program, {"u1": True, "u2": False, "u3": True})
     assert world["treatment"] and world["recovery"]
-    world = evaluate_world(boost_program, {"u1": False, "u2": False, "u3": True})
+    world = _world(boost_program, {"u1": False, "u2": False, "u3": True})
     assert not world["treatment"] and not world["recovery"]
     # random programs with negated bodies and noise pinned to 0 or 1
     rng = numpy_rng(2308)
@@ -107,19 +115,12 @@ def test_evaluate_world_solves_equations(boost_program):
             rng, random_program(rng, max_nodes=5, max_parents=2)).desugar()
         for _ in range(4):
             noise = {u: bool(rng.random() < 0.5) for u in dp.noise_names}
-            assert evaluate_world(dp, noise) == reference_world(dp, noise)
-
-
-def test_evaluate_world_checks_keys(boost_program):
-    with pytest.raises(WorldError, match="missing"):
-        evaluate_world(boost_program, {"u1": True})
-    with pytest.raises(WorldError, match="unknown"):
-        evaluate_world(boost_program, {"u1": 1, "u2": 1, "u3": 1, "u9": 1})
+            assert _world(dp, noise) == reference_world(dp, noise)
 
 
 def test_clauseless_proposition_is_false():
     program = parse_program("0.5 :: a :- ghost.\n")
-    world = evaluate_world(program, {"u1": True})
+    world = _world(program, {"u1": True})
     assert world["ghost"] is False
     assert world["a"] is False
     assert probability(program, Atom("ghost")).probability == 0.0
@@ -486,6 +487,54 @@ def test_tabulated_factors_match_clause_evaluation():
     # the last case: its twin's 2^12 noise worlds are few enough for brute force
     assert got == pytest.approx(
         reference_conditional(twin.desugared, phi_i, evidence_e), abs=EXACT)
+
+
+def test_listed_tables_equal_sliced_tables(monkeypatch):
+    # a table of at most _LIST_CELLS cells is built in Python lists, a larger
+    # one by slicing in place; both must give the very same floats, for the
+    # factors of every query kind: heads, pair factors, bodies a forced parent
+    # makes impossible, certain clauses and impossible ones
+    rng = numpy_rng(2110)
+    gate = engine._LIST_CELLS
+    seen = {"head": 0, "pair": 0, "impossible_body": 0, "certain": 0,
+            "impossible_clause": 0, "listed": 0, "sliced": 0}
+    for _ in range(120):
+        program = with_negation_and_certainty(
+            rng, random_program(rng, min_nodes=5, max_nodes=9, max_parents=6, max_bodies=8))
+        names = list(program.propositions)
+        queried = random_assignment(rng, names, int(rng.integers(1, 3)))
+        observed = random_assignment(rng, names, int(rng.integers(1, len(names))))
+        forced = random_assignment(rng, names[:3], int(rng.integers(0, 3)))
+        fires = [c.probability for c in program.clauses]
+        seen["certain"] += 1.0 in fires
+        seen["impossible_clause"] += 0.0 in fires
+        for factor in _factors(program, queried, observed, forced)[0]:
+            seen["listed" if 1 << len(factor.scope) <= gate else "sliced"] += 1
+            tables = []
+            for limit in (1 << 62, 0):
+                monkeypatch.setattr(engine, "_LIST_CELLS", limit)
+                tables.append(engine.Factor(factor.heads, factor.terms).table)
+            assert tables[0].shape == tables[1].shape == (2,) * len(factor.scope)
+            assert (tables[0] == tables[1]).all(), factor
+            seen["pair" if len(factor.heads) == 2 else "head"] += 1
+            seen["impossible_body"] += any(
+                body is None for bodies, _ in factor.terms for body in bodies)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_factor_cache_dies_with_its_program():
+    # the factors every query shares live on their program, so that they go
+    # when it does
+    program = parse_program("0.3 :: a.\n0.4 :: b.\n0.5 :: b :- a.\n")
+    probability(program, Atom("b"))
+    counterfactual_query(program, Atom("b"), {"b": True}, {"a": False})
+    marginal(program, ["a", "b"])
+    assert reconstruct(ExactOracle(program), program.dependency_graph()).ok
+    assert set(program._factors) == {"a", "b"}
+    alive = weakref.ref(program)
+    del program
+    gc.collect()
+    assert alive() is None
 
 
 def test_cyclic_program_is_refused():

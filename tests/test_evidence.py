@@ -26,7 +26,7 @@ from causalog import (
     probability,
     twin_program,
 )
-from causalog import engine
+from causalog import cli, engine
 
 from oracles import reference_conditional, reference_probability
 from proggen import (
@@ -139,3 +139,31 @@ def test_a_factor_counts_in_full_before_restriction():
     with pytest.raises(EnumerationCapError) as err:
         conditional(program, Atom("h"), evidence, (1 << 12) - 1)
     assert err.value.needed == 1 << 12
+
+
+@pytest.mark.parametrize("atoms", [12, 620])
+def test_zero_evidence_error_is_one_short_line(atoms, tmp_path, capsys):
+    # the evidence names z, which no clause can make true. Evidence over at
+    # most 12 atoms is quoted whole however long its text; longer evidence
+    # is quoted in part, with its count, on a line under 300 characters
+    names = [f"cause_with_a_long_name_{i}" for i in range(atoms - 1)] + ["z"]
+    text = "".join(f"0.3 :: {name}.\n" for name in names[:-1]) + "0.7 :: q.\n0.0 :: z.\n"
+    evidence = conjunction_of(dict.fromkeys(names, True))
+    quoted = evidence.to_text()
+    with pytest.raises(ZeroEvidenceError) as err:
+        conditional(parse_program(text), Atom("q"), evidence)
+    message = str(err.value)
+    if atoms <= 12:
+        assert len(quoted) > 160
+        assert message == f"evidence '{quoted}' has probability zero"
+    else:
+        assert message.startswith(f"evidence '{quoted[:120]}")
+        assert message.endswith(f" ...' of {atoms} atoms has probability zero")
+        assert len(message) < 300
+    path = tmp_path / "program.pl"
+    path.write_text(text)
+    for do in ([], ["--do", "q"]):
+        code = cli.main(["query", str(path), "--prob", "q", "--given", ",".join(names), *do])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error[zero-evidence]: {message}\n"

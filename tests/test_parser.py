@@ -256,6 +256,9 @@ def test_scanner_agrees_with_token_walk():
             else:
                 assert isinstance(got, Program), text
                 assert got == expected and got.clauses == expected.clauses, text
+                # the scanner's Program._trusted groups the engine's rows as
+                # the checked constructor does
+                assert got._rows == expected._rows, text
                 counts["walked" if parser._scan(text) is None else "scanned"] += 1
     # every reader took a fair share of the 2,000 texts
     assert min(counts.values()) >= 50, counts
