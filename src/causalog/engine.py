@@ -8,11 +8,12 @@ queried atoms is summed out in min-degree order kept in incremental adjacency
 sets, so the cost follows the width of that order rather than the number of
 ancestors. A step multiplies its operands and sums with one ``np.einsum``,
 unless the product spans 2^10 to 2^21 cells and has more operands than
-einsum has dedicated loops for; such a product is multiplied out whole by
-broadcasting, whose whole-array loops beat einsum's cell-by-cell one there,
-and then summed. ``marginal`` and ``joint_table`` read their answer straight
-off the final table over the atoms; for formulas, one ``np.bincount`` sorts
-that table into the formulas' cells. A ``JointTable`` keeps that table as its
+einsum has dedicated loops for; such a product is grown by broadcasting,
+each operand multiplying in only over the variables seen so far, whose
+whole-array loops beat einsum's cell-by-cell one there, and then summed.
+``marginal`` and ``joint_table`` read their answer straight off the final
+table over the atoms; for formulas, one ``np.bincount`` sorts that table
+into the formulas' cells. A ``JointTable`` keeps that table as its
 read-only ``masses``, indexed as in ``Marginal``; its ``cells`` is a read-only
 mapping view over them, which builds no per-cell object until a caller reads
 the cell.
@@ -421,24 +422,28 @@ _MAX_OPERANDS = 31
 # generic loop, cell by cell, for more. A product of more operands over 10 to
 # 21 variables is built by broadcasting, whose whole-array multiplies beat
 # that loop there and lose to it on smaller products (2 CPUs, numpy 2.4, one
-# chain-like operand per variable, einsum against broadcasting: 2^8 cells 32
-# against 43 us, 2^10 167 against 94 us, 2^13 1.3 against 0.27 ms, 2^21 751
-# against 61 ms). With three operands or fewer einsum was as fast or faster
-# at every size tried, up to 2^21 cells (a wide head's factor and a prior:
-# 2.1 against 7.1 ms). Broadcasting holds the whole product, einsum only its
-# output, half a one-variable step's product. Above 2^21 cells (16 MB) einsum
-# is kept, though ten times slower there (2^22 cells: 1.3 s against 0.16 s),
-# so near the 2^26 cap a step needs no more memory than einsum needs.
+# chain-like operand per variable, einsum against the grown product, min of
+# 7 alternating rounds: 2^8 cells 26 against 47 us, 2^9 44 against 54 us,
+# 2^10 82 against 66 us, 2^13 0.83 against 0.23 ms; earlier, against a
+# product of ones, 2^21 751 against 61 ms). With three operands or fewer
+# einsum was as fast or faster at every size tried, up to 2^21 cells (a wide
+# head's factor and a prior: 2.1 against 7.1 ms). The grown product peaks at
+# 1.5 times its final size, the last one beside the one before, which holds
+# a variable less; einsum holds only its output, half a one-variable step's
+# product. Above 2^21 cells (16 MB) einsum is kept, though ten times slower
+# there (2^22 cells: 1.3 s against 0.16 s), so near the 2^26 cap a step
+# needs no more memory than einsum needs.
 _EINSUM_LOOPS = 3
 _BROADCAST_VARIABLES = range(10, 22)
 
 # A query whose factors, times the cells of their whole product, come to at
 # most this many is contracted in one step, with no plan, because planning
 # costs more than the product there. Whole queries, their factors cached (2
-# CPUs, numpy 2.4), one step against the plan: counterfactuals of 8
-# variables and 6 factors (2^10.6) 457 against 626 us; layered queries of 12
-# variables and 12 factors (2^15.6) 315 against 348 us, of 13 and 13 (2^16.7)
-# 403 against 353 us, of 15 and 15 (2^18.9) 1.04 against 0.38 ms.
+# CPUs, numpy 2.4), one step against the plan, medians: layered queries of
+# 11 variables and 11 factors (2^14.5) 150 against 230 us, of 12 and 12
+# (2^15.6) 207 against 229 us, of 13 and 13 (2^16.7) 324 against 267 us, of
+# 15 and 15 (2^18.9) 0.95 against 0.49 ms; counterfactuals of 8 variables
+# and 6 factors (2^10.6), below the broadcasting range, 457 against 626 us.
 _ONE_STEP_CELLS = 1 << 16
 
 
@@ -452,25 +457,37 @@ def _contract(operands: list[tuple[np.ndarray, tuple[str, ...]]],
     in ``keep``; the result's axes follow ``keep``.
 
     A product of more than _EINSUM_LOOPS operands over a number of variables
-    in _BROADCAST_VARIABLES is built whole by multiplying the operands
-    in order by broadcasting, the summed variables on its leading axes, which
-    are then summed out: that adds whole blocks, where summing trailing axes
-    of length 2 would cost more than ``np.einsum``. Any other product is one
-    ``np.einsum``; operands beyond what it takes are first multiplied in
-    groups, each onto its own scope, which the whole product's scope holds."""
+    in _BROADCAST_VARIABLES is grown by multiplying the operands in order by
+    broadcasting, the summed variables on its leading axes, each operand
+    over only the variables seen so far, and then summed out: that adds
+    whole blocks, where summing trailing axes of length 2 would cost more
+    than ``np.einsum``. Each cell takes the same factors in the same order
+    as in a product of ones over every axis, and the same sum. Any other
+    product is one ``np.einsum``; operands beyond what it takes are first
+    multiplied in groups, each onto its own scope, which the whole
+    product's scope holds."""
     import numpy as np
 
     axes = _union([keep, *(s for _, s in operands)])
     if len(operands) > _EINSUM_LOOPS and len(axes) in _BROADCAST_VARIABLES:
         summed = axes[len(keep):]
         axis = {v: k for k, v in enumerate(summed + keep)}
-        product = np.ones((2,) * len(axes))
+        product = np.ones((1,) * len(axes))
+        held: set[str] = set()
         for table, scope in operands:
             ordered = sorted(range(len(scope)), key=lambda k: axis[scope[k]])
             shape = [1] * len(axes)
             for v in scope:
                 shape[axis[v]] = 2
-            product *= table.transpose(ordered).reshape(shape)
+            # in place unless the operand adds a variable; C order lays the
+            # product out as a product of ones over every axis would be, so
+            # the sum below adds its cells in the same order
+            out = product if held.issuperset(scope) else None
+            held.update(scope)
+            product = np.multiply(product, table.transpose(ordered).reshape(shape),
+                                  out=out, order="C")
+        # a kept variable that no operand holds still has length 1
+        product = np.broadcast_to(product, (2,) * len(axes))
         return product.sum(axis=tuple(range(len(summed)))) if summed else product
     if not operands:
         return np.ones(())

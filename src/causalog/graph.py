@@ -36,8 +36,16 @@ class DependencyGraph(Frozen):
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DependencyGraph":
         edge_set = frozenset(edges)
-        node_set = frozenset(nodes) | {n for e in edge_set for n in e}
-        return DependencyGraph(node_set, edge_set)
+        return DependencyGraph._trusted(frozenset(nodes).union(*edge_set), edge_set)
+
+    @classmethod
+    def _trusted(cls, nodes: frozenset[str],
+                 edges: frozenset[tuple[str, str]]) -> "DependencyGraph":
+        """A graph whose caller has checked that ``nodes`` holds both ends
+        of every edge."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(nodes=nodes, edges=edges)
+        return graph
 
     # -- local structure ---------------------------------------------------
 

@@ -9,9 +9,9 @@ proposition is true exactly when some clause for it fires, a clause firing
 when all its body literals hold and all its noise propositions are drawn true.
 Acyclic programs have a unique solution for every noise assignment.
 
-Programs are kept in a canonical order (topological by effect, then effect
-name, then body) so that printing is deterministic and structural equality is
-just tuple equality.
+Programs list their clauses in a canonical order (topological by effect,
+then effect name, then body) so that printing is deterministic; two programs
+are equal when they have the same clauses and declared propositions.
 """
 
 from __future__ import annotations
@@ -158,9 +158,12 @@ class Program:
     alphabet. Transformations such as interventions use this to keep erased
     propositions queryable.
 
-    For the engine, a program also keeps each node's clauses as (body, fire)
-    rows, built in the pass that sorts the clauses, and the factors every
-    query on it tabulates from them; they go with the program.
+    A program is compiled to what the engine reads: each node's clauses as
+    (body, fire) rows in body order, the dependency graph, and the factors
+    every query on it tabulates from the rows; they go with the program.
+    The ``Clause`` objects in canonical order are what the constructor was
+    given, or, for a parsed program, built on the first read of ``clauses``.
+    Equality and hashing read the rows and ``declared`` alone.
     """
 
     def __init__(self, clauses: Iterable[Clause], declared: Iterable[str] = ()):
@@ -177,50 +180,62 @@ class Program:
                     f"{{{', '.join(str(l) for l in c.sorted_body()) or ''}}}"
                 )
             seen.add((c.effect, c.causes))
-            keyed.append((c.effect, *body_keys([(l.name, not l.positive) for l in c.causes]), c))
+            keyed.append((c.effect, *body_keys([(l.name, not l.positive) for l in c.causes]),
+                          c.probability, c))
         self._build(keyed, frozenset(_check_proposition(n) for n in declared))
-
-    @classmethod
-    def _trusted(cls, keyed: list[tuple[str, tuple, tuple, Clause]]) -> "Program":
-        """The program of the (effect, *body_keys(causes), clause) entries
-        ``keyed``, declaring no atom, whose caller has made ``__init__``'s
-        checks: only Clauses, and no two sharing effect and body."""
-        program = object.__new__(cls)
-        program._build(keyed, frozenset())
-        return program
-
-    def _build(self, keyed: list[tuple[str, tuple, tuple, Clause]],
-               declared: frozenset[str]) -> None:
-        """One pass over the checked, keyed clauses: collect the names and
-        edges, sort the clauses into canonical order and group each node's
-        clauses into the engine's rows, (body, fire) with the body as
-        sorted (name, positive) pairs."""
-        mentioned: set[str] = set()
-        edges: set[tuple[str, str]] = set()
-        for effect, order, _, _ in keyed:
-            mentioned.add(effect)
-            for name, _ in order:
-                mentioned.add(name)
-                edges.add((name, effect))
-        extras = declared - mentioned
-        graph = DependencyGraph.build(mentioned | extras, edges)
-        rank = graph.ordering_rank()
+        rank = self._graph.ordering_rank()
         # no two effects share a rank, so the effect name never breaks a tie
         keyed.sort(key=lambda k: (rank[k[0]], k[1]))
+        self.clauses = tuple([k[4] for k in keyed])  # the given clauses, kept
+
+    @classmethod
+    def _trusted(cls, entries: list[tuple[str, tuple, tuple, float]]) -> "Program":
+        """The program of the (effect, *body_keys(causes), probability)
+        entries, declaring no atom, whose caller has made ``__init__``'s
+        checks: valid names, bodies naming no atom twice, probabilities in
+        [0, 1] and no two entries sharing effect and body."""
+        program = object.__new__(cls)
+        program._build(entries, frozenset())
+        return program
+
+    def _build(self, entries: list[tuple], declared: frozenset[str]) -> None:
+        """One pass over the checked entries, each (effect, *body_keys,
+        probability, ...): group them by effect, sorted by body, into the
+        engine's rows, (body, fire) with the body as sorted (name, positive)
+        pairs, and collect the graph's nodes and edges."""
+        groups: dict[str, list[tuple]] = {}
+        edges: set[tuple[str, str]] = set()
+        for entry in entries:
+            groups.setdefault(entry[0], []).append(entry)
+            for name, _ in entry[1]:
+                edges.add((name, entry[0]))
         rows: dict[str, list[tuple[tuple[tuple[str, bool], ...], float]]] = {}
-        for effect, _, body, c in keyed:
-            rows.setdefault(effect, []).append((body, c.probability))
-        self._clauses = tuple([k[3] for k in keyed])
+        for effect, group in groups.items():
+            group.sort()  # by body, since no two entries share effect and body
+            rows[effect] = [(entry[2], entry[3]) for entry in group]
+        mentioned = set(groups).union([name for name, _ in edges])
         self._rows = rows
         self._factors: dict = {}  # the engine's factors, built once per node
-        self._declared = extras
-        self._graph = graph
+        self._declared = declared - mentioned
+        self._graph = DependencyGraph._trusted(frozenset(mentioned | declared),
+                                               frozenset(edges))
 
     # -- basic views ---------------------------------------------------------
 
-    @property
+    @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        return self._clauses
+        """The clauses in canonical order, built from the rows on first
+        read: effects by rank in the graph, each one's rows in body order,
+        one frozenset per distinct body."""
+        rank = self._graph.ordering_rank()
+        bodies: dict[tuple, frozenset[Literal]] = {}
+        clauses = []
+        for effect in sorted(self._rows, key=rank.__getitem__):
+            for row, fire in self._rows[effect]:
+                if row not in bodies:
+                    bodies[row] = frozenset([Literal._trusted(*key) for key in row])
+                clauses.append(Clause._trusted(effect, bodies[row], fire))
+        return tuple(clauses)
 
     @cached_property
     def propositions(self) -> tuple[str, ...]:
@@ -233,28 +248,30 @@ class Program:
     @cached_property
     def clauses_by_effect(self) -> Mapping[str, tuple[Clause, ...]]:
         by: dict[str, list[Clause]] = {}
-        for c in self._clauses:
+        for c in self.clauses:
             by.setdefault(c.effect, []).append(c)
         return {k: tuple(v) for k, v in by.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
             return NotImplemented
-        return self._clauses == other._clauses and self._declared == other._declared
+        return self._rows == other._rows and self._declared == other._declared
 
     def __hash__(self) -> int:
-        return hash((self._clauses, self._declared))
+        return hash((frozenset([(effect, tuple(rows)) for effect, rows in self._rows.items()]),
+                     self._declared))
 
     def __repr__(self) -> str:
-        return f"Program({len(self._clauses)} clauses over {len(self.propositions)} propositions)"
+        clauses = sum(map(len, self._rows.values()))
+        return f"Program({clauses} clauses over {len(self.propositions)} propositions)"
 
     def __str__(self) -> str:
         return self.to_text()
 
     def to_text(self) -> str:
-        if not self._clauses:
+        if not self._rows:
             return ""
-        return "\n".join(c.text() for c in self._clauses) + "\n"
+        return "\n".join(c.text() for c in self.clauses) + "\n"
 
     # -- desugaring ----------------------------------------------------------
 
@@ -263,7 +280,7 @@ class Program:
         internal = set(self._graph.nodes)
         clauses = []
         probs = {}
-        for i, c in enumerate(self._clauses, start=1):
+        for i, c in enumerate(self.clauses, start=1):
             name = f"u{i}"
             while name in internal:
                 name = "u" + name

@@ -13,13 +13,15 @@ and ``false`` are reserved for the query language. Any other character,
 such as a non-ASCII digit or letter, is an unexpected character.
 
 Two readers share the work. The scanner accepts: it matches one statement
-pattern per clause and builds each clause once, checking only what the
-pattern cannot (probabilities above 1, reserved names, contradictory bodies,
-duplicate clauses, and that only blanks and comments follow the last
-clause). It reads less than the grammar allows, for example no comment
-inside a clause. Whenever it stops early or a check fails, the token walk
-reads the whole text again: it parses what the scanner left to it and
-explains why a text is rejected, with the position of the first fault.
+pattern per clause and hands the program its engine row, keying each
+distinct body text once; it builds no ``Clause``, which the program builds
+on first read. It checks only what the pattern cannot (probabilities above
+1, reserved names, contradictory bodies, duplicate clauses, and that only
+blanks and comments follow the last clause). It reads less than the
+grammar allows, for example no comment inside a clause. Whenever it stops
+early or a check fails, the token walk reads the whole text again: it
+parses what the scanner left to it and explains why a text is rejected,
+with the position of the first fault.
 ``parse_assignment`` uses the token walk alone.
 """
 
@@ -134,37 +136,33 @@ _LITERAL = re.compile(rf"(\\\+)?{_B}({_NAME})")
 def _scan(text: str) -> Program | None:
     """The program of ``text`` read one statement match at a time, or None
     where the text breaks a rule or holds what the scanner does not read."""
-    keyed: list[tuple[str, tuple, tuple, Clause]] = []
-    seen: set[tuple[str, frozenset[Literal]]] = set()
-    # each distinct literal and body, built once: a literal keyed by its
-    # (name, negated) pair, a body by its text (None for no body) as its
-    # literals and its two keys (model.body_keys)
-    literals: dict[tuple[str, bool], Literal] = {}
-    bodies: dict[str | None, tuple] = {None: (frozenset(), (), ())}
+    entries: list[tuple[str, tuple, tuple, float]] = []
+    # (effect, sort key) of each clause: the key is the sorted body, so two
+    # clauses share it exactly when they share effect and body
+    seen: set[tuple[str, tuple]] = set()
+    # each distinct body text's two keys (model.body_keys), built once
+    bodies: dict[str | None, tuple[tuple, tuple]] = {None: ((), ())}
     pos = 0
     while (m := _STATEMENT.match(text, pos)) is not None:
         number, effect, body = m.groups()
         if number is None:  # only blanks and comments were left
-            return Program._trusted(keyed)
+            return Program._trusted(entries)
         prob = float(number)
         if prob > 1.0 or effect in RESERVED_NAMES:
             return None
-        found = bodies.get(body)
-        if found is None:
-            order, row = body_keys({(name, neg != "") for neg, name in _LITERAL.findall(body)})
-            names = dict(order)
-            if len(names) < len(order) or not RESERVED_NAMES.isdisjoint(names):
+        keys = bodies.get(body)
+        if keys is None:
+            keys = body_keys({(name, neg != "") for neg, name in _LITERAL.findall(body)})
+            names = dict(keys[0])
+            if len(names) < len(keys[0]) or not RESERVED_NAMES.isdisjoint(names):
                 return None
-            for key in order:
-                if key not in literals:
-                    literals[key] = Literal._trusted(key[0], not key[1])
-            found = bodies[body] = (frozenset([literals[key] for key in order]), order, row)
-        causes, order, row = found
-        key = (effect, causes)
+            bodies[body] = keys
+        order, row = keys
+        key = (effect, order)
         if key in seen:
             return None
         seen.add(key)
-        keyed.append((effect, order, row, Clause._trusted(effect, causes, prob)))
+        entries.append((effect, order, row, prob))
         pos = m.end()
     return None
 

@@ -522,6 +522,51 @@ def test_listed_tables_equal_sliced_tables(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
+def _whole_product(operands, keep):
+    # the reference: every operand multiplied in order into a table of ones
+    # over all the axes, the summed variables leading, which are summed out
+    axes = engine._union([keep, *(s for _, s in operands)])
+    summed = axes[len(keep):]
+    axis = {v: k for k, v in enumerate(summed + keep)}
+    product = np.ones((2,) * len(axes))
+    for table, scope in operands:
+        ordered = sorted(range(len(scope)), key=lambda k: axis[scope[k]])
+        shape = [1] * len(axes)
+        for v in scope:
+            shape[axis[v]] = 2
+        product *= table.transpose(ordered).reshape(shape)
+    return product.sum(axis=tuple(range(len(summed)))) if summed else product
+
+
+def test_grown_broadcast_product_equals_the_whole_product():
+    # the product grown operand by operand sums to the same floats, bit for
+    # bit, as one multiplied into a whole table of ones; every case sums
+    # variables out, and about half keep a variable that no operand holds
+    rng = numpy_rng(23)
+    orphans = 0
+    for _ in range(60):
+        width = int(rng.integers(10, 15))
+        names = [f"v{k}" for k in range(width)]
+        held = names[:-1] if rng.random() < 0.5 else names
+        operands = []
+        for _ in range(int(rng.integers(engine._EINSUM_LOOPS + 1, 12))):
+            scope = tuple(rng.choice(held, size=int(rng.integers(1, 5)), replace=False))
+            operands.append((rng.random((2,) * len(scope)), scope))
+        for name in set(held).difference(*(s for _, s in operands)):
+            operands.append((rng.random(2), (name,)))
+        keep = tuple(rng.choice(held, size=int(rng.integers(0, 5)), replace=False))
+        if held is not names:
+            keep = keep[:1] + (names[-1],) + keep[1:]
+            orphans += 1
+        assert len(operands) > engine._EINSUM_LOOPS
+        assert len(engine._union([keep, *(s for _, s in operands)])) in \
+            engine._BROADCAST_VARIABLES
+        got, want = engine._contract(list(operands), keep), _whole_product(operands, keep)
+        assert got.shape == want.shape == (2,) * len(keep)
+        assert (got == want).all()
+    assert 20 <= orphans <= 40
+
+
 def test_factor_cache_dies_with_its_program():
     # the factors every query shares live on their program, so that they go
     # when it does

@@ -3,15 +3,21 @@ import re
 import pytest
 
 from causalog import (
+    Atom,
     Clause,
     Literal,
     ParseError,
     Program,
     ProgramError,
+    counterfactual_query,
+    intervene,
+    joint_table,
     parse_assignment,
     parse_program,
+    probability,
 )
 from causalog import parser
+from causalog.engine import marginal
 from causalog.model import float_text
 
 from conftest import BOOST_TEXT, SWITCH_TEXT
@@ -256,9 +262,46 @@ def test_scanner_agrees_with_token_walk():
             else:
                 assert isinstance(got, Program), text
                 assert got == expected and got.clauses == expected.clauses, text
-                # the scanner's Program._trusted groups the engine's rows as
-                # the checked constructor does
+                # the scanner's Program._trusted groups the engine's rows and
+                # builds the graph as the checked constructor does
                 assert got._rows == expected._rows, text
+                assert got.dependency_graph() == expected.dependency_graph(), text
+                assert got.to_text() == expected.to_text(), text
                 counts["walked" if parser._scan(text) is None else "scanned"] += 1
     # every reader took a fair share of the 2,000 texts
     assert min(counts.values()) >= 50, counts
+
+
+def test_parsed_programs_build_clauses_on_first_read(monkeypatch):
+    built = []
+    for cls in (Clause, Literal):
+        def counting(kind, *args, _make=cls._trusted.__func__):
+            built.append(kind.__name__)
+            return _make(kind, *args)
+        monkeypatch.setattr(cls, "_trusted", classmethod(counting))
+    text = ("0.3 :: a.\n0.6 :: b :- a.\n0.2 :: b.\n0.5 :: c :- a, \\+ b.\n"
+            "0.4 :: d :- \\+ b, a.\n0.7 :: d :- b.\n")
+    assert parser._scan(text) is not None  # the scanner reads it
+    program = parse_program(text)
+    probability(program, Atom("d"))
+    counterfactual_query(program, Atom("d"), {"d": False}, {"a": True})
+    marginal(program, ["c", "d"])
+    joint_table(program)
+    assert program == parse_program(text) and hash(program) == hash(parse_program(text))
+    assert built == []
+    clauses = program.clauses
+    assert built and program.clauses is clauses
+    assert [c.text() for c in clauses] == [
+        "0.3 :: a.", "0.2 :: b.", "0.6 :: b :- a.", "0.5 :: c :- a, \\+ b.",
+        "0.4 :: d :- a, \\+ b.", "0.7 :: d :- b."]
+    # one frozenset per distinct body
+    assert clauses[3].causes is clauses[4].causes
+
+
+def test_constructed_programs_keep_their_clauses():
+    given = [Clause("b", frozenset({Literal("a", False)}), 0.6),
+             Clause("a", frozenset(), 0.3), Clause("b", frozenset(), 0.2)]
+    program = Program(given)
+    assert [id(c) for c in program.clauses] == [id(given[i]) for i in (1, 2, 0)]
+    kept = intervene(program, {"a": True}).clauses
+    assert kept[1] is given[2] and kept[2] is given[0]
