@@ -88,10 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, run: Callable[[argparse.Namespace], _Outcome], help: str,
-                file: bool = True) -> argparse.ArgumentParser:
+                file: bool = True, graph: bool = False,
+                output: bool | None = None) -> argparse.ArgumentParser:
+        """A subcommand reading a program ``file`` and a ``--graph`` file as
+        asked, with ``-o/--output`` required when ``output`` is True,
+        optional when False and absent when None, and ``--json``."""
         p = sub.add_parser(name, help=help)
         if file:
             p.add_argument("file", help="program file")
+        if graph:
+            p.add_argument("--graph", required=True, metavar="FILE",
+                           help="dependency graph file (DOT or edge list)")
+        if output is not None:
+            p.add_argument("-o", "--output", required=output,
+                           help="file to write" + ("" if output else " instead of stdout"))
+        p.add_argument("--json", action="store_true",
+                       help="print one JSON document instead of text")
         p.set_defaults(run=run)
         return p
 
@@ -99,9 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="fail the normal-form flag when a sink lacks an unconditional clause")
 
-    p = command("graph", _cmd_graph, "export the dependency graph")
+    p = command("graph", _cmd_graph, "export the dependency graph", output=False)
     p.add_argument("--format", choices=("dot", "edges"), default="edges")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
 
     p = command("query", _cmd_query, "exact probability of a formula")
     p.add_argument("--prob", required=True, metavar="FORMULA",
@@ -118,38 +129,28 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, help="override for this query the cap on the cells of "
                    "the largest table the elimination builds")
 
-    p = command("sample", _cmd_sample, "forward-sample a CSV dataset")
+    p = command("sample", _cmd_sample, "forward-sample a CSV dataset", output=True)
     p.add_argument("-n", "--rows", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=_int_in(0, 1 << 128, "in [0, 2**128)"), required=True,
                    help="generator seed, 0 <= seed < 2**128")
-    p.add_argument("-o", "--output", required=True, help="CSV file to write")
 
     p = command("reconstruct", _cmd_reconstruct,
-                "recover a program from an exact oracle and a graph", file=False)
+                "recover a program from an exact oracle and a graph", file=False, graph=True,
+                output=False)
     p.add_argument("--hidden", required=True, metavar="FILE",
                    help="program file answering the oracle queries")
-    p.add_argument("--graph", required=True, metavar="FILE",
-                   help="dependency graph file (DOT or edge list)")
-    p.add_argument("-o", "--output", help="write the program to a file")
 
-    p = command("learn", _cmd_learn, "recover a program from samples and a graph", file=False)
+    p = command("learn", _cmd_learn, "recover a program from samples and a graph", file=False,
+                graph=True, output=False)
     p.add_argument("--data", required=True, metavar="CSV", help="sample file")
-    p.add_argument("--graph", required=True, metavar="FILE",
-                   help="dependency graph file (DOT or edge list)")
     p.add_argument("--min-support", type=_int_in(1, None, "a positive integer"),
                    default=DEFAULT_MIN_SUPPORT,
                    help=f"fewest samples a parent pattern may have (default {DEFAULT_MIN_SUPPORT})")
-    p.add_argument("-o", "--output", help="write the program to a file")
 
     p = command("twin-export", _cmd_twin_export,
-                "export the evidence/intervention twin of a program")
+                "export the evidence/intervention twin of a program", output=False)
     p.add_argument("--do", dest="do_", action=_JoinLiterals, required=True,
                    metavar="LITERALS", help="comma-separated intervention literals; repeatable")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true",
-                       help="print one JSON document instead of text")
     return parser
 
 

@@ -13,10 +13,10 @@ each operand multiplying in only over the variables seen so far, whose
 whole-array loops beat einsum's cell-by-cell one there, and then summed.
 ``marginal`` and ``joint_table`` read their answer straight off the final
 table over the atoms; for formulas, one ``np.bincount`` sorts that table
-into the formulas' cells. A ``JointTable`` keeps that table as its
-read-only ``masses``, indexed as in ``Marginal``; its ``cells`` is a read-only
-mapping view over them, which builds no per-cell object until a caller reads
-the cell.
+into the formulas' cells. A ``JointTable``, what ``marginal`` and
+``joint_table`` return and what ``marginals`` maps each family to, keeps such
+a table as its read-only ``masses``; its ``cells`` is a read-only mapping view over them, which builds
+no per-cell object until a caller reads the cell.
 
 A factor is tabulated once over its own scope. A head's factor is its
 noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
@@ -644,20 +644,25 @@ def zero_evidence(evidence: Formula) -> ZeroEvidenceError:
 
 
 class JointTable(Frozen):
-    """The full joint distribution over the internal propositions.
+    """The mass of every cell of the joint marginal over ``columns``: what
+    ``marginal`` and ``joint_table`` return, and what ``marginals`` maps each
+    family to.
 
-    ``masses`` is read-only and indexed as in ``Marginal``, the first column
-    being the most significant bit. ``cells`` is a read-only mapping view
-    over it, keyed by tuples of booleans aligned with ``columns`` in the
-    order ``itertools.product`` lists them; no key or float is built until a
-    caller reads it. Tables compare by identity."""
+    ``masses[code]`` is the probability that the columns take the values
+    spelled by the bits of ``code``, the first column being the most
+    significant bit; ``masses`` is read-only. ``cells`` is a read-only
+    mapping view over it, keyed by tuples of booleans aligned with
+    ``columns`` in the order ``itertools.product`` lists them; no key or
+    float is built until a caller reads it. ``worlds_evaluated`` counts the
+    cells of the tables it was computed from, as for ``QueryResult``. Tables
+    compare by identity: to compare two, compare ``.masses``."""
 
-    _fields = ("columns", "masses")
+    _fields = ("columns", "masses", "worlds_evaluated")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, columns: tuple[str, ...], masses: np.ndarray):
-        self.__dict__.update(columns=columns, masses=masses)
+    def __init__(self, columns: tuple[str, ...], masses: np.ndarray, worlds_evaluated: int):
+        self.__dict__.update(columns=columns, masses=masses, worlds_evaluated=worlds_evaluated)
 
     @property
     def cells(self) -> Mapping[tuple[bool, ...], float]:
@@ -703,7 +708,7 @@ def joint_table(program: Program) -> JointTable:
     MAX_TABLE_WIDTH of them."""
     columns = tuple(sorted(program.dependency_graph().nodes))
     check_table_width(len(columns))
-    return JointTable(columns, marginal(program, columns).masses)
+    return marginal(program, columns)
 
 
 def _clamp_unit(x: float) -> float:
@@ -714,25 +719,8 @@ def _clamp_unit(x: float) -> float:
     return float(x)
 
 
-class Marginal(Frozen):
-    """The mass of every cell of the joint marginal over ``columns``.
-
-    ``masses[code]`` is the probability that the columns take the values
-    spelled by the bits of ``code``, the first column being the most
-    significant bit; ``worlds_evaluated`` counts the cells of its tables,
-    as for ``QueryResult``. Marginals compare by identity: to compare two,
-    compare ``.masses``."""
-
-    _fields = ("columns", "masses", "worlds_evaluated")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, columns: tuple[str, ...], masses: np.ndarray, worlds_evaluated: int):
-        self.__dict__.update(columns=columns, masses=masses, worlds_evaluated=worlds_evaluated)
-
-
 def marginal(program: Program, atoms: Sequence[str],
-             max_worlds: int | None = None) -> Marginal:
+             max_worlds: int | None = None) -> JointTable:
     """Exact marginal over ``atoms``: one elimination of their ancestral
     closure onto them, whose final table is the answer. A repeated atom has
     mass only where its columns agree. The masses are read-only."""
@@ -755,20 +743,21 @@ def marginal(program: Program, atoms: Sequence[str],
         table = spread
     masses = table.ravel()
     masses.flags.writeable = False
-    return Marginal(columns, masses, cells)
+    return JointTable(columns, masses, cells)
 
 
 class Calibration(Frozen):
     """The exact marginals of several families from one calibration.
 
     ``marginals`` maps each requested family that a clique holds to its
-    ``Marginal``, whose ``worlds_evaluated`` counts the cells of the product
+    ``JointTable``, whose ``worlds_evaluated`` counts the cells of the product
     it was summed from; ``worlds_evaluated`` here counts the cells of every
     table the calibration built."""
 
     _fields = ("marginals", "worlds_evaluated")
 
-    def __init__(self, marginals: Mapping[tuple[str, ...], Marginal], worlds_evaluated: int):
+    def __init__(self, marginals: Mapping[tuple[str, ...], JointTable],
+                 worlds_evaluated: int):
         self.__dict__.update(marginals=marginals, worlds_evaluated=worlds_evaluated)
 
 
@@ -834,7 +823,9 @@ def marginals(program: Program,
             ids, keep = steps[s]
             table = contract([(tables[j], scopes[j]) for j in ids] + [(down[s], keep)],
                              family)
-            found[family] = Marginal(family, table.ravel(), 1 << len(cliques[s]))
+            masses = table.ravel()
+            masses.flags.writeable = False
+            found[family] = JointTable(family, masses, 1 << len(cliques[s]))
     return Calibration(found, worlds)
 
 

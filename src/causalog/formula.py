@@ -109,12 +109,15 @@ class Not(Formula, Frozen):
 
     def to_text(self) -> str:
         inner = self.operand.to_text()
-        if isinstance(self.operand, (And, Or)):
+        if isinstance(self.operand, _Binary):
             inner = f"({inner})"
         return f"!{inner}"
 
 
-class And(Formula, Frozen):
+class _Binary(Formula, Frozen):
+    """A node over two operands; a subclass names its ufunc and writes its
+    text."""
+
     _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -126,10 +129,14 @@ class And(Formula, Frozen):
     def evaluate(self, env: Mapping[str, Any]) -> Any:
         import numpy as np
 
-        return np.logical_and(self.left.evaluate(env), self.right.evaluate(env))
+        return getattr(np, self._ufunc)(self.left.evaluate(env), self.right.evaluate(env))
 
     def map_atoms(self, rename: Callable[[str], str]) -> Formula:
-        return And(self.left.map_atoms(rename), self.right.map_atoms(rename))
+        return type(self)(self.left.map_atoms(rename), self.right.map_atoms(rename))
+
+
+class And(_Binary):
+    _ufunc = "logical_and"
 
     def to_text(self) -> str:
         parts = []
@@ -141,22 +148,8 @@ class And(Formula, Frozen):
         return " & ".join(parts)
 
 
-class Or(Formula, Frozen):
-    _fields = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.__dict__.update(left=left, right=right)
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
-
-    def evaluate(self, env: Mapping[str, Any]) -> Any:
-        import numpy as np
-
-        return np.logical_or(self.left.evaluate(env), self.right.evaluate(env))
-
-    def map_atoms(self, rename: Callable[[str], str]) -> Formula:
-        return Or(self.left.map_atoms(rename), self.right.map_atoms(rename))
+class Or(_Binary):
+    _ufunc = "logical_or"
 
     def to_text(self) -> str:
         return f"{self.left.to_text()} | {self.right.to_text()}"
@@ -192,7 +185,7 @@ def literals_of(formula: Formula) -> dict[str, bool] | None:
     return out
 
 
-def _balanced(op: type[And] | type[Or], terms: Sequence[Formula]) -> Formula:
+def _balanced(op: type[_Binary], terms: Sequence[Formula]) -> Formula:
     """``op`` over ``terms`` in order, as a tree of depth log2(len(terms))."""
     if len(terms) == 1:
         return terms[0]
@@ -279,7 +272,7 @@ def _parse_and(cur: _FormulaCursor) -> tuple[Formula, int]:
     return _parse_chain(cur, "&", And, _parse_not)
 
 
-def _parse_chain(cur: _FormulaCursor, symbol: str, op: type[And] | type[Or],
+def _parse_chain(cur: _FormulaCursor, symbol: str, op: type[_Binary],
                  operand: Callable[[_FormulaCursor], tuple[Formula, int]]
                  ) -> tuple[Formula, int]:
     terms = [operand(cur)]

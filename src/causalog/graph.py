@@ -5,6 +5,12 @@ clause whose body mentions the cause, positively or negatively. The graph is
 the structural side channel used by reconstruction and learning, and it can be
 read from and written to two plain-text formats: a DOT subset and a bare edge
 list.
+
+Kahn's peeling, run once per graph, gives the topological order and decides
+acyclicity. On a cyclic graph the nodes it leaves each have a parent among
+them, so the one cycle every caller names comes from walking back through
+them from the least-named one, each time to the least-named such parent,
+until a node repeats; the cycle is written from its least-named node.
 """
 
 from __future__ import annotations
@@ -83,9 +89,8 @@ class DependencyGraph(Frozen):
         """
         order = self._kahn
         if len(order) != len(self.nodes):
-            cycle = self.find_cycle()
-            path = " -> ".join(cycle) if cycle else "?"
-            raise CyclicProgramError(f"dependency graph has a cycle: {path}")
+            raise CyclicProgramError(
+                f"dependency graph has a cycle: {' -> '.join(self.find_cycle())}")
         return order
 
     def ordering_rank(self) -> dict[str, int]:
@@ -107,8 +112,7 @@ class DependencyGraph(Frozen):
         for a, b in self.edges:
             indeg[b] += 1
             out[a].append(b)
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        heapq.heapify(ready)
+        ready = sorted(n for n, d in indeg.items() if d == 0)  # a sorted list is a heap
         order: list[str] = []
         while ready:
             n = heapq.heappop(ready)
@@ -123,35 +127,28 @@ class DependencyGraph(Frozen):
         return len(self._kahn) == len(self.nodes)
 
     def find_cycle(self) -> list[str] | None:
-        """Some cycle as a node path ``[a, b, ..., a]``, or None.
+        """A cycle as a node path ``[a, b, ..., a]``, or None when the graph
+        is acyclic.
 
-        A depth-first search from each node in name order, children in name
-        order, with an explicit stack, so a long cycle needs no recursion."""
-        out: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            out[a].append(b)
-        done: set[str] = set()
-        for root in sorted(self.nodes):
-            if root in done:
-                continue
-            path = [root]  # the nodes being visited, each a child of the last
-            on_path = {root}
-            children = [iter(sorted(out[root]))]
-            while children:
-                for m in children[-1]:
-                    if m in on_path:
-                        return path[path.index(m):] + [m]
-                    if m not in done:
-                        path.append(m)
-                        on_path.add(m)
-                        children.append(iter(sorted(out[m])))
-                        break
-                else:
-                    n = path.pop()
-                    on_path.remove(n)
-                    done.add(n)
-                    children.pop()
-        return None
+        Every node Kahn's peeling leaves has a parent it also leaves. The
+        search walks back from the least-named such node, each time to the
+        least-named such parent, until a node repeats; the nodes from that
+        node on are a cycle, which is written in edge order from its
+        least-named node."""
+        left = self.nodes.difference(self._kahn)
+        if not left:
+            return None
+        parents = self._links[0]
+        walk: list[str] = []
+        step: dict[str, int] = {}
+        node = min(left)
+        while node not in step:
+            step[node] = len(walk)
+            walk.append(node)
+            node = min(parents[node] & left)
+        cycle = walk[step[node]:][::-1]
+        start = cycle.index(min(cycle))
+        return cycle[start:] + cycle[:start + 1]
 
     def ancestors(self, seeds: Iterable[str]) -> frozenset[str]:
         """Ancestral closure of ``seeds``, seeds included."""

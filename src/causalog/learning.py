@@ -303,16 +303,22 @@ def _canonical_csv(raw: bytes) -> Dataset | None:
 def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     """Draw ``n`` independent samples of the internal propositions.
 
-    ``seed`` must be an integer in [0, 2**128), the Philox key space."""
+    ``n`` must be a nonnegative integer for which numpy can shape a bool
+    matrix of one row per noise fact, and one of one row per proposition, of
+    ``n`` columns; ``seed`` must be an integer in [0, 2**128), the Philox key
+    space. Both are checked before anything is allocated."""
     import numpy as np
 
-    if n < 0:
-        raise DatasetError(f"sample count must be nonnegative, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise DatasetError(f"sample count must be a nonnegative integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 128:
         raise DatasetError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     dp = program.desugar()
     noise = dp.noise_names
     columns = dp.internal_propositions
+    # numpy shapes a (k, n) array only while n and k * n fit its index type
+    if n > np.iinfo(np.intp).max // max(1, len(noise), len(columns)):
+        raise DatasetError(f"sample count {n} is too large for numpy to shape its matrices")
     # one bool row per fact, so that each fact's column is contiguous for
     # the solve; each block of draws is compared straight into its rows
     fired = np.empty((len(noise), n), dtype=bool)
@@ -334,7 +340,7 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
     for row, name in zip(data, columns):
         row[...] = values[name]
     return Dataset._of_columns(columns, data,
-                               Provenance(program_fingerprint(program), seed, int(n)))
+                               Provenance(program_fingerprint(program), seed, n))
 
 
 class FrequencyOracle:
@@ -343,7 +349,7 @@ class FrequencyOracle:
     For a pattern with ``n_T`` matching rows of which ``s`` have the target
     true, the answer is ``s / n_T`` with tolerance ``Z * sqrt(v / n_T)`` where
     ``v`` uses the add-one-smoothed rate ``(s + 1) / (n_T + 2)``. Patterns
-    with fewer than ``min_support`` rows, which must be at least 1, are
+    with fewer than ``min_support`` rows, an integer of at least 1, are
     starved: a table lists them all in one StarvedPatternError, in table
     order, and a single pattern raises its own.
 
@@ -357,10 +363,10 @@ class FrequencyOracle:
     are computed for every pattern at once."""
 
     def __init__(self, dataset: Dataset, min_support: int = DEFAULT_MIN_SUPPORT):
+        if isinstance(min_support, bool) or not isinstance(min_support, int) or min_support < 1:
+            raise OracleError(f"min_support must be at least 1 and integral, got {min_support!r}")
         self._data = dataset
-        self.min_support = int(min_support)
-        if self.min_support < 1:
-            raise OracleError(f"min_support must be at least 1, got {min_support}")
+        self.min_support = min_support
         # each expected family: the columns of its group and the group's
         # families; each family counted with its group and not yet asked:
         # its counts

@@ -32,7 +32,6 @@ of each group's columns.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from itertools import compress, product
@@ -40,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Seque
 
 from .engine import (
     Factor,
-    Marginal,
+    JointTable,
     check_table_width,
     marginal,
     marginals,
@@ -167,7 +166,7 @@ class ExactOracle:
         self._program = program
         self._max_worlds = max_worlds
         self._expected: Sequence[Family] | None = None
-        self._families: Mapping[tuple[str, ...], Marginal] | None = None
+        self._families: Mapping[tuple[str, ...], JointTable] | None = None
         # each node seen: its factor within the cap, and whether every factor
         # of its closure is strictly positive; each family seen: its route
         self._factors: dict[str, Factor] = {}
@@ -284,7 +283,7 @@ class ExactOracle:
             row = np.broadcast_to(row, (2,) * len(parents))
         return row.reshape(-1)
 
-    def _calibrate(self) -> Mapping[tuple[str, ...], Marginal]:
+    def _calibrate(self) -> Mapping[tuple[str, ...], JointTable]:
         """The marginal of every expected family whose parents' closure holds
         a zero cell, from one calibration, or none when the calibration would
         exceed the cap. A family whose closure exceeds the cap is left out:
@@ -527,9 +526,6 @@ class ReconstructionResult(Frozen):
                       for name, report in sorted(self.nodes.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def _patterns_read(err: CausalogError, parents: tuple[str, ...]) -> int:
     """The patterns an oracle read for a table that failed with ``err``:
@@ -551,10 +547,8 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
     report counts the patterns read and the seconds spent. The result's own
     dependency graph is always a subgraph of the input graph."""
     if not graph.is_acyclic():
-        cycle = graph.find_cycle() or []
         raise ReconstructionError(
-            "reconstruction needs an acyclic graph; cycle: " + " -> ".join(cycle)
-        )
+            "reconstruction needs an acyclic graph; cycle: " + " -> ".join(graph.find_cycle()))
     uncovered = sorted(graph.nodes - oracle.nodes)
     if uncovered:
         raise ReconstructionError(

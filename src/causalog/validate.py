@@ -2,7 +2,9 @@
 
 Three properties are reported:
 
-* acyclic: the dependency graph has no directed cycle,
+* acyclic: the dependency graph has no directed cycle; a cyclic one is
+  noted with the cycle ``DependencyGraph.find_cycle`` names, one closed path
+  written from its least-named node,
 * positive: no clause body contains a negated atom,
 * proper normal form: every probability lies strictly between 0 and 1 and
   every sink of the dependency graph has an unconditional clause. Duplicate
@@ -18,7 +20,6 @@ does not fail the flag, which is convenient when inspecting derived programs.
 
 from __future__ import annotations
 
-import json
 from .frozen import Frozen
 from .model import Program
 
@@ -42,9 +43,6 @@ class ValidationReport(Frozen):
             "proper_normal_form": self.proper_normal_form,
             "diagnostics": list(self.diagnostics),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [

@@ -208,6 +208,21 @@ def test_memory_error_names_what_bounds_the_subcommand(owner, name, argv, hint, 
     assert not (ROOT / "unused.csv").exists()
 
 
+@pytest.mark.parametrize("rows", ["1000000000000000000000000000000", "9223372036854775807"])
+def test_sample_count_numpy_cannot_shape_is_a_dataset_error(rows, tmp_path, capsys,
+                                                            monkeypatch):
+    # refused before anything is allocated: numpy cannot shape a matrix of
+    # that many cells, whatever the memory
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sample", BOOST, "-n", rows, "--seed", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error[dataset]: sample count {rows} is too large for numpy "
+                            "to shape its matrices\n")
+    assert not out.exists()
+
+
 def test_thousand_node_chain_answers_in_process(tmp_path, capsys):
     # q :: n0 and p :: n_k :- n_(k-1): the last node holds exactly when n0
     # and every link fire. Elimination sums the chain one link at a time, so

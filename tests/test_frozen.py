@@ -31,7 +31,7 @@ from causalog import (
     ValidationReport,
     parse_program,
 )
-from causalog.engine import Calibration, Factor, Marginal, _Cells, marginal
+from causalog.engine import Calibration, Factor, _Cells, marginal
 from causalog.reconstruction import (
     NodeReport,
     ReconstructionResult,
@@ -62,11 +62,9 @@ CASES = [
     (Factor, ("heads", "terms"),
      lambda: (("a",), (((BODY,), 0.6),)), {}, "fields",
      ("heads", ("c",))),
-    (JointTable, ("columns", "masses"),
-     lambda: (("a",), np.array([0.25, 0.75])), {}, "identity", None),
-    (_Cells, ("masses",), lambda: (np.array([0.25, 0.75]),), {}, "mapping", None),
-    (Marginal, ("columns", "masses", "worlds_evaluated"),
+    (JointTable, ("columns", "masses", "worlds_evaluated"),
      lambda: (("a", "b"), np.array([0.1, 0.2, 0.3, 0.4]), 4), {}, "identity", None),
+    (_Cells, ("masses",), lambda: (np.array([0.25, 0.75]),), {}, "mapping", None),
     (Calibration, ("marginals", "worlds_evaluated"),
      lambda: ({}, 3), {}, "fields", ("worlds_evaluated", 4)),
     (Atom, ("name",), lambda: ("a",), {}, "fields", ("name", "b")),

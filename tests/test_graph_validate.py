@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -36,6 +37,29 @@ def test_cycle_detection():
     assert set(cycle) == {"a", "b"}
     with pytest.raises(CyclicProgramError):
         loop.topological_order()
+
+
+def test_find_cycle_returns_a_closed_path_of_edges():
+    rng = random.Random(23)
+    for _ in range(400):
+        names = [f"v{k}" for k in range(rng.randint(2, 9))]
+        edges = {(a, b) for a in names for b in names if rng.random() < 0.2}
+        graph = DependencyGraph.build(names, edges)
+        cycle = graph.find_cycle()
+        assert (cycle is None) == graph.is_acyclic()
+        if cycle is not None:
+            assert cycle[0] == cycle[-1] == min(cycle)
+            assert len(set(cycle)) == len(cycle) - 1
+            assert set(zip(cycle, cycle[1:])) <= edges
+
+
+def test_find_cycle_walks_back_from_a_tail():
+    # a and b lie past the cycle c -> d -> e -> c and are never peeled; the
+    # walk starts at a, goes back through b into the cycle, and writes the
+    # cycle from c
+    graph = DependencyGraph.build("abcdef", [("f", "c"), ("c", "d"), ("d", "e"), ("e", "c"),
+                                             ("e", "b"), ("b", "a")])
+    assert graph.find_cycle() == ["c", "d", "e", "c"]
 
 
 def test_ancestors_includes_seed():
@@ -149,7 +173,7 @@ def test_validate_sink_fact_rule_is_strict_only():
 
 
 def test_report_json_shape(boost_program):
-    payload = json.loads(validate(boost_program).to_json())
+    payload = json.loads(json.dumps(validate(boost_program).to_json_dict()))
     assert set(payload) == {"acyclic", "positive", "proper_normal_form",
                             "diagnostics"}
 

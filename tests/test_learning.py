@@ -201,6 +201,12 @@ def test_negative_rows_rejected(boost_program):
         forward_sample(boost_program, -1, seed=1)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_non_integer_rows_rejected(boost_program, n):
+    with pytest.raises(DatasetError, match="must be a nonnegative integer"):
+        forward_sample(boost_program, n, seed=1)
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 128, 1.5, "7", True])
 def test_out_of_range_seed_rejected(boost_program, seed):
     with pytest.raises(DatasetError, match="seed"):
@@ -400,6 +406,16 @@ def test_min_support_below_one_rejected(min_support):
     with pytest.raises(OracleError, match="min_support must be at least 1"):
         FrequencyOracle(grid_dataset(), min_support=min_support)
     with pytest.raises(OracleError, match="min_support must be at least 1"):
+        learn(grid_dataset(), DependencyGraph.build(["a", "b"], [("a", "b")]),
+              min_support=min_support)
+
+
+@pytest.mark.parametrize("min_support", [1.9, True, 30.0, "30"])
+def test_min_support_must_be_an_integer(min_support):
+    # none is rounded or truncated into a support count
+    with pytest.raises(OracleError, match="min_support must be at least 1 and integral"):
+        FrequencyOracle(grid_dataset(), min_support=min_support)
+    with pytest.raises(OracleError, match="min_support must be at least 1 and integral"):
         learn(grid_dataset(), DependencyGraph.build(["a", "b"], [("a", "b")]),
               min_support=min_support)
 

@@ -276,7 +276,7 @@ def test_scripted_oracle_is_told_the_families_and_fails_at_its_pattern():
 
 def test_report_json_shape(boost_program):
     result = reconstruct(ExactOracle(boost_program), TR_GRAPH)
-    payload = json.loads(result.to_json())
+    payload = json.loads(json.dumps(result.to_json_dict()))
     assert payload["ok"] is True
     assert set(payload) == {"ok", "program", "nodes"}
     recovery = payload["nodes"]["recovery"]
@@ -481,7 +481,7 @@ def test_frequency_oracle_matches_per_pattern_masks():
 
 def test_node_stats_count_oracle_calls(boost_program):
     result = reconstruct(ExactOracle(boost_program), TR_GRAPH)
-    nodes = json.loads(result.to_json())["nodes"]
+    nodes = json.loads(json.dumps(result.to_json_dict()))["nodes"]
     assert nodes["recovery"]["stats"]["oracle_calls"] == 2
     assert nodes["treatment"]["stats"]["oracle_calls"] == 1
     for node in nodes.values():
