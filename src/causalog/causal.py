@@ -11,21 +11,20 @@ and an intervention copy (suffix ``__i``) while keeping a single shared set
 of noise facts, so both copies see the same random draws. Surgery is applied
 to the intervention copy only, evidence is asserted on the evidence copy, and
 the query is a conditional over the combined program. An interventional
-query is the same construction with no evidence. Both check the
-intervention's names and hand the query to ``engine.query``, the one entry
-point of every query kind, which checks the evidence as a formula and reads
-the twin's factors straight from the program's clauses, so neither builds a
-program. ``intervene`` and ``twin_program``
-(for ``twin-export``) build the surgically modified program and the combined
-one for their own callers.
+query is the same construction with no evidence. Both hand the query to
+``engine.query``, the one entry point of every query kind, which checks the
+intervention's names, then the evidence as a formula, and reads the twin's
+factors straight from the program's clauses, so neither builds a program.
+``intervene`` and ``twin_program`` (for ``twin-export``) build the
+surgically modified program and the combined one for their own callers,
+after the same ``engine.check_intervention``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .engine import QueryResult, query
-from .errors import InterventionError
+from .engine import QueryResult, check_intervention, query
 from .formula import Formula, conjunction_of
 from .frozen import Frozen
 from .model import (
@@ -41,23 +40,12 @@ EVIDENCE_SUFFIX = "__e"
 INTERVENTION_SUFFIX = "__i"
 
 
-def _check_assignment(program: Program, assignment: Mapping[str, bool],
-                      what: str) -> dict[str, bool]:
-    known = set(program.propositions)
-    out: dict[str, bool] = {}
-    for name, value in assignment.items():
-        if name not in known:
-            raise InterventionError(f"{what} names unknown proposition {name!r}")
-        out[name] = bool(value)
-    return out
-
-
 def intervene(program: Program, intervention: Mapping[str, bool]) -> Program:
     """Surgery: erase the clauses of every intervened proposition; add an
     unconditional probability-one clause for those forced true. The alphabet
     is preserved, so erased propositions stay queryable (and are false unless
     forced)."""
-    forced = _check_assignment(program, intervention, "intervention")
+    forced = check_intervention(program, intervention)
     clauses = [c for c in program.clauses if c.effect not in forced]
     for name in sorted(forced):
         if forced[name]:
@@ -69,8 +57,7 @@ def interventional_query(program: Program, phi: Formula,
                          intervention: Mapping[str, bool],
                          max_worlds: int | None = None) -> QueryResult:
     """Probability of ``phi`` after the intervention."""
-    forced = _check_assignment(program, intervention, "intervention")
-    return query(program, phi, forced=forced, max_worlds=max_worlds)
+    return query(program, phi, forced=intervention, max_worlds=max_worlds)
 
 
 class TwinProgram(Frozen):
@@ -120,7 +107,7 @@ def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProg
     intervention copy only. A cyclic program is refused before the twin is
     built, so the error names the program's own atoms."""
     program.dependency_graph().topological_order()
-    forced = _check_assignment(program, intervention, "intervention")
+    forced = check_intervention(program, intervention)
     dp = program.desugar()
     # the program's clauses are checked, and a valid name with a suffix is
     # one too, so the copies are built without the checks again
@@ -154,7 +141,5 @@ def counterfactual_query(program: Program, phi: Formula,
     the intervention copy given the evidence on the evidence copy. With
     empty evidence it is the interventional query. Evidence of probability
     zero in the untouched program raises ZeroEvidenceError."""
-    if not evidence:
-        return interventional_query(program, phi, intervention, max_worlds)
-    forced = _check_assignment(program, intervention, "intervention")
-    return query(program, phi, conjunction_of(evidence), forced, max_worlds)
+    given = conjunction_of(evidence) if evidence else None
+    return query(program, phi, given, intervention, max_worlds)

@@ -12,8 +12,9 @@ einsum has dedicated loops for; such a product is grown by broadcasting,
 each operand multiplying in only over the variables seen so far, whose
 whole-array loops beat einsum's cell-by-cell one there, and then summed.
 ``marginal`` and ``joint_table`` read their answer straight off the final
-table over the atoms; for formulas, one ``np.bincount`` sorts that table
-into the formulas' cells. A ``JointTable``, what ``marginal`` and
+table over the atoms; for formulas, and for atoms ``marginal`` is given
+more than once, one ``np.bincount`` sorts that table into the formulas'
+cells. A ``JointTable``, what ``marginal`` and
 ``joint_table`` return and what ``marginals`` maps each family to, keeps such
 a table as its read-only ``masses``; its ``cells`` is a read-only mapping view over them, which builds
 no per-cell object until a caller reads the cell.
@@ -31,7 +32,9 @@ and give the same floats.
 formula under an intervention, given evidence observed in the world as it
 was, a conditional on the twin network (Balke & Pearl, 1994). A plain
 probability has neither, a conditional no intervention, an interventional
-query no evidence. One builder (``_factors``) reads the query's factors off
+query no evidence. Every entry point that takes an intervention checks its
+names with ``check_intervention``, ``query`` before the formula and the
+evidence. One builder (``_factors``) reads the query's factors off
 the program itself, so no query builds, intervenes or desugars a program;
 under an intervention a node it reaches gets a second copy, its intervened
 one. A ``Program`` groups each node's clauses into (body, fire) rows when
@@ -74,11 +77,12 @@ from typing import TYPE_CHECKING
 from .errors import (
     CausalogError,
     EnumerationCapError,
+    InterventionError,
     ProgramError,
     TableSizeError,
     ZeroEvidenceError,
 )
-from .formula import Formula, check_atoms, check_names, literals_of
+from .formula import Atom, Formula, check_atoms, check_names, literals_of
 from .frozen import Frozen
 from .graph import DependencyGraph
 from .model import DesugaredProgram, Program
@@ -593,12 +597,12 @@ def query(program: Program, phi: Formula, evidence: Formula | None = None,
     that is a conjunction of literals restricts the factors to its values,
     so it adds no table width; other evidence is a formula of the final
     table, as ``phi`` is. Evidence of probability zero raises
-    ZeroEvidenceError."""
+    ZeroEvidenceError; an intervention on a name that is not one of the
+    program's propositions raises InterventionError, checked first."""
+    forced = check_intervention(program, forced or {})
     check_atoms(phi, program)
     if evidence is not None:
         check_atoms(evidence, program)
-    if forced:
-        check_names(forced, program)
     factors, intervened = _factors(
         program, phi.atoms(), evidence.atoms() if evidence is not None else (), forced)
     if forced:
@@ -617,6 +621,17 @@ def query(program: Program, phi: Formula, evidence: Formula | None = None,
     if mass <= 0.0:
         raise zero_evidence(evidence)
     return QueryResult(_clamp_unit(hit / mass), cells, _clamp_unit(mass))
+
+
+def check_intervention(program: Program, forced: Mapping[str, bool]) -> dict[str, bool]:
+    """The intervention ``forced`` with bool values, the one check of every
+    entry point that takes one: a name that is not one of the program's
+    propositions, a noise name included, raises InterventionError."""
+    known = program.dependency_graph().nodes
+    for name in forced:
+        if name not in known:
+            raise InterventionError(f"intervention names unknown proposition {name!r}")
+    return {name: bool(value) for name, value in forced.items()}
 
 
 def probability(program: Program, phi: Formula,
@@ -722,26 +737,17 @@ def _clamp_unit(x: float) -> float:
 def marginal(program: Program, atoms: Sequence[str],
              max_worlds: int | None = None) -> JointTable:
     """Exact marginal over ``atoms``: one elimination of their ancestral
-    closure onto them, whose final table is the answer. A repeated atom has
-    mass only where its columns agree. The masses are read-only."""
-    import numpy as np
-
+    closure onto them, whose final table is the answer. Repeated atoms are
+    read as formulas, one ``Atom`` per column, whose cells get mass only
+    where the columns agree. The masses are read-only."""
     columns = tuple(atoms)
     check_names(columns, program)
-    distinct = tuple(dict.fromkeys(columns))
-    tables, _, _, cells = _eliminate(_factors(program, columns)[0], distinct, max_worlds)
-    table = tables[-1]
-    if len(distinct) < len(columns):
-        # the table goes onto the diagonal where a name's columns agree,
-        # written through a view whose step along a name is the sum of the
-        # steps of that name's columns
-        spread = np.zeros((2,) * len(columns))
-        strides = [0] * len(distinct)
-        for name, stride in zip(columns, spread.strides):
-            strides[distinct.index(name)] += stride
-        np.lib.stride_tricks.as_strided(spread, table.shape, strides)[...] = table
-        table = spread
-    masses = table.ravel()
+    factors = _factors(program, columns)[0]
+    if len(set(columns)) < len(columns):
+        masses, cells = _masses(factors, [Atom(name) for name in columns], max_worlds)
+    else:
+        tables, _, _, cells = _eliminate(factors, columns, max_worlds)
+        masses = tables[-1].ravel()
     masses.flags.writeable = False
     return JointTable(columns, masses, cells)
 

@@ -53,7 +53,8 @@ class CyclicProgramError(CausalogError):
 
 class EnumerationCapError(CausalogError):
     """The exact query would build a table of more factor cells than
-    allowed."""
+    allowed. The advice names CAUSALOG_MAX_WORLDS, which every caller
+    reads, and --max-worlds as the query command's alone."""
 
     code = "cap"
 
@@ -62,8 +63,8 @@ class EnumerationCapError(CausalogError):
         count = f"2^{needed.bit_length() - 1}" if needed & (needed - 1) == 0 else needed
         super().__init__(
             f"query needs a table of {count} factor cells, which exceeds the "
-            f"cap of {cap}; raise it with --max-worlds or CAUSALOG_MAX_WORLDS, "
-            "or simplify the program"
+            f"cap of {cap}; raise it with CAUSALOG_MAX_WORLDS (the query command "
+            "also takes --max-worlds), or simplify the program"
         )
         self.needed = needed
         self.cap = cap

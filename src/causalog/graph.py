@@ -4,7 +4,9 @@ A program induces a directed graph with an edge ``cause -> effect`` for every
 clause whose body mentions the cause, positively or negatively. The graph is
 the structural side channel used by reconstruction and learning, and it can be
 read from and written to two plain-text formats: a DOT subset and a bare edge
-list.
+list. Both writers print one listing, isolated nodes then edges in name
+order, in their own line format, and both readers name the line of a bad
+name. A graph keeps one adjacency, each node's parents, built once.
 
 Kahn's peeling, run once per graph, gives the topological order and decides
 acyclicity. On a cyclic graph the nodes it leaves each have a parent among
@@ -56,29 +58,19 @@ class DependencyGraph(Frozen):
     # -- local structure ---------------------------------------------------
 
     def parents(self, node: str) -> frozenset[str]:
-        return self._links[0].get(node, frozenset())
-
-    def children(self, node: str) -> frozenset[str]:
-        return self._links[1].get(node, frozenset())
+        return self._parents.get(node, frozenset())
 
     @cached_property
-    def _links(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
-        """Every node's parents and children, built once per graph."""
+    def _parents(self) -> dict[str, frozenset[str]]:
+        """Every node's parents, built once per graph."""
         parents: dict[str, set[str]] = {n: set() for n in self.nodes}
-        children: dict[str, set[str]] = {n: set() for n in self.nodes}
         for a, b in self.edges:
             parents[b].add(a)
-            children[a].add(b)
-        return ({n: frozenset(s) for n, s in parents.items()},
-                {n: frozenset(s) for n, s in children.items()})
+        return {n: frozenset(s) for n, s in parents.items()}
 
     def sinks(self) -> frozenset[str]:
         with_out = {a for a, _ in self.edges}
         return frozenset(self.nodes - with_out)
-
-    def sources(self) -> frozenset[str]:
-        with_in = {b for _, b in self.edges}
-        return frozenset(self.nodes - with_in)
 
     # -- global structure --------------------------------------------------
 
@@ -138,7 +130,7 @@ class DependencyGraph(Frozen):
         left = self.nodes.difference(self._kahn)
         if not left:
             return None
-        parents = self._links[0]
+        parents = self._parents
         walk: list[str] = []
         step: dict[str, int] = {}
         node = min(left)
@@ -152,7 +144,7 @@ class DependencyGraph(Frozen):
 
     def ancestors(self, seeds: Iterable[str]) -> frozenset[str]:
         """Ancestral closure of ``seeds``, seeds included."""
-        parents = self._links[0]
+        parents = self._parents
         closed: set[str] = set()
         todo = [s for s in seeds]
         while todo:
@@ -166,23 +158,18 @@ class DependencyGraph(Frozen):
     # -- text formats --------------------------------------------------------
 
     def to_dot(self) -> str:
-        lines = ["digraph g {"]
-        linked = {n for e in self.edges for n in e}
-        for n in sorted(self.nodes - linked):
-            lines.append(f"  {n};")
-        for a, b in sorted(self.edges):
-            lines.append(f"  {a} -> {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "digraph g {\n" + self._listing("  {};", "  {} -> {};") + "}\n"
 
     def to_edge_list(self) -> str:
-        lines = []
+        return self._listing("{}", "{} {}")
+
+    def _listing(self, node: str, edge: str) -> str:
+        """One line per isolated node, then one per edge, each in name
+        order and written in the ``node`` or ``edge`` format."""
         linked = {n for e in self.edges for n in e}
-        for n in sorted(self.nodes - linked):
-            lines.append(n)
-        for a, b in sorted(self.edges):
-            lines.append(f"{a} {b}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        lines = [node.format(n) for n in sorted(self.nodes - linked)]
+        lines += [edge.format(a, b) for a, b in sorted(self.edges)]
+        return "".join(line + "\n" for line in lines)
 
     @staticmethod
     def parse(text: str) -> "DependencyGraph":
@@ -220,21 +207,18 @@ class DependencyGraph(Frozen):
             raise GraphFormatError("not a digraph: expected 'digraph [name] { ... }'")
         nodes: set[str] = set()
         edges: set[tuple[str, str]] = set()
-        for stmt in body.group(1).split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            if "->" in stmt:
-                chain = [_check_name(part.strip(), 0) for part in stmt.split("->")]
-                for a, b in zip(chain, chain[1:]):
-                    edges.add((a, b))
-            else:
-                nodes.add(_check_name(stmt, 0))
+        # each statement from its first character to the next ';', named by
+        # the line it starts on
+        for stmt in re.finditer(r"[^;\s][^;]*", body.group(1)):
+            lineno = text.count("\n", 0, body.start(1) + stmt.start()) + 1
+            chain = [_check_name(part.strip(), lineno) for part in stmt[0].split("->")]
+            nodes.add(chain[0])
+            edges.update(zip(chain, chain[1:]))
         return DependencyGraph.build(nodes, edges)
 
 
 def _check_name(token: str, lineno: int) -> str:
-    where = f"line {lineno}: " if lineno else ""
+    where = f"line {lineno}: "
     if not VALID_NAME.match(token):
         raise GraphFormatError(f"{where}bad proposition name {token!r}")
     if token in RESERVED_NAMES:

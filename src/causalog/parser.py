@@ -12,16 +12,16 @@ period. Proposition names are lowercase-initial ASCII identifiers; ``true``
 and ``false`` are reserved for the query language. Any other character,
 such as a non-ASCII digit or letter, is an unexpected character.
 
-Two readers share the work. The scanner accepts: it matches one statement
-pattern per clause and hands the program its engine row, keying each
-distinct body text once; it builds no ``Clause``, which the program builds
-on first read. It checks only what the pattern cannot (probabilities above
-1, reserved names, contradictory bodies, duplicate clauses, and that only
-blanks and comments follow the last clause). It reads less than the
-grammar allows, for example no comment inside a clause. Whenever it stops
-early or a check fails, the token walk reads the whole text again: it
-parses what the scanner left to it and explains why a text is rejected,
-with the position of the first fault.
+Two readers share the work, and both hand ``Program._trusted`` each
+clause's engine row, building no ``Clause``, which the program builds on
+first read. The scanner accepts: it matches one statement pattern per
+clause, keying each distinct body text once. It checks only what the
+pattern cannot (probabilities above 1, reserved names, contradictory bodies,
+duplicate clauses, and that only blanks and comments follow the last
+clause). It reads less than the grammar allows, for example no comment
+inside a clause. Whenever it stops early or a check fails, the token walk
+reads the whole text again: it parses what the scanner left to it and
+explains why a text is rejected, with the position of the first fault.
 ``parse_assignment`` uses the token walk alone.
 """
 
@@ -31,7 +31,7 @@ import re
 
 from .errors import ParseError
 from .graph import RESERVED_NAMES
-from .model import Clause, Literal, Program, body_keys
+from .model import Program, body_keys
 
 # Token kinds: the groups of _LEXEME, and the end of input. Blanks and
 # comments match no group; any character no other alternative takes is an
@@ -171,8 +171,8 @@ def _walk(text: str) -> Program:
     """The program of ``text`` read token by token; raises the ParseError of
     the first fault, at its position."""
     cur = _Cursor(text)
-    clauses: list[Clause] = []
-    seen: set[tuple[str, frozenset[Literal]]] = set()
+    entries: list[tuple[str, tuple, tuple, float]] = []
+    seen: set[tuple[str, tuple]] = set()  # (effect, sort key), as in _scan
     while cur.peek()[0] != _EOF:
         start = cur.take()
         kind, word, _ = start
@@ -184,7 +184,7 @@ def _walk(text: str) -> Program:
         cur.expect_punct("::")
         effect = cur.expect_ident("an effect atom")[1]
         sep = cur.take()
-        body: dict[str, Literal] = {}
+        body: dict[str, bool] = {}  # name -> positive
         if sep[1] == ":-":
             while True:
                 positive = cur.peek()[1] != "\\+"
@@ -192,11 +192,9 @@ def _walk(text: str) -> Program:
                     cur.take()
                 atom = cur.expect_ident("a body atom")
                 name = atom[1]
-                prior = body.get(name)
-                if prior is not None and prior.positive != positive:
+                if body.setdefault(name, positive) != positive:
                     raise cur.error(atom, f"contradictory body: {name} appears both "
                                     "positively and negatively")
-                body[name] = Literal(name, positive)
                 nxt = cur.take()
                 if nxt[1] == ".":
                     break
@@ -204,12 +202,12 @@ def _walk(text: str) -> Program:
                     raise cur.unexpected(nxt, "',' or '.'")
         elif sep[1] != ".":
             raise cur.unexpected(sep, "':-' or '.'")
-        clause = Clause(effect, frozenset(body.values()), prob)
-        if (effect, clause.causes) in seen:
+        order, row = body_keys([(name, not positive) for name, positive in body.items()])
+        if (effect, order) in seen:
             raise cur.error(start, f"duplicate clause for {effect}: same body already given")
-        seen.add((effect, clause.causes))
-        clauses.append(clause)
-    return Program(clauses)
+        seen.add((effect, order))
+        entries.append((effect, order, row, prob))
+    return Program._trusted(entries)
 
 
 def parse_assignment(text: str) -> dict[str, bool]:

@@ -167,9 +167,8 @@ class ExactOracle:
         self._max_worlds = max_worlds
         self._expected: Sequence[Family] | None = None
         self._families: Mapping[tuple[str, ...], JointTable] | None = None
-        # each node seen: its factor within the cap, and whether every factor
-        # of its closure is strictly positive; each family seen: its route
-        self._factors: dict[str, Factor] = {}
+        # each node seen: whether every factor of its closure is strictly
+        # positive; each family seen: its route
         self._positive: dict[str, bool] = {}
         self._reads: dict[tuple[str, ...], str] = {}
 
@@ -235,14 +234,12 @@ class ExactOracle:
         return read
 
     def _factor(self, node: str) -> Factor:
-        """The node's factor, refused when its table exceeds the cap."""
-        factor = self._factors.get(node)
-        if factor is None:
-            factor = node_factor(self._program, node)
-            cells, cap = 1 << len(factor.scope), resolved_max_worlds(self._max_worlds)
-            if cells > cap:
-                raise EnumerationCapError(cells, cap)
-            self._factors[node] = factor
+        """The node's factor, which the program keeps, refused on each read
+        when its table exceeds the cap."""
+        factor = node_factor(self._program, node)
+        cells, cap = 1 << len(factor.scope), resolved_max_worlds(self._max_worlds)
+        if cells > cap:
+            raise EnumerationCapError(cells, cap)
         return factor
 
     def _closure_positive(self, names: Iterable[str]) -> bool:

@@ -13,6 +13,17 @@ from causalog import parse_program
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, none kept between runs, and no time
+    # limit per example, since the first one may import numpy
+    settings.register_profile("derandomize", derandomize=True, database=None,
+                              deadline=None)
+    settings.load_profile("derandomize")
+
 
 @pytest.fixture(autouse=True, scope="session")
 def children_import_this_checkout():

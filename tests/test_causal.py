@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from causalog import (
     query,
     twin_program,
 )
+from causalog import cli
 
 from oracles import reference_conditional, reference_probability
 from proggen import (
@@ -256,6 +258,36 @@ def test_counterfactual_checks_names(boost_program):
     with pytest.raises(InterventionError, match="unknown proposition 'cure'"):
         counterfactual_query(boost_program, Atom("recovery"),
                              {"treatment": False}, {"cure": True})
+
+
+# the program of the boost_program fixture
+BOOST_FILE = str(Path(__file__).resolve().parent.parent / "fixtures" / "recovery_boost.pl")
+
+INTERVENTION_ENTRY_POINTS = {
+    "query": lambda program, do: query(program, Atom("recovery"), forced=do),
+    "interventional_query": lambda program, do: interventional_query(
+        program, Atom("recovery"), do),
+    "counterfactual_query": lambda program, do: counterfactual_query(
+        program, Atom("recovery"), {"treatment": False}, do),
+    "intervene": intervene,
+    "twin_program": twin_program,
+}
+
+
+@pytest.mark.parametrize("name", ["zz", "u1"], ids=["unknown", "noise"])
+@pytest.mark.parametrize("entry", [*INTERVENTION_ENTRY_POINTS, "cli"])
+def test_every_entry_point_refuses_an_unknown_intervention_alike(entry, name, boost_program,
+                                                                 capsys):
+    # u1 is the noise fact of the program's first clause: no proposition
+    message = f"intervention names unknown proposition {name!r}"
+    if entry == "cli":
+        argv = ["query", BOOST_FILE, "--prob", "recovery", "--do", name]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error[intervention]: {message}\n")
+        return
+    with pytest.raises(InterventionError) as err:
+        INTERVENTION_ENTRY_POINTS[entry](boost_program, {name: True})
+    assert str(err.value) == message
 
 
 def test_twin_reference_total_mass(boost_program):

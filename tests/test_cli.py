@@ -208,6 +208,22 @@ def test_memory_error_names_what_bounds_the_subcommand(owner, name, argv, hint, 
     assert not (ROOT / "unused.csv").exists()
 
 
+def test_reconstruct_cap_advice_points_at_what_it_takes(capsys, monkeypatch):
+    # reconstruct takes no --max-worlds, so its node failure names the
+    # environment variable, and the flag only as the query command's
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("CAUSALOG_MAX_WORLDS", "2")
+    assert cli.main(["reconstruct", "--hidden", BOOST, "--graph", EDGES]) == 1
+    assert capsys.readouterr() == ("", (
+        "recovery: error[oracle]: oracle failed for recovery at pattern {}: query needs a "
+        "table of 2^2 factor cells, which exceeds the cap of 2; raise it with "
+        "CAUSALOG_MAX_WORLDS (the query command also takes --max-worlds), or simplify the "
+        "program\nerror[reconstruction]: could not recover: recovery\n"))
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["reconstruct", "--hidden", BOOST, "--graph", EDGES, "--max-worlds", "8"])
+    assert usage.value.code == 2
+
+
 @pytest.mark.parametrize("rows", ["1000000000000000000000000000000", "9223372036854775807"])
 def test_sample_count_numpy_cannot_shape_is_a_dataset_error(rows, tmp_path, capsys,
                                                             monkeypatch):

