@@ -17,7 +17,8 @@ intervention's names, then the evidence as a formula, and reads the twin's
 factors straight from the program's clauses, so neither builds a program.
 ``intervene`` and ``twin_program`` (for ``twin-export``) build the
 surgically modified program and the combined one for their own callers,
-after the same ``engine.check_intervention``.
+after the same ``engine.check_intervention``. The twin's text is written
+with ``Clause.format``, the one statement writer ``Program.to_text`` uses.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .model import (
     Literal,
     LogicalClause,
     Program,
-    float_text,
 )
 
 EVIDENCE_SUFFIX = "__e"
@@ -82,19 +82,13 @@ class TwinProgram(Frozen):
         clause mentions, such as the intervention copy of a node forced
         false, gets a clause of probability zero, so it stays queryable."""
         dp = self.desugared
-        lines = []
-        for u in dp.noise_names:
-            lines.append(f"{float_text(dp.noise_probability(u))} :: {u}.")
+        lines = [Clause.format(dp.noise_probability(u), u) for u in dp.noise_names]
         for clause in dp.clauses:
-            parts = [str(lit) for lit in sorted(clause.literals, key=lambda l: l.name)]
-            parts.extend(sorted(clause.noise))
-            if parts:
-                lines.append(f"1.0 :: {clause.head} :- {', '.join(parts)}.")
-            else:
-                lines.append(f"1.0 :: {clause.head}.")
+            body = [str(lit) for lit in sorted(clause.literals, key=lambda l: l.name)]
+            lines.append(Clause.format(1.0, clause.head, body + sorted(clause.noise)))
         # a proposition no clause reads (a sink) and none concludes
         unmentioned = dp.dependency_graph().sinks().difference(c.head for c in dp.clauses)
-        lines += [f"0.0 :: {name}." for name in sorted(unmentioned)]
+        lines += [Clause.format(0.0, name) for name in sorted(unmentioned)]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -117,15 +111,16 @@ def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProg
             if suffix == INTERVENTION_SUFFIX and clause.head in forced:
                 continue
             clauses.append(LogicalClause._trusted(
-                clause.head + suffix,
-                frozenset([Literal._trusted(lit.name + suffix, lit.positive)
-                           for lit in clause.literals]),
-                clause.noise,
+                head=clause.head + suffix,
+                literals=frozenset([Literal._trusted(name=lit.name + suffix,
+                                                     positive=lit.positive)
+                                    for lit in clause.literals]),
+                noise=clause.noise,
             ))
     for name in sorted(forced):
         if forced[name]:
-            clauses.append(LogicalClause._trusted(name + INTERVENTION_SUFFIX,
-                                                  frozenset(), frozenset()))
+            clauses.append(LogicalClause._trusted(head=name + INTERVENTION_SUFFIX,
+                                                  literals=frozenset(), noise=frozenset()))
     declared = [p + EVIDENCE_SUFFIX for p in program.propositions]
     declared += [p + INTERVENTION_SUFFIX for p in program.propositions]
     twin_dp = DesugaredProgram(clauses, dp.noise_probs, declared=declared)

@@ -2,7 +2,8 @@
 
 Each subclass writes its own ``__init__``, which checks its arguments and
 stores them through ``self.__dict__``, and lists its fields, in constructor
-order, in ``_fields``.
+order, in ``_fields``. ``_trusted`` builds a record without that
+``__init__``, for a caller that has already made its checks.
 """
 
 from __future__ import annotations
@@ -18,15 +19,26 @@ class Frozen:
     tuple, are equal, and the hash is that tuple's. ``__match_args__`` is
     ``_fields``, so class patterns match positionally. These are not
     dataclasses: ``dataclasses.fields``, ``replace`` and ``asdict`` do not
-    apply. A subclass whose instances are hashed per parse defines its own
-    ``__eq__`` and ``__hash__``, and one that compares by identity puts back
-    ``object``'s."""
+    apply. ``Literal`` and ``Clause`` define their own ``__eq__`` and
+    ``__hash__`` over their fields: the generic pair hashed a literal in
+    561 ns against 160 ns, and made ``validate`` 7% and ``twin-export`` 19%
+    slower on 20 layered 16-node programs. A subclass that compares by
+    identity puts back ``object``'s."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls._fields
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """The record of ``fields``, given by name, built without
+        ``__init__``: the caller has made every check that ``__init__``
+        makes."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -6,7 +6,9 @@ the structural side channel used by reconstruction and learning, and it can be
 read from and written to two plain-text formats: a DOT subset and a bare edge
 list. Both writers print one listing, isolated nodes then edges in name
 order, in their own line format, and both readers name the line of a bad
-name. A graph keeps one adjacency, each node's parents, built once.
+name. ``NAME`` is the one proposition-name pattern: graphs, programs and
+the clause scanner all match it. A graph keeps one adjacency, each node's
+parents, built once.
 
 Kahn's peeling, run once per graph, gives the topological order and decides
 acyclicity. On a cyclic graph the nodes it leaves each have a parent among
@@ -20,13 +22,14 @@ from __future__ import annotations
 import heapq
 import re
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CyclicProgramError, GraphFormatError
 from .frozen import Frozen
 
-# The proposition-name rule shared by programs and graphs.
-VALID_NAME = re.compile(r"[a-z][A-Za-z0-9_]*$")
+# The proposition-name rule shared by programs, graphs and the clause scanner.
+NAME = r"[a-z][A-Za-z0-9_]*"
+VALID_NAME = re.compile(NAME + "$")
 RESERVED_NAMES = frozenset({"true", "false"})
 
 
@@ -44,16 +47,9 @@ class DependencyGraph(Frozen):
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DependencyGraph":
         edge_set = frozenset(edges)
-        return DependencyGraph._trusted(frozenset(nodes).union(*edge_set), edge_set)
-
-    @classmethod
-    def _trusted(cls, nodes: frozenset[str],
-                 edges: frozenset[tuple[str, str]]) -> "DependencyGraph":
-        """A graph whose caller has checked that ``nodes`` holds both ends
-        of every edge."""
-        graph = object.__new__(cls)
-        graph.__dict__.update(nodes=nodes, edges=edges)
-        return graph
+        # the nodes hold both ends of every edge
+        return DependencyGraph._trusted(nodes=frozenset(nodes).union(*edge_set),
+                                        edges=edge_set)
 
     # -- local structure ---------------------------------------------------
 
@@ -225,13 +221,3 @@ def _check_name(token: str, lineno: int) -> str:
         raise GraphFormatError(
             f"{where}{token!r} is a reserved word and cannot name a proposition")
     return token
-
-
-def subsets_by_size(items: Iterable[str]) -> Iterator[frozenset[str]]:
-    """All subsets of ``items``, by increasing size, lexicographic within a size."""
-    from itertools import combinations
-
-    ordered = sorted(items)
-    for size in range(len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            yield frozenset(combo)

@@ -49,6 +49,7 @@ from .reconstruction import (
     SuccessTable,
     pattern_code,
     reconstruct,
+    subset_text,
     subsets_by_code,
     table_order,
 )
@@ -235,7 +236,11 @@ def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], i
     provenance, start = _csv_comments(lines)
     if start >= len(lines) or not lines[start].strip():
         raise DatasetError("missing header row")
-    return provenance, tuple(name.strip() for name in lines[start].split(",")), start
+    columns = tuple(name.strip() for name in lines[start].split(","))
+    if "" in columns:
+        raise DatasetError(f"line {start + 1}: column {columns.index('') + 1} "
+                           "of the header has no name")
+    return provenance, columns, start
 
 
 def _cell_codes(width: int) -> np.ndarray:
@@ -406,8 +411,7 @@ class FrequencyOracle:
         if starved.any():
             listed = sorted(((subsets[code], int(support[code])) for code in starved.nonzero()[0]),
                             key=lambda entry: table_order(entry[0]))
-            listing = "; ".join(f"{{{', '.join(sorted(s)) or ''}}} has {n} samples"
-                                for s, n in listed)
+            listing = "; ".join(f"{subset_text(s)} has {n} samples" for s, n in listed)
             raise StarvedPatternError(
                 f"{target}: {len(listed)} parent pattern(s) below support: {listing}",
                 target=target, patterns=tuple(listed),
@@ -427,7 +431,7 @@ class FrequencyOracle:
         if n < self.min_support:
             subset = frozenset(name for name, value in pattern.items() if value)
             raise StarvedPatternError(
-                f"pattern {{{', '.join(sorted(subset))}}} matches only {n} rows "
+                f"pattern {subset_text(subset)} matches only {n} rows "
                 f"(minimum support {self.min_support})",
                 target=target, patterns=((subset, n),),
             )

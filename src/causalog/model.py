@@ -56,17 +56,6 @@ class Literal(Frozen):
     def __hash__(self) -> int:
         return hash((self.name, self.positive))
 
-    @classmethod
-    def _trusted(cls, name: str, positive: bool) -> "Literal":
-        """A literal whose caller has checked that ``name`` is a valid,
-        unreserved proposition name."""
-        lit = object.__new__(cls)
-        lit.__dict__.update(name=name, positive=positive)
-        return lit
-
-    def negated(self) -> "Literal":
-        return Literal(self.name, not self.positive)
-
     def __str__(self) -> str:
         return self.name if self.positive else f"\\+ {self.name}"
 
@@ -102,25 +91,19 @@ class Clause(Frozen):
     def __hash__(self) -> int:
         return hash((self.effect, self.causes, self.probability))
 
-    @classmethod
-    def _trusted(cls, effect: str, causes: frozenset[Literal],
-                 probability: float) -> "Clause":
-        """A clause whose caller has made ``__init__``'s checks: a valid
-        effect name, a frozenset body naming no atom twice and a float in
-        [0, 1]."""
-        clause = object.__new__(cls)
-        clause.__dict__.update(effect=effect, causes=causes, probability=probability)
-        return clause
-
     def sorted_body(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.causes, key=lambda lit: lit.name))
 
     def text(self) -> str:
-        head = f"{float_text(self.probability)} :: {self.effect}"
-        if not self.causes:
-            return head + "."
-        body = ", ".join(str(lit) for lit in self.sorted_body())
-        return f"{head} :- {body}."
+        return Clause.format(self.probability, self.effect, map(str, self.sorted_body()))
+
+    @staticmethod
+    def format(probability: float, effect: str, body: Iterable[str] = ()) -> str:
+        """The statement ``p :: effect :- body.``, or ``p :: effect.`` when
+        ``body``, the texts of its literals, is empty."""
+        head = f"{float_text(probability)} :: {effect}"
+        listed = ", ".join(body)
+        return f"{head} :- {listed}." if listed else head + "."
 
 
 def body_keys(pairs: Iterable[tuple[str, bool]]) -> tuple[tuple, tuple]:
@@ -217,8 +200,8 @@ class Program:
         self._rows = rows
         self._factors: dict = {}  # the engine's factors, built once per node
         self._declared = declared - mentioned
-        self._graph = DependencyGraph._trusted(frozenset(mentioned | declared),
-                                               frozenset(edges))
+        self._graph = DependencyGraph._trusted(nodes=frozenset(mentioned | declared),
+                                               edges=frozenset(edges))
 
     # -- basic views ---------------------------------------------------------
 
@@ -233,8 +216,10 @@ class Program:
         for effect in sorted(self._rows, key=rank.__getitem__):
             for row, fire in self._rows[effect]:
                 if row not in bodies:
-                    bodies[row] = frozenset([Literal._trusted(*key) for key in row])
-                clauses.append(Clause._trusted(effect, bodies[row], fire))
+                    bodies[row] = frozenset([Literal._trusted(name=name, positive=positive)
+                                             for name, positive in row])
+                clauses.append(Clause._trusted(effect=effect, causes=bodies[row],
+                                               probability=fire))
         return tuple(clauses)
 
     @cached_property
@@ -244,13 +229,6 @@ class Program:
 
     def dependency_graph(self) -> DependencyGraph:
         return self._graph
-
-    @cached_property
-    def clauses_by_effect(self) -> Mapping[str, tuple[Clause, ...]]:
-        by: dict[str, list[Clause]] = {}
-        for c in self.clauses:
-            by.setdefault(c.effect, []).append(c)
-        return {k: tuple(v) for k, v in by.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Program):
@@ -285,7 +263,8 @@ class Program:
             while name in internal:
                 name = "u" + name
             # a Clause's effect and body have passed LogicalClause's checks
-            clauses.append(LogicalClause._trusted(c.effect, c.causes, frozenset({name})))
+            clauses.append(LogicalClause._trusted(head=c.effect, literals=c.causes,
+                                                  noise=frozenset({name})))
             probs[name] = c.probability
         return DesugaredProgram(clauses, probs, declared=self._declared)
 
@@ -311,15 +290,6 @@ class LogicalClause(Frozen):
         if len(set(names)) != len(names):
             raise ProgramError(f"contradictory body for {head}")
         self.__dict__.update(head=head, literals=literals, noise=noise)
-
-    @classmethod
-    def _trusted(cls, head: str, literals: frozenset[Literal],
-                 noise: frozenset[str]) -> "LogicalClause":
-        """A clause whose caller has made ``__init__``'s checks: a valid head
-        name and a frozenset body naming no atom twice."""
-        clause = object.__new__(cls)
-        clause.__dict__.update(head=head, literals=literals, noise=noise)
-        return clause
 
 
 class DesugaredProgram:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .graph import RESERVED_NAMES
+from .graph import NAME, RESERVED_NAMES
 from .model import Program, body_keys
 
 # Token kinds: the groups of _LEXEME, and the end of input. Blanks and
@@ -124,13 +124,12 @@ def parse_program(text: str) -> Program:
 # so a run of blanks and comments splits one way only and a failed match
 # never backtracks through it.
 _B = r"[ \t\r\n]*"
-_NAME = r"[a-z][A-Za-z0-9_]*"
-_LIT = rf"(?:\\\+{_B})?{_NAME}"
+_LIT = rf"(?:\\\+{_B})?{NAME}"
 _STATEMENT = re.compile(
     rf"{_B}(?:%[^\n]*(?:\n|\Z){_B})*"
-    rf"(?:([0-9]+(?:\.[0-9]+)?){_B}::{_B}({_NAME}){_B}"
+    rf"(?:([0-9]+(?:\.[0-9]+)?){_B}::{_B}({NAME}){_B}"
     rf"(?::-{_B}({_LIT}(?:{_B},{_B}{_LIT})*){_B})?\.|\Z)")
-_LITERAL = re.compile(rf"(\\\+)?{_B}({_NAME})")
+_LITERAL = re.compile(rf"(\\\+)?{_B}({NAME})")
 
 
 def _scan(text: str) -> Program | None:

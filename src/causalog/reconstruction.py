@@ -27,15 +27,17 @@ the node's factor when no pattern of those parents can have zero mass, and
 otherwise from one calibration of the families ``reconstruct`` asks (one
 elimination answers any other parent set); the frequency oracle counts the
 families ``reconstruct`` asks in groups, one bincount over the rows' codes
-of each group's columns.
+of each group's columns. The success-table pattern lives here for both: its
+order (``subsets_by_size``), its codes (``pattern_code``) and its text in
+messages (``subset_text``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import compress, product
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from itertools import combinations, compress, product
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .engine import (
     Factor,
@@ -59,7 +61,7 @@ from .errors import (
 )
 from .formula import conjunction_of
 from .frozen import Frozen
-from .graph import DependencyGraph, subsets_by_size
+from .graph import DependencyGraph
 from .model import Clause, Literal, Program
 
 if TYPE_CHECKING:
@@ -89,20 +91,31 @@ def subsets_by_code(parents: tuple[str, ...]) -> list[frozenset[str]]:
             for bits in product((False, True), repeat=len(parents))]
 
 
+def subsets_by_size(items: Iterable[str]) -> Iterator[frozenset[str]]:
+    """All subsets of ``items`` in table order: by increasing size,
+    lexicographic within a size."""
+    ordered = sorted(items)
+    for size in range(len(ordered) + 1):
+        for combo in combinations(ordered, size):
+            yield frozenset(combo)
+
+
 def table_order(subset: frozenset[str]) -> tuple[int, list[str]]:
     """The key that sorts subsets in table order, as ``subsets_by_size``
     lists them: by size, then by name."""
     return len(subset), sorted(subset)
 
 
+def subset_text(subset: Iterable[str]) -> str:
+    """A pattern in messages, as the parents it pins true: ``{a, b}``."""
+    return f"{{{', '.join(sorted(subset))}}}"
+
+
 def pattern_error(target: str, subset: frozenset[str], err: CausalogError) -> OracleError:
     """The error of an oracle that failed for ``target`` at the pattern
     pinning ``subset`` true, for ``err``; raise it from ``err``."""
-    return OracleError(
-        f"oracle failed for {target} at pattern "
-        f"{{{', '.join(sorted(subset)) or ''}}}: {err}",
-        target=target, subset=subset,
-    )
+    return OracleError(f"oracle failed for {target} at pattern {subset_text(subset)}: {err}",
+                       target=target, subset=subset)
 
 
 class OracleAnswer(NamedTuple):
@@ -151,10 +164,12 @@ class ExactOracle:
     that is not a family takes one elimination onto the target and those
     parents (``engine.marginal``).
 
-    The cap applies to every table, the factors the factor path tabulates
-    included. A calibration whose largest table exceeds it builds nothing,
-    and every node then takes its own elimination, so a node whose closure,
-    factor or largest table exceeds the cap fails alone. A pattern over more
+    The cap, ``max_worlds`` or else CAUSALOG_MAX_WORLDS, is resolved once,
+    when the oracle is built, so a bad setting raises there. It applies to
+    every table, the factors the factor path tabulates included. A
+    calibration whose largest table exceeds it builds nothing, and every node
+    then takes its own elimination, so a node whose closure, factor or
+    largest table exceeds the cap fails alone. A pattern over more
     than ``engine.MAX_TABLE_WIDTH`` propositions raises TableSizeError. Every
     answer is trusted to EXACT_TOLERANCE.
 
@@ -164,7 +179,7 @@ class ExactOracle:
 
     def __init__(self, program: Program, max_worlds: int | None = None):
         self._program = program
-        self._max_worlds = max_worlds
+        self._max_worlds = resolved_max_worlds(max_worlds)
         self._expected: Sequence[Family] | None = None
         self._families: Mapping[tuple[str, ...], JointTable] | None = None
         # each node seen: whether every factor of its closure is strictly
@@ -237,9 +252,9 @@ class ExactOracle:
         """The node's factor, which the program keeps, refused on each read
         when its table exceeds the cap."""
         factor = node_factor(self._program, node)
-        cells, cap = 1 << len(factor.scope), resolved_max_worlds(self._max_worlds)
-        if cells > cap:
-            raise EnumerationCapError(cells, cap)
+        cells = 1 << len(factor.scope)
+        if cells > self._max_worlds:
+            raise EnumerationCapError(cells, self._max_worlds)
         return factor
 
     def _closure_positive(self, names: Iterable[str]) -> bool:
@@ -404,8 +419,7 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
         if residual > threshold:
             if miss <= tol:
                 raise SaturationError(
-                    f"{table.target}: prediction at "
-                    f"{{{', '.join(sorted(subset)) or ''}}} is already within "
+                    f"{table.target}: prediction at {subset_text(subset)} is already within "
                     f"tolerance of certainty but the table value still exceeds "
                     f"it; the clause probability cannot be solved",
                     table.target, subset,
@@ -415,7 +429,7 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
             if not 0.0 < solved <= 1.0:  # below 0 only for a negative tolerance
                 raise ImproperParameterError(
                     f"{table.target}: solved probability {solved} at "
-                    f"{{{', '.join(sorted(subset)) or ''}}} escapes (0, 1]; "
+                    f"{subset_text(subset)} escapes (0, 1]; "
                     f"the table is not noisy-OR shaped",
                     table.target, subset,
                 )
@@ -431,8 +445,7 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
                                         threshold, True, solved, note))
         elif residual < -threshold:
             raise NonMonotoneTableError(
-                f"{table.target}: value {value} at "
-                f"{{{', '.join(sorted(subset)) or ''}}} falls below the "
+                f"{table.target}: value {value} at {subset_text(subset)} falls below the "
                 f"prediction {predicted} by more than the tolerance "
                 f"{threshold}; the oracle is not consistent with any "
                 f"positive program",
@@ -487,11 +500,8 @@ class NodeReport(Frozen):
                       "read": self.read},
         }
         if self.table is not None:
-            out["table"] = {
-                ",".join(sorted(s)): v for s, v in sorted(
-                    self.table.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-                )
-            }
+            values = self.table.values
+            out["table"] = {",".join(sorted(s)): values[s] for s in self.table.subsets()}
         if self.error is not None:
             out["error"] = {"code": self.error.code, "message": str(self.error)}
         return out
@@ -577,6 +587,7 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
         # float in (0, 1)
         for body, prob in solved:
             clauses.append(Clause._trusted(
-                target, frozenset([Literal._trusted(b, True) for b in body]), prob))
+                effect=target, probability=prob,
+                causes=frozenset([Literal._trusted(name=b, positive=True) for b in body])))
     program = Program(clauses, declared=sorted(graph.nodes))
     return ReconstructionResult(program, reports, failures)

@@ -32,10 +32,6 @@ class ValidationReport(Frozen):
         self.__dict__.update(acyclic=acyclic, positive=positive,
                              proper_normal_form=proper_normal_form, diagnostics=diagnostics)
 
-    @property
-    def all_ok(self) -> bool:
-        return self.acyclic and self.positive and self.proper_normal_form
-
     def to_json_dict(self) -> dict:
         return {
             "acyclic": self.acyclic,

@@ -35,8 +35,8 @@ from causalog import (
     parse_program,
     probability,
 )
-from causalog.graph import subsets_by_size
 from causalog.model import float_text
+from causalog.reconstruction import subsets_by_size
 
 
 def numpy_rng(seed):
@@ -169,7 +169,7 @@ def random_assignment(rng, names, size):
 def closed_form_success(program, target, subset):
     """Noisy-OR of the target's clauses whose causes lie inside ``subset``."""
     miss = 1.0
-    for clause in program.clauses_by_effect.get(target, ()):
+    for clause in (c for c in program.clauses if c.effect == target):
         causes = {lit.name for lit in clause.causes}
         if causes <= set(subset):
             miss *= 1.0 - clause.probability
@@ -231,7 +231,7 @@ def _well_conditioned(program, parent_map, pair_target,
                       margin=0.06, saturation=0.9):
     bodies = {
         name: {frozenset(l.name for l in c.causes): c.probability
-               for c in program.clauses_by_effect.get(name, ())}
+               for c in program.clauses if c.effect == name}
         for name in parent_map
     }
     for name, parents in parent_map.items():

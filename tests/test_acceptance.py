@@ -26,7 +26,7 @@ from causalog import (
     probability,
     reconstruct,
 )
-from causalog.graph import subsets_by_size
+from causalog.reconstruction import subsets_by_size
 
 from conftest import SHARED_JOINT
 from proggen import (

@@ -44,7 +44,7 @@ def test_intervene_erases_and_pins(boost_program):
     texts = forced.to_text().splitlines()
     assert "1.0 :: treatment." in texts
     assert "0.5 :: treatment." not in texts
-    assert len(forced.clauses_by_effect["treatment"]) == 1
+    assert [c.effect for c in forced.clauses].count("treatment") == 1
 
 
 def test_intervene_false_keeps_proposition_queryable(boost_program):

@@ -224,6 +224,18 @@ def test_reconstruct_cap_advice_points_at_what_it_takes(capsys, monkeypatch):
     assert usage.value.code == 2
 
 
+def test_reconstruct_reports_a_bad_cap_setting_once(capsys, monkeypatch):
+    # the setting is read once, before any node, and reported as query
+    # reports it, not as an oracle failure of every node
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("CAUSALOG_MAX_WORLDS", "abc")
+    message = "error[error]: CAUSALOG_MAX_WORLDS must be a positive integer, got 'abc'\n"
+    assert cli.main(["reconstruct", "--hidden", BOOST, "--graph", EDGES]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert cli.main(["query", BOOST, "--prob", "recovery"]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("rows", ["1000000000000000000000000000000", "9223372036854775807"])
 def test_sample_count_numpy_cannot_shape_is_a_dataset_error(rows, tmp_path, capsys,
                                                             monkeypatch):
@@ -394,21 +406,32 @@ def test_reconstruct_to_file(tmp_path):
 
 # --- twin export ----------------------------------------------------------------
 
+# the boost program plus a fact whose probability, 1e-21, repr writes with
+# an exponent, and a fact of probability one
+TWIN_EXTRA = "0.000000000000000000001 :: rare.\n1 :: sure.\n"
 TWIN_TEXT = """\
-0.5 :: u1.
-0.5 :: u2.
-0.4 :: u3.
-1.0 :: treatment__e :- u1.
-1.0 :: recovery__e :- u2.
-1.0 :: recovery__i :- u2.
-1.0 :: recovery__e :- treatment__e, u3.
-1.0 :: recovery__i :- treatment__i, u3.
+0.000000000000000000001 :: u1.
+1.0 :: u2.
+0.5 :: u3.
+0.5 :: u4.
+0.4 :: u5.
+1.0 :: rare__e :- u1.
+1.0 :: rare__i :- u1.
+1.0 :: sure__e :- u2.
+1.0 :: sure__i :- u2.
+1.0 :: treatment__e :- u3.
+1.0 :: recovery__e :- u4.
+1.0 :: recovery__i :- u4.
+1.0 :: recovery__e :- treatment__e, u5.
+1.0 :: recovery__i :- treatment__i, u5.
 1.0 :: treatment__i.
 """
 
 
-def test_twin_export_stdout():
-    result = run_cli("twin-export", BOOST, "--do", "treatment")
+def test_twin_export_stdout(tmp_path):
+    source = tmp_path / "source.pl"
+    source.write_text((ROOT / BOOST).read_text() + TWIN_EXTRA)
+    result = run_cli("twin-export", str(source), "--do", "treatment")
     assert result.returncode == 0
     assert result.stdout == TWIN_TEXT
 

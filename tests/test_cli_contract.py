@@ -4,12 +4,15 @@ Whatever bytes a program, graph or CSV file holds, and whatever a literal
 list or formula flag says, ``cli.main`` exits 0, 1 or 2. A failure writes
 ``error[<code>]:`` lines (exit 1) or usage text (exit 2) on stderr, and
 never a traceback. The files hold random bytes or texts assembled from the
-tokens of their format, which get past the first check more often.
+tokens of their format, which get past the first check more often. The
+argument lists, last, are drawn from the subcommands, their flags, the
+fixtures and a few output paths.
 """
 
 import contextlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +138,69 @@ def test_learn(workdir, data, graph, support):
 @given(program=_programs, do=_literals)
 def test_twin_export(workdir, program, do):
     _run(workdir, {"p.pl": program}, ["twin-export", "p.pl", "--do", do])
+
+
+# --- random argument lists ----------------------------------------------------
+
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+_INPUTS = [str(_FIXTURES / name)
+           for name in ("recovery_boost.pl", "recovery_switch.pl", "recovery.edges")]
+# stand-ins for paths under the work directory: a CSV that ``sample`` may
+# have written earlier, a program file and the directory itself
+_OUTPUTS = ["out.csv", "out.pl", "."]
+_LITERAL_LISTS = ["treatment", "\\+recovery", "treatment,recovery", "zz", ""]
+# each argument with the values it is drawn with, None for a flag without
+# one; "file" is the positional program file
+_VALUES = {
+    "file": [*_INPUTS, "out.pl"], "--json": None, "--strict": None, "--help": None,
+    "--format": ["dot", "edges", "png"],
+    "--prob": ["recovery", "treatment & !recovery", "zz", "("],
+    "--given": _LITERAL_LISTS, "--do": _LITERAL_LISTS,
+    "--precision": ["0", "3", "1075", "x"], "--max-worlds": ["1", "4", "0"],
+    "-n": ["0", "1", "7", "100"], "--seed": ["0", "5", "-1"],
+    # the files each reads, the fitting one most often
+    "--graph": [_INPUTS[2], *_INPUTS], "--hidden": _INPUTS,
+    "--data": ["out.csv", "out.csv", *_INPUTS],
+    "--min-support": ["1", "30", "0"], "-o": _OUTPUTS,
+}
+# each subcommand's required arguments, then its optional ones
+_COMMANDS = {
+    "validate": (["file"], ["--strict", "--json"]),
+    "graph": (["file"], ["--format", "-o", "--json"]),
+    "query": (["file", "--prob"],
+              ["--given", "--do", "--precision", "--max-worlds", "--json"]),
+    "sample": (["file", "-n", "--seed", "-o"], ["--json"]),
+    "reconstruct": (["--hidden", "--graph"], ["-o", "--json"]),
+    "learn": (["--data", "--graph"], ["--min-support", "-o", "--json"]),
+    "twin-export": (["file", "--do"], ["-o", "--json"]),
+}
+
+
+def _argument(name: str) -> st.SearchStrategy[list[str]]:
+    values = _VALUES[name]
+    if values is None:
+        return st.just([name])
+    return st.sampled_from(values).map(lambda value: [value] if name == "file" else [name, value])
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A subcommand, most often with its required arguments, some of its
+    optional ones and now and then one of another's, in any order."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    names = [name for name in required if draw(st.integers(0, 9))]
+    names += [name for name in optional if draw(st.booleans())]
+    names += draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=1))
+    parts = [draw(_argument(name)) for name in names]
+    return [command, *sum(draw(st.permutations(parts)), [])]
+
+
+@settings(max_examples=300)
+@given(argv=_argvs())
+def test_random_argument_lists(workdir, argv):
+    # the output stand-ins follow -o and --data, so that a later run may
+    # read what an earlier one wrote
+    argv = [str(workdir / arg) if prev in ("-o", "--data") and arg in _OUTPUTS else arg
+            for prev, arg in zip([None, *argv], argv)]
+    _run(workdir, {}, argv)

@@ -319,6 +319,9 @@ def test_from_csv_accepts_loose_forms(tmp_path, text):
     ("a,b\n1,0\r\n1,\r\n", "line 5: cell '' is not 0 or 1"),
     ("a,b\n\n\n1,0\n10,0\n", "line 7: cell '10'"),
     ("# provenance: not json\na\n1\n", "provenance"),
+    ("a,,b\n1,0,1\n", "^line 2: column 2 of the header has no name$"),
+    (" a , \t,b\r\n1,0,1\r\n", "^line 2: column 2 of the header has no name$"),
+    (",\n", "^line 2: column 1 of the header has no name$"),
 ])
 def test_csv_error_lines_behind_provenance_and_blank_line(tmp_path, text, fragment):
     # a provenance line in front, a blank line after the header

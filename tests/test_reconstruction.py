@@ -33,8 +33,7 @@ from causalog import (
 )
 from causalog import reconstruction
 from causalog.engine import MAX_TABLE_WIDTH, marginal, marginals
-from causalog.graph import subsets_by_size
-from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS
+from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS, subsets_by_size
 
 from oracles import marginal_given
 from proggen import numpy_rng, random_program, with_negation_and_certainty
@@ -384,6 +383,22 @@ def test_exact_oracle_cap_fails_only_nodes_above_it():
             conditional(program, Atom(name), Not(Atom(f"n{int(name[1:]) - 1}")),
                         max_worlds=16)
     assert {c.effect for c in result.program.clauses} == {"n0", "n1", "n2", "n3"}
+
+
+def test_exact_oracle_resolves_the_cap_once(boost_program, monkeypatch):
+    # a bad setting is refused when the oracle is built, not at each node
+    monkeypatch.setenv("CAUSALOG_MAX_WORLDS", "abc")
+    with pytest.raises(CausalogError) as err:
+        ExactOracle(boost_program)
+    assert type(err.value) is CausalogError
+    assert str(err.value) == "CAUSALOG_MAX_WORLDS must be a positive integer, got 'abc'"
+    # an explicit cap is not read from the environment
+    assert reconstruct(ExactOracle(boost_program, max_worlds=16), TR_GRAPH).ok
+    # the cap in force when the oracle is built is the one it keeps
+    monkeypatch.setenv("CAUSALOG_MAX_WORLDS", "2")
+    oracle = ExactOracle(boost_program)
+    monkeypatch.delenv("CAUSALOG_MAX_WORLDS")
+    assert set(reconstruct(oracle, TR_GRAPH).failures) == {"recovery"}
 
 
 # --- frequency oracle: one bincount per success table -----------------------------
