@@ -5,6 +5,11 @@ treatment.``), answers observational, interventional, and counterfactual
 queries exactly, and recovers such programs from either an exact
 conditional-probability oracle or a table of samples, given the dependency
 graph.
+
+``import causalog`` loads the query stack: the parser, the clause model,
+the engine, the causal layer and the structural checks. The learning and
+reconstruction exports load on first use (PEP 562), so a process that only
+answers queries never compiles them.
 """
 
 from .causal import (
@@ -43,28 +48,34 @@ from .errors import (
 )
 from .formula import And, Atom, Const, Formula, Not, Or, conjunction_of, parse_formula
 from .graph import DependencyGraph
-from .learning import (
-    Dataset,
-    FrequencyOracle,
-    Provenance,
-    forward_sample,
-    learn,
-    program_fingerprint,
-)
 from .model import Clause, DesugaredProgram, Literal, LogicalClause, Program
 from .parser import parse_assignment, parse_program
-from .reconstruction import (
-    ExactOracle,
-    NodeReport,
-    OracleAnswer,
-    ReconstructionResult,
-    SuccessTable,
-    reconstruct,
-    success_table,
-)
 from .validate import ValidationReport, validate
 
 __version__ = "0.1.0"
+
+# each lazy export and the submodule that defines it
+_LAZY = {
+    **dict.fromkeys(("Dataset", "FrequencyOracle", "Provenance", "forward_sample", "learn",
+                     "program_fingerprint"), "learning"),
+    **dict.fromkeys(("ExactOracle", "NodeReport", "OracleAnswer", "ReconstructionResult",
+                     "SuccessTable", "reconstruct", "success_table"), "reconstruction"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "And",

@@ -19,6 +19,10 @@ in memory, with what to lower where the subcommand has it), 2 on bad usage.
 ``--json`` switches the output to one JSON document on stdout with the shape
 ``{"command": ..., "inputs": ..., "result": ..., "diagnostics": []}``; a run
 that fails prints no document.
+
+``learning`` and ``reconstruction`` are imported inside the ``sample``,
+``reconstruct`` and ``learn`` handlers, so the other subcommands never load
+them.
 """
 
 from __future__ import annotations
@@ -30,13 +34,11 @@ import sys
 from typing import Any, Callable
 
 from .causal import counterfactual_query, twin_program
-from .engine import MAX_WORLDS_ENV, conditional, probability
+from .engine import DEFAULT_MIN_SUPPORT, MAX_WORLDS_ENV, conditional, probability
 from .errors import CausalogError, GraphFormatError, ProgramError, ReconstructionError
 from .formula import conjunction_of, parse_formula
 from .graph import DependencyGraph
-from .learning import DEFAULT_MIN_SUPPORT, Dataset, forward_sample, learn
 from .parser import parse_assignment, parse_program
-from .reconstruction import ExactOracle, reconstruct
 from .validate import validate
 
 # what a subcommand returns: the --json document's inputs and result, and the
@@ -234,6 +236,8 @@ def _cmd_query(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_sample(args: argparse.Namespace) -> _Outcome:
+    from .learning import forward_sample
+
     program = parse_program(_read(args.file, ProgramError))
     dataset = forward_sample(program, args.rows, args.seed)
     dataset.to_csv(args.output)
@@ -255,6 +259,8 @@ def _recovered(inputs: dict[str, Any], result, args: argparse.Namespace) -> _Out
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> _Outcome:
+    from .reconstruction import ExactOracle, reconstruct
+
     hidden = parse_program(_read(args.hidden, ProgramError))
     graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = reconstruct(ExactOracle(hidden), graph)
@@ -262,6 +268,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_learn(args: argparse.Namespace) -> _Outcome:
+    from .learning import Dataset, learn
+
     dataset = Dataset.from_csv(args.data)
     graph = DependencyGraph.parse(_read(args.graph, GraphFormatError))
     result = learn(dataset, graph, min_support=args.min_support)

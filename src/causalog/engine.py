@@ -96,6 +96,10 @@ MAX_WORLDS_ENV = "CAUSALOG_MAX_WORLDS"
 # oracle's success table alike: such a table holds 2^width cells whatever
 # the cap on worlds allows
 MAX_TABLE_WIDTH = 20
+# the fewest rows learning trusts a parent pattern's rate from; it lives with
+# the other limits here so that the command line's --min-support reads it
+# without loading the learning module
+DEFAULT_MIN_SUPPORT = 30
 
 
 class QueryResult(Frozen):

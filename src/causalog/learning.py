@@ -37,10 +37,10 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .engine import check_table_width, solve
+from .engine import DEFAULT_MIN_SUPPORT, check_table_width, solve
 from .errors import DatasetError, OracleError, StarvedPatternError
 from .frozen import Frozen
-from .graph import DependencyGraph
+from .graph import RESERVED_NAMES, VALID_NAME, DependencyGraph
 from .model import Program
 from .reconstruction import (
     Family,
@@ -57,7 +57,6 @@ from .reconstruction import (
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_MIN_SUPPORT = 30
 # the standard errors a sample rate is trusted to
 Z = 3.0
 # the cells a block of rows holds, rounded down to whole rows but at least
@@ -232,14 +231,18 @@ def _csv_comments(lines: list[str]) -> tuple[Provenance | None, int]:
 
 def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], int]:
     """Provenance, column names and index of the header line: the first line
-    not starting with ``#``."""
+    not starting with ``#``. Each column must be named as a proposition."""
     provenance, start = _csv_comments(lines)
     if start >= len(lines) or not lines[start].strip():
         raise DatasetError("missing header row")
     columns = tuple(name.strip() for name in lines[start].split(","))
-    if "" in columns:
-        raise DatasetError(f"line {start + 1}: column {columns.index('') + 1} "
-                           "of the header has no name")
+    for k, name in enumerate(columns, start=1):
+        if not VALID_NAME.match(name) or name in RESERVED_NAMES:
+            where = f"line {start + 1}: column {k} of the header"
+            if not name:
+                raise DatasetError(f"{where} has no name")
+            why = "a reserved word" if name in RESERVED_NAMES else "not a proposition name"
+            raise DatasetError(f"{where}, {name!r}, is {why}")
     return provenance, columns, start
 
 

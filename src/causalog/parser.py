@@ -150,7 +150,14 @@ def _scan(text: str) -> Program | None:
         if prob > 1.0 or effect in RESERVED_NAMES:
             return None
         keys = bodies.get(body)
-        if keys is None:
+        if keys is None and "," not in body:
+            # one literal: nothing to deduplicate or sort
+            negated = body[0] == "\\"
+            name = body[2:].lstrip() if negated else body
+            if name in RESERVED_NAMES:
+                return None
+            keys = bodies[body] = (((name, negated),), ((name, not negated),))
+        elif keys is None:
             keys = body_keys({(name, neg != "") for neg, name in _LITERAL.findall(body)})
             names = dict(keys[0])
             if len(names) < len(keys[0]) or not RESERVED_NAMES.isdisjoint(names):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from causalog import cli, parse_program
+from causalog import cli, learning, parse_program, reconstruction
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -183,13 +183,13 @@ def test_wide_heads_answer_or_fail_by_name_under_a_memory_limit(tmp_path):
 
 
 @pytest.mark.parametrize("owner, name, argv, hint", [
-    (cli, "forward_sample", ["sample", BOOST, "-n", "10", "--seed", "1", "-o", "unused.csv"],
+    (learning, "forward_sample", ["sample", BOOST, "-n", "10", "--seed", "1", "-o", "unused.csv"],
      "; ask for fewer rows with -n\n"),
     (cli, "probability", ["query", BOOST, "--prob", "recovery"],
      "; lower the cap with --max-worlds or CAUSALOG_MAX_WORLDS\n"),
-    (cli, "ExactOracle", ["reconstruct", "--hidden", BOOST, "--graph", EDGES],
+    (reconstruction, "ExactOracle", ["reconstruct", "--hidden", BOOST, "--graph", EDGES],
      "; lower the cap with CAUSALOG_MAX_WORLDS\n"),
-    (cli.Dataset, "from_csv", ["learn", "--data", "unused.csv", "--graph", EDGES], "\n"),
+    (learning.Dataset, "from_csv", ["learn", "--data", "unused.csv", "--graph", EDGES], "\n"),
 ], ids=["sample", "query", "reconstruct", "learn"])
 def test_memory_error_names_what_bounds_the_subcommand(owner, name, argv, hint, capsys,
                                                        monkeypatch):
@@ -374,6 +374,16 @@ def test_learn_reports_starved_nodes(tmp_path):
     assert result.returncode == 1
     assert "b: error[starved]:" in result.stderr
     assert "error[reconstruction]: could not recover: b" in result.stderr
+
+
+def test_learn_names_a_header_that_is_no_proposition(capsys, monkeypatch):
+    # a program file passed as data: its comment line is the header, which
+    # names no proposition, so the error is about line 1, not line 2's cell
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["learn", "--data", BOOST, "--graph", EDGES]) == 1
+    assert capsys.readouterr() == ("", (
+        "error[dataset]: line 1: column 1 of the header, '% Treatment boosts the base "
+        "chance of recovery.', is not a proposition name\n"))
 
 
 # --- reconstruct ----------------------------------------------------------------
@@ -809,6 +819,73 @@ def test_validate_does_not_import_numpy():
                             text=True, cwd=str(ROOT))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
+
+
+# what `import causalog` loads: everything a query, a validation or a twin
+# export runs, and neither learning nor reconstruction
+QUERY_STACK = ["causalog", "causalog.causal", "causalog.engine", "causalog.errors",
+               "causalog.formula", "causalog.frozen", "causalog.graph", "causalog.model",
+               "causalog.parser", "causalog.validate"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (None, []),
+    (["validate", BOOST], ["cli"]),
+    (["graph", BOOST], ["cli"]),
+    (["query", BOOST, "--prob", "recovery", "--given", r"\+recovery", "--do", "treatment"],
+     ["cli"]),
+    (["twin-export", BOOST, "--do", "treatment"], ["cli"]),
+    (["sample", BOOST, "-n", "10", "--seed", "1", "-o", "{tmp}/rows.csv"],
+     ["cli", "learning", "reconstruction"]),
+    (["reconstruct", "--hidden", BOOST, "--graph", EDGES], ["cli", "reconstruction"]),
+    (["learn", "--data", "{tmp}/rows.csv", "--graph", EDGES, "--min-support", "1"],
+     ["cli", "learning", "reconstruction"]),
+], ids=["import", "validate", "graph", "query", "twin-export", "sample", "reconstruct",
+        "learn"])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, extra, tmp_path):
+    # a fresh process compiles every module it loads where no bytecode cache
+    # is kept, so a subcommand must not load what it never runs
+    (tmp_path / "rows.csv").write_text("recovery,treatment\n0,0\n1,0\n0,1\n1,1\n")
+    script = "import json, sys\nimport causalog\n"
+    if argv is not None:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        script += f"from causalog import cli\nstatus = cli.main({argv!r})\n"
+    else:
+        script += "status = 0\n"
+    script += ("print(json.dumps([status, sorted(name for name in sys.modules\n"
+               "                               if name.split('.')[0] == 'causalog')]))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=str(ROOT))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [
+        0, sorted(QUERY_STACK + [f"causalog.{name}" for name in extra])]
+
+
+@pytest.mark.parametrize("submodule", [None, "validate", "learning", "reconstruction"])
+def test_every_export_is_its_definition(submodule):
+    # the learning and reconstruction exports resolve on first use; a
+    # submodule loaded first must not shadow an export (causalog.validate
+    # names both), and the star import binds every name in __all__
+    script = ("import sys, types\n"
+              "import causalog\n"
+              + (f"import causalog.{submodule}\n" if submodule else "")
+              + "listed = set(dir(causalog))\n"
+              "star = {}\n"
+              "exec('from causalog import *', star)\n"
+              "for name in causalog.__all__:\n"
+              "    value = getattr(causalog, name)\n"
+              "    assert not isinstance(value, types.ModuleType), name\n"
+              "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+              "    assert name in listed, name\n"
+              "    assert star[name] is value, name\n"
+              "try:\n"
+              "    causalog.no_such_name\n"
+              "except AttributeError as err:\n"
+              "    print(err)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=str(ROOT))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "module 'causalog' has no attribute 'no_such_name'\n"
 
 
 # --- README examples ------------------------------------------------------------

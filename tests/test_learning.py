@@ -322,6 +322,10 @@ def test_from_csv_accepts_loose_forms(tmp_path, text):
     ("a,,b\n1,0,1\n", "^line 2: column 2 of the header has no name$"),
     (" a , \t,b\r\n1,0,1\r\n", "^line 2: column 2 of the header has no name$"),
     (",\n", "^line 2: column 1 of the header has no name$"),
+    ("a,B\n1,0\n", "^line 2: column 2 of the header, 'B', is not a proposition name$"),
+    (" x y ,b\r\n1,0\r\n",
+     "^line 2: column 1 of the header, 'x y', is not a proposition name$"),
+    ("a,true\n1,0\n", "^line 2: column 2 of the header, 'true', is a reserved word$"),
 ])
 def test_csv_error_lines_behind_provenance_and_blank_line(tmp_path, text, fragment):
     # a provenance line in front, a blank line after the header
