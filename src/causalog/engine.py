@@ -21,8 +21,10 @@ no per-cell object until a caller reads the cell.
 
 A factor is tabulated once over its own scope. A head's factor is its
 noisy-OR, P(head | parents) = 1 - prod(1 - fire(c)) over the clauses whose
-body holds; clauses of probability 0 or 1 make it deterministic. A table of
-at most 64 cells (``_LIST_CELLS``) is built cell by cell in Python lists, one
+body holds; clauses of probability 0 or 1 make it deterministic. ``noisy_or``
+computes it, for a factor and for the exact oracle of ``reconstruction``,
+which reads it off a program's rows without building one. A table of at
+most 64 cells (``_LIST_CELLS``) is built cell by cell in Python lists, one
 bit-mask test per body; a larger one in place, each clause's miss
 multiplying the slice its body selects of a table of ones, so the cap on
 cells bounds memory too. The two multiply the same misses in the same order
@@ -202,81 +204,48 @@ class Factor(Frozen):
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The factor tabulated once, one axis per variable of its scope:
-        each clause's miss 1 - fire multiplies, in clause order, the cells
-        where its body holds (none if it cannot hold). That builds a head's
-        P(0 | parents), and the pair factor's P(0, 1) and P(1, 0) for the
-        evidence and intervention copies and P(0, 0) where either body
-        holds; then P(1, 1) is 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0), and
-        P(0, 1) and P(1, 0) lose P(0, 0). A table of at most _LIST_CELLS
-        cells is built in Python lists, one bit-mask test per body per
-        cell; a larger one in place, each miss multiplying the slice its
-        body selects of a table of ones. Both give the same floats."""
+        """The factor tabulated once, one axis per variable of its scope: a
+        head's ``noisy_or``, or the pair factor, built like it in lists or by
+        slicing, whose clauses' misses multiply P(0, 1) and P(1, 0) where the
+        evidence and the intervention copy's body holds and P(0, 0) where
+        either holds; then P(1, 1) is 1 - P(h_e = 0) - P(h_i = 0) + P(0, 0),
+        and P(0, 1) and P(1, 0) lose P(0, 0)."""
         import numpy as np
 
-        if 1 << len(self.scope) <= _LIST_CELLS:
-            table = np.array(self._cells()).reshape((2,) * len(self.scope))
-            table.flags.writeable = False  # shared by every query on the program
-            return table
-        axis = {name: k for k, name in enumerate(self.scope)}
-        table = np.ones((2,) * len(self.scope))
-
-        def cells(body: tuple[tuple[str, bool], ...], *heads: int) -> tuple:
-            index = [*heads] + [slice(None)] * (len(self.scope) - len(heads))
-            for name, positive in body:
-                index[axis[name]] = int(positive)
-            return tuple(index)
-
+        shape = (2,) * len(self.scope)
         if len(self.heads) == 1:
-            for (body,), keep in self.terms:
-                if body is not None:
-                    table[cells(body, 0)] *= keep
-            np.subtract(1.0, table[0, ...], out=table[1, ...])
+            table = np.asarray(noisy_or(self.terms, self.scope[1:])).reshape(shape)
+        elif 1 << len(self.scope) <= _LIST_CELLS:
+            table = np.array(self._pair_cells()).reshape(shape)
         else:
+            axis = {name: k for k, name in enumerate(self.scope)}
+            table = np.ones(shape)
             both = table[0, 0, ...]
             for bodies, keep in self.terms:
                 either = np.zeros(both.shape, dtype=bool)
                 for body, heads in zip(bodies, ((0, 1), (1, 0))):
                     if body is not None:
-                        index = cells(body, *heads)
-                        table[index] *= keep
-                        either[index[2:]] = True
+                        index = [*heads] + [slice(None)] * (len(self.scope) - 2)
+                        for name, positive in body:
+                            index[axis[name]] = int(positive)
+                        table[tuple(index)] *= keep
+                        either[tuple(index[2:])] = True
                 np.multiply(both, keep, out=both, where=either)
             hit = np.subtract(1.0, table[0, 1, ...], out=table[1, 1, ...])
             hit -= table[1, 0, ...]
             hit += both
             table[0, 1, ...] -= both
             table[1, 0, ...] -= both
-        table.flags.writeable = False
+        table.flags.writeable = False  # shared by every query on the program
         return table
 
-    def _cells(self) -> list[float]:
-        """The table's cells in C order: a parent pattern is the bits of a
-        cell's index below the heads', and a body holds at the pattern i
-        when i & mask == want (a body that cannot hold wants a bit its mask
-        clears). Each product runs in clause order, and a clause whose body
-        fails multiplies by 1.0, which changes no float, so the cells are
-        the slicing's to the bit."""
-        width = len(self.scope) - len(self.heads)
-        bit = {name: 1 << (width - 1 - k) for k, name in enumerate(self.scope[len(self.heads):])}
-        terms = []
-        for bodies, keep in self.terms:
-            term = []
-            for body in bodies:
-                mask, want = 0, int(body is None)
-                for name, positive in body or ():
-                    mask |= bit[name]
-                    want |= bit[name] if positive else 0
-                term += (mask, want)
-            terms.append((*term, keep))
-        if len(self.heads) == 1:
-            misses = []
-            for i in range(1 << width):
-                miss = 1.0
-                for mask, want, keep in terms:
-                    miss *= keep if i & mask == want else 1.0
-                misses.append(miss)
-            return misses + [1.0 - miss for miss in misses]
+    def _pair_cells(self) -> list[float]:
+        """The pair factor's cells in C order, a parent pattern being the
+        bits of a cell's index below the heads'."""
+        width = len(self.scope) - 2
+        bit = {name: 1 << (width - 1 - k) for k, name in enumerate(self.scope[2:])}
+        terms = [(*_mask(e_body, bit), *_mask(d_body, bit), keep)
+                 for (e_body, d_body), keep in self.terms]
         rows = []  # per pattern, the misses where either body holds, and each copy's
         for i in range(1 << width):
             b = e = d = 1.0
@@ -288,6 +257,51 @@ class Factor(Frozen):
             rows.append((b, e, d))
         return ([b for b, _, _ in rows] + [e - b for b, e, _ in rows]
                 + [d - b for b, _, d in rows] + [1.0 - e - d + b for b, e, d in rows])
+
+
+def noisy_or(terms: Iterable[tuple[tuple[Body], float]], parents: Sequence[str]
+             ) -> list[float] | np.ndarray:
+    """A head's noisy-OR P(head | parents), over the head and then
+    ``parents``, from its factor's ((body,), miss) ``terms`` (a body None
+    cannot hold): each miss multiplies, in term order, the patterns where
+    its body holds, giving P(0 | pattern), and P(1 | pattern) is 1 minus
+    that; a pattern's index in either half has a bit per parent, the first
+    the most significant. A list in C order, or above _LIST_CELLS cells an
+    array built by slicing; a body that fails multiplies by 1.0, which
+    changes no float, so both agree."""
+    width = len(parents)
+    if 2 << width <= _LIST_CELLS:
+        bit = {name: 1 << (width - 1 - k) for k, name in enumerate(parents)}
+        tests = [(*_mask(body, bit), miss) for (body,), miss in terms]
+        misses = []
+        for i in range(1 << width):
+            product = 1.0
+            for mask, want, miss in tests:
+                product *= miss if i & mask == want else 1.0
+            misses.append(product)
+        return misses + [1.0 - product for product in misses]
+    import numpy as np
+
+    axis = {name: k for k, name in enumerate(parents, start=1)}
+    table = np.ones((2,) * (width + 1))
+    for (body,), miss in terms:
+        if body is not None:
+            index = [0] + [slice(None)] * width
+            for name, positive in body:
+                index[axis[name]] = int(positive)
+            table[tuple(index)] *= miss
+    np.subtract(1.0, table[0, ...], out=table[1, ...])
+    return table
+
+
+def _mask(body: Body, bit: Mapping[str, int]) -> tuple[int, int]:
+    """A body's (mask, want): it holds at the pattern i when i & mask == want;
+    one that cannot hold wants a bit its mask clears."""
+    mask, want = 0, int(body is None)
+    for name, positive in body or ():
+        mask |= bit[name]
+        want |= bit[name] if positive else 0
+    return mask, want
 
 
 # marks a node's intervention copy; no proposition's name can hold it
@@ -303,15 +317,21 @@ def _rows(program: Program) -> dict[str, list[tuple[Body, float]]]:
     return program._rows
 
 
+def head_terms(program: Program, node: str) -> list[tuple[tuple[Body], float]]:
+    """The ((body,), miss) terms of the node's clauses that can fire, in body
+    order: what its factor multiplies, read off the program's rows."""
+    return [((body,), 1.0 - fire) for body, fire in _rows(program).get(node, ()) if fire > 0.0]
+
+
 def node_factor(program: Program, node: str) -> Factor:
     """P(node | its parents in the program), the factor every query on the
     program shares, built once and kept on the program, so that it dies
     with it; its table is tabulated on first use."""
-    rows, cache = _rows(program), program._factors
+    _rows(program)  # a Program, or a ProgramError naming what was given
+    cache = program._factors
     found = cache.get(node)
     if found is None:
-        found = cache[node] = Factor((node,), tuple(
-            ((body,), 1.0 - fire) for body, fire in rows.get(node, ()) if fire > 0.0))
+        found = cache[node] = Factor((node,), tuple(head_terms(program, node)))
     return found
 
 
@@ -355,21 +375,19 @@ def _factors(program: Program, queried: Iterable[str],
 
     def factor(node: str, worlds: Sequence[bool], terms: Iterable) -> Factor:
         return Factor(tuple(node + _DO_MARK if do else node for do in worlds),
-                      tuple((tuple(body(b, do) for do in worlds), 1.0 - fire)
-                            for b, fire in terms if fire > 0.0))
+                      tuple((tuple(body(b, do) for do in worlds), miss) for (b,), miss in terms))
 
     needed = {intervened(name) for name in queried} | set(observed)
     factors = []
     for node in reversed(order):
-        terms = clauses.get(node, ())
         worlds = [do for do, name in ((False, node), (True, node + _DO_MARK)) if name in needed]
         if node in forced and True in worlds:
             worlds.pop()
-            factors.append(factor(node, [True], [((), 1.0)] if forced[node] else []))
+            factors.append(factor(node, [True], [(((),), 0.0)] if forced[node] else []))
         if worlds == [False]:
             factors.append(node_factor(program, node))
         elif worlds:
-            factors.append(factor(node, worlds, terms))
+            factors.append(factor(node, worlds, head_terms(program, node)))
         if worlds:
             needed.update(factors[-1].scope)
     return factors[::-1], intervened

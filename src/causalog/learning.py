@@ -42,20 +42,11 @@ from .errors import DatasetError, OracleError, StarvedPatternError
 from .frozen import Frozen
 from .graph import RESERVED_NAMES, VALID_NAME, DependencyGraph
 from .model import Program
-from .reconstruction import (
-    Family,
-    OracleAnswer,
-    ReconstructionResult,
-    SuccessTable,
-    pattern_code,
-    reconstruct,
-    subset_text,
-    subsets_by_code,
-    table_order,
-)
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .reconstruction import Family, OracleAnswer, ReconstructionResult, SuccessTable
 
 # the standard errors a sample rate is trusted to
 Z = 3.0
@@ -406,6 +397,8 @@ class FrequencyOracle:
         self._counted = {}
 
     def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
+        from .reconstruction import SuccessTable, subset_text, subsets_by_code, table_order
+
         support, hits = self._counts(target, parents)
         if hits is None:  # the target is not a column: DatasetError
             self._data.column(target)
@@ -427,6 +420,8 @@ class FrequencyOracle:
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
         """One pattern of the table ``success_table`` reads."""
+        from .reconstruction import OracleAnswer, pattern_code, subset_text
+
         parents = tuple(sorted(pattern))
         support, hits = self._counts(target, parents)
         code = pattern_code(parents, pattern)
@@ -505,4 +500,6 @@ class FrequencyOracle:
 def learn(dataset: Dataset, graph: DependencyGraph,
           min_support: int = DEFAULT_MIN_SUPPORT) -> ReconstructionResult:
     """Reconstruct a program from samples and a dependency graph."""
+    from .reconstruction import reconstruct
+
     return reconstruct(FrequencyOracle(dataset, min_support), graph)

@@ -172,13 +172,14 @@ class Program:
         self.clauses = tuple([k[4] for k in keyed])  # the given clauses, kept
 
     @classmethod
-    def _trusted(cls, entries: list[tuple[str, tuple, tuple, float]]) -> "Program":
+    def _trusted(cls, entries: list[tuple[str, tuple, tuple, float]],
+                 declared: Iterable[str] = ()) -> "Program":
         """The program of the (effect, *body_keys(causes), probability)
-        entries, declaring no atom, whose caller has made ``__init__``'s
-        checks: valid names, bodies naming no atom twice, probabilities in
-        [0, 1] and no two entries sharing effect and body."""
+        entries, whose caller has made ``__init__``'s checks on them (valid
+        names, bodies naming no atom twice, probabilities in [0, 1], no two
+        sharing effect and body); ``declared`` is checked as it is there."""
         program = object.__new__(cls)
-        program._build(entries, frozenset())
+        program._build(entries, frozenset(_check_proposition(n) for n in declared))
         return program
 
     def _build(self, entries: list[tuple], declared: frozenset[str]) -> None:

@@ -23,7 +23,8 @@ partial failures (starved patterns, non-monotone noise, unresolvable
 saturation) are collected per node and reconstruction still returns what it
 could recover. An oracle answers a node's whole success table in one call.
 The exact oracle reads the table of a node asked with its own parents off
-the node's factor when no pattern of those parents can have zero mass, and
+the hidden program's (body, fire) rows (the engine's ``noisy_or``, with no
+factor built) when no pattern of those parents can have zero mass, and
 otherwise from one calibration of the families ``reconstruct`` asks (one
 elimination answers any other parent set); the frequency oracle counts the
 families ``reconstruct`` asks in groups, one bincount over the rows' codes
@@ -40,12 +41,12 @@ from itertools import combinations, compress, product
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .engine import (
-    Factor,
     JointTable,
     check_table_width,
+    head_terms,
     marginal,
     marginals,
-    node_factor,
+    noisy_or,
     resolved_max_worlds,
     zero_evidence,
 )
@@ -62,7 +63,7 @@ from .errors import (
 from .formula import conjunction_of
 from .frozen import Frozen
 from .graph import DependencyGraph
-from .model import Clause, Literal, Program
+from .model import Program, body_keys
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,25 +154,27 @@ class ExactOracle:
     A family is a node with its parents in the program. When every factor of
     the ancestral closure of those parents is strictly positive, no cell 0,
     every parent pattern has positive mass, so P(node | pattern) is the
-    node's own factor at the pattern (the factorization): the table is read
-    off that factor, with no inference. Any other parent set takes the
-    general path, where the answer at a pattern is P(target, pattern) /
-    P(pattern), as a conditional would give, and a pattern of probability
-    zero raises ZeroEvidenceError. At the first family that needs it, one
-    calibration (``engine.marginals``) gives the marginal of every expected
-    family whose closure holds a zero cell: those ``expect`` was told, or the
-    program's own, and it covers only their ancestral closure. A parent set
-    that is not a family takes one elimination onto the target and those
-    parents (``engine.marginal``).
+    node's own factor at the pattern (the factorization): ``engine.noisy_or``
+    reads the table off the node's (body, fire) rows, with no inference and
+    without building the factor, and a closure node's factor is positive
+    where its misses lie in (0, 1). Any other parent set takes the general
+    path, where the answer at a pattern is P(target, pattern) / P(pattern),
+    as a conditional would give, and a pattern of probability zero raises
+    ZeroEvidenceError. At the first family that needs it, one calibration
+    (``engine.marginals``) gives the marginal of every expected family whose
+    closure holds a zero cell: those ``expect`` was told, or the program's
+    own, and it covers only their ancestral closure. A parent set that is
+    not a family takes one elimination onto the target and those parents
+    (``engine.marginal``).
 
     The cap, ``max_worlds`` or else CAUSALOG_MAX_WORLDS, is resolved once,
     when the oracle is built, so a bad setting raises there. It applies to
-    every table, the factors the factor path tabulates included. A
-    calibration whose largest table exceeds it builds nothing, and every node
-    then takes its own elimination, so a node whose closure, factor or
-    largest table exceeds the cap fails alone. A pattern over more
-    than ``engine.MAX_TABLE_WIDTH`` propositions raises TableSizeError. Every
-    answer is trusted to EXACT_TOLERANCE.
+    every table, the factors the factor read computes included, counted from
+    the rows first. A calibration whose largest table exceeds it builds
+    nothing, and every node then takes its own elimination, so a node whose
+    closure, factor or largest table exceeds the cap fails alone. A pattern
+    over more than ``engine.MAX_TABLE_WIDTH`` propositions raises
+    TableSizeError. Every answer is trusted to EXACT_TOLERANCE.
 
     Useful for round-trip testing and for re-expressing a program in positive
     normal form: reconstruction against this oracle returns a noisy-OR
@@ -183,8 +186,9 @@ class ExactOracle:
         self._expected: Sequence[Family] | None = None
         self._families: Mapping[tuple[str, ...], JointTable] | None = None
         # each node seen: whether every factor of its closure is strictly
-        # positive; each family seen: its route
+        # positive, and what _factor_cells gives; each family seen: its route
         self._positive: dict[str, bool] = {}
+        self._tables: dict[str, tuple[tuple[str, ...], list[float] | np.ndarray, bool]] = {}
         self._reads: dict[tuple[str, ...], str] = {}
 
     @property
@@ -223,7 +227,11 @@ class ExactOracle:
         family = (target, *parents)
         read = self._reads.get(family) or self._route(target, parents)
         if read == "factor":
-            return self._factor_row(target, parents).tolist(), read
+            scope, cells, _ = self._factor_cells(target)
+            if scope != parents:  # a parent only clauses of probability 0 read
+                cells = noisy_or(head_terms(self._program, target), parents)
+            return (cells[len(cells) // 2:] if isinstance(cells, list)
+                    else cells[1].reshape(-1).tolist()), read
         table = None
         if read == "calibration":
             if self._families is None:
@@ -248,14 +256,22 @@ class ExactOracle:
         self._reads[(target, *parents)] = read
         return read
 
-    def _factor(self, node: str) -> Factor:
-        """The node's factor, which the program keeps, refused on each read
-        when its table exceeds the cap."""
-        factor = node_factor(self._program, node)
-        cells = 1 << len(factor.scope)
-        if cells > self._max_worlds:
-            raise EnumerationCapError(cells, self._max_worlds)
-        return factor
+    def _factor_cells(self, node: str) -> tuple[tuple[str, ...], list[float] | np.ndarray, bool]:
+        """The parents the node's factor reads, in name order, its cells over
+        them by ``engine.noisy_or`` and whether none is 0, kept; refused on
+        each read when they exceed the cap."""
+        found = self._tables.get(node)
+        if found is None:
+            terms = head_terms(self._program, node)
+            scope = tuple(sorted({name for (body,), _ in terms for name, _ in body}))
+            cells = 2 << len(scope)
+            if cells > self._max_worlds:
+                raise EnumerationCapError(cells, self._max_worlds)
+            table = noisy_or(terms, scope)
+            # no cell is 0 exactly where every miss lies strictly inside (0, 1)
+            nonzero = all(table) if isinstance(table, list) else bool(table.all())
+            found = self._tables[node] = scope, table, nonzero
+        return found
 
     def _closure_positive(self, names: Iterable[str]) -> bool:
         """Whether every factor of the ancestral closure of ``names`` in the
@@ -275,25 +291,8 @@ class ExactOracle:
                 continue
             todo.pop()
             known[node] = (all(known[p] for p in graph.parents(node))
-                           and bool(self._factor(node).table.all()))
+                           and self._factor_cells(node)[2])
         return all(known[name] for name in names)
-
-    def _factor_row(self, target: str, parents: tuple[str, ...]) -> np.ndarray:
-        """P(target = 1 | pattern) off the target's factor, by pattern code;
-        a parent that only clauses of probability 0 read is not in the
-        factor's scope, and the row does not vary along it."""
-        import numpy as np
-
-        factor = self._factor(target)
-        unread = tuple(p for p in parents if p not in factor.scope)
-        table = factor.table
-        if unread:
-            table = table.reshape(table.shape + (1,) * len(unread))
-        axis = {name: k for k, name in enumerate(factor.scope + unread)}
-        row = table.transpose([axis[name] for name in (target, *parents)])[1]
-        if unread:
-            row = np.broadcast_to(row, (2,) * len(parents))
-        return row.reshape(-1)
 
     def _calibrate(self) -> Mapping[tuple[str, ...], JointTable]:
         """The marginal of every expected family whose parents' closure holds
@@ -561,7 +560,7 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
         raise ReconstructionError(
             f"oracle does not cover graph nodes: {', '.join(uncovered)}"
         )
-    clauses: list[Clause] = []
+    entries: list[tuple[str, tuple, tuple, float]] = []
     reports: dict[str, NodeReport] = {}
     failures: dict[str, CausalogError] = {}
     families = [(target, tuple(sorted(graph.parents(target))))
@@ -584,10 +583,8 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
                                      time.perf_counter() - start, read)
         # the names are graph nodes, which Program checks as declared ones;
         # each body is a distinct subset of the parents and each weight a
-        # float in (0, 1)
-        for body, prob in solved:
-            clauses.append(Clause._trusted(
-                effect=target, probability=prob,
-                causes=frozenset([Literal._trusted(name=b, positive=True) for b in body])))
-    program = Program(clauses, declared=sorted(graph.nodes))
+        # float in (0, 1]
+        entries += [(target, *body_keys([(name, False) for name in body]), prob)
+                    for body, prob in solved]
+    program = Program._trusted(entries, declared=sorted(graph.nodes))
     return ReconstructionResult(program, reports, failures)

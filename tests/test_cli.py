@@ -836,7 +836,7 @@ QUERY_STACK = ["causalog", "causalog.causal", "causalog.engine", "causalog.error
      ["cli"]),
     (["twin-export", BOOST, "--do", "treatment"], ["cli"]),
     (["sample", BOOST, "-n", "10", "--seed", "1", "-o", "{tmp}/rows.csv"],
-     ["cli", "learning", "reconstruction"]),
+     ["cli", "learning"]),
     (["reconstruct", "--hidden", BOOST, "--graph", EDGES], ["cli", "reconstruction"]),
     (["learn", "--data", "{tmp}/rows.csv", "--graph", EDGES, "--min-support", "1"],
      ["cli", "learning", "reconstruction"]),

@@ -6,6 +6,7 @@ import pytest
 from causalog import (
     Atom,
     CausalogError,
+    Clause,
     Dataset,
     DatasetError,
     DependencyGraph,
@@ -13,6 +14,7 @@ from causalog import (
     ExactOracle,
     FrequencyOracle,
     ImproperParameterError,
+    Literal,
     NonMonotoneTableError,
     Not,
     OracleAnswer,
@@ -31,9 +33,14 @@ from causalog import (
     reconstruct,
     success_table,
 )
-from causalog import reconstruction
-from causalog.engine import MAX_TABLE_WIDTH, marginal, marginals
-from causalog.reconstruction import EXACT_TOLERANCE, MAX_PARENTS, subsets_by_size
+from causalog import engine, reconstruction
+from causalog.engine import MAX_TABLE_WIDTH, marginal, marginals, node_factor
+from causalog.reconstruction import (
+    EXACT_TOLERANCE,
+    MAX_PARENTS,
+    subsets_by_code,
+    subsets_by_size,
+)
 
 from oracles import marginal_given
 from proggen import numpy_rng, random_program, with_negation_and_certainty
@@ -661,6 +668,8 @@ def test_strictly_positive_programs_need_no_inference(monkeypatch):
     for program in (_layered_positive(50), parse_program(hub)):
         result = reconstruct(ExactOracle(program), program.dependency_graph())
         assert result.ok and log == []
+        # the tables are read off the program's rows: no factor is built
+        assert program._factors == {}
         assert {report.read for report in result.nodes.values()} == {"factor"}
         want = {(c.effect, c.causes): c.probability for c in program.clauses}
         got = {(c.effect, c.causes): c.probability for c in result.program.clauses}
@@ -716,6 +725,63 @@ def test_factor_tables_equal_calibrated_tables():
                                   if c.effect == target and c.causes)
             for subset, value in want.items():
                 assert table.values[subset] == pytest.approx(value, abs=1e-12)
+    assert all(seen.values()), seen
+
+
+def _with_row_read_cases(rng, program):
+    """``program`` plus six facts r0..r5 read by a head w, whose bodies
+    negate some of them and whose weights include 0 and 1, a fact z that
+    only a clause of probability 0 reads, and a node lone with no clause."""
+    clauses = list(program.clauses)
+    roots = [f"r{k}" for k in range(6)]
+    clauses += [Clause(name, [], float(rng.uniform(0.1, 0.9))) for name in roots + ["z"]]
+    bodies = [[]] + [[Literal(name, bool(rng.random() < 0.6))] for name in roots]
+    bodies.append([Literal("r0"), Literal(roots[int(rng.integers(1, 6))], False)])
+    for body in bodies:
+        fire = rng.choice([0.0, 1.0]) if rng.random() < 0.2 else rng.uniform(0.1, 0.9)
+        clauses.append(Clause("w", body, float(fire)))
+    clauses.append(Clause("w", [Literal("z")], 0.0))
+    return Program(clauses, declared=[*program.propositions, "lone"])
+
+
+def test_exact_oracle_rows_equal_the_factor_tables():
+    # a table read by the factor route equals, float for float, the node's
+    # factor at head 1 in sorted parent order, whichever of noisy_or's two
+    # tabulations ran; the route is the one the factor tables give
+    rng = numpy_rng(2741)
+    seen = {"calibration": 0, "negated": 0, "certain": 0, "impossible": 0,
+            "unread": 0, "no_clause": 0, "listed": 0, "sliced": 0}
+    for _ in range(30):
+        program = _with_row_read_cases(rng, with_negation_and_certainty(
+            rng, random_program(rng, min_nodes=3, max_nodes=7, max_parents=3)))
+        graph = program.dependency_graph()
+        oracle = ExactOracle(program)
+        for target in program.propositions:
+            parents = tuple(sorted(graph.parents(target)))
+            closure = graph.ancestors(parents) | set(parents)
+            route = ("factor" if all(node_factor(program, a).table.all() for a in closure)
+                     else "calibration")
+            try:
+                table = success_table(oracle, target, parents)
+            except OracleError as err:
+                # a pattern of probability zero: some factor cell is zero
+                assert isinstance(err.__cause__, ZeroEvidenceError)
+                table = None
+            assert route == ("calibration" if table is None else table.read)
+            if route == "calibration":
+                seen["calibration"] += 1
+                continue
+            factor = node_factor(program, target)
+            for subset in subsets_by_code(parents):
+                cell = (1, *[int(name in subset) for name in factor.scope[1:]])
+                assert table.values[subset] == factor.table[cell]
+            own = [c for c in program.clauses if c.effect == target]
+            seen["negated"] += any(not lit.positive for c in own for lit in c.causes)
+            seen["certain"] += any(c.probability == 1.0 for c in own)
+            seen["impossible"] += any(c.probability == 0.0 for c in own)
+            seen["unread"] += len(factor.scope) < 1 + len(parents)
+            seen["no_clause"] += not own
+            seen["listed" if 2 << len(parents) <= engine._LIST_CELLS else "sliced"] += 1
     assert all(seen.values()), seen
 
 
