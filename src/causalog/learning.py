@@ -29,7 +29,8 @@ tolerance (Z * sqrt(v / n) with Z = 3, v estimated with add-one smoothing so
 it never degenerates to zero) and a minimum support below which the pattern
 is reported as starved instead of trusted. The families ``reconstruct``
 announces are counted in groups, one bincount per group, and a table's rates
-and tolerances are computed as arrays.
+and tolerances are computed as arrays and handed over as lists by pattern
+code.
 """
 
 from __future__ import annotations
@@ -90,12 +91,14 @@ class Dataset:
     The samples are stored one contiguous bool array per column, shape
     ``(columns, n)``; ``rows`` is a read-only ``(n, columns)`` view of that
     storage. The constructor copies the rows it is given, so the caller's
-    array stays the caller's."""
+    array stays the caller's. Each column must be named as a proposition,
+    as in a CSV header."""
 
     def __init__(self, columns: tuple[str, ...], rows: np.ndarray,
                  provenance: Provenance | None = None):
         import numpy as np
 
+        _check_columns(columns, "column {}")
         rows = np.asarray(rows, dtype=bool)
         if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise DatasetError(
@@ -227,14 +230,19 @@ def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], i
     if start >= len(lines) or not lines[start].strip():
         raise DatasetError("missing header row")
     columns = tuple(name.strip() for name in lines[start].split(","))
-    for k, name in enumerate(columns, start=1):
-        if not VALID_NAME.match(name) or name in RESERVED_NAMES:
-            where = f"line {start + 1}: column {k} of the header"
-            if not name:
-                raise DatasetError(f"{where} has no name")
-            why = "a reserved word" if name in RESERVED_NAMES else "not a proposition name"
-            raise DatasetError(f"{where}, {name!r}, is {why}")
+    _check_columns(columns, f"line {start + 1}: column {{}} of the header")
     return provenance, columns, start
+
+
+def _check_columns(columns: Sequence[str], where: str) -> None:
+    """Refuse the first column that is not named as a proposition, placed
+    by ``where`` with the column's number, from 1, in its ``{}``."""
+    for k, name in enumerate(columns, start=1):
+        if not (isinstance(name, str) and VALID_NAME.match(name)) or name in RESERVED_NAMES:
+            if not name:
+                raise DatasetError(f"{where.format(k)} has no name")
+            why = "a reserved word" if name in RESERVED_NAMES else "not a proposition name"
+            raise DatasetError(f"{where.format(k)}, {name!r}, is {why}")
 
 
 def _cell_codes(width: int) -> np.ndarray:
@@ -397,25 +405,24 @@ class FrequencyOracle:
         self._counted = {}
 
     def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
-        from .reconstruction import SuccessTable, subset_text, subsets_by_code, table_order
+        from .reconstruction import SuccessTable, code_order, subset_text, subsets_by_code
 
         support, hits = self._counts(target, parents)
         if hits is None:  # the target is not a column: DatasetError
             self._data.column(target)
-        subsets = subsets_by_code(parents)
         starved = support < self.min_support
         if starved.any():
-            listed = sorted(((subsets[code], int(support[code])) for code in starved.nonzero()[0]),
-                            key=lambda entry: table_order(entry[0]))
+            subsets = subsets_by_code(parents)
+            listed = [(subsets[code], int(support[code]))
+                      for code in sorted(starved.nonzero()[0].tolist(), key=code_order)]
             listing = "; ".join(f"{subset_text(s)} has {n} samples" for s, n in listed)
             raise StarvedPatternError(
                 f"{target}: {len(listed)} parent pattern(s) below support: {listing}",
                 target=target, patterns=tuple(listed),
             )
         rates, tolerances = self._estimates(hits, support)
-        return SuccessTable(target, parents, dict(zip(subsets, rates.tolist())),
-                            dict(zip(subsets, tolerances.tolist())),
-                            dict(zip(subsets, support.tolist())), "samples")
+        return SuccessTable(target, parents, rates.tolist(), tolerances.tolist(),
+                            support.tolist(), "samples")
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:

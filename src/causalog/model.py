@@ -57,7 +57,7 @@ class Literal(Frozen):
         return hash((self.name, self.positive))
 
     def __str__(self) -> str:
-        return self.name if self.positive else f"\\+ {self.name}"
+        return literal_text(self.name, self.positive)
 
 
 class Clause(Frozen):
@@ -106,6 +106,11 @@ class Clause(Frozen):
         return f"{head} :- {listed}." if listed else head + "."
 
 
+def literal_text(name: str, positive: bool) -> str:
+    """A literal as a clause body writes it: ``name`` or ``\\+ name``."""
+    return name if positive else f"\\+ {name}"
+
+
 def body_keys(pairs: Iterable[tuple[str, bool]]) -> tuple[tuple, tuple]:
     """A body's sort key, its (name, negated) ``pairs`` sorted, and its
     engine row, the same atoms as (name, positive) pairs in the same order:
@@ -145,8 +150,9 @@ class Program:
     (body, fire) rows in body order, the dependency graph, and the factors
     every query on it tabulates from the rows; they go with the program.
     The ``Clause`` objects in canonical order are what the constructor was
-    given, or, for a parsed program, built on the first read of ``clauses``.
-    Equality and hashing read the rows and ``declared`` alone.
+    given, or, for a parsed or recovered program, built on the first read of
+    ``clauses``. Equality, hashing and writing the program's text read the
+    rows and ``declared`` alone, so writing a program builds no ``Clause``.
     """
 
     def __init__(self, clauses: Iterable[Clause], declared: Iterable[str] = ()):
@@ -175,11 +181,11 @@ class Program:
     def _trusted(cls, entries: list[tuple[str, tuple, tuple, float]],
                  declared: Iterable[str] = ()) -> "Program":
         """The program of the (effect, *body_keys(causes), probability)
-        entries, whose caller has made ``__init__``'s checks on them (valid
-        names, bodies naming no atom twice, probabilities in [0, 1], no two
-        sharing effect and body); ``declared`` is checked as it is there."""
+        entries and the ``declared`` names, whose caller has made
+        ``__init__``'s checks on them (valid names, bodies naming no atom
+        twice, probabilities in [0, 1], no two sharing effect and body)."""
         program = object.__new__(cls)
-        program._build(entries, frozenset(_check_proposition(n) for n in declared))
+        program._build(entries, frozenset(declared))
         return program
 
     def _build(self, entries: list[tuple], declared: frozenset[str]) -> None:
@@ -248,9 +254,14 @@ class Program:
         return self.to_text()
 
     def to_text(self) -> str:
-        if not self._rows:
-            return ""
-        return "\n".join(c.text() for c in self.clauses) + "\n"
+        """One statement a line, written straight from the rows in the order
+        ``clauses`` lists them: effects by rank in the graph, each one's
+        rows in body order, a body's literals, like its row, by name."""
+        rank = self._graph.ordering_rank()
+        lines = [Clause.format(fire, effect, [literal_text(*atom) for atom in row])
+                 for effect in sorted(self._rows, key=rank.__getitem__)
+                 for row, fire in self._rows[effect]]
+        return "\n".join(lines) + "\n" if lines else ""
 
     # -- desugaring ----------------------------------------------------------
 

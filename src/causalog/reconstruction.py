@@ -28,8 +28,15 @@ factor built) when no pattern of those parents can have zero mass, and
 otherwise from one calibration of the families ``reconstruct`` asks (one
 elimination answers any other parent set); the frequency oracle counts the
 families ``reconstruct`` asks in groups, one bincount over the rows' codes
-of each group's columns. The success-table pattern lives here for both: its
-order (``subsets_by_size``), its codes (``pattern_code``) and its text in
+of each group's columns. Both hand over their tables as lists by pattern
+code, and a table is kept that way from the oracle through detection: the
+code of a pattern has a bit per parent, the first parent in name order the
+most significant, set where the parent is pinned true, so a body lies
+inside a subset when its bits are among the subset's. Subsets are built
+once per table, for the audit records and the accepted bodies, and read
+by subset only through a view. The success-table pattern lives
+here for both: its codes (``pattern_code``), their table order
+(``code_order``, as ``subsets_by_size`` lists the subsets) and its text in
 messages (``subset_text``).
 """
 
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import cache
 from itertools import combinations, compress, product
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
@@ -63,7 +71,7 @@ from .errors import (
 from .formula import conjunction_of
 from .frozen import Frozen
 from .graph import DependencyGraph
-from .model import Program, body_keys
+from .model import Program, _check_proposition, body_keys
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,6 +100,20 @@ def subsets_by_code(parents: tuple[str, ...]) -> list[frozenset[str]]:
             for bits in product((False, True), repeat=len(parents))]
 
 
+def code_order(code: int) -> tuple[int, int]:
+    """The key that sorts pattern codes in table order: by the number of
+    parents pinned true, then by descending code, which for parents in name
+    order is the order ``subsets_by_size`` lists their subsets in."""
+    return code.bit_count(), -code
+
+
+@cache
+def table_codes(width: int) -> tuple[int, ...]:
+    """The pattern codes of ``width`` parents in table order, kept per
+    width."""
+    return tuple(sorted(range(1 << width), key=code_order))
+
+
 def subsets_by_size(items: Iterable[str]) -> Iterator[frozenset[str]]:
     """All subsets of ``items`` in table order: by increasing size,
     lexicographic within a size."""
@@ -99,12 +121,6 @@ def subsets_by_size(items: Iterable[str]) -> Iterator[frozenset[str]]:
     for size in range(len(ordered) + 1):
         for combo in combinations(ordered, size):
             yield frozenset(combo)
-
-
-def table_order(subset: frozenset[str]) -> tuple[int, list[str]]:
-    """The key that sorts subsets in table order, as ``subsets_by_size``
-    lists them: by size, then by name."""
-    return len(subset), sorted(subset)
 
 
 def subset_text(subset: Iterable[str]) -> str:
@@ -201,14 +217,14 @@ class ExactOracle:
 
     def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
         values, read = self._read(target, parents)
-        subsets = subsets_by_code(parents)
-        zero = [s for s, value in zip(subsets, values) if value != value]  # NaN
-        if zero:
-            subset = min(zero, key=table_order)
+        total = sum(values)
+        if total != total:  # NaN: a pattern has probability zero
+            code = min((code for code, value in enumerate(values) if value != value),
+                       key=code_order)
+            subset = subsets_by_code(parents)[code]
             err = zero_evidence(conjunction_of({p: p in subset for p in parents}))
             raise pattern_error(target, subset, err) from err
-        return SuccessTable(target, parents, dict(zip(subsets, values)),
-                            dict.fromkeys(subsets, EXACT_TOLERANCE), None, read)
+        return SuccessTable(target, parents, values, [EXACT_TOLERANCE] * len(values), None, read)
 
     def success_given_parents(self, target: str,
                               pattern: Mapping[str, bool]) -> OracleAnswer:
@@ -318,36 +334,99 @@ class ExactOracle:
 
 
 class SuccessTable(Frozen):
-    """Success probability of one target under every on/off parent pattern.
+    """Success probability of one target under every on/off pattern of its
+    parents, which are distinct and in name order.
 
-    Keys of ``values`` are the subsets of ``parents`` pinned true (the rest
-    pinned false). ``tolerances`` carries the per-pattern trust radius and
-    ``support`` the per-pattern sample counts for empirical oracles. ``read``
-    says how the oracle read the table (``factor``, ``calibration``,
-    ``elimination`` or ``samples`` for the shipped oracles); it is not part
-    of the table's value."""
+    The table is kept by ``pattern_code``, the first parent the most
+    significant bit: ``values_by_code[code]`` is the success probability at
+    the pattern of that code, ``tolerances_by_code`` its trust radius and
+    ``support_by_code`` its sample count for empirical oracles (None for
+    exact ones), each a list. ``values``, ``tolerances`` and ``support`` are
+    read-only mapping views over them, built on each read and keyed by the
+    subset of ``parents`` pinned true (the rest pinned false). The
+    constructor takes each as a sequence by code, kept as a list, or as a
+    mapping keyed by subset, converted once. ``read`` says how the oracle
+    read the table (``factor``, ``calibration``, ``elimination`` or
+    ``samples`` for the shipped oracles); it is not part of the table's
+    value."""
 
     _fields = ("target", "parents", "values", "tolerances", "support", "read")
 
     def __init__(self, target: str, parents: tuple[str, ...],
-                 values: Mapping[frozenset[str], float],
-                 tolerances: Mapping[frozenset[str], float],
-                 support: Mapping[frozenset[str], int] | None = None,
+                 values: Sequence[float] | Mapping[frozenset[str], float],
+                 tolerances: Sequence[float] | Mapping[frozenset[str], float],
+                 support: Sequence[int] | Mapping[frozenset[str], int] | None = None,
                  read: str | None = None):
+        if list(parents) != sorted(set(parents)):
+            raise ReconstructionError(
+                f"success table for {target}: parents {list(parents)} are not distinct "
+                f"and in name order")
         expected = 1 << len(parents)
         if len(values) != expected or len(tolerances) != expected:
             raise ReconstructionError(
                 f"success table for {target} is incomplete: expected "
                 f"{expected} patterns, got {len(values)}"
             )
-        self.__dict__.update(target=target, parents=parents, values=values,
-                             tolerances=tolerances, support=support, read=read)
+        subsets = None
+        columns = []
+        for column in (values, tolerances, support):
+            if column is None or isinstance(column, list):
+                pass
+            elif isinstance(column, Mapping):
+                subsets = subsets or subsets_by_code(parents)
+                try:
+                    column = [column[s] for s in subsets]
+                except KeyError as err:
+                    raise ReconstructionError(f"success table for {target} has no pattern "
+                                              f"{subset_text(err.args[0])}") from None
+            else:
+                column = list(column)
+            columns.append(column)
+        self.__dict__.update(target=target, parents=parents, values_by_code=columns[0],
+                             tolerances_by_code=columns[1], support_by_code=columns[2],
+                             read=read)
+
+    @property
+    def values(self) -> Mapping[frozenset[str], float]:
+        return _BySubset(self.parents, self.values_by_code)
+
+    @property
+    def tolerances(self) -> Mapping[frozenset[str], float]:
+        return _BySubset(self.parents, self.tolerances_by_code)
+
+    @property
+    def support(self) -> Mapping[frozenset[str], int] | None:
+        counts = self.support_by_code
+        return None if counts is None else _BySubset(self.parents, counts)
 
     def _values(self) -> tuple:
-        return (self.target, self.parents, self.values, self.tolerances, self.support)
+        return (self.target, self.parents, self.values_by_code, self.tolerances_by_code,
+                self.support_by_code)
 
-    def subsets(self) -> Iterable[frozenset[str]]:
-        return subsets_by_size(self.parents)
+
+class _BySubset(Mapping, Frozen):
+    """A success table's entries by code, read by the subset of ``parents``
+    each pattern pins true; it iterates in code order and prints as the dict
+    it reads as."""
+
+    _fields = ("parents", "entries")
+
+    def __init__(self, parents: tuple[str, ...], entries: Sequence):
+        self.__dict__.update(parents=parents, entries=entries)
+
+    def __getitem__(self, subset: frozenset[str]):
+        if not (isinstance(subset, frozenset) and subset.issubset(self.parents)):
+            raise KeyError(subset)
+        return self.entries[pattern_code(self.parents, {p: p in subset for p in self.parents})]
+
+    def __iter__(self) -> Iterator[frozenset[str]]:
+        return iter(subsets_by_code(self.parents))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def success_table(oracle: Oracle, target: str, parents: Iterable[str]) -> SuccessTable:
@@ -390,7 +469,7 @@ class SubsetRecord(Frozen):
 def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
                                           list[SubsetRecord]]:
     """Detect which parent subsets are clause bodies and solve their
-    probabilities: the (body, probability) pairs in subset order, and the
+    probabilities: the (body, probability) pairs in table order, and the
     record of every subset."""
     # Subsets are visited smallest first, so the prediction at each subset
     # only involves parameters that are already solved. Every solved
@@ -400,60 +479,65 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
     # table with statistical tolerances would routinely accept phantom
     # clauses: the prediction is itself an estimate, and comparing the
     # residual against the raw per-pattern tolerance alone ignores that.
-    accepted: list[tuple[frozenset[str], float]] = []
-    solved_tol: dict[frozenset[str], float] = {}
+    # The walk is over pattern codes, and a body lies strictly inside a
+    # subset when its bits are a part of the subset's: every accepted body
+    # was visited before, so it is never the subset itself.
+    values, tolerances = table.values_by_code, table.tolerances_by_code
+    subsets = subsets_by_code(table.parents)
+    # each accepted body: its code, its miss 1 - p and its uncertainty / (1 - p)
+    accepted: list[tuple[int, float, float]] = []
+    solved_pairs: list[tuple[frozenset[str], float]] = []
     records: list[SubsetRecord] = []
-    for subset in table.subsets():
+    for code in table_codes(len(table.parents)):
         miss = 1.0
         spread = 0.0
-        for body, prob in accepted:
-            if body < subset:
-                miss *= 1.0 - prob
-                spread += solved_tol[body] / (1.0 - prob)
+        for body, keep, share in accepted:
+            if body & code == body:
+                miss *= keep
+                spread += share
         predicted = 1.0 - miss
-        value = table.values[subset]
-        tol = table.tolerances[subset]
+        value = values[code]
+        tol = tolerances[code]
         threshold = tol + miss * spread
         residual = value - predicted
         if residual > threshold:
             if miss <= tol:
                 raise SaturationError(
-                    f"{table.target}: prediction at {subset_text(subset)} is already within "
-                    f"tolerance of certainty but the table value still exceeds "
+                    f"{table.target}: prediction at {subset_text(subsets[code])} is already "
+                    f"within tolerance of certainty but the table value still exceeds "
                     f"it; the clause probability cannot be solved",
-                    table.target, subset,
+                    table.target, subsets[code],
                 )
             solved = 1.0 - (1.0 - value) / miss
             note = ""
             if not 0.0 < solved <= 1.0:  # below 0 only for a negative tolerance
                 raise ImproperParameterError(
                     f"{table.target}: solved probability {solved} at "
-                    f"{subset_text(subset)} escapes (0, 1]; "
+                    f"{subset_text(subsets[code])} escapes (0, 1]; "
                     f"the table is not noisy-OR shaped",
-                    table.target, subset,
+                    table.target, subsets[code],
                 )
             limit = 1.0 - max(tol, 1e-15)
             if solved > limit:
                 note = f"clamped from {solved}"
                 solved = limit
-            accepted.append((subset, solved))
-            solved_tol[subset] = (
-                tol / miss + max(0.0, 1.0 - value) / miss * spread
-            )
-            records.append(SubsetRecord(subset, value, predicted, residual,
+            uncertainty = tol / miss + max(0.0, 1.0 - value) / miss * spread
+            accepted.append((code, 1.0 - solved, uncertainty / (1.0 - solved)))
+            solved_pairs.append((subsets[code], solved))
+            records.append(SubsetRecord(subsets[code], value, predicted, residual,
                                         threshold, True, solved, note))
         elif residual < -threshold:
             raise NonMonotoneTableError(
-                f"{table.target}: value {value} at {subset_text(subset)} falls below the "
-                f"prediction {predicted} by more than the tolerance "
+                f"{table.target}: value {value} at {subset_text(subsets[code])} falls below "
+                f"the prediction {predicted} by more than the tolerance "
                 f"{threshold}; the oracle is not consistent with any "
                 f"positive program",
-                table.target, subset,
+                table.target, subsets[code],
             )
         else:
-            records.append(SubsetRecord(subset, value, predicted, residual,
+            records.append(SubsetRecord(subsets[code], value, predicted, residual,
                                         threshold, False))
-    return accepted, records
+    return solved_pairs, records
 
 
 class NodeReport(Frozen):
@@ -499,8 +583,10 @@ class NodeReport(Frozen):
                       "read": self.read},
         }
         if self.table is not None:
-            values = self.table.values
-            out["table"] = {",".join(sorted(s)): values[s] for s in self.table.subsets()}
+            values, parents = self.table.values_by_code, self.table.parents
+            subsets = subsets_by_code(parents)
+            out["table"] = {",".join(sorted(subsets[code])): values[code]
+                            for code in table_codes(len(parents))}
         if self.error is not None:
             out["error"] = {"code": self.error.code, "message": str(self.error)}
         return out
@@ -540,7 +626,8 @@ def _patterns_read(err: CausalogError, parents: tuple[str, ...]) -> int:
     if isinstance(err, StarvedPatternError):
         return 1 << len(parents)
     if isinstance(err, OracleError) and err.subset is not None:
-        return list(subsets_by_size(parents)).index(err.subset) + 1
+        code = pattern_code(parents, {p: p in err.subset for p in parents})
+        return table_codes(len(parents)).index(code) + 1
     return 0
 
 
@@ -551,7 +638,12 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
     its success table is read from the oracle in one call and peeled into
     clauses. The oracle is told every node's family first. Each node's
     report counts the patterns read and the seconds spent. The result's own
-    dependency graph is always a subgraph of the input graph."""
+    dependency graph is always a subgraph of the input graph. A node name
+    that is no proposition name raises ProgramError before any table is
+    read."""
+    names = sorted(graph.nodes)
+    for name in names:
+        _check_proposition(name)
     if not graph.is_acyclic():
         raise ReconstructionError(
             "reconstruction needs an acyclic graph; cycle: " + " -> ".join(graph.find_cycle()))
@@ -563,15 +655,14 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
     entries: list[tuple[str, tuple, tuple, float]] = []
     reports: dict[str, NodeReport] = {}
     failures: dict[str, CausalogError] = {}
-    families = [(target, tuple(sorted(graph.parents(target))))
-                for target in sorted(graph.nodes)]
+    families = [(target, tuple(sorted(graph.parents(target)))) for target in names]
     oracle.expect(families)
     for target, parents in families:
         start = time.perf_counter()
         table, solved, records, error, calls, read = None, [], [], None, 0, None
         try:
             table = success_table(oracle, target, parents)
-            calls, read = len(table.values), table.read
+            calls, read = 1 << len(parents), table.read
             solved, records = _detect(table)
         except CausalogError as err:
             if table is None:
@@ -581,10 +672,9 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
         reports[target] = NodeReport(target, parents, table, tuple(solved),
                                      tuple(records), error, calls,
                                      time.perf_counter() - start, read)
-        # the names are graph nodes, which Program checks as declared ones;
-        # each body is a distinct subset of the parents and each weight a
-        # float in (0, 1]
+        # the names are graph nodes, checked above; each body is a distinct
+        # subset of the parents and each weight a float in (0, 1]
         entries += [(target, *body_keys([(name, False) for name in body]), prob)
                     for body, prob in solved]
-    program = Program._trusted(entries, declared=sorted(graph.nodes))
+    program = Program._trusted(entries, declared=names)
     return ReconstructionResult(program, reports, failures)

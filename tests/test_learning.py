@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -344,6 +345,17 @@ def test_dataset_shape_checks():
         Dataset(("a", "a"), np.zeros((3, 2), dtype=bool))
     with pytest.raises(DatasetError, match="no column"):
         Dataset(("a",), np.zeros((3, 1), dtype=bool)).column("b")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("Bad", "column 2, 'Bad', is not a proposition name"),
+    ("true", "column 2, 'true', is a reserved word"),
+    ("", "column 2 has no name"),
+], ids=["upper", "reserved", "empty"])
+def test_dataset_refuses_column_names_that_are_no_propositions(name, message):
+    # the CSV reader's rule and wording, without the line
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        Dataset(("a", name), np.zeros((3, 2), dtype=bool))
 
 
 def test_dataset_rows_are_frozen(boost_program):

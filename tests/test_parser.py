@@ -126,6 +126,33 @@ def test_print_parse_round_trip_on_random_programs():
             assert parse_program(candidate.to_text()) == candidate
 
 
+def test_program_text_is_written_from_the_rows():
+    # to_text writes each (body, fire) row as the clauses would be written,
+    # in the same order, for negation, certainty, weights that print
+    # positionally, declared-only nodes and cycles, and builds no Clause
+    rng = numpy_rng(29)
+    programs = []
+    for _ in range(100):
+        program = random_program(rng, max_nodes=7)
+        programs += [program, with_negation_and_certainty(rng, program)]
+    programs += [
+        Program([Clause("a", frozenset(), 1e-21), Clause("b", frozenset(), 1),
+                 Clause("c", frozenset({Literal("b"), Literal("a", False)}), 1e-21)],
+                declared=["z", "d"]),
+        parse_program("0.5 :: a :- b.\n0.25 :: b :- a, \\+ c.\n0.125 :: c.\n"
+                      "0.75 :: a :- c.\n1 :: d :- \\+ a.\n"),
+    ]
+    for program in programs:
+        want = "".join(c.text() + "\n" for c in program.clauses)
+        assert program.to_text() == want
+        rows_only = parse_program(want)
+        assert rows_only.to_text() == want
+        assert "clauses" not in rows_only.__dict__
+    assert programs[-2].to_text() == ("0.000000000000000000001 :: a.\n1.0 :: b.\n"
+                                      "0.000000000000000000001 :: c :- \\+ a, b.\n")
+    assert not programs[-1].dependency_graph().is_acyclic()
+
+
 def test_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_program("0.5 :: a.\n2.0 :: b.\n")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from causalog import (
     OracleAnswer,
     OracleError,
     Program,
+    ProgramError,
     ReconstructionError,
     StarvedPatternError,
     SuccessTable,
@@ -29,6 +31,7 @@ from causalog import (
     conjunction_of,
     forward_sample,
     joint_table,
+    learn,
     parse_program,
     reconstruct,
     success_table,
@@ -38,8 +41,11 @@ from causalog.engine import MAX_TABLE_WIDTH, marginal, marginals, node_factor
 from causalog.reconstruction import (
     EXACT_TOLERANCE,
     MAX_PARENTS,
+    SaturationError,
+    SubsetRecord,
     subsets_by_code,
     subsets_by_size,
+    table_codes,
 )
 
 from oracles import marginal_given
@@ -102,6 +108,40 @@ def test_success_table_parent_cap(boost_program):
 def test_incomplete_table_rejected():
     with pytest.raises(ReconstructionError, match="incomplete"):
         SuccessTable("a", ("b",), {frozenset(): 0.5}, {frozenset(): 1e-9})
+
+
+def test_tables_are_kept_by_code_and_read_by_subset():
+    keyed = make_table("c", ["a", "b"], {(): 0.1, ("a",): 0.2, ("b",): 0.3, ("a", "b"): 0.4})
+    # the first parent is the most significant bit
+    assert keyed.values_by_code == [0.1, 0.3, 0.2, 0.4]
+    assert keyed.tolerances_by_code == [1e-9] * 4 and keyed.support is None
+    by_code = SuccessTable("c", ("a", "b"), (0.1, 0.3, 0.2, 0.4), [1e-9] * 4, [5, 6, 7, 8])
+    assert by_code.values_by_code == [0.1, 0.3, 0.2, 0.4]
+    assert by_code.values == keyed.values
+    assert by_code.support == {frozenset(): 5, frozenset({"b"}): 6, frozenset({"a"}): 7,
+                               frozenset({"a", "b"}): 8}
+    view = keyed.values
+    assert list(view) == subsets_by_code(("a", "b")) and len(view) == 4
+    assert view[frozenset({"b"})] == 0.3
+    assert repr(view) == repr(dict(view.items()))
+    for foreign in (frozenset({"x"}), frozenset({"a", "x"}), ("a",), "a"):
+        assert foreign not in view
+        with pytest.raises(KeyError):
+            view[foreign]
+    with pytest.raises(TypeError):
+        hash(view)
+    with pytest.raises(TypeError):
+        view[frozenset()] = 1.0
+
+
+@pytest.mark.parametrize("parents, values, message", [
+    (("b", "a"), [0.5] * 4, r"parents \['b', 'a'\] are not distinct and in name order"),
+    (("a", "a"), [0.5] * 4, r"parents \['a', 'a'\] are not distinct and in name order"),
+    (("a",), {frozenset(): 0.5, frozenset({"b"}): 0.5}, r"has no pattern \{a\}"),
+], ids=["unsorted", "repeated", "foreign-pattern"])
+def test_malformed_tables_rejected(parents, values, message):
+    with pytest.raises(ReconstructionError, match=message):
+        SuccessTable("c", parents, values, [1e-9] * len(values))
 
 
 # --- detection and solving ------------------------------------------------------
@@ -181,7 +221,146 @@ def test_detect_refuses_weights_outside_the_unit_interval(values, tol):
         reconstruction._detect(make_table("c", ["a"] if len(values) > 1 else [], values, tol))
 
 
+def test_table_codes_list_patterns_in_table_order():
+    for width in range(MAX_PARENTS + 1):
+        parents = tuple(f"p{k:02d}" for k in range(width))
+        subsets = subsets_by_code(parents)
+        codes = table_codes(width)
+        assert [subsets[code] for code in codes] == list(subsets_by_size(parents))
+        assert table_codes(width) is codes  # kept per width
+
+
+def _detect_outcome(table):
+    """What detection gives for ``table``: its pairs and records, or the
+    error class with the subset and message it names."""
+    try:
+        return reconstruction._detect(table)
+    except CausalogError as err:
+        return type(err), err.subset, str(err)
+
+
+def _reference_detect(table):
+    """Detection written over subsets, as it was before the walk over codes:
+    its pairs and records, or the error class and the subset it names."""
+    accepted, solved_tol, records = [], {}, []
+    for subset in subsets_by_size(table.parents):
+        miss, spread = 1.0, 0.0
+        for body, prob in accepted:
+            if body < subset:
+                miss *= 1.0 - prob
+                spread += solved_tol[body] / (1.0 - prob)
+        predicted = 1.0 - miss
+        value, tol = table.values[subset], table.tolerances[subset]
+        threshold = tol + miss * spread
+        residual = value - predicted
+        if residual > threshold:
+            if miss <= tol:
+                return SaturationError, subset
+            solved = 1.0 - (1.0 - value) / miss
+            if not 0.0 < solved <= 1.0:
+                return ImproperParameterError, subset
+            limit = 1.0 - max(tol, 1e-15)
+            note = f"clamped from {solved}" if solved > limit else ""
+            solved = min(solved, limit)
+            accepted.append((subset, solved))
+            solved_tol[subset] = tol / miss + max(0.0, 1.0 - value) / miss * spread
+            records.append(SubsetRecord(subset, value, predicted, residual, threshold, True,
+                                        solved, note))
+        elif residual < -threshold:
+            return NonMonotoneTableError, subset
+        else:
+            records.append(SubsetRecord(subset, value, predicted, residual, threshold, False))
+    return accepted, records
+
+
+def _assert_detection_matches_the_reference(table):
+    """Detection of ``table`` and of the same table keyed by subset give the
+    reference's pairs and records, float for float, or fail with the same
+    error at the same subset."""
+    support = None if table.support is None else dict(table.support.items())
+    keyed = SuccessTable(table.target, table.parents, dict(table.values.items()),
+                         dict(table.tolerances.items()), support)
+    assert keyed == table
+    got = _detect_outcome(table)
+    assert _detect_outcome(keyed) == got
+    assert (got[:2] if isinstance(got[0], type) else got) == _reference_detect(table)
+    return got
+
+
+@pytest.mark.parametrize("parents, values, tol, outcome", [
+    (["treatment"], {(): 0.5, ("treatment",): 0.7}, 1e-9, "two clauses"),
+    (["a", "b"], {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.44}, 1e-9, "explained"),
+    (["a", "b"], {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.72}, 1e-9, "interaction"),
+    (["a", "b"], {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.475}, 0.02, "noise"),
+    (["a", "b"], {(): 0.0, ("a",): 1.0, ("b",): 0.2, ("a", "b"): 1.0}, 1e-9, "clamped"),
+    (["a"], {(): 1.0, ("a",): 1.5}, 1e-9, SaturationError),
+    (["a", "b"], {(): 0.2, ("a",): 0.5, ("b",): 0.3, ("a", "b"): 0.4}, 1e-9,
+     NonMonotoneTableError),
+    (["a", "b"], {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 1.3}, 1e-9,
+     ImproperParameterError),
+], ids=["boost", "explained", "interaction", "noise", "clamped", "saturated",
+        "non-monotone", "improper"])
+def test_detection_is_the_same_by_subset_and_by_code(parents, values, tol, outcome):
+    keyed = make_table("c", parents, values, tol)
+    by_code = SuccessTable("c", keyed.parents, list(keyed.values_by_code),
+                           list(keyed.tolerances_by_code))
+    got = _assert_detection_matches_the_reference(by_code)
+    if isinstance(outcome, type):
+        # the last pattern in table order is the one that fails
+        assert got[:2] == (outcome, frozenset(parents))
+    else:
+        records = got[1]
+        assert [r.subset for r in records] == list(subsets_by_size(parents))
+        assert any(r.note.startswith("clamped from") for r in records) == (outcome == "clamped")
+
+
+def test_detection_of_oracle_tables_matches_the_reference():
+    # the exact oracle's tables of random programs, and the frequency
+    # oracle's of samples from them, whose tolerances widen the thresholds
+    rng = numpy_rng(4409)
+    outcomes = {"exact": 0, "samples": 0, "refused": 0}
+    for k in range(40):
+        program = random_program(rng, max_nodes=7, max_parents=4)
+        if k % 2:
+            program = with_negation_and_certainty(rng, program)
+        graph = program.dependency_graph()
+        oracles = {"exact": ExactOracle(program),
+                   "samples": FrequencyOracle(forward_sample(program, 400, seed=k), 5)}
+        for kind, oracle in oracles.items():
+            for target in program.propositions:
+                try:
+                    table = success_table(oracle, target, graph.parents(target))
+                except CausalogError:
+                    continue
+                got = _assert_detection_matches_the_reference(table)
+                outcomes["refused" if isinstance(got[0], type) else kind] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 # --- whole-program reconstruction ----------------------------------------------
+
+
+def test_bad_node_names_fail_before_any_table_is_read(monkeypatch):
+    class Counting(TableOracle):
+        calls = 0
+
+        def success_table(self, target, parents):
+            Counting.calls += 1
+            return super().success_table(target, parents)
+
+    bad = ProgramError("bad proposition name 'Bad': expected lowercase-initial identifier")
+    graph = DependencyGraph.build(["a", "Bad"], [("a", "Bad")])
+    oracle = Counting({"a": {frozenset(): 0.5}, "Bad": {}})
+    with pytest.raises(ProgramError, match=f"^{re.escape(str(bad))}$"):
+        reconstruct(oracle, graph)
+    assert Counting.calls == 0 and oracle.expected is None
+    # learn on a graph naming a node so refuses before counting a table
+    monkeypatch.setattr(FrequencyOracle, "success_table", Counting.success_table)
+    dataset = Dataset(("a", "b"), np.ones((40, 2), dtype=bool))
+    with pytest.raises(ProgramError, match=f"^{re.escape(str(bad))}$"):
+        learn(dataset, graph)
+    assert Counting.calls == 0
+
 
 
 def test_round_trip_from_own_oracle(boost_program):
@@ -670,6 +849,9 @@ def test_strictly_positive_programs_need_no_inference(monkeypatch):
         assert result.ok and log == []
         # the tables are read off the program's rows: no factor is built
         assert program._factors == {}
+        # writing the recovered program builds no Clause
+        result.program.to_text()
+        assert "clauses" not in result.program.__dict__
         assert {report.read for report in result.nodes.values()} == {"factor"}
         want = {(c.effect, c.causes): c.probability for c in program.clauses}
         got = {(c.effect, c.causes): c.probability for c in result.program.clauses}
