@@ -62,8 +62,6 @@ need. ``worlds_evaluated`` reports the total cells of the query's tables,
 its factors and each step's product.
 ``marginals`` runs the same elimination over every variable and back again,
 a two-pass calibration whose cliques give many families' marginals at once.
-``solve``, the Boolean-equation solve, answers forward sampling and any
-caller that needs the structure a noise assignment induces.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ from .errors import (
 from .formula import Atom, Formula, check_atoms, check_names, literals_of
 from .frozen import Frozen
 from .graph import DependencyGraph
-from .model import DesugaredProgram, Program
+from .model import Program
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,30 +141,6 @@ def resolved_max_worlds(max_worlds: int | None) -> int:
             f"{MAX_WORLDS_ENV} must be a positive integer, got {env!r}"
         )
     return value
-
-
-def solve(dp: DesugaredProgram, noise: Mapping[str, np.ndarray | bool],
-          count: int) -> dict[str, np.ndarray]:
-    """Solve the Boolean equations for ``count`` noise assignments at once.
-
-    ``noise`` maps every noise fact to a bool column of length ``count`` or
-    to a Python bool. Returns ``noise`` plus every internal proposition: true
-    where one of its clauses has every body literal and every noise entry
-    true, false where it has no clause."""
-    import numpy as np
-
-    env = dict(noise)
-    for name in dp.topological_order():
-        value = np.zeros(count, dtype=bool)
-        for clause in dp.clauses_by_head.get(name, ()):
-            sat = np.ones(count, dtype=bool)
-            for lit in clause.literals:
-                sat &= env[lit.name] == lit.positive
-            for u in clause.noise:
-                sat &= env[u]
-            value |= sat
-        env[name] = value
-    return env
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Sampling programs and learning them back from samples.
 
-Forward sampling draws every noise fact independently and solves the Boolean
-equation system column-wise, all rows at once, with the engine's shared
-solve. Sampling is seeded and deterministic: the counter-based Philox
-generator is keyed with the seed and consumed as one draw per (row, fact)
-cell in row-major order, so row ``i`` always consumes the ``i``-th run of
-draws no matter how rows are batched. ``Generator.random`` makes the
-uniform ``(raw >> 11) * 2^-53`` of a raw 64-bit word, so a fact with
-probability ``p`` fires exactly where its ``u < p`` would: where
+Forward sampling draws one noise fact per clause, independently, and solves
+the program column-wise, all rows at once, straight from its (body, fire)
+rows: in topological order, a node's column is the OR over its rows of the
+row's fact ANDed with its body literals' columns, already solved. Sampling
+is seeded and deterministic: the counter-based Philox generator is keyed
+with the seed and consumed as one draw per (row, fact) cell in row-major
+order, the facts in canonical clause order (the order of the noise names
+``u1..uN`` of ``Program.desugar``), so row ``i`` always consumes the
+``i``-th run of draws no matter how rows are batched. ``Generator.random``
+makes the uniform ``(raw >> 11) * 2^-53`` of a raw 64-bit word, so a fact
+with probability ``p`` fires exactly where its ``u < p`` would: where
 ``raw >> 11 < ceil(p * 2^53)``, compared as integers. The words are drawn
 and compared a block of rows at a time, at most ``_BLOCK_DRAWS`` of them,
 into one bool per (fact, row), so the rows do not depend on the block size
@@ -15,8 +18,8 @@ and sampling holds a byte per cell.
 
 A dataset records only the internal propositions (noise is latent), plus a
 provenance stamp: the fingerprint of the generating program, the seed and the
-row count. It stores one contiguous bool array per column, as the solve
-makes them and counting reads them. The CSV form is a header of proposition
+row count. It stores one contiguous bool array per column, as sampling
+solves them and counting reads them. The CSV form is a header of proposition
 names, one 0/1 row per sample, and an optional leading ``# provenance:``
 comment. Writing fills one byte image a column at a time; reading turns a
 file in exactly that form column-major a block of rows at a time and falls
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .engine import DEFAULT_MIN_SUPPORT, check_table_width, solve
+from .engine import DEFAULT_MIN_SUPPORT, check_table_width
 from .errors import DatasetError, OracleError, StarvedPatternError
 from .frozen import Frozen
 from .graph import RESERVED_NAMES, VALID_NAME, DependencyGraph
@@ -118,8 +121,6 @@ class Dataset:
 
     def _adopt(self, columns: tuple[str, ...], data: np.ndarray,
                provenance: Provenance | None) -> None:
-        if len(set(columns)) != len(columns):
-            raise DatasetError("duplicate column names")
         data.setflags(write=False)
         self.columns = columns
         self._data = data
@@ -235,14 +236,18 @@ def _csv_header(lines: list[str]) -> tuple[Provenance | None, tuple[str, ...], i
 
 
 def _check_columns(columns: Sequence[str], where: str) -> None:
-    """Refuse the first column that is not named as a proposition, placed
-    by ``where`` with the column's number, from 1, in its ``{}``."""
+    """Refuse the first column that is not named as a proposition or that
+    repeats an earlier one, placed by ``where`` with the column's number,
+    from 1, in its ``{}``."""
+    first: dict[str, int] = {}
     for k, name in enumerate(columns, start=1):
         if not (isinstance(name, str) and VALID_NAME.match(name)) or name in RESERVED_NAMES:
             if not name:
                 raise DatasetError(f"{where.format(k)} has no name")
             why = "a reserved word" if name in RESERVED_NAMES else "not a proposition name"
             raise DatasetError(f"{where.format(k)}, {name!r}, is {why}")
+        if first.setdefault(name, k) != k:
+            raise DatasetError(f"{where.format(k)}, {name!r}, repeats column {first[name]}")
 
 
 def _cell_codes(width: int) -> np.ndarray:
@@ -320,32 +325,45 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
         raise DatasetError(f"sample count must be a nonnegative integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 128:
         raise DatasetError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    dp = program.desugar()
-    noise = dp.noise_names
-    columns = dp.internal_propositions
+    rows = program._rows
+    order = program.dependency_graph().topological_order()
+    columns = program.propositions
+    # one fact per clause, in canonical clause order: effects in topological
+    # order, each one's rows in body order
+    fires = [fire for name in order for _, fire in rows.get(name, ())]
     # numpy shapes a (k, n) array only while n and k * n fit its index type
-    if n > np.iinfo(np.intp).max // max(1, len(noise), len(columns)):
+    if n > np.iinfo(np.intp).max // max(1, len(fires), len(columns)):
         raise DatasetError(f"sample count {n} is too large for numpy to shape its matrices")
     # one bool row per fact, so that each fact's column is contiguous for
     # the solve; each block of draws is compared straight into its rows
-    fired = np.empty((len(noise), n), dtype=bool)
-    if noise:
+    fired = np.empty((len(fires), n), dtype=bool)
+    if fires:
         # Generator.random() is (raw >> 11) / 2^53 of Philox's raw 64-bit
         # words, so its u < p is exactly raw >> 11 < ceil(p * 2^53): never
         # for p = 0, always for p = 1 (p * 2^53 is exact)
-        probabilities = np.array([dp.noise_probability(u) for u in noise])
-        thresholds = np.ceil(probabilities * 2.0 ** 53).astype(np.uint64)[:, None]
+        thresholds = np.ceil(np.array(fires) * 2.0 ** 53).astype(np.uint64)[:, None]
         bits = np.random.Philox(key=seed)
-        block = max(1, _BLOCK_DRAWS // len(noise))
+        block = max(1, _BLOCK_DRAWS // len(fires))
         for start in range(0, n, block):
-            rows = min(block, n - start)
-            draws = bits.random_raw(rows * len(noise)).reshape(rows, len(noise))
+            count = min(block, n - start)
+            draws = bits.random_raw(count * len(fires)).reshape(count, len(fires))
             draws >>= 11
-            np.less(draws.T, thresholds, out=fired[:, start:start + rows])
-    values = solve(dp, dict(zip(noise, fired)), n)
-    data = np.empty((len(columns), n), dtype=bool)
-    for row, name in zip(data, columns):
-        row[...] = values[name]
+            np.less(draws.T, thresholds, out=fired[:, start:start + count])
+    # each node's column is the OR of its rows, a row's fact ANDed in place
+    # with its body's columns; a node without rows stays false
+    data = np.zeros((len(columns), n), dtype=bool)
+    solved = dict(zip(columns, data))
+    facts = iter(fired)
+    for name in order:
+        column = solved[name]
+        for body, _ in rows.get(name, ()):
+            fact = next(facts)
+            for atom, positive in body:
+                if positive:
+                    fact &= solved[atom]
+                else:
+                    np.greater(fact, solved[atom], out=fact)
+            column |= fact
     return Dataset._of_columns(columns, data,
                                Provenance(program_fingerprint(program), seed, n))
 
@@ -405,16 +423,16 @@ class FrequencyOracle:
         self._counted = {}
 
     def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
-        from .reconstruction import SuccessTable, code_order, subset_text, subsets_by_code
+        from .reconstruction import SuccessTable, subset_text, subsets_by_code, table_codes
 
         support, hits = self._counts(target, parents)
         if hits is None:  # the target is not a column: DatasetError
             self._data.column(target)
         starved = support < self.min_support
         if starved.any():
-            subsets = subsets_by_code(parents)
-            listed = [(subsets[code], int(support[code]))
-                      for code in sorted(starved.nonzero()[0].tolist(), key=code_order)]
+            subsets, counts = subsets_by_code(parents), support.tolist()
+            listed = [(subsets[code], counts[code]) for code in table_codes(len(parents))
+                      if counts[code] < self.min_support]
             listing = "; ".join(f"{subset_text(s)} has {n} samples" for s, n in listed)
             raise StarvedPatternError(
                 f"{target}: {len(listed)} parent pattern(s) below support: {listing}",

@@ -3,11 +3,14 @@
 A program is a set of annotated clauses ``p :: effect :- causes`` over
 propositional atoms. Each clause is sugar for an independent noise proposition
 (a random fact holding with probability ``p``) guarding a purely logical
-clause; ``Program.desugar`` makes that explicit. The semantics of a desugared program
-is a system of Boolean equations, one per internal proposition: the
-proposition is true exactly when some clause for it fires, a clause firing
-when all its body literals hold and all its noise propositions are drawn true.
-Acyclic programs have a unique solution for every noise assignment.
+clause. The semantics is a system of Boolean equations, one per internal
+proposition: the proposition is true exactly when some clause for it fires,
+a clause firing when all its body literals hold and its noise proposition is
+drawn true. Acyclic programs have a unique solution for every noise
+assignment. Queries and sampling read a program's (body, fire) rows, one
+per clause, and never build that noise form; ``Program.desugar`` spells it
+out for the twin network, for the error that names a noise proposition, and
+for brute-force references that enumerate noise assignments.
 
 Programs list their clauses in a canonical order (topological by effect,
 then effect name, then body) so that printing is deterministic; two programs
@@ -365,16 +368,6 @@ class DesugaredProgram:
 
     def dependency_graph(self) -> DependencyGraph:
         return self._graph
-
-    @cached_property
-    def clauses_by_head(self) -> Mapping[str, tuple[LogicalClause, ...]]:
-        by: dict[str, list[LogicalClause]] = {}
-        for c in self._clauses:
-            by.setdefault(c.head, []).append(c)
-        return {k: tuple(v) for k, v in by.items()}
-
-    def topological_order(self) -> tuple[str, ...]:
-        return self._graph.topological_order()
 
     def __repr__(self) -> str:
         return (f"DesugaredProgram({len(self._clauses)} clauses, "

@@ -33,11 +33,10 @@ code, and a table is kept that way from the oracle through detection: the
 code of a pattern has a bit per parent, the first parent in name order the
 most significant, set where the parent is pinned true, so a body lies
 inside a subset when its bits are among the subset's. Subsets are built
-once per table, for the audit records and the accepted bodies, and read
-by subset only through a view. The success-table pattern lives
-here for both: its codes (``pattern_code``), their table order
-(``code_order``, as ``subsets_by_size`` lists the subsets) and its text in
-messages (``subset_text``).
+once per table, for the audit records and the accepted bodies. The
+success-table pattern lives here for both: its codes (``pattern_code``),
+their table order (``table_codes``) and its text in messages
+(``subset_text``).
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from __future__ import annotations
 import math
 import time
 from functools import cache
-from itertools import combinations, compress, product
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from itertools import compress, product
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .engine import (
     JointTable,
@@ -100,27 +99,12 @@ def subsets_by_code(parents: tuple[str, ...]) -> list[frozenset[str]]:
             for bits in product((False, True), repeat=len(parents))]
 
 
-def code_order(code: int) -> tuple[int, int]:
-    """The key that sorts pattern codes in table order: by the number of
-    parents pinned true, then by descending code, which for parents in name
-    order is the order ``subsets_by_size`` lists their subsets in."""
-    return code.bit_count(), -code
-
-
 @cache
 def table_codes(width: int) -> tuple[int, ...]:
-    """The pattern codes of ``width`` parents in table order, kept per
-    width."""
-    return tuple(sorted(range(1 << width), key=code_order))
-
-
-def subsets_by_size(items: Iterable[str]) -> Iterator[frozenset[str]]:
-    """All subsets of ``items`` in table order: by increasing size,
-    lexicographic within a size."""
-    ordered = sorted(items)
-    for size in range(len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            yield frozenset(combo)
+    """The pattern codes of ``width`` parents in table order, kept per width:
+    by the number of parents pinned true, then by descending code, which for
+    parents in name order lists the subsets of each size in name order."""
+    return tuple(sorted(range(1 << width), key=lambda code: (code.bit_count(), -code)))
 
 
 def subset_text(subset: Iterable[str]) -> str:
@@ -219,8 +203,8 @@ class ExactOracle:
         values, read = self._read(target, parents)
         total = sum(values)
         if total != total:  # NaN: a pattern has probability zero
-            code = min((code for code, value in enumerate(values) if value != value),
-                       key=code_order)
+            code = next(code for code in table_codes(len(parents))
+                        if values[code] != values[code])
             subset = subsets_by_code(parents)[code]
             err = zero_evidence(conjunction_of({p: p in subset for p in parents}))
             raise pattern_error(target, subset, err) from err
@@ -337,96 +321,37 @@ class SuccessTable(Frozen):
     """Success probability of one target under every on/off pattern of its
     parents, which are distinct and in name order.
 
-    The table is kept by ``pattern_code``, the first parent the most
-    significant bit: ``values_by_code[code]`` is the success probability at
-    the pattern of that code, ``tolerances_by_code`` its trust radius and
-    ``support_by_code`` its sample count for empirical oracles (None for
-    exact ones), each a list. ``values``, ``tolerances`` and ``support`` are
-    read-only mapping views over them, built on each read and keyed by the
-    subset of ``parents`` pinned true (the rest pinned false). The
-    constructor takes each as a sequence by code, kept as a list, or as a
-    mapping keyed by subset, converted once. ``read`` says how the oracle
-    read the table (``factor``, ``calibration``, ``elimination`` or
-    ``samples`` for the shipped oracles); it is not part of the table's
-    value."""
+    Each column is a list by ``pattern_code``, the first parent the most
+    significant bit: ``values[code]`` is the success probability at the
+    pattern of that code, ``tolerances[code]`` its trust radius and
+    ``support[code]`` its sample count for empirical oracles (``support`` is
+    None for exact ones). The constructor keeps a list it is given and
+    copies any other sequence into one. ``read`` says how the oracle read the
+    table (``factor``, ``calibration``, ``elimination`` or ``samples`` for
+    the shipped oracles); it is not part of the table's value."""
 
     _fields = ("target", "parents", "values", "tolerances", "support", "read")
 
-    def __init__(self, target: str, parents: tuple[str, ...],
-                 values: Sequence[float] | Mapping[frozenset[str], float],
-                 tolerances: Sequence[float] | Mapping[frozenset[str], float],
-                 support: Sequence[int] | Mapping[frozenset[str], int] | None = None,
+    def __init__(self, target: str, parents: tuple[str, ...], values: Sequence[float],
+                 tolerances: Sequence[float], support: Sequence[int] | None = None,
                  read: str | None = None):
         if list(parents) != sorted(set(parents)):
             raise ReconstructionError(
                 f"success table for {target}: parents {list(parents)} are not distinct "
                 f"and in name order")
         expected = 1 << len(parents)
-        if len(values) != expected or len(tolerances) != expected:
-            raise ReconstructionError(
-                f"success table for {target} is incomplete: expected "
-                f"{expected} patterns, got {len(values)}"
-            )
-        subsets = None
-        columns = []
-        for column in (values, tolerances, support):
-            if column is None or isinstance(column, list):
-                pass
-            elif isinstance(column, Mapping):
-                subsets = subsets or subsets_by_code(parents)
-                try:
-                    column = [column[s] for s in subsets]
-                except KeyError as err:
-                    raise ReconstructionError(f"success table for {target} has no pattern "
-                                              f"{subset_text(err.args[0])}") from None
-            else:
-                column = list(column)
-            columns.append(column)
-        self.__dict__.update(target=target, parents=parents, values_by_code=columns[0],
-                             tolerances_by_code=columns[1], support_by_code=columns[2],
-                             read=read)
-
-    @property
-    def values(self) -> Mapping[frozenset[str], float]:
-        return _BySubset(self.parents, self.values_by_code)
-
-    @property
-    def tolerances(self) -> Mapping[frozenset[str], float]:
-        return _BySubset(self.parents, self.tolerances_by_code)
-
-    @property
-    def support(self) -> Mapping[frozenset[str], int] | None:
-        counts = self.support_by_code
-        return None if counts is None else _BySubset(self.parents, counts)
+        columns = [column if column is None or isinstance(column, list) else list(column)
+                   for column in (values, tolerances, support)]
+        for column in columns:
+            if column is not None and len(column) != expected:
+                raise ReconstructionError(
+                    f"success table for {target} is incomplete: expected "
+                    f"{expected} patterns, got {len(column)}")
+        self.__dict__.update(target=target, parents=parents, values=columns[0],
+                             tolerances=columns[1], support=columns[2], read=read)
 
     def _values(self) -> tuple:
-        return (self.target, self.parents, self.values_by_code, self.tolerances_by_code,
-                self.support_by_code)
-
-
-class _BySubset(Mapping, Frozen):
-    """A success table's entries by code, read by the subset of ``parents``
-    each pattern pins true; it iterates in code order and prints as the dict
-    it reads as."""
-
-    _fields = ("parents", "entries")
-
-    def __init__(self, parents: tuple[str, ...], entries: Sequence):
-        self.__dict__.update(parents=parents, entries=entries)
-
-    def __getitem__(self, subset: frozenset[str]):
-        if not (isinstance(subset, frozenset) and subset.issubset(self.parents)):
-            raise KeyError(subset)
-        return self.entries[pattern_code(self.parents, {p: p in subset for p in self.parents})]
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(subsets_by_code(self.parents))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        return self.target, self.parents, self.values, self.tolerances, self.support
 
 
 def success_table(oracle: Oracle, target: str, parents: Iterable[str]) -> SuccessTable:
@@ -482,7 +407,7 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
     # The walk is over pattern codes, and a body lies strictly inside a
     # subset when its bits are a part of the subset's: every accepted body
     # was visited before, so it is never the subset itself.
-    values, tolerances = table.values_by_code, table.tolerances_by_code
+    values, tolerances = table.values, table.tolerances
     subsets = subsets_by_code(table.parents)
     # each accepted body: its code, its miss 1 - p and its uncertainty / (1 - p)
     accepted: list[tuple[int, float, float]] = []
@@ -583,7 +508,7 @@ class NodeReport(Frozen):
                       "read": self.read},
         }
         if self.table is not None:
-            values, parents = self.table.values_by_code, self.table.parents
+            values, parents = self.table.values, self.table.parents
             subsets = subsets_by_code(parents)
             out["table"] = {",".join(sorted(subsets[code])): values[code]
                             for code in table_codes(len(parents))}

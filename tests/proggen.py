@@ -36,11 +36,19 @@ from causalog import (
     probability,
 )
 from causalog.model import float_text
-from causalog.reconstruction import subsets_by_size
 
 
 def numpy_rng(seed):
     return np.random.default_rng(seed)
+
+
+def subsets_by_size(items):
+    """All subsets of ``items`` in table order: by increasing size, in name
+    order within a size."""
+    ordered = sorted(items)
+    for size in range(len(ordered) + 1):
+        for combo in itertools.combinations(ordered, size):
+            yield frozenset(combo)
 
 
 def _random_dag(rng, min_nodes, max_nodes, max_parents, require_edge):

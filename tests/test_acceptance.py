@@ -26,7 +26,6 @@ from causalog import (
     probability,
     reconstruct,
 )
-from causalog.reconstruction import subsets_by_size
 
 from conftest import SHARED_JOINT
 from proggen import (
@@ -37,6 +36,7 @@ from proggen import (
     random_formula,
     random_learnable_program,
     random_program,
+    subsets_by_size,
 )
 
 

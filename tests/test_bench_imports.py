@@ -5,7 +5,8 @@ functions that only a benchmark run reaches, so a name removed from the
 package would otherwise first show as a failed ``bench/run.py``. This test
 reads every ``from causalog... import X`` in those files and resolves each
 name, and each attribute read off an imported module, such as
-``engine.joint_table``.
+``engine.joint_table``. ``bench/tracing.py`` also patches methods by the
+names its ``_METHODS`` lists, and each of those must resolve on its class.
 """
 
 import ast
@@ -53,3 +54,29 @@ def test_every_name_the_benchmark_imports_resolves(path):
         if inspect.ismodule(value):
             missing = sorted(a for a in _attributes(path, alias) if not hasattr(value, a))
             assert not missing, f"{where}.{name} has no {', '.join(missing)}"
+
+
+def _traced_methods():
+    """Each (line, layer, class, method) that ``_METHODS`` in
+    ``bench/tracing.py`` names, read from its source."""
+    path = ROOT / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_METHODS"]:
+            for layer, classes in ast.literal_eval(node.value).items():
+                for cls_name, methods in classes.items():
+                    for method in methods:
+                        yield node.lineno, layer, cls_name, method
+
+
+def test_every_method_the_tracer_patches_resolves():
+    methods = list(_traced_methods())
+    assert methods
+    for line, layer, cls_name, method in methods:
+        where = f"tracing.py:{line}: _METHODS names causalog.{layer}.{cls_name}.{method}"
+        cls = getattr(importlib.import_module(f"causalog.{layer}"), cls_name, None)
+        assert cls is not None, f"{where}, but there is no class {cls_name}"
+        try:
+            inspect.getattr_static(cls, method)
+        except AttributeError:
+            pytest.fail(f"{where}, but {cls_name} has no {method}")

@@ -610,6 +610,17 @@ def test_cyclic_twin_export_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cyclic_sample_is_an_error(tmp_path, capsys):
+    path = tmp_path / "cycle.pl"
+    path.write_text("0.5 :: a :- b.\n0.5 :: b :- a.\n")
+    out = tmp_path / "samples.csv"
+    assert cli.main(["sample", str(path), "-n", "5", "--seed", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[cycle]: dependency graph has a cycle: a -> b -> a\n"
+    assert not out.exists()
+
+
 def test_recovery_json_carries_node_stats(tmp_path, capsys):
     csv = tmp_path / "samples.csv"
     fixtures = ROOT / "fixtures"

@@ -34,7 +34,7 @@ from causalog import (
 )
 
 from causalog import causal, engine
-from causalog.engine import _factors, marginal, marginals, node_factor, query, solve
+from causalog.engine import _factors, marginal, marginals, node_factor, query
 
 from conftest import SHARED_JOINT
 from oracles import (
@@ -42,7 +42,6 @@ from oracles import (
     reference_conditional,
     reference_joint,
     reference_probability,
-    reference_world,
 )
 from proggen import (
     layered_program,
@@ -89,41 +88,20 @@ def test_joint_table_values(boost_program, switch_program):
             assert got == pytest.approx(want, abs=EXACT)
 
 
-# --- world evaluation ---------------------------------------------------------
-
-
-def _world(program, noise):
-    """The structure one total noise assignment induces: the noise and every
-    internal proposition's value, by ``solve``."""
-    dp = program.desugar() if isinstance(program, Program) else program
-    env = solve(dp, noise, 1)
-    return {**noise, **{name: bool(env[name][0]) for name in dp.topological_order()}}
-
-
-def test_solve_evaluates_worlds(boost_program):
-    dp = boost_program.desugar()
-    names = dp.noise_names
-    assert names == ("u1", "u2", "u3")
-    world = _world(boost_program, {"u1": True, "u2": False, "u3": True})
-    assert world["treatment"] and world["recovery"]
-    world = _world(boost_program, {"u1": False, "u2": False, "u3": True})
-    assert not world["treatment"] and not world["recovery"]
-    # random programs with negated bodies and noise pinned to 0 or 1
-    rng = numpy_rng(2308)
-    for _ in range(12):
-        dp = with_negation_and_certainty(
-            rng, random_program(rng, max_nodes=5, max_parents=2)).desugar()
-        for _ in range(4):
-            noise = {u: bool(rng.random() < 0.5) for u in dp.noise_names}
-            assert _world(dp, noise) == reference_world(dp, noise)
+# --- clauseless propositions --------------------------------------------------
 
 
 def test_clauseless_proposition_is_false():
+    # a body atom no clause concludes, and a name an intervention erases
+    # to false, are false in every sampled row and have probability 0
     program = parse_program("0.5 :: a :- ghost.\n")
-    world = _world(program, {"u1": True})
-    assert world["ghost"] is False
-    assert world["a"] is False
+    rows = forward_sample(program, 50, seed=4).rows
+    assert not rows.any()
     assert probability(program, Atom("ghost")).probability == 0.0
+    forced = intervene(parse_program("0.5 :: x.\n0.5 :: y :- x.\n"), {"x": False})
+    dataset = forward_sample(forced, 50, seed=4)
+    assert dataset.columns == ("x", "y") and not dataset.rows.any()
+    assert probability(forced, Atom("x")).probability == 0.0
 
 
 # --- agreement with the scalar reference oracle ------------------------------

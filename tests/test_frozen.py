@@ -39,7 +39,7 @@ from causalog.reconstruction import (
     SuccessTable,
 )
 
-NONE, A = frozenset(), frozenset({"a"})
+A = frozenset({"a"})
 BODY = (("b", True),)  # a factor's clause body: b true
 # these compare by identity, so equal instances share them
 TWIN_SOURCE = DesugaredProgram([], {"u1": 0.5})
@@ -47,8 +47,7 @@ FAILURE = CausalogError("a failed")
 
 
 def _table_args():
-    return ("b", ("a",), {NONE: 0.1, A: 0.5}, {NONE: 1e-9, A: 1e-9}, {NONE: 40, A: 50},
-            "samples")
+    return ("b", ("a",), [0.1, 0.5], [1e-9, 1e-9], [40, 50], "samples")
 
 
 # class, its fields in constructor order, a function building fresh
@@ -82,7 +81,7 @@ CASES = [
      lambda: ("b", frozenset({Literal("a", False)}), frozenset({"u1"})), {}, "fields",
      ("noise", frozenset({"u2"}))),
     (SuccessTable, ("target", "parents", "values", "tolerances", "support", "read"),
-     _table_args, {"support": None, "read": None}, "fields", ("values", {NONE: 0.1, A: 0.6})),
+     _table_args, {"support": None, "read": None}, "fields", ("values", [0.1, 0.6])),
     (SubsetRecord, ("subset", "value", "predicted", "residual", "tolerance", "accepted",
                     "solved", "note"),
      lambda: (A, 0.5, 0.25, 0.25, 1e-9, True, 0.4, "clamped"),
@@ -119,14 +118,9 @@ def _hash_or_error(value):
 def test_value_class_contract(cls, fields, make, defaults, compare, differ):
     args = make()
     a = cls(*args)
-    # positional and keyword construction store the same objects, but for a
-    # success table's patterns: kept by code, they read back through a view
-    # equal to the mapping given
+    # positional and keyword construction store the same objects
     by_name = cls(**dict(zip(fields, args)))
     for name, arg in zip(fields, args):
-        if cls is SuccessTable and name in ("values", "tolerances", "support"):
-            assert getattr(a, name) == arg and getattr(by_name, name) == arg
-            continue
         assert getattr(a, name) is arg
         assert getattr(by_name, name) is arg
     # the defaults, with a fresh mutable default per instance
@@ -215,11 +209,14 @@ def test_literals_sort_by_name_then_polarity():
      "'false' is a reserved word and cannot name a proposition"),
     (lambda: DependencyGraph(frozenset({"a"}), frozenset({("a", "b")})), GraphFormatError,
      "edge (a, b) mentions a node not in the node set"),
-    (lambda: SuccessTable("b", ("a",), {NONE: 0.5}, {NONE: 1e-9}), ReconstructionError,
+    (lambda: SuccessTable("b", ("a",), [0.5], [1e-9]), ReconstructionError,
+     "success table for b is incomplete: expected 2 patterns, got 1"),
+    # refused when built, not when a later read runs off its end
+    (lambda: SuccessTable("b", ("a",), [0.1, 0.2], [1e-9] * 2, [5]), ReconstructionError,
      "success table for b is incomplete: expected 2 patterns, got 1"),
 ], ids=["literal-name", "literal-reserved", "clause-contradictory", "clause-probability",
         "clause-nan", "clause-effect", "logical-contradictory", "logical-reserved",
-        "graph-edge", "table-incomplete"])
+        "graph-edge", "table-incomplete", "table-support-incomplete"])
 def test_value_class_validation(build, error, message):
     with pytest.raises(error) as raised:
         build()

@@ -10,7 +10,6 @@ from causalog import (
     parse_program,
     validate,
 )
-from causalog.reconstruction import subsets_by_size
 
 DIAMOND = DependencyGraph.build(
     ["a", "b", "c", "d"],
@@ -116,12 +115,6 @@ def test_reserved_words_rejected_as_graph_nodes(text):
     # graphs follow the program name rule, reserved words included
     with pytest.raises(GraphFormatError, match="reserved"):
         DependencyGraph.parse(text)
-
-
-def test_subsets_by_size_order():
-    got = list(subsets_by_size(["b", "a"]))
-    assert got == [frozenset(), frozenset({"a"}), frozenset({"b"}),
-                   frozenset({"a", "b"})]
 
 
 def test_program_dependency_graph(switch_program):

@@ -27,7 +27,6 @@ from causalog import (
 )
 
 from causalog import cli, learning
-from causalog.engine import solve
 
 from conftest import BOOST_TEXT
 from oracles import reference_world
@@ -92,14 +91,61 @@ def test_sampling_matches_independent_rederivation(make_program):
             assert bool(dataset.rows[i, j]) == world[name], (i, name)
 
 
+
+def _pinned(program, noise):
+    """``program`` with each clause's weight set to its noise fact's value in
+    ``noise``, a draw of every fact: 1.0 fires on every row, 0.0 on none."""
+    names = program.desugar().noise_names  # one per clause, in clause order
+    return Program([Clause(c.effect, c.causes, float(noise[u]))
+                    for c, u in zip(program.clauses, names)], declared=program.propositions)
+
+
+def test_sampling_evaluates_worlds(boost_program, monkeypatch):
+    # a row sampled with every noise fact pinned is the world that noise
+    # assignment induces; sampling itself builds no desugared program
+    def world(program):
+        with monkeypatch.context() as patch:
+            patch.setattr(Program, "desugar", lambda self: pytest.fail("sampling desugared"))
+            dataset = forward_sample(program, 3, seed=11)
+        assert (dataset.rows == dataset.rows[0]).all()
+        return dict(zip(dataset.columns, dataset.rows[0].tolist()))
+
+    assert boost_program.desugar().noise_names == ("u1", "u2", "u3")
+    pinned = _pinned(boost_program, {"u1": True, "u2": False, "u3": True})
+    assert world(pinned) == {"treatment": True, "recovery": True}
+    pinned = _pinned(boost_program, {"u1": False, "u2": False, "u3": True})
+    assert world(pinned) == {"treatment": False, "recovery": False}
+    # random programs with negated bodies and weights of 0 or 1
+    rng = numpy_rng(2308)
+    for _ in range(12):
+        program = with_negation_and_certainty(rng, random_program(rng, max_nodes=5,
+                                                                  max_parents=2))
+        dp = program.desugar()
+        for _ in range(4):
+            noise = {u: bool(rng.random() < 0.5) for u in dp.noise_names}
+            want = reference_world(dp, noise)
+            assert world(_pinned(program, noise)) == {
+                name: want[name] for name in program.propositions}
+
 def _one_draw(program, n, seed):
     """The rows of ``forward_sample`` from one draw of the whole uniform
-    matrix, thresholded and solved at once."""
+    matrix, thresholded at once and solved over the desugared clauses, a
+    column per proposition in topological order."""
     dp = program.desugar()
     noise, columns = dp.noise_names, dp.internal_propositions
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random((n, len(noise)))
-    fired = uniforms < np.array([dp.noise_probability(u) for u in noise])
-    values = solve(dp, dict(zip(noise, fired.T)), n)
+    values = dict(zip(noise, (uniforms < [dp.noise_probability(u) for u in noise]).T))
+    by_head = {}
+    for clause in dp.clauses:
+        by_head.setdefault(clause.head, []).append(clause)
+    for name in program.dependency_graph().topological_order():
+        values[name] = np.zeros(n, dtype=bool)
+        for clause in by_head.get(name, ()):
+            (u,) = clause.noise
+            fires = values[u]
+            for lit in clause.literals:
+                fires = fires & (values[lit.name] == lit.positive)
+            values[name] = values[name] | fires
     return np.array([values[c] for c in columns], dtype=bool).reshape(len(columns), n).T
 
 
@@ -163,7 +209,7 @@ def test_sampling_memory_is_bounded_by_blocks():
         + "".join(f"0.4 :: n{k} :- n{k - 1}.\n" for k in range(1, 11)))
     n, facts = 200_000, len(program.clauses)
     assert facts == 22
-    forward_sample(program, 10, seed=1)  # the program's desugaring, cached
+    forward_sample(program, 10, seed=1)  # the program's graph and order, cached
     tracemalloc.start()
     try:
         forward_sample(program, n, seed=1)
@@ -327,6 +373,9 @@ def test_from_csv_accepts_loose_forms(tmp_path, text):
     (" x y ,b\r\n1,0\r\n",
      "^line 2: column 1 of the header, 'x y', is not a proposition name$"),
     ("a,true\n1,0\n", "^line 2: column 2 of the header, 'true', is a reserved word$"),
+    # a repeated name, through the block reader and through the line reader
+    ("a,b,a\n1,0,1\n", "^line 2: column 3 of the header, 'a', repeats column 1$"),
+    ("a, b ,a\r\n1, 0 ,1\r\n", "^line 2: column 3 of the header, 'a', repeats column 1$"),
 ])
 def test_csv_error_lines_behind_provenance_and_blank_line(tmp_path, text, fragment):
     # a provenance line in front, a blank line after the header
@@ -341,7 +390,7 @@ def test_csv_error_lines_behind_provenance_and_blank_line(tmp_path, text, fragme
 def test_dataset_shape_checks():
     with pytest.raises(DatasetError, match="columns"):
         Dataset(("a", "b"), np.zeros((3, 1), dtype=bool))
-    with pytest.raises(DatasetError, match="duplicate"):
+    with pytest.raises(DatasetError, match="^column 2, 'a', repeats column 1$"):
         Dataset(("a", "a"), np.zeros((3, 2), dtype=bool))
     with pytest.raises(DatasetError, match="no column"):
         Dataset(("a",), np.zeros((3, 1), dtype=bool)).column("b")

@@ -43,13 +43,13 @@ from causalog.reconstruction import (
     MAX_PARENTS,
     SaturationError,
     SubsetRecord,
+    pattern_code,
     subsets_by_code,
-    subsets_by_size,
     table_codes,
 )
 
 from oracles import marginal_given
-from proggen import numpy_rng, random_program, with_negation_and_certainty
+from proggen import numpy_rng, random_program, subsets_by_size, with_negation_and_certainty
 
 TR_GRAPH = DependencyGraph.build(
     ["treatment", "recovery"], [("treatment", "recovery")])
@@ -78,14 +78,24 @@ class TableOracle:
             if isinstance(value, CausalogError):
                 raise reconstruction.pattern_error(target, subset, value) from value
             values[subset] = value
-        return SuccessTable(target, parents, values,
-                            dict.fromkeys(values, self._tolerance))
+        return SuccessTable(target, parents, by_code(parents, values),
+                            [self._tolerance] * len(values))
+
+
+def by_code(parents, keyed):
+    """The entries of ``keyed``, a mapping by the subset of ``parents``
+    pinned true, as a table column: a list by pattern code."""
+    return [keyed[subset] for subset in subsets_by_code(tuple(parents))]
+
+
+def at(column, parents, subset):
+    """The entry of a table column at the pattern pinning ``subset`` true."""
+    return column[pattern_code(parents, {p: p in subset for p in parents})]
 
 
 def make_table(target, parents, values, tol=1e-9):
     keyed = {frozenset(k): v for k, v in values.items()}
-    return SuccessTable(target, tuple(parents), keyed,
-                        {s: tol for s in keyed})
+    return SuccessTable(target, tuple(parents), by_code(parents, keyed), [tol] * len(keyed))
 
 
 # --- success tables -----------------------------------------------------------
@@ -94,8 +104,7 @@ def make_table(target, parents, values, tol=1e-9):
 def test_success_table_from_exact_oracle(boost_program):
     oracle = ExactOracle(boost_program)
     table = success_table(oracle, "recovery", ["treatment"])
-    assert table.values[frozenset()] == pytest.approx(0.5, abs=1e-12)
-    assert table.values[frozenset({"treatment"})] == pytest.approx(0.7, abs=1e-12)
+    assert table.values == [pytest.approx(0.5, abs=1e-12), pytest.approx(0.7, abs=1e-12)]
 
 
 def test_success_table_parent_cap(boost_program):
@@ -107,38 +116,26 @@ def test_success_table_parent_cap(boost_program):
 
 def test_incomplete_table_rejected():
     with pytest.raises(ReconstructionError, match="incomplete"):
-        SuccessTable("a", ("b",), {frozenset(): 0.5}, {frozenset(): 1e-9})
+        SuccessTable("a", ("b",), [0.5], [1e-9])
 
 
-def test_tables_are_kept_by_code_and_read_by_subset():
-    keyed = make_table("c", ["a", "b"], {(): 0.1, ("a",): 0.2, ("b",): 0.3, ("a", "b"): 0.4})
+def test_tables_are_kept_by_code():
     # the first parent is the most significant bit
-    assert keyed.values_by_code == [0.1, 0.3, 0.2, 0.4]
-    assert keyed.tolerances_by_code == [1e-9] * 4 and keyed.support is None
-    by_code = SuccessTable("c", ("a", "b"), (0.1, 0.3, 0.2, 0.4), [1e-9] * 4, [5, 6, 7, 8])
-    assert by_code.values_by_code == [0.1, 0.3, 0.2, 0.4]
-    assert by_code.values == keyed.values
-    assert by_code.support == {frozenset(): 5, frozenset({"b"}): 6, frozenset({"a"}): 7,
-                               frozenset({"a", "b"}): 8}
-    view = keyed.values
-    assert list(view) == subsets_by_code(("a", "b")) and len(view) == 4
-    assert view[frozenset({"b"})] == 0.3
-    assert repr(view) == repr(dict(view.items()))
-    for foreign in (frozenset({"x"}), frozenset({"a", "x"}), ("a",), "a"):
-        assert foreign not in view
-        with pytest.raises(KeyError):
-            view[foreign]
-    with pytest.raises(TypeError):
-        hash(view)
-    with pytest.raises(TypeError):
-        view[frozenset()] = 1.0
+    keyed = make_table("c", ["a", "b"], {(): 0.1, ("a",): 0.2, ("b",): 0.3, ("a", "b"): 0.4})
+    assert keyed.values == [0.1, 0.3, 0.2, 0.4]
+    assert keyed.tolerances == [1e-9] * 4 and keyed.support is None
+    # a list is kept as given, any other sequence copied into one
+    values, support = [0.1, 0.3, 0.2, 0.4], (5, 6, 7, 8)
+    table = SuccessTable("c", ("a", "b"), values, [1e-9] * 4, support)
+    assert table.values is values and table.tolerances == keyed.tolerances
+    assert table.support == [5, 6, 7, 8]
+    assert at(table.support, table.parents, {"a"}) == 7
 
 
 @pytest.mark.parametrize("parents, values, message", [
     (("b", "a"), [0.5] * 4, r"parents \['b', 'a'\] are not distinct and in name order"),
     (("a", "a"), [0.5] * 4, r"parents \['a', 'a'\] are not distinct and in name order"),
-    (("a",), {frozenset(): 0.5, frozenset({"b"}): 0.5}, r"has no pattern \{a\}"),
-], ids=["unsorted", "repeated", "foreign-pattern"])
+], ids=["unsorted", "repeated"])
 def test_malformed_tables_rejected(parents, values, message):
     with pytest.raises(ReconstructionError, match=message):
         SuccessTable("c", parents, values, [1e-9] * len(values))
@@ -230,6 +227,11 @@ def test_table_codes_list_patterns_in_table_order():
         assert table_codes(width) is codes  # kept per width
 
 
+def test_table_codes_order():
+    # the empty pattern, {a} (code 0b10), {b} (0b01), then both
+    assert table_codes(2) == (0, 2, 1, 3)
+
+
 def _detect_outcome(table):
     """What detection gives for ``table``: its pairs and records, or the
     error class with the subset and message it names."""
@@ -250,7 +252,8 @@ def _reference_detect(table):
                 miss *= 1.0 - prob
                 spread += solved_tol[body] / (1.0 - prob)
         predicted = 1.0 - miss
-        value, tol = table.values[subset], table.tolerances[subset]
+        value = at(table.values, table.parents, subset)
+        tol = at(table.tolerances, table.parents, subset)
         threshold = tol + miss * spread
         residual = value - predicted
         if residual > threshold:
@@ -274,15 +277,9 @@ def _reference_detect(table):
 
 
 def _assert_detection_matches_the_reference(table):
-    """Detection of ``table`` and of the same table keyed by subset give the
-    reference's pairs and records, float for float, or fail with the same
-    error at the same subset."""
-    support = None if table.support is None else dict(table.support.items())
-    keyed = SuccessTable(table.target, table.parents, dict(table.values.items()),
-                         dict(table.tolerances.items()), support)
-    assert keyed == table
+    """Detection of ``table`` gives the reference's pairs and records, float
+    for float, or fails with the same error at the same subset."""
     got = _detect_outcome(table)
-    assert _detect_outcome(keyed) == got
     assert (got[:2] if isinstance(got[0], type) else got) == _reference_detect(table)
     return got
 
@@ -301,10 +298,7 @@ def _assert_detection_matches_the_reference(table):
 ], ids=["boost", "explained", "interaction", "noise", "clamped", "saturated",
         "non-monotone", "improper"])
 def test_detection_is_the_same_by_subset_and_by_code(parents, values, tol, outcome):
-    keyed = make_table("c", parents, values, tol)
-    by_code = SuccessTable("c", keyed.parents, list(keyed.values_by_code),
-                           list(keyed.tolerances_by_code))
-    got = _assert_detection_matches_the_reference(by_code)
+    got = _assert_detection_matches_the_reference(make_table("c", parents, values, tol))
     if isinstance(outcome, type):
         # the last pattern in table order is the one that fails
         assert got[:2] == (outcome, frozenset(parents))
@@ -622,7 +616,8 @@ class MaskOracle:
             raise StarvedPatternError(
                 f"{target}: {len(starved)} parent pattern(s) below support: {listing}",
                 target=target, patterns=tuple(starved))
-        return SuccessTable(target, parents, values, tolerances, support)
+        return SuccessTable(target, parents, by_code(parents, values),
+                            by_code(parents, tolerances), by_code(parents, support))
 
     def success_given_parents(self, target, pattern):
         mask = np.ones(len(self._data), dtype=bool)
@@ -906,7 +901,7 @@ def test_factor_tables_equal_calibrated_tables():
             seen["unread"] += any(c.probability == 0.0 for c in program.clauses
                                   if c.effect == target and c.causes)
             for subset, value in want.items():
-                assert table.values[subset] == pytest.approx(value, abs=1e-12)
+                assert at(table.values, parents, subset) == pytest.approx(value, abs=1e-12)
     assert all(seen.values()), seen
 
 
@@ -956,7 +951,7 @@ def test_exact_oracle_rows_equal_the_factor_tables():
             factor = node_factor(program, target)
             for subset in subsets_by_code(parents):
                 cell = (1, *[int(name in subset) for name in factor.scope[1:]])
-                assert table.values[subset] == factor.table[cell]
+                assert at(table.values, parents, subset) == factor.table[cell]
             own = [c for c in program.clauses if c.effect == target]
             seen["negated"] += any(not lit.positive for c in own for lit in c.causes)
             seen["certain"] += any(c.probability == 1.0 for c in own)
