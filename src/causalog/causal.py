@@ -15,10 +15,11 @@ query is the same construction with no evidence. Both hand the query to
 ``engine.query``, the one entry point of every query kind, which checks the
 intervention's names, then the evidence as a formula, and reads the twin's
 factors straight from the program's clauses, so neither builds a program.
-``intervene`` and ``twin_program`` (for ``twin-export``) build the
-surgically modified program and the combined one for their own callers,
-after the same ``engine.check_intervention``. The twin's text is written
-with ``Clause.format``, the one statement writer ``Program.to_text`` uses.
+``intervene`` builds the surgically modified program for its own callers,
+and ``twin_program`` (for ``twin-export``) writes the combined one as text
+straight from the program's rows, building no desugared form, after the
+same ``engine.check_intervention``. The twin's text is written with
+``Clause.format``, the one statement writer ``Program.to_text`` uses.
 """
 
 from __future__ import annotations
@@ -28,16 +29,11 @@ from typing import Mapping
 from .engine import QueryResult, check_intervention, query
 from .formula import Formula, conjunction_of
 from .frozen import Frozen
-from .model import (
-    Clause,
-    DesugaredProgram,
-    Literal,
-    LogicalClause,
-    Program,
-)
+from .model import Clause, Program, literal_text
 
 EVIDENCE_SUFFIX = "__e"
 INTERVENTION_SUFFIX = "__i"
+_SUFFIXES = (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX)
 
 
 def intervene(program: Program, intervention: Mapping[str, bool]) -> Program:
@@ -61,70 +57,61 @@ def interventional_query(program: Program, phi: Formula,
 
 
 class TwinProgram(Frozen):
-    """Both copies of a program sharing one set of noise facts.
+    """Both copies of a program sharing one set of noise facts, as ``text``
+    in the ordinary clause format.
 
-    ``desugared`` holds the combined clause system: evidence-copy clauses,
-    intervention-copy clauses after surgery, and the shared facts. Intervened
-    propositions forced true appear as clauses with an empty body."""
+    Shared noise facts become explicit propositions with their own
+    unconditional clause, and every clause of either copy becomes a
+    probability-one clause guarded by its noise fact, so any tool reading
+    the plain format can replay counterfactual queries as conditionals."""
 
-    _fields = ("desugared",)
+    _fields = ("text",)
 
-    def __init__(self, desugared: DesugaredProgram):
-        self.__dict__["desugared"] = desugared
+    def __init__(self, text: str):
+        self.__dict__["text"] = text
 
     def to_program_text(self) -> str:
-        """Render the twin in the ordinary clause format.
-
-        Shared noise facts become explicit propositions with their own
-        unconditional clause, and every logical clause becomes a
-        probability-one clause, so any tool reading the plain format can
-        replay counterfactual queries as conditionals. A twin proposition no
-        clause mentions, such as the intervention copy of a node forced
-        false, gets a clause of probability zero, so it stays queryable."""
-        dp = self.desugared
-        lines = [Clause.format(dp.noise_probability(u), u) for u in dp.noise_names]
-        for clause in dp.clauses:
-            body = [str(lit) for lit in sorted(clause.literals, key=lambda l: l.name)]
-            lines.append(Clause.format(1.0, clause.head, body + sorted(clause.noise)))
-        # a proposition no clause reads (a sink) and none concludes
-        unmentioned = dp.dependency_graph().sinks().difference(c.head for c in dp.clauses)
-        lines += [Clause.format(0.0, name) for name in sorted(unmentioned)]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return self.text
 
 
 def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProgram:
-    """Build the combined evidence/intervention program.
+    """Write the combined evidence/intervention program from the rows.
 
-    Every logical clause of the desugared source appears once per copy with
-    its body atoms renamed, guarded by the same shared noise fact. The
-    intervention then erases the clauses of the forced propositions in the
-    intervention copy only. A cyclic program is refused before the twin is
-    built, so the error names the program's own atoms."""
-    program.dependency_graph().topological_order()
+    First a noise fact ``u<i>`` per clause in canonical order, prefixed with
+    further ``u``s while that names a proposition of the program. Then each
+    clause once per copy, its body atoms renamed and listed by their new
+    names, guarded by its noise fact; the intervention erases the clauses
+    of the forced propositions in the intervention copy only. Then a
+    probability-one clause for each proposition forced true, and a clause
+    of probability zero for each twin proposition no clause reads or
+    concludes, such as the intervention copy of a node forced false, so it
+    stays queryable. A cyclic program is refused before the twin is
+    written, so the error names the program's own atoms."""
+    graph = program.dependency_graph()
+    graph.topological_order()
     forced = check_intervention(program, intervention)
-    dp = program.desugar()
-    # the program's clauses are checked, and a valid name with a suffix is
-    # one too, so the copies are built without the checks again
-    clauses: list[LogicalClause] = []
-    for clause in dp.clauses:
-        for suffix in (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX):
-            if suffix == INTERVENTION_SUFFIX and clause.head in forced:
-                continue
-            clauses.append(LogicalClause._trusted(
-                head=clause.head + suffix,
-                literals=frozenset([Literal._trusted(name=lit.name + suffix,
-                                                     positive=lit.positive)
-                                    for lit in clause.literals]),
-                noise=clause.noise,
-            ))
-    for name in sorted(forced):
-        if forced[name]:
-            clauses.append(LogicalClause._trusted(head=name + INTERVENTION_SUFFIX,
-                                                  literals=frozenset(), noise=frozenset()))
-    declared = [p + EVIDENCE_SUFFIX for p in program.propositions]
-    declared += [p + INTERVENTION_SUFFIX for p in program.propositions]
-    twin_dp = DesugaredProgram(clauses, dp.noise_probs, declared=declared)
-    return TwinProgram(twin_dp)
+    rank = graph.ordering_rank()
+    noise, lines = [], []
+    used: set[str] = set()  # the twin propositions some clause reads or concludes
+    for effect in sorted(program._rows, key=rank.__getitem__):
+        suffixes = (EVIDENCE_SUFFIX,) if effect in forced else _SUFFIXES
+        used.update([effect + suffix for suffix in suffixes])
+        for row, fire in program._rows[effect]:
+            u = f"u{len(noise) + 1}"
+            while u in graph.nodes:
+                u = "u" + u
+            noise.append(Clause.format(fire, u))
+            for suffix in suffixes:
+                body = sorted([(name + suffix, positive) for name, positive in row])
+                used.update([name for name, _ in body])
+                lines.append(Clause.format(1.0, effect + suffix,
+                                           [literal_text(*atom) for atom in body] + [u]))
+    pinned = [name + INTERVENTION_SUFFIX for name in sorted(forced) if forced[name]]
+    used.update(pinned)
+    lines += [Clause.format(1.0, name) for name in pinned]
+    unmentioned = {p + suffix for p in graph.nodes for suffix in _SUFFIXES}.difference(used)
+    lines = noise + lines + [Clause.format(0.0, name) for name in sorted(unmentioned)]
+    return TwinProgram("\n".join(lines) + ("\n" if lines else ""))
 
 
 def counterfactual_query(program: Program, phi: Formula,

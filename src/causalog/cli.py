@@ -22,7 +22,10 @@ that fails prints no document.
 
 ``learning`` and ``reconstruction`` are imported inside the ``sample``,
 ``reconstruct`` and ``learn`` handlers, so the other subcommands never load
-them.
+them. A call parses its arguments once: an ``argv`` that starts with a
+subcommand goes straight to that subcommand's parser, with the results and
+errors of the top-level parser, whose own pass would only scan the
+arguments and hand them on; any other ``argv`` goes through the top level.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ _Outcome = tuple[dict[str, Any], Any, str]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         inputs, result, text = args.run(args)
     except CausalogError as err:
@@ -79,15 +82,33 @@ _MEMORY_HINTS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)`` in one pass when ``argv[0]``
+    names a subcommand. The top level then hands every later argument to
+    that subcommand's parser, so it is called directly, and what it leaves
+    over is the top level's usage error, as ``parse_args`` reports it. Any
+    other ``argv`` goes through the top level."""
+    parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps
-    its results in a fresh namespace, so calls share nothing through it."""
+    its results in a fresh namespace, so calls share nothing through it.
+    ``subcommands`` maps each subcommand's name to its parser."""
     parser = argparse.ArgumentParser(
         prog="causalog",
         description="Exact causal reasoning over probabilistic logic programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def command(name: str, run: Callable[[argparse.Namespace], _Outcome], help: str,
                 file: bool = True, graph: bool = False,
@@ -191,7 +212,7 @@ def _read(path: str, error: type[CausalogError]) -> str:
 
 
 def _write_or_return(text: str, output: str | None) -> str:
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
         return ""

@@ -8,9 +8,10 @@ proposition: the proposition is true exactly when some clause for it fires,
 a clause firing when all its body literals hold and its noise proposition is
 drawn true. Acyclic programs have a unique solution for every noise
 assignment. Queries and sampling read a program's (body, fire) rows, one
-per clause, and never build that noise form; ``Program.desugar`` spells it
-out for the twin network, for the error that names a noise proposition, and
-for brute-force references that enumerate noise assignments.
+per clause, and never build that noise form, nor does the twin export;
+``Program.desugar`` spells it out for the error that names a noise
+proposition and for brute-force references that enumerate noise
+assignments.
 
 Programs list their clauses in a canonical order (topological by effect,
 then effect name, then body) so that printing is deterministic; two programs

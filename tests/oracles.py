@@ -10,13 +10,60 @@ reused, so agreement between the two routes is meaningful.
 import itertools
 import math
 
-from causalog import DesugaredProgram, Program, ZeroEvidenceError, conjunction_of
+from causalog import (
+    Clause,
+    DesugaredProgram,
+    Literal,
+    LogicalClause,
+    Program,
+    ZeroEvidenceError,
+    conjunction_of,
+)
+from causalog.engine import check_intervention
 
 
 def _as_desugared(program):
     if isinstance(program, Program):
         return program.desugar()
     return program
+
+
+def reference_twin(program: Program, action) -> DesugaredProgram:
+    """The counterfactual twin of ``program`` under the intervention
+    ``action`` as a desugared program: every logical clause of the
+    program's desugared form once per copy (``__e`` and ``__i``) with its
+    body atoms renamed, guarded by the same shared noise fact; the clauses
+    of a forced proposition are left out of the ``__i`` copy, and one
+    forced true gets an unconditional ``__i`` clause."""
+    forced = check_intervention(program, action)
+    dp = program.desugar()
+    clauses = []
+    for clause in dp.clauses:
+        for suffix in ("__e", "__i"):
+            if suffix == "__i" and clause.head in forced:
+                continue
+            literals = [Literal(lit.name + suffix, lit.positive) for lit in clause.literals]
+            clauses.append(LogicalClause(clause.head + suffix, literals, clause.noise))
+    for name in sorted(forced):
+        if forced[name]:
+            clauses.append(LogicalClause(name + "__i", [], []))
+    declared = [p + suffix for p in program.propositions for suffix in ("__e", "__i")]
+    return DesugaredProgram(clauses, dp.noise_probs, declared=declared)
+
+
+def reference_twin_text(dp: DesugaredProgram) -> str:
+    """A twin from ``reference_twin`` in the plain clause format: a fact per
+    noise name, a probability-one clause per logical clause with its body
+    literals by name and its noise last, and a probability-zero clause for
+    each proposition no clause reads or concludes."""
+    lines = [Clause.format(dp.noise_probability(u), u) for u in dp.noise_names]
+    for clause in dp.clauses:
+        body = [str(lit) for lit in sorted(clause.literals, key=lambda l: l.name)]
+        lines.append(Clause.format(1.0, clause.head, body + sorted(clause.noise)))
+    mentioned = {name for c in dp.clauses for name in [c.head, *(l.name for l in c.literals)]}
+    unmentioned = set(dp.internal_propositions) - mentioned
+    lines += [Clause.format(0.0, name) for name in sorted(unmentioned)]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _topological_heads(dp: DesugaredProgram) -> list[str]:

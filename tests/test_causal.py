@@ -5,10 +5,13 @@ import pytest
 
 from causalog import (
     Atom,
+    Clause,
     CyclicProgramError,
     EnumerationCapError,
     FormulaError,
     InterventionError,
+    Literal,
+    Program,
     ZeroEvidenceError,
     conditional,
     conjunction_of,
@@ -23,7 +26,12 @@ from causalog import (
 )
 from causalog import cli
 
-from oracles import reference_conditional, reference_probability
+from oracles import (
+    reference_conditional,
+    reference_probability,
+    reference_twin,
+    reference_twin_text,
+)
 from proggen import (
     layered_program,
     numpy_rng,
@@ -79,8 +87,7 @@ def test_intervention_breaks_upstream_inference():
 
 
 def test_twin_structure(boost_program):
-    twin = twin_program(boost_program, {"treatment": True})
-    dp = twin.desugared
+    dp = reference_twin(boost_program, {"treatment": True})
     assert len(dp.noise_names) == 3  # shared, not duplicated
     heads = sorted(c.head for c in dp.clauses)
     assert heads == ["recovery__e", "recovery__e", "recovery__i",
@@ -91,17 +98,58 @@ def test_twin_structure(boost_program):
 
 def test_twin_export_round_trip(boost_program):
     twin = twin_program(boost_program, {"treatment": True})
+    dp = reference_twin(boost_program, {"treatment": True})
     replay = parse_program(twin.to_program_text())
     # the exported ordinary program must induce the same distribution over
     # the twin alphabet as brute force over the twin's shared noise
     for name in ("treatment__e", "recovery__e", "recovery__i"):
-        want = reference_probability(twin.desugared, Atom(name))
+        want = reference_probability(dp, Atom(name))
         got = probability(replay, Atom(name)).probability
         assert got == pytest.approx(want, abs=EXACT)
     joint = conjunction_of({"recovery__i": True, "recovery__e": False})
-    want = reference_probability(twin.desugared, joint)
+    want = reference_probability(dp, joint)
     got = probability(replay, joint).probability
     assert got == pytest.approx(want, abs=EXACT)
+
+
+# names whose twin copies list apart from the names themselves (a < a0 but
+# a0__e < a__e, and a__f__e < a__e but a__i < a__f__i), and names the first
+# noise facts would take, so that theirs become uu1 and uuu1
+_TWIN_NAMES = ["a", "a0", "a__f", "u1", "uu1", "b", "c", "d"]
+
+
+def test_twin_export_is_the_reference_twin_text():
+    rng = numpy_rng(3030)
+    seen = {"negated": 0, "certain": 0, "forced_true": 0, "forced_false": 0,
+            "declared": 0, "u1": 0, "a_a0": 0}
+    for _ in range(200):
+        source = with_negation_and_certainty(
+            rng, random_program(rng, max_nodes=6, max_parents=3, max_bodies=3))
+        rename = dict(zip(source.propositions,
+                          rng.permutation(_TWIN_NAMES)[:len(source.propositions)].tolist()))
+        declared = ["zz"] * int(rng.random() < 0.3)
+        program = Program([Clause(rename[c.effect],
+                                  [Literal(rename[l.name], l.positive) for l in c.causes],
+                                  c.probability) for c in source.clauses], declared=declared)
+        names = program.propositions
+        action = random_assignment(rng, names, int(rng.integers(0, 3)))
+        text = twin_program(program, action).to_program_text()
+        assert text == reference_twin_text(reference_twin(program, action))
+        seen["negated"] += any(not lit.positive for c in program.clauses for lit in c.causes)
+        seen["certain"] += any(c.probability in (0.0, 1.0) for c in program.clauses)
+        seen["forced_true"] += any(action.values())
+        seen["forced_false"] += not all(action.values())
+        seen["declared"] += bool(declared)
+        seen["u1"] += "u1" in names
+        seen["a_a0"] += any({"a", "a0"} <= {lit.name for lit in c.causes}
+                            for c in program.clauses)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_twin_program_builds_no_desugared_form(boost_program, monkeypatch):
+    want = reference_twin_text(reference_twin(boost_program, {"treatment": False}))
+    monkeypatch.setattr(Program, "desugar", lambda self: pytest.fail("the twin desugared"))
+    assert twin_program(boost_program, {"treatment": False}).to_program_text() == want
 
 
 # --- counterfactuals ----------------------------------------------------------
@@ -123,9 +171,8 @@ def test_switch_counterfactual_diverges(switch_program):
 
 def test_counterfactual_against_reference(boost_program, switch_program):
     for program, want in ((boost_program, 1.0), (switch_program, 0.7)):
-        twin = twin_program(program, {"treatment": True})
         got = reference_conditional(
-            twin.desugared,
+            reference_twin(program, {"treatment": True}),
             Atom("recovery__i"),
             conjunction_of({"recovery__e": True, "treatment__e": False}),
         )
@@ -203,9 +250,9 @@ def test_formula_evidence_under_an_intervention_against_reference():
         names = program.propositions
         phi, evidence = random_formula(rng, names), random_formula(rng, names)
         action = random_assignment(rng, names, int(rng.integers(1, 3)))
-        twin = twin_program(program, action)
         try:
-            want = reference_conditional(twin.desugared, phi.map_atoms(lambda n: n + "__i"),
+            want = reference_conditional(reference_twin(program, action),
+                                         phi.map_atoms(lambda n: n + "__i"),
                                          evidence.map_atoms(lambda n: n + "__e"))
         except ZeroDivisionError:
             with pytest.raises(ZeroEvidenceError):
@@ -240,9 +287,8 @@ def test_counterfactual_randomized_against_reference():
         phi = random_formula(rng, names)
         evidence = random_assignment(rng, names, 1)
         action = random_assignment(rng, names, 1)
-        twin = twin_program(program, action)
         want = reference_conditional(
-            twin.desugared,
+            reference_twin(program, action),
             phi.map_atoms(lambda n: n + "__i"),
             conjunction_of({k + "__e": v for k, v in evidence.items()}),
         )
@@ -291,8 +337,8 @@ def test_every_entry_point_refuses_an_unknown_intervention_alike(entry, name, bo
 
 
 def test_twin_reference_total_mass(boost_program):
-    twin = twin_program(boost_program, {"treatment": True})
-    assert reference_probability(twin.desugared, conjunction_of({})) == pytest.approx(1.0, abs=EXACT)
+    twin = reference_twin(boost_program, {"treatment": True})
+    assert reference_probability(twin, conjunction_of({})) == pytest.approx(1.0, abs=EXACT)
 
 
 def test_factored_counterfactual_differential():
@@ -310,7 +356,7 @@ def test_factored_counterfactual_differential():
         phi_i = phi.map_atoms(lambda n: n + "__i")
         evidence_e = conjunction_of({k + "__e": v for k, v in evidence.items()})
         try:
-            want = reference_conditional(twin.desugared, phi_i, evidence_e)
+            want = reference_conditional(reference_twin(program, action), phi_i, evidence_e)
         except ZeroDivisionError:
             with pytest.raises(ZeroEvidenceError):
                 counterfactual_query(program, phi, evidence, action)
@@ -383,12 +429,12 @@ def test_propositions_named_like_twin_copies_stay_apart():
     r = interventional_query(program, Atom("a__i"), {"a": False})
     assert r.probability == pytest.approx(0.3, abs=EXACT)
     for action in ({"a": True}, {"a": False}):
-        twin = twin_program(program, action)
+        twin = reference_twin(program, action)
         for phi, evidence in itertools.product(
                 (Atom("a__i"), Atom("b"), parse_formula("b | b__e")),
                 ({"b__e": True}, {"b__e": True, "b": True}, {"a__i": False})):
             want = reference_conditional(
-                twin.desugared, phi.map_atoms(lambda n: n + "__i"),
+                twin, phi.map_atoms(lambda n: n + "__i"),
                 conjunction_of({k + "__e": v for k, v in evidence.items()}))
             got = counterfactual_query(program, phi, evidence, action)
             assert got.probability == pytest.approx(want, abs=EXACT)

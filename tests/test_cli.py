@@ -621,6 +621,27 @@ def test_cyclic_sample_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", BOOST],
+    ["reconstruct", "--hidden", BOOST, "--graph", EDGES],
+    ["learn", "--data", "rows.csv", "--graph", EDGES],
+    ["twin-export", BOOST, "--do", "treatment"],
+    ["sample", BOOST, "-n", "5", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_empty_output_path_is_an_error(argv, tmp_path, capsys, monkeypatch):
+    # an empty -o names no file, so it fails as sample's always did rather
+    # than printing to stdout
+    monkeypatch.chdir(ROOT)
+    rows = tmp_path / "rows.csv"
+    assert cli.main(["sample", BOOST, "-n", "500", "--seed", "3", "-o", str(rows)]) == 0
+    capsys.readouterr()
+    argv = [str(rows) if arg == "rows.csv" else arg for arg in argv]
+    assert cli.main([*argv, "-o", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[io]: [Errno 2] No such file or directory: ''\n"
+
+
 def test_recovery_json_carries_node_stats(tmp_path, capsys):
     csv = tmp_path / "samples.csv"
     fixtures = ROOT / "fixtures"

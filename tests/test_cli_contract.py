@@ -204,3 +204,43 @@ def test_random_argument_lists(workdir, argv):
     argv = [str(workdir / arg) if prev in ("-o", "--data") and arg in _OUTPUTS else arg
             for prev, arg in zip([None, *argv], argv)]
     _run(workdir, {}, argv)
+
+
+# --- one argument parse per call ------------------------------------------------
+
+
+def _parse(parse, argv: list[str]):
+    """What ``parse(argv)`` gives: the namespace's fields in order, or the
+    exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _check_one_pass(argv: list[str]) -> None:
+    assert _parse(cli._parse_args, argv) == _parse(cli._build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--he"], ["-x"], ["nope"], ["twin"], ["--json", "query", "f"],
+    ["query"], ["query", "-h"], ["query", "f", "--prob", "a", "-h"],
+    ["query", "f", "--prob=a"], ["query", "f", "--pro", "a"], ["query", "f", "--p", "a"],
+    ["query", "f", "--prob", "a", "--he"], ["query", "--", "f", "--prob", "a"],
+    ["query", "f", "--prob", "a", "--", "g"], ["query", "f", "--prob", "a", "g", "h"],
+    ["query", "f", "--prob", "a", "-o", "x"], ["query", "f", "--prob", "a", "--precision", "x"],
+    ["query", "f", "--prob", "-1", "--given", "a", "--given", "b"],
+    ["sample", "f", "-n", "-1", "--seed", "3", "-o", "x"], ["graph", "f", "-h", "--format", "png"],
+    ["twin-export", "f", "--do", "a", "--do=\\+b", "--json"], ["validate", "f", "query"],
+])
+def test_one_pass_parse_edge_cases(argv):
+    _check_one_pass(argv)
+
+
+@settings(max_examples=200)
+@given(argv=_argvs())
+def test_one_pass_parse_matches_the_full_parse(argv):
+    _check_one_pass(argv)

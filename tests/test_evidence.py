@@ -24,11 +24,10 @@ from causalog import (
     interventional_query,
     parse_program,
     probability,
-    twin_program,
 )
 from causalog import cli, engine
 
-from oracles import reference_conditional, reference_probability
+from oracles import reference_conditional, reference_probability, reference_twin
 from proggen import (
     numpy_rng,
     random_assignment,
@@ -86,11 +85,11 @@ def test_queries_match_the_reference_on_both_sides_of_the_gate(gate):
         contradiction = And(conjunction_of(observed), And(atom, Not(atom)))
         seen["contradiction"] += _check_conditional(program, phi, contradiction)
 
-        twin = twin_program(program, action)
+        twin = reference_twin(program, action)
         phi_i = phi.map_atoms(lambda n: n + "__i")
         evidence_e = conjunction_of({k + "__e": v for k, v in observed.items()})
         try:
-            want = reference_conditional(twin.desugared, phi_i, evidence_e)
+            want = reference_conditional(twin, phi_i, evidence_e)
         except ZeroDivisionError:
             with pytest.raises(ZeroEvidenceError) as err:
                 counterfactual_query(program, phi, observed, action)

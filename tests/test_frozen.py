@@ -15,7 +15,6 @@ from causalog import (
     Clause,
     Const,
     DependencyGraph,
-    DesugaredProgram,
     GraphFormatError,
     JointTable,
     Literal,
@@ -41,8 +40,7 @@ from causalog.reconstruction import (
 
 A = frozenset({"a"})
 BODY = (("b", True),)  # a factor's clause body: b true
-# these compare by identity, so equal instances share them
-TWIN_SOURCE = DesugaredProgram([], {"u1": 0.5})
+# compares by identity, so equal instances share it
 FAILURE = CausalogError("a failed")
 
 
@@ -97,8 +95,7 @@ CASES = [
     (DependencyGraph, ("nodes", "edges"),
      lambda: (frozenset({"a", "b"}), frozenset({("a", "b")})), {}, "fields",
      ("edges", frozenset())),
-    (TwinProgram, ("desugared",), lambda: (TWIN_SOURCE,), {}, "fields",
-     ("desugared", DesugaredProgram([], {}))),
+    (TwinProgram, ("text",), lambda: ("0.5 :: u1.\n",), {}, "fields", ("text", "")),
     (Provenance, ("program_sha256", "seed", "n"), lambda: ("ff", 1, 10), {}, "fields",
      ("seed", 2)),
     (ValidationReport, ("acyclic", "positive", "proper_normal_form", "diagnostics"),
