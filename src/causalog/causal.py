@@ -15,10 +15,11 @@ query is the same construction with no evidence. Both hand the query to
 ``engine.query``, the one entry point of every query kind, which checks the
 intervention's names, then the evidence as a formula, and reads the twin's
 factors straight from the program's clauses, so neither builds a program.
-``intervene`` builds the surgically modified program for its own callers,
-and ``twin_program`` (for ``twin-export``) writes the combined one as text
-straight from the program's rows, building no desugared form, after the
-same ``engine.check_intervention``. The twin's text is written with
+``intervene`` builds the surgically modified program for its own callers
+from the program's rows, and ``twin_program`` (for ``twin-export``) writes
+the combined one as text straight from the rows and ``Program.noise_names``,
+building no desugared form, both after the same
+``engine.check_intervention``. The twin's text is written with
 ``Clause.format``, the one statement writer ``Program.to_text`` uses.
 """
 
@@ -29,7 +30,7 @@ from typing import Mapping
 from .engine import QueryResult, check_intervention, query
 from .formula import Formula, conjunction_of
 from .frozen import Frozen
-from .model import Clause, Program, literal_text
+from .model import Clause, Program, body_keys, literal_text
 
 EVIDENCE_SUFFIX = "__e"
 INTERVENTION_SUFFIX = "__i"
@@ -42,11 +43,11 @@ def intervene(program: Program, intervention: Mapping[str, bool]) -> Program:
     is preserved, so erased propositions stay queryable (and are false unless
     forced)."""
     forced = check_intervention(program, intervention)
-    clauses = [c for c in program.clauses if c.effect not in forced]
-    for name in sorted(forced):
-        if forced[name]:
-            clauses.append(Clause(name, frozenset(), 1.0))
-    return Program(clauses, declared=program.propositions)
+    entries = [(effect, *body_keys([(name, not positive) for name, positive in row]), fire)
+               for effect, rows in program._rows.items() if effect not in forced
+               for row, fire in rows]
+    entries += [(name, (), (), 1.0) for name in sorted(forced) if forced[name]]
+    return Program._trusted(entries, declared=program.propositions)
 
 
 def interventional_query(program: Program, phi: Formula,
@@ -77,35 +78,27 @@ class TwinProgram(Frozen):
 def twin_program(program: Program, intervention: Mapping[str, bool]) -> TwinProgram:
     """Write the combined evidence/intervention program from the rows.
 
-    First a noise fact ``u<i>`` per clause in canonical order, prefixed with
-    further ``u``s while that names a proposition of the program. Then each
-    clause once per copy, its body atoms renamed and listed by their new
-    names, guarded by its noise fact; the intervention erases the clauses
-    of the forced propositions in the intervention copy only. Then a
-    probability-one clause for each proposition forced true, and a clause
-    of probability zero for each twin proposition no clause reads or
-    concludes, such as the intervention copy of a node forced false, so it
-    stays queryable. A cyclic program is refused before the twin is
+    First a noise fact per clause in canonical order, named by
+    ``Program.noise_names``. Then each clause once per copy, its body atoms
+    renamed and listed by their new names, guarded by its noise fact; the
+    intervention erases the clauses of the forced propositions in the
+    intervention copy only. Then a probability-one clause for each
+    proposition forced true, and a clause of probability zero for each twin
+    proposition no clause reads or concludes, such as the intervention copy
+    of a node forced false, so it stays queryable. A cyclic program is refused before the twin is
     written, so the error names the program's own atoms."""
     graph = program.dependency_graph()
     graph.topological_order()
     forced = check_intervention(program, intervention)
-    rank = graph.ordering_rank()
     noise, lines = [], []
     used: set[str] = set()  # the twin propositions some clause reads or concludes
-    for effect in sorted(program._rows, key=rank.__getitem__):
-        suffixes = (EVIDENCE_SUFFIX,) if effect in forced else _SUFFIXES
-        used.update([effect + suffix for suffix in suffixes])
-        for row, fire in program._rows[effect]:
-            u = f"u{len(noise) + 1}"
-            while u in graph.nodes:
-                u = "u" + u
-            noise.append(Clause.format(fire, u))
-            for suffix in suffixes:
-                body = sorted([(name + suffix, positive) for name, positive in row])
-                used.update([name for name, _ in body])
-                lines.append(Clause.format(1.0, effect + suffix,
-                                           [literal_text(*atom) for atom in body] + [u]))
+    for (effect, row, fire), u in zip(program._ordered_rows(), program.noise_names):
+        noise.append(Clause.format(fire, u))
+        for suffix in (EVIDENCE_SUFFIX,) if effect in forced else _SUFFIXES:
+            body = sorted([(name + suffix, positive) for name, positive in row])
+            used.update([effect + suffix, *[name for name, _ in body]])
+            lines.append(Clause.format(1.0, effect + suffix,
+                                       [literal_text(*atom) for atom in body] + [u]))
     pinned = [name + INTERVENTION_SUFFIX for name in sorted(forced) if forced[name]]
     used.update(pinned)
     lines += [Clause.format(1.0, name) for name in pinned]

@@ -10,10 +10,11 @@ Grammar, loosest binding first::
              | atom
 
 Formulas are queried against a program, so atoms are checked: unknown names
-are rejected, and so are the generated noise names of the program's desugared
-form, which are not observable. A chain of ``&`` or ``|`` is kept as a
-balanced tree, and a formula nesting deeper than ``MAX_DEPTH`` is refused, so
-that no formula reaches the interpreter's recursion limit.
+are rejected, and so are the program's generated noise names
+(``Program.noise_names``), which are not observable. A chain of ``&`` or
+``|`` is kept as a balanced tree, and a formula nesting deeper than
+``MAX_DEPTH`` is refused, so that no formula reaches the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def parse_formula(text: str, program: Program | None = None) -> Formula:
 
     When ``program`` is given, every atom is checked against its internal
     propositions: an unknown atom is an error, and so is an atom naming one
-    of the noise propositions ``Program.desugar`` generates, which are not
-    observable.
+    of the program's generated noise propositions (``Program.noise_names``),
+    which are not observable.
     """
     cur = _FormulaCursor(text)
     formula, _ = _parse_or(cur)
@@ -247,13 +248,13 @@ def check_atoms(formula: Formula, program: Program) -> None:
 
 def check_names(names: Iterable[str], program: Program) -> None:
     """Reject names outside the program's internal alphabet, naming the first
-    offender in the order given. Only an offender needs the noise names, so
-    a query desugars the program only to explain an error."""
+    offender in the order given. Only an offender needs the program's noise
+    names, so a query lists them only to explain an error."""
     internal = program.dependency_graph().nodes
     for name in names:
         if name in internal:
             continue
-        if name in program.desugar().noise_names:
+        if name in program.noise_names:
             raise FormulaError(
                 f"{name} names a generated noise proposition and cannot be queried"
             )

@@ -7,7 +7,7 @@ row's fact ANDed with its body literals' columns, already solved. Sampling
 is seeded and deterministic: the counter-based Philox generator is keyed
 with the seed and consumed as one draw per (row, fact) cell in row-major
 order, the facts in canonical clause order (the order of the noise names
-``u1..uN`` of ``Program.desugar``), so row ``i`` always consumes the
+``Program.noise_names``), so row ``i`` always consumes the
 ``i``-th run of draws no matter how rows are batched. ``Generator.random``
 makes the uniform ``(raw >> 11) * 2^-53`` of a raw 64-bit word, so a fact
 with probability ``p`` fires exactly where its ``u < p`` would: where
@@ -242,9 +242,10 @@ def _check_columns(columns: Sequence[str], where: str) -> None:
     first: dict[str, int] = {}
     for k, name in enumerate(columns, start=1):
         if not (isinstance(name, str) and VALID_NAME.match(name)) or name in RESERVED_NAMES:
-            if not name:
+            if name is None or isinstance(name, str) and not name:
                 raise DatasetError(f"{where.format(k)} has no name")
-            why = "a reserved word" if name in RESERVED_NAMES else "not a proposition name"
+            reserved = isinstance(name, str) and name in RESERVED_NAMES
+            why = "a reserved word" if reserved else "not a proposition name"
             raise DatasetError(f"{where.format(k)}, {name!r}, is {why}")
         if first.setdefault(name, k) != k:
             raise DatasetError(f"{where.format(k)}, {name!r}, repeats column {first[name]}")

@@ -8,10 +8,10 @@ proposition: the proposition is true exactly when some clause for it fires,
 a clause firing when all its body literals hold and its noise proposition is
 drawn true. Acyclic programs have a unique solution for every noise
 assignment. Queries and sampling read a program's (body, fire) rows, one
-per clause, and never build that noise form, nor does the twin export;
-``Program.desugar`` spells it out for the error that names a noise
-proposition and for brute-force references that enumerate noise
-assignments.
+per clause, and never build that noise form, nor do the twin export and the
+error that names a noise proposition, which take the noise names from
+``Program.noise_names``; ``Program.desugar`` spells the form out for
+brute-force references that enumerate noise assignments.
 
 Programs list their clauses in a canonical order (topological by effect,
 then effect name, then body) so that printing is deterministic; two programs
@@ -115,6 +115,12 @@ def literal_text(name: str, positive: bool) -> str:
     return name if positive else f"\\+ {name}"
 
 
+def row_text(effect: str, row: tuple[tuple[str, bool], ...], fire: float) -> str:
+    """The statement of a clause given as an engine row, as ``Clause.text``
+    writes it: the row lists its literals by name."""
+    return Clause.format(fire, effect, [literal_text(*atom) for atom in row])
+
+
 def body_keys(pairs: Iterable[tuple[str, bool]]) -> tuple[tuple, tuple]:
     """A body's sort key, its (name, negated) ``pairs`` sorted, and its
     engine row, the same atoms as (name, positive) pairs in the same order:
@@ -216,22 +222,39 @@ class Program:
 
     # -- basic views ---------------------------------------------------------
 
+    def _ordered_rows(self) -> list[tuple[str, tuple[tuple[str, bool], ...], float]]:
+        """Every clause as (effect, row, fire) in canonical order: effects by
+        rank in the graph, each one's rows in body order."""
+        rank = self._graph.ordering_rank()
+        return [(effect, row, fire) for effect in sorted(self._rows, key=rank.__getitem__)
+                for row, fire in self._rows[effect]]
+
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
         """The clauses in canonical order, built from the rows on first
-        read: effects by rank in the graph, each one's rows in body order,
-        one frozenset per distinct body."""
-        rank = self._graph.ordering_rank()
+        read, one frozenset per distinct body."""
         bodies: dict[tuple, frozenset[Literal]] = {}
         clauses = []
-        for effect in sorted(self._rows, key=rank.__getitem__):
-            for row, fire in self._rows[effect]:
-                if row not in bodies:
-                    bodies[row] = frozenset([Literal._trusted(name=name, positive=positive)
-                                             for name, positive in row])
-                clauses.append(Clause._trusted(effect=effect, causes=bodies[row],
-                                               probability=fire))
+        for effect, row, fire in self._ordered_rows():
+            if row not in bodies:
+                bodies[row] = frozenset([Literal._trusted(name=name, positive=positive)
+                                         for name, positive in row])
+            clauses.append(Clause._trusted(effect=effect, causes=bodies[row], probability=fire))
         return tuple(clauses)
+
+    @cached_property
+    def noise_names(self) -> tuple[str, ...]:
+        """The generated noise proposition of each clause in canonical
+        order: ``u<i>`` for the ``i``-th, from 1, with more leading ``u``s
+        while that names one of the program's propositions."""
+        nodes = self._graph.nodes
+        names = []
+        for i in range(1, sum(map(len, self._rows.values())) + 1):
+            name = f"u{i}"
+            while name in nodes:
+                name = "u" + name
+            names.append(name)
+        return tuple(names)
 
     @cached_property
     def propositions(self) -> tuple[str, ...]:
@@ -261,23 +284,16 @@ class Program:
         """One statement a line, written straight from the rows in the order
         ``clauses`` lists them: effects by rank in the graph, each one's
         rows in body order, a body's literals, like its row, by name."""
-        rank = self._graph.ordering_rank()
-        lines = [Clause.format(fire, effect, [literal_text(*atom) for atom in row])
-                 for effect in sorted(self._rows, key=rank.__getitem__)
-                 for row, fire in self._rows[effect]]
+        lines = [row_text(*entry) for entry in self._ordered_rows()]
         return "\n".join(lines) + "\n" if lines else ""
 
     # -- desugaring ----------------------------------------------------------
 
     @cached_property
     def _desugared(self) -> "DesugaredProgram":
-        internal = set(self._graph.nodes)
         clauses = []
         probs = {}
-        for i, c in enumerate(self.clauses, start=1):
-            name = f"u{i}"
-            while name in internal:
-                name = "u" + name
+        for c, name in zip(self.clauses, self.noise_names):
             # a Clause's effect and body have passed LogicalClause's checks
             clauses.append(LogicalClause._trusted(head=c.effect, literals=c.causes,
                                                   noise=frozenset({name})))

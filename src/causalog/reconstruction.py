@@ -32,11 +32,13 @@ of each group's columns. Both hand over their tables as lists by pattern
 code, and a table is kept that way from the oracle through detection: the
 code of a pattern has a bit per parent, the first parent in name order the
 most significant, set where the parent is pinned true, so a body lies
-inside a subset when its bits are among the subset's. Subsets are built
-once per table, for the audit records and the accepted bodies. The
-success-table pattern lives here for both: its codes (``pattern_code``),
-their table order (``table_codes``) and its text in messages
-(``subset_text``).
+inside a subset when its bits are among the subset's. Detection keeps one
+plain step per pattern and builds no subset: only an accepted body's names
+are read off its code (``_pattern_bits``), and the residual audit of
+``--json`` (``NodeReport.to_json_dict``) walks the table again when asked.
+The success-table pattern lives here for both oracles: its codes
+(``pattern_code``), their table order (``table_codes``), its bits and its
+text in messages (``subset_text``).
 """
 
 from __future__ import annotations
@@ -93,10 +95,23 @@ def pattern_code(parents: Sequence[str], pattern: Mapping[str, bool]) -> int:
     return code
 
 
+@cache
+def _pattern_bits(width: int) -> tuple[tuple[bool, ...], ...]:
+    """The bits of each pattern of ``width`` parents, the first parent's
+    first, by ``pattern_code``; kept per width, for at most MAX_PARENTS."""
+    return tuple(product((False, True), repeat=width))
+
+
 def subsets_by_code(parents: tuple[str, ...]) -> list[frozenset[str]]:
     """The subset of ``parents`` each pattern pins true, by ``pattern_code``."""
     return [frozenset(compress(parents, bits))
             for bits in product((False, True), repeat=len(parents))]
+
+
+def subset_of(parents: tuple[str, ...], code: int) -> frozenset[str]:
+    """The subset of ``parents`` the pattern of ``code`` pins true."""
+    last = len(parents) - 1
+    return frozenset([name for k, name in enumerate(parents) if code >> (last - k) & 1])
 
 
 @cache
@@ -205,7 +220,7 @@ class ExactOracle:
         if total != total:  # NaN: a pattern has probability zero
             code = next(code for code in table_codes(len(parents))
                         if values[code] != values[code])
-            subset = subsets_by_code(parents)[code]
+            subset = subset_of(parents, code)
             err = zero_evidence(conjunction_of({p: p in subset for p in parents}))
             raise pattern_error(target, subset, err) from err
         return SuccessTable(target, parents, values, [EXACT_TOLERANCE] * len(values), None, read)
@@ -373,29 +388,15 @@ def success_table(oracle: Oracle, target: str, parents: Iterable[str]) -> Succes
         raise pattern_error(target, frozenset(), err) from err
 
 
-class SubsetRecord(Frozen):
-    """Audit trail of one detection step.
-
-    ``tolerance`` is the effective acceptance threshold at this subset: the
-    table's own per-pattern tolerance plus the uncertainty propagated from
-    the already-solved parameters feeding ``predicted``."""
-
-    _fields = ("subset", "value", "predicted", "residual", "tolerance", "accepted",
-               "solved", "note")
-
-    def __init__(self, subset: frozenset[str], value: float, predicted: float,
-                 residual: float, tolerance: float, accepted: bool,
-                 solved: float | None = None, note: str = ""):
-        self.__dict__.update(subset=subset, value=value, predicted=predicted,
-                             residual=residual, tolerance=tolerance, accepted=accepted,
-                             solved=solved, note=note)
-
-
-def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
-                                          list[SubsetRecord]]:
+def _detect(table: SuccessTable) -> list[tuple[int, float, float, float, float | None]]:
     """Detect which parent subsets are clause bodies and solve their
-    probabilities: the (body, probability) pairs in table order, and the
-    record of every subset."""
+    probabilities: one step per pattern in table order, ``(code, predicted,
+    residual, tolerance, solved)``. ``solved`` is the clause probability
+    where the subset is a body and None where it is not, and ``tolerance``
+    the effective acceptance threshold at the subset: the table's own
+    tolerance there plus the uncertainty propagated from the solved
+    parameters feeding ``predicted``. A solved probability is clamped to
+    ``1 - max(tol, 1e-15)``, for the table's own tolerance ``tol`` there."""
     # Subsets are visited smallest first, so the prediction at each subset
     # only involves parameters that are already solved. Every solved
     # parameter carries a first-order uncertainty bound derived from the
@@ -407,13 +408,11 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
     # The walk is over pattern codes, and a body lies strictly inside a
     # subset when its bits are a part of the subset's: every accepted body
     # was visited before, so it is never the subset itself.
-    values, tolerances = table.values, table.tolerances
-    subsets = subsets_by_code(table.parents)
+    values, tolerances, parents = table.values, table.tolerances, table.parents
     # each accepted body: its code, its miss 1 - p and its uncertainty / (1 - p)
     accepted: list[tuple[int, float, float]] = []
-    solved_pairs: list[tuple[frozenset[str], float]] = []
-    records: list[SubsetRecord] = []
-    for code in table_codes(len(table.parents)):
+    steps: list[tuple[int, float, float, float, float | None]] = []
+    for code in table_codes(len(parents)):
         miss = 1.0
         spread = 0.0
         for body, keep, share in accepted:
@@ -425,61 +424,59 @@ def _detect(table: SuccessTable) -> tuple[list[tuple[frozenset[str], float]],
         tol = tolerances[code]
         threshold = tol + miss * spread
         residual = value - predicted
+        solved = None
         if residual > threshold:
             if miss <= tol:
+                subset = subset_of(parents, code)
                 raise SaturationError(
-                    f"{table.target}: prediction at {subset_text(subsets[code])} is already "
+                    f"{table.target}: prediction at {subset_text(subset)} is already "
                     f"within tolerance of certainty but the table value still exceeds "
                     f"it; the clause probability cannot be solved",
-                    table.target, subsets[code],
+                    table.target, subset,
                 )
             solved = 1.0 - (1.0 - value) / miss
-            note = ""
             if not 0.0 < solved <= 1.0:  # below 0 only for a negative tolerance
+                subset = subset_of(parents, code)
                 raise ImproperParameterError(
                     f"{table.target}: solved probability {solved} at "
-                    f"{subset_text(subsets[code])} escapes (0, 1]; "
+                    f"{subset_text(subset)} escapes (0, 1]; "
                     f"the table is not noisy-OR shaped",
-                    table.target, subsets[code],
+                    table.target, subset,
                 )
-            limit = 1.0 - max(tol, 1e-15)
-            if solved > limit:
-                note = f"clamped from {solved}"
-                solved = limit
+            solved = min(solved, 1.0 - max(tol, 1e-15))
             uncertainty = tol / miss + max(0.0, 1.0 - value) / miss * spread
             accepted.append((code, 1.0 - solved, uncertainty / (1.0 - solved)))
-            solved_pairs.append((subsets[code], solved))
-            records.append(SubsetRecord(subsets[code], value, predicted, residual,
-                                        threshold, True, solved, note))
         elif residual < -threshold:
+            subset = subset_of(parents, code)
             raise NonMonotoneTableError(
-                f"{table.target}: value {value} at {subset_text(subsets[code])} falls below "
+                f"{table.target}: value {value} at {subset_text(subset)} falls below "
                 f"the prediction {predicted} by more than the tolerance "
                 f"{threshold}; the oracle is not consistent with any "
                 f"positive program",
-                table.target, subsets[code],
+                table.target, subset,
             )
-        else:
-            records.append(SubsetRecord(subsets[code], value, predicted, residual,
-                                        threshold, False))
-    return solved_pairs, records
+        steps.append((code, predicted, residual, threshold, solved))
+    return steps
 
 
 class NodeReport(Frozen):
-    """Reconstruction outcome for one node, with the number of patterns the
-    oracle read, the seconds spent on the node and how the oracle read its
-    table (None when it read none)."""
+    """Reconstruction outcome for one node: its table (None when it failed),
+    its clauses as (body, probability) pairs in table order, the error, the
+    number of patterns the oracle read, the seconds spent on the node and
+    how the oracle read its table (None when it read none). The residual
+    audit of ``to_json_dict`` is derived from the table when asked, by the
+    same deterministic walk that found the clauses."""
 
-    _fields = ("target", "parents", "table", "clauses", "records", "error",
-               "oracle_calls", "seconds", "read")
+    _fields = ("target", "parents", "table", "clauses", "error", "oracle_calls", "seconds",
+               "read")
 
     def __init__(self, target: str, parents: tuple[str, ...], table: SuccessTable | None,
                  clauses: tuple[tuple[frozenset[str], float], ...],
-                 records: tuple[SubsetRecord, ...], error: CausalogError | None = None,
-                 oracle_calls: int = 0, seconds: float = 0.0, read: str | None = None):
+                 error: CausalogError | None = None, oracle_calls: int = 0,
+                 seconds: float = 0.0, read: str | None = None):
         self.__dict__.update(target=target, parents=parents, table=table, clauses=clauses,
-                             records=records, error=error, oracle_calls=oracle_calls,
-                             seconds=seconds, read=read)
+                             error=error, oracle_calls=oracle_calls, seconds=seconds,
+                             read=read)
 
     @property
     def ok(self) -> bool:
@@ -493,25 +490,26 @@ class NodeReport(Frozen):
                 {"causes": sorted(body), "probability": prob}
                 for body, prob in self.clauses
             ],
-            "residuals": [
-                {
-                    "pattern": sorted(r.subset),
-                    "value": r.value,
-                    "predicted": r.predicted,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "accepted": r.accepted,
-                }
-                for r in self.records
-            ],
+            "residuals": [],
             "stats": {"oracle_calls": self.oracle_calls, "seconds": self.seconds,
                       "read": self.read},
         }
-        if self.table is not None:
-            values, parents = self.table.values, self.table.parents
-            subsets = subsets_by_code(parents)
-            out["table"] = {",".join(sorted(subsets[code])): values[code]
-                            for code in table_codes(len(parents))}
+        table = self.table
+        if table is not None:
+            subsets = subsets_by_code(table.parents)
+            out["residuals"] = [
+                {
+                    "pattern": sorted(subsets[code]),
+                    "value": table.values[code],
+                    "predicted": predicted,
+                    "residual": residual,
+                    "tolerance": tolerance,
+                    "accepted": solved is not None,
+                }
+                for code, predicted, residual, tolerance, solved in _detect(table)
+            ]
+            out["table"] = {",".join(sorted(subsets[code])): table.values[code]
+                            for code in table_codes(len(table.parents))}
         if self.error is not None:
             out["error"] = {"code": self.error.code, "message": str(self.error)}
         return out
@@ -584,22 +582,24 @@ def reconstruct(oracle: Oracle, graph: DependencyGraph) -> ReconstructionResult:
     oracle.expect(families)
     for target, parents in families:
         start = time.perf_counter()
-        table, solved, records, error, calls, read = None, [], [], None, 0, None
+        table, bodies, error, calls, read = None, [], None, 0, None
         try:
             table = success_table(oracle, target, parents)
             calls, read = 1 << len(parents), table.read
-            solved, records = _detect(table)
+            bits = _pattern_bits(len(parents))
+            bodies = [(list(compress(parents, bits[code])), solved)
+                      for code, _, _, _, solved in _detect(table) if solved is not None]
         except CausalogError as err:
             if table is None:
                 calls = _patterns_read(err, parents)
-            table, solved, records, error = None, [], [], err
+            table, bodies, error = None, [], err
             failures[target] = err
-        reports[target] = NodeReport(target, parents, table, tuple(solved),
-                                     tuple(records), error, calls,
-                                     time.perf_counter() - start, read)
+        reports[target] = NodeReport(target, parents, table,
+                                     tuple([(frozenset(body), prob) for body, prob in bodies]),
+                                     error, calls, time.perf_counter() - start, read)
         # the names are graph nodes, checked above; each body is a distinct
         # subset of the parents and each weight a float in (0, 1]
         entries += [(target, *body_keys([(name, False) for name in body]), prob)
-                    for body, prob in solved]
+                    for body, prob in bodies]
     program = Program._trusted(entries, declared=names)
     return ReconstructionResult(program, reports, failures)

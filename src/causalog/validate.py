@@ -21,7 +21,7 @@ does not fail the flag, which is convenient when inspecting derived programs.
 from __future__ import annotations
 
 from .frozen import Frozen
-from .model import Program
+from .model import Program, row_text
 
 
 class ValidationReport(Frozen):
@@ -61,25 +61,22 @@ def validate(program: Program, strict: bool = False) -> ValidationReport:
     if cycle:
         diagnostics.append("cycle: " + " -> ".join(cycle))
 
+    rows = program._ordered_rows()
     positive = True
-    for clause in program.clauses:
-        negs = sorted(lit.name for lit in clause.causes if not lit.positive)
+    for effect, row, fire in rows:
+        negs = [name for name, pos in row if not pos]
         if negs:
             positive = False
-            diagnostics.append(
-                f"clause '{clause.text()}' negates {', '.join(negs)}"
-            )
+            diagnostics.append(f"clause '{row_text(effect, row, fire)}' negates {', '.join(negs)}")
 
     proper = True
-    for clause in program.clauses:
-        if not (0.0 < clause.probability < 1.0):
+    for effect, row, fire in rows:
+        if not (0.0 < fire < 1.0):
             proper = False
             diagnostics.append(
-                f"clause '{clause.text()}' has boundary probability "
-                f"{clause.probability}"
-            )
+                f"clause '{row_text(effect, row, fire)}' has boundary probability {fire}")
 
-    unconditional = {c.effect for c in program.clauses if not c.causes}
+    unconditional = {effect for effect, row, _ in rows if not row}
     for sink in sorted(graph.sinks()):
         if sink not in unconditional:
             diagnostics.append(f"sink {sink} has no unconditional clause")

@@ -62,6 +62,22 @@ def test_intervene_false_keeps_proposition_queryable(boost_program):
     assert probability(suppressed, Atom("recovery")).probability == pytest.approx(0.5, abs=EXACT)
 
 
+@pytest.mark.parametrize("action", [{"treatment": True}, {"treatment": False},
+                                    {"recovery": True, "treatment": False}, {}],
+                         ids=["true", "false", "both", "none"])
+def test_intervene_reads_the_rows(switch_program, action):
+    # the intervened program is built from the rows, and builds no Clause
+    # of either program; it equals the one built from the kept clauses
+    program = switch_program
+    forced = intervene(program, action)
+    assert "clauses" not in program.__dict__ and "clauses" not in forced.__dict__
+    kept = [c for c in program.clauses if c.effect not in action]
+    want = Program(kept + [Clause(name, frozenset(), 1.0) for name in sorted(action)
+                           if action[name]], declared=program.propositions)
+    assert forced == want and forced.to_text() == want.to_text()
+    assert forced.propositions == want.propositions and forced.clauses == want.clauses
+
+
 def test_intervene_unknown_name(boost_program):
     with pytest.raises(InterventionError, match="cure"):
         intervene(boost_program, {"cure": True})

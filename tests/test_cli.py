@@ -836,15 +836,23 @@ def test_non_ascii_digits_are_parse_errors(program, given, tmp_path, capsys, mon
 # --- import cost -----------------------------------------------------------------
 
 
-def test_validate_does_not_import_numpy():
+@pytest.mark.parametrize("argv", [
+    ["validate", BOOST],
+    ["graph", BOOST],
+    ["twin-export", BOOST, "--do", "treatment"],
+    ["reconstruct", "--hidden", BOOST, "--graph", EDGES],
+    ["reconstruct", "--hidden", BOOST, "--graph", EDGES, "--json"],
+], ids=["validate", "graph", "twin-export", "reconstruct", "reconstruct-json"])
+def test_command_does_not_import_numpy(argv):
     # numpy takes about a hundred milliseconds to import; the commands that
-    # do no arithmetic must not pay it. Nor does any command pay for
+    # build no large table must not pay it, nor reconstruct on a few
+    # parents, whose tables are Python lists. Nor does any command pay for
     # dataclasses, with the inspect it pulls in, or hashlib, which only
     # sample's provenance digest needs
     script = ("import sys\n"
               "import causalog\n"
               "from causalog import cli\n"
-              f"status = cli.main(['validate', {BOOST!r}])\n"
+              f"status = cli.main({argv!r})\n"
               "heavy = ('numpy', 'dataclasses', 'inspect', 'hashlib')\n"
               "print(status, [name for name in heavy if name in sys.modules])\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,

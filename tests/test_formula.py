@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from causalog import (
@@ -7,10 +9,14 @@ from causalog import (
     FormulaError,
     Not,
     Or,
+    Program,
     conjunction_of,
     parse_formula,
+    parse_program,
 )
 from causalog.formula import MAX_DEPTH, literals_of
+
+NOISE = "{} names a generated noise proposition and cannot be queried"
 
 
 def test_parse_precedence():
@@ -87,6 +93,24 @@ def test_noise_atom_rejected_against_program(boost_program):
     # u1 is the noise fact the program's first clause desugars to
     with pytest.raises(FormulaError, match="u1 names a generated noise proposition"):
         parse_formula("u1", boost_program)
+
+
+@pytest.mark.parametrize("text, name, message", [
+    ("0.5 :: a.\n0.4 :: b :- a.\n", "u1", NOISE),
+    ("0.5 :: a.\n0.4 :: b :- a.\n", "u2", NOISE),
+    ("0.5 :: a.\n0.4 :: b :- a.\n", "u3", "unknown proposition 'u3'"),
+    ("0.5 :: u1.\n0.4 :: b :- u1.\n", "uu1", NOISE),
+    ("0.5 :: u1.\n0.4 :: b :- u1.\n", "u2", NOISE),
+    ("0.5 :: u2.\n0.4 :: b :- u2.\n", "uu2", NOISE),
+    ("0.5 :: u2.\n0.4 :: b :- u2.\n", "uu1", "unknown proposition 'uu1'"),
+], ids=["u1", "u2", "past-the-last", "uu1", "after-uu1", "uu2", "not-uu1"])
+def test_noise_atom_rejected_without_desugaring(monkeypatch, text, name, message):
+    # u<i> names the i-th clause's noise, with more leading u's while that
+    # names a proposition; the check lists those names from the rows
+    program = parse_program(text)
+    monkeypatch.setattr(Program, "desugar", lambda self: pytest.fail("the check desugared"))
+    with pytest.raises(FormulaError, match=f"^{re.escape(message.format(name))}$"):
+        parse_formula(name, program)
 
 
 def test_known_atom_accepted_against_program(boost_program):

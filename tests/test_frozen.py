@@ -34,7 +34,6 @@ from causalog.engine import Calibration, Factor, _Cells, marginal
 from causalog.reconstruction import (
     NodeReport,
     ReconstructionResult,
-    SubsetRecord,
     SuccessTable,
 )
 
@@ -80,13 +79,9 @@ CASES = [
      ("noise", frozenset({"u2"}))),
     (SuccessTable, ("target", "parents", "values", "tolerances", "support", "read"),
      _table_args, {"support": None, "read": None}, "fields", ("values", [0.1, 0.6])),
-    (SubsetRecord, ("subset", "value", "predicted", "residual", "tolerance", "accepted",
-                    "solved", "note"),
-     lambda: (A, 0.5, 0.25, 0.25, 1e-9, True, 0.4, "clamped"),
-     {"solved": None, "note": ""}, "fields", ("accepted", False)),
-    (NodeReport, ("target", "parents", "table", "clauses", "records", "error",
-                  "oracle_calls", "seconds", "read"),
-     lambda: ("b", ("a",), None, ((A, 0.4),), (), None, 2, 0.5, "factor"),
+    (NodeReport, ("target", "parents", "table", "clauses", "error", "oracle_calls",
+                  "seconds", "read"),
+     lambda: ("b", ("a",), None, ((A, 0.4),), None, 2, 0.5, "factor"),
      {"error": None, "oracle_calls": 0, "seconds": 0.0, "read": None}, "fields",
      ("oracle_calls", 3)),
     (ReconstructionResult, ("program", "nodes", "failures"),

@@ -7,6 +7,7 @@ from causalog import (
     CyclicProgramError,
     DependencyGraph,
     GraphFormatError,
+    ValidationReport,
     parse_program,
     validate,
 )
@@ -160,6 +161,20 @@ def test_validate_sink_fact_rule_is_strict_only():
     assert any("sink" in d for d in lenient.diagnostics)
     strict = validate(program, strict=True)
     assert not strict.proper_normal_form
+
+
+def test_validate_reads_the_rows():
+    # the diagnostics are written from the program's rows, in canonical
+    # clause order, and no Clause is built
+    program = parse_program("0.3 :: d :- b.\n1.0 :: b :- \\+ a, c.\n0.0 :: c.\n0.5 :: a.\n")
+    report = validate(program, strict=True)
+    assert "clauses" not in program.__dict__
+    assert report == ValidationReport(True, False, False, (
+        "clause '1.0 :: b :- \\+ a, c.' negates a",
+        "clause '0.0 :: c.' has boundary probability 0.0",
+        "clause '1.0 :: b :- \\+ a, c.' has boundary probability 1.0",
+        "sink d has no unconditional clause",
+    ))
 
 
 def test_report_json_shape(boost_program):

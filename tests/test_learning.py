@@ -400,7 +400,10 @@ def test_dataset_shape_checks():
     ("Bad", "column 2, 'Bad', is not a proposition name"),
     ("true", "column 2, 'true', is a reserved word"),
     ("", "column 2 has no name"),
-], ids=["upper", "reserved", "empty"])
+    (["a"], "column 2, ['a'], is not a proposition name"),
+    (np.array([1, 2]), "column 2, array([1, 2]), is not a proposition name"),
+    (None, "column 2 has no name"),
+], ids=["upper", "reserved", "empty", "unhashable", "array", "none"])
 def test_dataset_refuses_column_names_that_are_no_propositions(name, message):
     # the CSV reader's rule and wording, without the line
     with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -42,7 +43,6 @@ from causalog.reconstruction import (
     EXACT_TOLERANCE,
     MAX_PARENTS,
     SaturationError,
-    SubsetRecord,
     pattern_code,
     subsets_by_code,
     table_codes,
@@ -98,6 +98,14 @@ def make_table(target, parents, values, tol=1e-9):
     return SuccessTable(target, tuple(parents), by_code(parents, keyed), [tol] * len(keyed))
 
 
+def _bodies(table):
+    """The (body, probability) pairs detection accepts in ``table``, in
+    table order, each body the subset its pattern pins true."""
+    subsets = subsets_by_code(table.parents)
+    return [(subsets[code], solved)
+            for code, _, _, _, solved in reconstruction._detect(table) if solved is not None]
+
+
 # --- success tables -----------------------------------------------------------
 
 
@@ -147,7 +155,7 @@ def test_malformed_tables_rejected(parents, values, message):
 def test_detect_boost_table():
     table = make_table("recovery", ["treatment"],
                        {(): 0.5, ("treatment",): 0.7})
-    assert reconstruction._detect(table)[0] == [
+    assert _bodies(table) == [
         (frozenset(), pytest.approx(0.5, abs=1e-9)),
         (frozenset({"treatment"}), pytest.approx(0.4, abs=1e-9)),
     ]
@@ -158,7 +166,7 @@ def test_detect_rejects_explained_interaction():
     # single clauses predict, so no two-cause clause may be introduced.
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.44})
-    solved = reconstruction._detect(table)[0]
+    solved = _bodies(table)
     assert [s for s, _ in solved] == [frozenset({"a"}), frozenset({"b"})]
 
 
@@ -167,7 +175,7 @@ def test_detect_finds_real_interaction():
     value = 1 - (1 - 0.3) * (1 - 0.2) * (1 - 0.5)
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): value})
-    solved = dict(reconstruction._detect(table)[0])
+    solved = dict(_bodies(table))
     assert solved[frozenset({"a", "b"})] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -183,7 +191,7 @@ def test_detector_ignores_noise_below_tolerance():
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): 0.449},
                        tol=0.02)
-    solved = reconstruction._detect(table)[0]
+    solved = _bodies(table)
     assert frozenset({"a", "b"}) not in dict(solved)
 
 
@@ -196,13 +204,13 @@ def test_threshold_widens_with_solved_uncertainty():
     table = make_table("c", ["a", "b"],
                        {(): 0.0, ("a",): 0.3, ("b",): 0.2, ("a", "b"): bump},
                        tol=tol)
-    solved = reconstruction._detect(table)[0]
+    solved = _bodies(table)
     assert frozenset({"a", "b"}) not in dict(solved)
 
 
 def test_solved_probability_clamped_near_one():
     table = make_table("c", ["a"], {(): 0.0, ("a",): 1.0})
-    solved = dict(reconstruction._detect(table)[0])
+    solved = dict(_bodies(table))
     assert solved[frozenset({"a"})] == pytest.approx(1.0, abs=1e-8)
     assert solved[frozenset({"a"})] < 1.0
 
@@ -233,18 +241,23 @@ def test_table_codes_order():
 
 
 def _detect_outcome(table):
-    """What detection gives for ``table``: its pairs and records, or the
-    error class with the subset and message it names."""
+    """What detection gives for ``table``: its steps, each with the subset
+    its pattern pins true in place of the code, or the error class with the
+    subset and message it names."""
     try:
-        return reconstruction._detect(table)
+        steps = reconstruction._detect(table)
     except CausalogError as err:
         return type(err), err.subset, str(err)
+    subsets = subsets_by_code(table.parents)
+    return [(subsets[code], *rest) for code, *rest in steps]
 
 
 def _reference_detect(table):
     """Detection written over subsets, as it was before the walk over codes:
-    its pairs and records, or the error class and the subset it names."""
-    accepted, solved_tol, records = [], {}, []
+    its steps, (subset, predicted, residual, tolerance, solved) in table
+    order with ``solved`` None where the subset is no body, or the error
+    class and the subset it names."""
+    accepted, solved_tol, steps = [], {}, []
     for subset in subsets_by_size(table.parents):
         miss, spread = 1.0, 0.0
         for body, prob in accepted:
@@ -256,31 +269,27 @@ def _reference_detect(table):
         tol = at(table.tolerances, table.parents, subset)
         threshold = tol + miss * spread
         residual = value - predicted
+        solved = None
         if residual > threshold:
             if miss <= tol:
                 return SaturationError, subset
             solved = 1.0 - (1.0 - value) / miss
             if not 0.0 < solved <= 1.0:
                 return ImproperParameterError, subset
-            limit = 1.0 - max(tol, 1e-15)
-            note = f"clamped from {solved}" if solved > limit else ""
-            solved = min(solved, limit)
+            solved = min(solved, 1.0 - max(tol, 1e-15))
             accepted.append((subset, solved))
             solved_tol[subset] = tol / miss + max(0.0, 1.0 - value) / miss * spread
-            records.append(SubsetRecord(subset, value, predicted, residual, threshold, True,
-                                        solved, note))
         elif residual < -threshold:
             return NonMonotoneTableError, subset
-        else:
-            records.append(SubsetRecord(subset, value, predicted, residual, threshold, False))
-    return accepted, records
+        steps.append((subset, predicted, residual, threshold, solved))
+    return steps
 
 
 def _assert_detection_matches_the_reference(table):
-    """Detection of ``table`` gives the reference's pairs and records, float
-    for float, or fails with the same error at the same subset."""
+    """Detection of ``table`` gives the reference's steps, float for float,
+    or fails with the same error at the same subset."""
     got = _detect_outcome(table)
-    assert (got[:2] if isinstance(got[0], type) else got) == _reference_detect(table)
+    assert (got[:2] if isinstance(got, tuple) else got) == _reference_detect(table)
     return got
 
 
@@ -303,9 +312,10 @@ def test_detection_is_the_same_by_subset_and_by_code(parents, values, tol, outco
         # the last pattern in table order is the one that fails
         assert got[:2] == (outcome, frozenset(parents))
     else:
-        records = got[1]
-        assert [r.subset for r in records] == list(subsets_by_size(parents))
-        assert any(r.note.startswith("clamped from") for r in records) == (outcome == "clamped")
+        assert [step[0] for step in got] == list(subsets_by_size(parents))
+        # a clamp shows as the solved value 1 - tolerance
+        clamped = [step[4] == 1.0 - tol for step in got]
+        assert any(clamped) == (outcome == "clamped")
 
 
 def test_detection_of_oracle_tables_matches_the_reference():
@@ -329,6 +339,46 @@ def test_detection_of_oracle_tables_matches_the_reference():
                 got = _assert_detection_matches_the_reference(table)
                 outcomes["refused" if isinstance(got[0], type) else kind] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_json_residuals_are_the_reference_walk():
+    # the residual audit is derived from the node's table when --json asks
+    # for it; random noisy-OR tables, some with bodies of probability 1
+    # whose solved value is clamped, bumps within tolerance and a few falls
+    # that fail the node
+    rng = numpy_rng(6113)
+    seen = {"clamped": 0, "rejected": 0, "ok": 0}
+    for _ in range(120):
+        parents = [f"p{k}" for k in range(int(rng.integers(0, 5)))]
+        tol = float(rng.choice([1e-9, 0.01]))
+        subsets = list(subsets_by_size(parents))
+        weights = {body: float(rng.choice([rng.uniform(0.05, 0.95), 1.0], p=[0.85, 0.15]))
+                   for body in subsets if rng.random() < 0.4}
+        values = {}
+        for subset in subsets:
+            miss = math.prod(1.0 - p for body, p in weights.items() if body <= subset)
+            values[subset] = min(1.0, 1.0 - miss + float(rng.uniform(0.0, tol / 4)))
+        if parents and rng.random() < 0.15:  # a fall that no positive program gives
+            values[subsets[-1]] = max(0.0, values[subsets[-1]] - 0.5)
+        graph = DependencyGraph.build(parents + ["c"], [(p, "c") for p in parents])
+        tables = {p: {frozenset(): 0.5} for p in parents}
+        result = reconstruct(TableOracle({**tables, "c": values}, tol), graph)
+        report = result.nodes["c"]
+        expected = _reference_detect(make_table("c", parents, values, tol))
+        if not report.ok:
+            assert isinstance(expected, tuple) and expected[0] is type(report.error)
+            assert report.to_json_dict()["residuals"] == []
+            seen["rejected"] += 1
+            continue
+        assert report.to_json_dict()["residuals"] == [
+            {"pattern": sorted(subset), "value": values[subset], "predicted": predicted,
+             "residual": residual, "tolerance": threshold, "accepted": solved is not None}
+            for subset, predicted, residual, threshold, solved in expected]
+        assert list(report.clauses) == [(subset, solved) for subset, *_, solved in expected
+                                        if solved is not None]
+        seen["ok"] += 1
+        seen["clamped"] += any(step[4] == 1.0 - tol for step in expected)
+    assert min(seen.values()) >= 5, seen
 
 
 # --- whole-program reconstruction ----------------------------------------------
