@@ -2,19 +2,20 @@
 
 Forward sampling draws one noise fact per clause, independently, and solves
 the program column-wise, all rows at once, straight from its (body, fire)
-rows: in topological order, a node's column is the OR over its rows of the
-row's fact ANDed with its body literals' columns, already solved. Sampling
-is seeded and deterministic: the counter-based Philox generator is keyed
-with the seed and consumed as one draw per (row, fact) cell in row-major
-order, the facts in canonical clause order (the order of the noise names
-``Program.noise_names``), so row ``i`` always consumes the
-``i``-th run of draws no matter how rows are batched. ``Generator.random``
-makes the uniform ``(raw >> 11) * 2^-53`` of a raw 64-bit word, so a fact
-with probability ``p`` fires exactly where its ``u < p`` would: where
-``raw >> 11 < ceil(p * 2^53)``, compared as integers. The words are drawn
-and compared a block of rows at a time, at most ``_BLOCK_DRAWS`` of them,
-into one bool per (fact, row), so the rows do not depend on the block size
-and sampling holds a byte per cell.
+rows in canonical clause order (``Program._ordered_rows``, the order of the
+noise names ``Program.noise_names``), which on an acyclic program takes the
+effects in topological order: a node's column is the OR over its rows of
+the row's fact ANDed with its body literals' columns, already solved.
+Sampling is seeded and deterministic: the counter-based Philox generator is
+keyed with the seed and consumed as one draw per (row, fact) cell in
+row-major order, the facts in that clause order, so row ``i`` always
+consumes the ``i``-th run of draws no matter how rows are batched.
+``Generator.random`` makes the uniform ``(raw >> 11) * 2^-53`` of a raw
+64-bit word, so a fact with probability ``p`` fires exactly where its
+``u < p`` would: where ``raw >> 11 < ceil(p * 2^53)``, compared as
+integers. The words are drawn and compared a block of rows at a time, at
+most ``_BLOCK_DRAWS`` of them, into one bool per (fact, row), so the rows do
+not depend on the block size and sampling holds a byte per cell.
 
 A dataset records only the internal propositions (noise is latent), plus a
 provenance stamp: the fingerprint of the generating program, the seed and the
@@ -326,12 +327,12 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
         raise DatasetError(f"sample count must be a nonnegative integer, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 128:
         raise DatasetError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    rows = program._rows
-    order = program.dependency_graph().topological_order()
+    program.dependency_graph().topological_order()  # a cycle raises before any draw
+    # one fact per clause, in canonical clause order, which on an acyclic
+    # program lists the effects in topological order
+    entries = program._ordered_rows()
     columns = program.propositions
-    # one fact per clause, in canonical clause order: effects in topological
-    # order, each one's rows in body order
-    fires = [fire for name in order for _, fire in rows.get(name, ())]
+    fires = [fire for _, _, fire in entries]
     # numpy shapes a (k, n) array only while n and k * n fit its index type
     if n > np.iinfo(np.intp).max // max(1, len(fires), len(columns)):
         raise DatasetError(f"sample count {n} is too large for numpy to shape its matrices")
@@ -351,20 +352,17 @@ def forward_sample(program: Program, n: int, seed: int) -> Dataset:
             draws >>= 11
             np.less(draws.T, thresholds, out=fired[:, start:start + count])
     # each node's column is the OR of its rows, a row's fact ANDed in place
-    # with its body's columns; a node without rows stays false
+    # with its body's columns, solved before it; a node without rows stays
+    # false
     data = np.zeros((len(columns), n), dtype=bool)
     solved = dict(zip(columns, data))
-    facts = iter(fired)
-    for name in order:
-        column = solved[name]
-        for body, _ in rows.get(name, ()):
-            fact = next(facts)
-            for atom, positive in body:
-                if positive:
-                    fact &= solved[atom]
-                else:
-                    np.greater(fact, solved[atom], out=fact)
-            column |= fact
+    for (name, body, _), fact in zip(entries, fired):
+        for atom, positive in body:
+            if positive:
+                fact &= solved[atom]
+            else:
+                np.greater(fact, solved[atom], out=fact)
+        solved[name] |= fact
     return Dataset._of_columns(columns, data,
                                Provenance(program_fingerprint(program), seed, n))
 
@@ -424,16 +422,16 @@ class FrequencyOracle:
         self._counted = {}
 
     def success_table(self, target: str, parents: tuple[str, ...]) -> SuccessTable:
-        from .reconstruction import SuccessTable, subset_text, subsets_by_code, table_codes
+        from .reconstruction import SuccessTable, subset_of, subset_text, table_codes
 
         support, hits = self._counts(target, parents)
         if hits is None:  # the target is not a column: DatasetError
             self._data.column(target)
         starved = support < self.min_support
         if starved.any():
-            subsets, counts = subsets_by_code(parents), support.tolist()
-            listed = [(subsets[code], counts[code]) for code in table_codes(len(parents))
-                      if counts[code] < self.min_support]
+            counts = support.tolist()
+            listed = [(subset_of(parents, code), counts[code])
+                      for code in table_codes(len(parents)) if counts[code] < self.min_support]
             listing = "; ".join(f"{subset_text(s)} has {n} samples" for s, n in listed)
             raise StarvedPatternError(
                 f"{target}: {len(listed)} parent pattern(s) below support: {listing}",

@@ -130,22 +130,16 @@ def body_keys(pairs: Iterable[tuple[str, bool]]) -> tuple[tuple, tuple]:
 
 
 def float_text(x: float) -> str:
-    """Shortest positional decimal that parses back to the same float: its
-    ``repr``, with an exponent written out as leading or trailing zeros,
-    since the program syntax has no exponent."""
+    """Shortest positional decimal that parses back to the same probability:
+    its ``repr``, with an exponent written out as leading zeros, since the
+    program syntax has no exponent. ``repr`` writes one in [0, 1] only below
+    1e-4, so the mantissa is positive and the exponent negative."""
     text = repr(float(x))
     mantissa, e, exponent = text.partition("e")
     if not e:
         return text
-    sign, mantissa = ("-", mantissa[1:]) if mantissa.startswith("-") else ("", mantissa)
     whole, _, fraction = mantissa.partition(".")
-    digits = whole + fraction
-    point = len(whole) + int(exponent)  # digits before the decimal point
-    if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}"
-    if point >= len(digits):
-        return f"{sign}{digits}{'0' * (point - len(digits))}.0"
-    return f"{sign}{digits[:point]}.{digits[point:]}"
+    return f"0.{'0' * (-int(exponent) - len(whole))}{whole}{fraction}"
 
 
 class Program:
@@ -159,33 +153,33 @@ class Program:
     A program is compiled to what the engine reads: each node's clauses as
     (body, fire) rows in body order, the dependency graph, and the factors
     every query on it tabulates from the rows; they go with the program.
-    The ``Clause`` objects in canonical order are what the constructor was
-    given, or, for a parsed or recovered program, built on the first read of
-    ``clauses``. Equality, hashing and writing the program's text read the
+    The canonical order is the one ``_ordered_rows`` lists: ``clauses``,
+    ``to_text``, the noise names, sampling, the twin and ``validate`` all
+    read it. The ``Clause`` objects are what the constructor was given,
+    listed in that order, or, for a parsed or recovered program, built on
+    the first read of ``clauses``. Equality, hashing and writing the program's text read the
     rows and ``declared`` alone, so writing a program builds no ``Clause``.
     """
 
     def __init__(self, clauses: Iterable[Clause], declared: Iterable[str] = ()):
-        # check each clause and key it by effect and body, which are unique
+        # check each clause and key it by effect and row, which are unique
         # once duplicates are out
-        seen: set[tuple[str, frozenset[Literal]]] = set()
+        given: dict[tuple[str, tuple], Clause] = {}
         keyed = []
         for c in clauses:
             if not isinstance(c, Clause):
                 raise ProgramError(f"expected a Clause, got {type(c).__name__}")
-            if (c.effect, c.causes) in seen:
+            order, row = body_keys([(l.name, not l.positive) for l in c.causes])
+            if (c.effect, row) in given:
                 raise ProgramError(
                     f"duplicate clause for {c.effect}: two clauses share the body "
                     f"{{{', '.join(str(l) for l in c.sorted_body()) or ''}}}"
                 )
-            seen.add((c.effect, c.causes))
-            keyed.append((c.effect, *body_keys([(l.name, not l.positive) for l in c.causes]),
-                          c.probability, c))
+            given[c.effect, row] = c
+            keyed.append((c.effect, order, row, c.probability))
         self._build(keyed, frozenset(_check_proposition(n) for n in declared))
-        rank = self._graph.ordering_rank()
-        # no two effects share a rank, so the effect name never breaks a tie
-        keyed.sort(key=lambda k: (rank[k[0]], k[1]))
-        self.clauses = tuple([k[4] for k in keyed])  # the given clauses, kept
+        # the given clauses, kept, in canonical order
+        self.clauses = tuple([given[effect, row] for effect, row, _ in self._ordered_rows()])
 
     @classmethod
     def _trusted(cls, entries: list[tuple[str, tuple, tuple, float]],
@@ -200,7 +194,7 @@ class Program:
 
     def _build(self, entries: list[tuple], declared: frozenset[str]) -> None:
         """One pass over the checked entries, each (effect, *body_keys,
-        probability, ...): group them by effect, sorted by body, into the
+        probability): group them by effect, sorted by body, into the
         engine's rows, (body, fire) with the body as sorted (name, positive)
         pairs, and collect the graph's nodes and edges."""
         groups: dict[str, list[tuple]] = {}

@@ -34,11 +34,12 @@ code of a pattern has a bit per parent, the first parent in name order the
 most significant, set where the parent is pinned true, so a body lies
 inside a subset when its bits are among the subset's. Detection keeps one
 plain step per pattern and builds no subset: only an accepted body's names
-are read off its code (``_pattern_bits``), and the residual audit of
-``--json`` (``NodeReport.to_json_dict``) walks the table again when asked.
-The success-table pattern lives here for both oracles: its codes
-(``pattern_code``), their table order (``table_codes``), its bits and its
-text in messages (``subset_text``).
+are read off its code's bits (``_pattern_bits``), and the residual audit of
+``--json`` (``NodeReport.to_json_dict``) walks the table again when asked
+and names its patterns from the same bits. The success-table pattern lives
+here for both oracles: its codes (``pattern_code``), their table order
+(``table_codes``), its bits, the one subset an error or a starved listing
+names (``subset_of``) and its text in messages (``subset_text``).
 """
 
 from __future__ import annotations
@@ -98,18 +99,16 @@ def pattern_code(parents: Sequence[str], pattern: Mapping[str, bool]) -> int:
 @cache
 def _pattern_bits(width: int) -> tuple[tuple[bool, ...], ...]:
     """The bits of each pattern of ``width`` parents, the first parent's
-    first, by ``pattern_code``; kept per width, for at most MAX_PARENTS."""
+    first, by ``pattern_code``; kept per width, for at most MAX_PARENTS.
+    ``compress(parents, bits)`` names the parents a pattern pins true, in
+    name order: the bodies ``reconstruct`` accepts and the patterns of the
+    ``--json`` audit are read this way."""
     return tuple(product((False, True), repeat=width))
 
 
-def subsets_by_code(parents: tuple[str, ...]) -> list[frozenset[str]]:
-    """The subset of ``parents`` each pattern pins true, by ``pattern_code``."""
-    return [frozenset(compress(parents, bits))
-            for bits in product((False, True), repeat=len(parents))]
-
-
 def subset_of(parents: tuple[str, ...], code: int) -> frozenset[str]:
-    """The subset of ``parents`` the pattern of ``code`` pins true."""
+    """The subset of ``parents`` the pattern of ``code`` pins true, for the
+    one pattern an error or a starved listing names."""
     last = len(parents) - 1
     return frozenset([name for k, name in enumerate(parents) if code >> (last - k) & 1])
 
@@ -201,10 +200,9 @@ class ExactOracle:
         self._expected: Sequence[Family] | None = None
         self._families: Mapping[tuple[str, ...], JointTable] | None = None
         # each node seen: whether every factor of its closure is strictly
-        # positive, and what _factor_cells gives; each family seen: its route
+        # positive, and what _factor_cells gives
         self._positive: dict[str, bool] = {}
         self._tables: dict[str, tuple[tuple[str, ...], list[float] | np.ndarray, bool]] = {}
-        self._reads: dict[tuple[str, ...], str] = {}
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -240,7 +238,7 @@ class ExactOracle:
         how it was read: ``factor``, ``calibration`` or ``elimination``."""
         check_table_width(len(parents))
         family = (target, *parents)
-        read = self._reads.get(family) or self._route(target, parents)
+        read = self._route(target, parents)
         if read == "factor":
             scope, cells, _ = self._factor_cells(target)
             if scope != parents:  # a parent only clauses of probability 0 read
@@ -260,16 +258,15 @@ class ExactOracle:
         return [h / (m + h) if m + h > 0.0 else math.nan for m, h in zip(miss, hit)], read
 
     def _route(self, target: str, parents: tuple[str, ...]) -> str:
-        """How the table of ``target`` under ``parents`` is read, kept: off
-        the target's factor, or from the calibration, when they are its
-        parents in the acyclic program, else by its own elimination."""
+        """How the table of ``target`` under ``parents`` is read: off the
+        target's factor, or from the calibration, when they are its parents
+        in the acyclic program, else by its own elimination. It reads the
+        closure's positivity, which is kept per node."""
         graph = self._program.dependency_graph()
-        read = "elimination"
         if (target in graph.nodes and graph.parents(target) == frozenset(parents)
                 and graph.is_acyclic()):
-            read = "factor" if self._closure_positive(parents) else "calibration"
-        self._reads[(target, *parents)] = read
-        return read
+            return "factor" if self._closure_positive(parents) else "calibration"
+        return "elimination"
 
     def _factor_cells(self, node: str) -> tuple[tuple[str, ...], list[float] | np.ndarray, bool]:
         """The parents the node's factor reads, in name order, its cells over
@@ -496,10 +493,12 @@ class NodeReport(Frozen):
         }
         table = self.table
         if table is not None:
-            subsets = subsets_by_code(table.parents)
+            # each pattern's parents pinned true, in name order
+            patterns = [list(compress(table.parents, bits))
+                        for bits in _pattern_bits(len(table.parents))]
             out["residuals"] = [
                 {
-                    "pattern": sorted(subsets[code]),
+                    "pattern": patterns[code],
                     "value": table.values[code],
                     "predicted": predicted,
                     "residual": residual,
@@ -508,7 +507,7 @@ class NodeReport(Frozen):
                 }
                 for code, predicted, residual, tolerance, solved in _detect(table)
             ]
-            out["table"] = {",".join(sorted(subsets[code])): table.values[code]
+            out["table"] = {",".join(patterns[code]): table.values[code]
                             for code in table_codes(len(table.parents))}
         if self.error is not None:
             out["error"] = {"code": self.error.code, "message": str(self.error)}

@@ -51,6 +51,13 @@ def subsets_by_size(items):
             yield frozenset(combo)
 
 
+def subsets_by_code(parents):
+    """The subset of ``parents`` each pattern pins true, by pattern code: a
+    bit per parent, the first parent the most significant."""
+    return [frozenset(itertools.compress(parents, bits))
+            for bits in itertools.product((False, True), repeat=len(parents))]
+
+
 def _random_dag(rng, min_nodes, max_nodes, max_parents, require_edge):
     while True:
         n = int(rng.integers(min_nodes, max_nodes + 1))

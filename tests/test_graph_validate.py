@@ -205,7 +205,9 @@ def test_writers_pin_their_bytes():
     ("digraph g { a;\n\n  b ->\n  true; }",
      "line 3: 'true' is a reserved word and cannot name a proposition"),
     ("digraph g {\n a -> b # c -> d\n ; X\n}", "line 3: bad proposition name 'X'"),
-], ids=["edge", "split-statement", "after-comment"])
+    # an unclosed body is no digraph, and names no line
+    ("digraph g { a -> b;", "not a digraph: expected 'digraph [name] { ... }'"),
+], ids=["edge", "split-statement", "after-comment", "unclosed"])
 def test_dot_errors_name_their_line(text, message):
     with pytest.raises(GraphFormatError) as err:
         DependencyGraph.parse(text)

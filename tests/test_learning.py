@@ -303,9 +303,13 @@ def test_csv_errors(tmp_path, text, fragment):
 def test_csv_that_is_not_utf8(tmp_path, boost_program):
     path = tmp_path / "bad.csv"
     forward_sample(boost_program, 20, seed=3).to_csv(str(path))
-    path.write_bytes(path.read_bytes() + b"1,\xff\n")
-    with pytest.raises(DatasetError, match="bad.csv is not UTF-8 text"):
-        Dataset.from_csv(str(path))
+    # a bad row, and a bad header over a body in the exact form to_csv
+    # writes, which the column reader leaves to the line reader
+    for raw in (path.read_bytes() + b"1,\xff\n", b"a,\xff\n0,1\n"):
+        path.write_bytes(raw)
+        with pytest.raises(DatasetError) as err:
+            Dataset.from_csv(str(path))
+        assert str(err.value) == f"{path} is not UTF-8 text: invalid start byte"
 
 
 def _row_loop_csv(dataset):

@@ -181,6 +181,9 @@ def test_parse_assignment():
     for text in ("", " ", "a,"):
         with pytest.raises(ParseError, match="expected a proposition, got 'end of input'"):
             parse_assignment(text)
+    with pytest.raises(ParseError) as err:
+        parse_assignment("a b")
+    assert str(err.value) == "line 1, column 3: expected ',' between literals, got 'b'"
 
 
 def test_parse_assignment_rejects_double_binding():

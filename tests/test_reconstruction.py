@@ -44,12 +44,17 @@ from causalog.reconstruction import (
     MAX_PARENTS,
     SaturationError,
     pattern_code,
-    subsets_by_code,
     table_codes,
 )
 
 from oracles import marginal_given
-from proggen import numpy_rng, random_program, subsets_by_size, with_negation_and_certainty
+from proggen import (
+    numpy_rng,
+    random_program,
+    subsets_by_code,
+    subsets_by_size,
+    with_negation_and_certainty,
+)
 
 TR_GRAPH = DependencyGraph.build(
     ["treatment", "recovery"], [("treatment", "recovery")])
@@ -952,6 +957,52 @@ def test_factor_tables_equal_calibrated_tables():
                                   if c.effect == target and c.causes)
             for subset, value in want.items():
                 assert at(table.values, parents, subset) == pytest.approx(value, abs=1e-12)
+    assert all(seen.values()), seen
+
+
+def test_caps_that_refuse_the_calibration_leave_each_node_its_own_table():
+    # under caps of 8-32, seeded programs with certainty clauses refuse the
+    # calibration both ways: a family whose route check exceeds the cap is
+    # left out of it, and a calibration whose largest table exceeds the cap
+    # is refused whole, after which a node asked with its own parents reads
+    # its own elimination. A table read that way is the one engine.marginal
+    # gives, and a node fails on the cap only when that table is refused
+    rng = numpy_rng(2)
+    seen = {"left_out": 0, "refused_whole": 0, "elimination": 0, "capped": 0}
+    for _ in range(200):
+        program = with_negation_and_certainty(rng, random_program(
+            rng, min_nodes=3, max_nodes=9, max_parents=4, max_bodies=16))
+        graph = program.dependency_graph()
+        families = [(t, tuple(sorted(graph.parents(t)))) for t in program.propositions]
+        for cap in (8, 16, 32):
+            oracle = ExactOracle(program, max_worlds=cap)
+            oracle.expect(families)
+            for target, parents in families:
+                try:
+                    own = marginal(program, (target, *parents), cap)
+                except EnumerationCapError:
+                    own = None
+                try:
+                    table = oracle.success_table(target, parents)
+                except EnumerationCapError:
+                    assert own is None
+                    seen["capped"] += 1
+                    continue
+                except OracleError as err:
+                    # a pattern of probability zero
+                    assert isinstance(err.__cause__, ZeroEvidenceError)
+                    continue
+                if table.read == "elimination":
+                    miss, hit = own.masses.reshape(2, -1).tolist()
+                    assert table.values == [h / (m + h) for m, h in zip(miss, hit)]
+                    seen["elimination"] += 1
+            if oracle._families is not None:  # the calibration was asked for
+                seen["refused_whole"] += oracle._families == {}
+                for target, parents in families:
+                    try:
+                        oracle._route(target, parents)
+                    except EnumerationCapError:
+                        seen["left_out"] += 1
     assert all(seen.values()), seen
 
 
